@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 
 from . import sat
-from .logic import Assignment, Clause, Cnf
+from .logic import Assignment, Clause, Cnf, VerificationError
 
 REFERENCE_THRESHOLD = 7825  # not desk-verified; recorded for documentation
 
@@ -64,12 +64,16 @@ def triples(m):
     return TripleSet(m, tuple(out))
 
 
-def members(m):
-    """Distinct numbers appearing in some triple up to m."""
+def _members_of(ts):
     out = set()
-    for t in triples(m).triples:
+    for t in ts.triples:
         out.update(t)
     return out
+
+
+def members(m):
+    """Distinct numbers appearing in some triple up to m."""
+    return _members_of(triples(m))
 
 
 def encode(m):
@@ -81,7 +85,7 @@ def encode(m):
     """
     ts = triples(m)
     varmap = {}
-    for i, member in enumerate(sorted(members(m)), 1):
+    for i, member in enumerate(sorted(_members_of(ts)), 1):
         varmap[member] = i
     clauses = []
     for a, b, c in ts.triples:
@@ -114,10 +118,11 @@ VALID = "valid"
 
 def verify_coloring(coloring, m):
     """VALID, or the first monochromatic triple as a witness."""
-    missing = members(m) - set(coloring.colors)
+    ts = triples(m)
+    missing = _members_of(ts) - set(coloring.colors)
     if missing:
         raise DomainGapError(f"coloring misses triple members {sorted(missing)}")
-    for a, b, c in triples(m).triples:
+    for a, b, c in ts.triples:
         if coloring.colors[a] == coloring.colors[b] == coloring.colors[c]:
             return (a, b, c)
     return VALID
@@ -156,10 +161,15 @@ def find_threshold(max_m, step=100, step_limit=None):
         cnf, varmap, verdict = _solve_m(m, step_limit)
         if verdict.satisfiable:
             coloring = coloring_from_model(verdict.model, varmap, m)
-            assert verify_coloring(coloring, m) == VALID
+            witness = verify_coloring(coloring, m)
+            if witness != VALID:
+                raise VerificationError(
+                    f"m={m}: coloring has monochromatic triple {witness}"
+                )
             colorings[m] = coloring
             return None
-        assert sat.check_certificate(cnf, verdict.certificate)
+        if not sat.check_certificate(cnf, verdict.certificate):
+            raise VerificationError(f"m={m}: certificate does not check")
         return verdict.certificate
 
     last_sat = 0

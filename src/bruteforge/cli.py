@@ -1,7 +1,8 @@
 """Single command-line entry point.
 
 Exit codes: 0 success; 1 negative answer (unsatisfiable where a model was
-sought, proof search timeout, not-a-cap); 2 usage error.  All output files
+sought, proof search timeout, not-a-cap); 2 usage error; 3 internal
+self-check failed (a bug, not an input fault).  All output files
 are written atomically (temp file + rename).  Machine logs are JSON lines;
 human summaries go to standard output.
 
@@ -18,11 +19,12 @@ import sys
 import tempfile
 
 from . import bpt, capset, equational, evolve, hierarchy, priority, sat
-from .logic import parse_dimacs, write_dimacs
+from .logic import VerificationError, parse_dimacs, write_dimacs
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
+EXIT_INTERNAL = 3
 
 
 def _atomic_write(path, text):
@@ -94,12 +96,15 @@ def _cmd_bpt_solve(args, parser):
     verdict = sat.solve(cnf)
     if verdict.satisfiable:
         coloring = bpt.coloring_from_model(verdict.model, varmap, args.m)
-        assert bpt.verify_coloring(coloring, args.m) == bpt.VALID
+        witness = bpt.verify_coloring(coloring, args.m)
+        if witness != bpt.VALID:
+            raise VerificationError(f"coloring has monochromatic triple {witness}")
         print(f"SATISFIABLE: valid 2-coloring for m={args.m}")
         if args.coloring:
             _atomic_write(args.coloring, _format_coloring(coloring))
         return EXIT_OK
-    assert sat.check_certificate(cnf, verdict.certificate)
+    if not sat.check_certificate(cnf, verdict.certificate):
+        raise VerificationError("certificate does not check")
     print(f"UNSATISFIABLE: every 2-coloring has a monochromatic triple at m={args.m}")
     if args.cert:
         _atomic_write(args.cert, verdict.certificate.to_text())
@@ -263,7 +268,10 @@ def _cmd_eq_prove(args, parser):
         )
         if isinstance(result, equational.EqProof):
             diagnostics = []
-            assert equational.check_proof(result, axioms, goal, diagnostics), diagnostics
+            if not equational.check_proof(result, axioms, goal, diagnostics):
+                raise VerificationError(
+                    "proof does not replay: " + "; ".join(diagnostics)
+                )
             print(f"proof found: {len(result.steps)} steps")
             if args.output:
                 _atomic_write(args.output, equational.format_proof(result))
@@ -421,6 +429,9 @@ def main(argv=None):
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except VerificationError as exc:
+        print(f"error: verification failed: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -1,4 +1,5 @@
-"""Shared syntax layer: first-order terms, propositional clauses/CNF, parsers.
+"""Shared syntax layer: first-order terms, propositional clauses/CNF, parsers,
+and the error raised when a verdict fails its independent re-check.
 
 Term grammar (EBNF, ASCII rendering of the usual connectives):
 
@@ -31,6 +32,13 @@ class TermSyntaxError(ValueError):
 
 class UnknownSymbolError(ValueError):
     pass
+
+
+class VerificationError(RuntimeError):
+    """An independent re-check rejected a verdict the package produced.
+
+    A bug, not an input fault, so deliberately not a ValueError.
+    """
 
 
 class Term:
@@ -256,6 +264,8 @@ class Cnf:
     def __post_init__(self):
         for c in self.clauses:
             for l in c.lits:
+                if l == 0:
+                    raise ValueError("literal 0 is reserved as terminator")
                 if abs(l) > self.num_vars:
                     raise ValueError(f"literal {l} exceeds num_vars={self.num_vars}")
 

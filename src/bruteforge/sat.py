@@ -1,15 +1,20 @@
 """Complete propositional satisfiability engine with checkable certificates.
 
-The solver is a deterministic DPLL: unit propagation to fixpoint, branching
-on the lowest-index unassigned variable (true first).  Every conflict and
-every exhausted branch records the negation of the current decision set;
-the resulting clause list is a reverse-unit-propagation (RUP) refutation
-ending in the empty clause, checkable in one pass by check_certificate.
-"""
+The solver is an iterative, trail-based DPLL over two watched literals per
+clause (Chaff): unit propagation to fixpoint, branching on the lowest-index
+unassigned variable (true first), backtracking through an explicit stack of
+(decision, trail mark) pairs.  Every conflict and every exhausted branch
+records the negation of the current decision set; the resulting clause list
+is a reverse-unit-propagation (RUP) refutation ending in the empty clause.
+
+check_certificate replays it in one pass with its own small watched-literal
+propagator, independent of the solver's, as in DRAT-trim.  Unit propagation
+reaches a conflict under every order or under none, and otherwise has a
+unique fixpoint, so models and certificates do not depend on propagation
+order."""
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 
 from .logic import Assignment, Clause, Cnf
@@ -74,30 +79,15 @@ def unit_propagate(cnf, assignment):
     Returns (extended assignment, CONFLICT | STABLE).  CONFLICT iff some
     clause is falsified by the fixpoint.
     """
+    n = cnf.num_vars
+    core = _Core(cnf)
+    conflict = core.assume(
+        [v if b else -v for v, b in assignment.values.items() if 1 <= v <= n]
+    )
     a = assignment.copy()
-    changed = True
-    while changed:
-        changed = False
-        for clause in cnf.clauses:
-            unassigned = None
-            n_unassigned = 0
-            satisfied = False
-            for lit in clause.lits:
-                v = a.value(lit)
-                if v is True:
-                    satisfied = True
-                    break
-                if v is None:
-                    unassigned = lit
-                    n_unassigned += 1
-            if satisfied:
-                continue
-            if n_unassigned == 0:
-                return a, CONFLICT
-            if n_unassigned == 1:
-                a.values[abs(unassigned)] = unassigned > 0
-                changed = True
-    return a, STABLE
+    for lit in core.trail:
+        a.values[abs(lit)] = lit > 0
+    return a, CONFLICT if conflict else STABLE
 
 
 def resolve(c1, c2, pivot):
@@ -116,94 +106,238 @@ def verify_model(cnf, assignment):
     return all(any(assignment.value(l) for l in c.lits) for c in cnf.clauses)
 
 
-def _propagate_sets(clause_sets, assigned):
-    """Unit propagation over literal frozensets; `assigned` is a literal set.
+class _RupChecker:
+    """Clause database for check_certificate, with its own watched propagation.
 
-    Mutates and returns (assigned, conflict: bool).
+    Deliberately independent of _Core, so that it can be trusted by reading
+    it alone.  Nothing stays assigned between calls to `refutes`, so any two
+    literals of a clause are valid watches when it is added.
     """
-    changed = True
-    while changed:
-        changed = False
-        for lits in clause_sets:
-            unit = None
-            count = 0
-            sat = False
-            for lit in lits:
-                if lit in assigned:
-                    sat = True
-                    break
-                if -lit not in assigned:
-                    unit = lit
-                    count += 1
-                    if count > 1:
+
+    def __init__(self, num_vars):
+        self.true = [False] * (2 * num_vars + 1)  # indexed by literal
+        self.watches = [[] for _ in range(2 * num_vars + 1)]
+        self.units = []
+        self.has_empty = False
+
+    def add(self, lits):
+        if any(-l in lits for l in lits):
+            return  # a tautology can never become unit or falsified
+        if len(lits) >= 2:
+            clause = list(lits)
+            self.watches[clause[0]].append(clause)
+            self.watches[clause[1]].append(clause)
+        elif lits:
+            self.units.extend(lits)
+        else:
+            self.has_empty = True
+
+    def refutes(self, lits):
+        """True iff asserting the negation of `lits` propagates to a conflict.
+
+        The negation of a tautology is itself contradictory, so it is refuted.
+        """
+        if self.has_empty:
+            return True
+        true, watches = self.true, self.watches
+        trail = []
+        conflict = False
+        for lit in [-l for l in lits] + self.units:
+            if true[-lit]:
+                conflict = True
+                break
+            if not true[lit]:
+                true[lit] = True
+                trail.append(lit)
+        i = 0
+        while not conflict and i < len(trail):
+            false = -trail[i]
+            i += 1
+            watching = watches[false]
+            watches[false] = kept = []
+            for pos, clause in enumerate(watching):
+                if clause[0] == false:
+                    clause[0], clause[1] = clause[1], false
+                other = clause[0]
+                if true[other]:
+                    kept.append(clause)
+                    continue
+                for k in range(2, len(clause)):
+                    lit = clause[k]
+                    if not true[-lit]:
+                        clause[1], clause[k] = lit, false
+                        watches[lit].append(clause)
                         break
-            if sat or count > 1:
-                continue
-            if count == 0:
-                return assigned, True
-            assigned.add(unit)
-            changed = True
-    return assigned, False
+                else:
+                    kept.append(clause)
+                    if true[-other]:
+                        conflict = True
+                        kept.extend(watching[pos + 1:])
+                        break
+                    true[other] = True
+                    trail.append(other)
+        for lit in trail:
+            true[lit] = False
+        return conflict
 
 
 def check_certificate(cnf, cert):
     """True iff every line is RUP from cnf plus earlier lines, last line empty."""
     if not cert.lines or cert.lines[-1].lits:
         return False
-    base = [c.lits for c in cnf.clauses if not c.is_tautological]
+    n = cnf.num_vars
+    checker = _RupChecker(n)
+    for c in cnf.clauses:
+        checker.add(c.lits)
     for i, line in enumerate(cert.lines):
         for lit in line.lits:
-            if lit == 0 or abs(lit) > cnf.num_vars:
+            if lit == 0 or abs(lit) > n:
                 raise MalformedCertificateError(f"bad literal {lit} in line {i}")
-        if line.is_tautological:
-            base.append(line.lits)
-            continue
-        assigned = {-l for l in line.lits}
-        _, conflict = _propagate_sets(base, assigned)
-        if not conflict:
+        if not checker.refutes(line.lits):
             return False
-        base.append(line.lits)
+        checker.add(line.lits)
     return True
 
 
-class _Solver:
-    def __init__(self, cnf, step_limit=None):
-        self.clause_sets = [c.lits for c in cnf.clauses if not c.is_tautological]
-        self.num_vars = cnf.num_vars
-        self.step_limit = step_limit
-        self.steps = 0
-        self.cert_lines = []
+class _Core:
+    """The solver's two-watched-literal propagation over a fixed clause set.
 
-    def search(self, assigned, decisions):
-        """DFS from a given decision set; returns a model literal-set or None.
+    `true` and `watches` are indexed by literal: +v is slot v and -v is slot
+    2n+1-v, reached through Python's negative indexing.  Tautologies are
+    dropped; unit clauses and the empty clause are kept aside and asserted
+    at the root of each search.  A longer clause watches its first two
+    literals, which propagation keeps non-false while the clause is open.
+    """
 
-        On every conflict or exhausted branch, the negation of the decision
-        set is recorded; the record order forms a valid RUP refutation.
+    def __init__(self, cnf):
+        n = cnf.num_vars
+        self.num_vars = n
+        self.true = [False] * (2 * n + 1)
+        self.watches = [[] for _ in range(2 * n + 1)]
+        self.units = []
+        self.has_empty = False
+        self.trail = []
+        self.head = 0  # trail[:head] has been propagated
+        for c in cnf.clauses:
+            if c.is_tautological:
+                continue
+            lits = list(c.lits)
+            if len(lits) >= 2:
+                self.watches[lits[0]].append(lits)
+                self.watches[lits[1]].append(lits)
+            elif lits:
+                self.units.append(lits[0])
+            else:
+                self.has_empty = True
+
+    def _set(self, lit):
+        """Make `lit` true; False iff it is already false."""
+        if self.true[-lit]:
+            return False
+        if not self.true[lit]:
+            self.true[lit] = True
+            self.trail.append(lit)
+        return True
+
+    def assume(self, lits):
+        """Assert `lits` and the unit clauses, then propagate; True iff conflict."""
+        if self.has_empty:
+            return True
+        for lit in lits:
+            if not self._set(lit):
+                return True
+        for lit in self.units:
+            if not self._set(lit):
+                return True
+        return self.propagate()
+
+    def propagate(self):
+        """Propagate the trail to fixpoint; True iff a clause is falsified."""
+        true, watches, trail = self.true, self.watches, self.trail
+        head = self.head
+        while head < len(trail):
+            false = -trail[head]
+            head += 1
+            watching = watches[false]
+            watches[false] = kept = []
+            for i, c in enumerate(watching):
+                other = c[0]
+                if other == false:
+                    other = c[0] = c[1]
+                    c[1] = false
+                if true[other]:
+                    kept.append(c)
+                    continue
+                for k in range(2, len(c)):
+                    lit = c[k]
+                    if not true[-lit]:
+                        c[1] = lit
+                        c[k] = false
+                        watches[lit].append(c)
+                        break
+                else:
+                    kept.append(c)
+                    if true[-other]:
+                        kept.extend(watching[i + 1:])
+                        self.head = head
+                        return True
+                    true[other] = True
+                    trail.append(other)
+        self.head = head
+        return False
+
+    def undo(self, mark):
+        """Unassign everything set after the first `mark` trail entries."""
+        true, trail = self.true, self.trail
+        for lit in trail[mark:]:
+            true[lit] = False
+        del trail[mark:]
+        self.head = mark
+
+    def search(self, assumptions, step_limit=None):
+        """Depth-first search below `assumptions`: (model or None, lines).
+
+        Branches on the lowest unassigned variable, true first.  Each node
+        entry counts one step against `step_limit`.  Each conflict and each
+        exhausted branch appends the clause ~(assumptions + decisions) to
+        `lines`; in order they form an RUP refutation when no model exists.
+        The core is left unassigned on return.
         """
-        self.steps += 1
-        if self.step_limit is not None and self.steps > self.step_limit:
-            raise BudgetExhausted(f"step limit {self.step_limit} exhausted")
-        assigned, conflict = _propagate_sets(self.clause_sets, assigned)
-        if conflict:
-            self.cert_lines.append(Clause(frozenset(-d for d in decisions)))
-            return None
-        branch = None
-        for v in range(1, self.num_vars + 1):
-            if v not in assigned and -v not in assigned:
-                branch = v
-                break
-        if branch is None:
-            return assigned
-        for lit in (branch, -branch):
-            result = self.search(set(assigned) | {lit}, decisions + (lit,))
-            if result is not None:
-                return result
-        self.cert_lines.append(Clause(frozenset(-d for d in decisions)))
-        return None
-
-
-def _model_assignment(assigned, num_vars):
-    return Assignment({v: v in assigned for v in range(1, num_vars + 1)})
+        true, trail, n = self.true, self.trail, self.num_vars
+        negated = [-l for l in assumptions]
+        stack = []  # (decision literal, trail length before it)
+        lines = []
+        steps = 0
+        while True:
+            steps += 1
+            if step_limit is not None and steps > step_limit:
+                raise BudgetExhausted(f"step limit {step_limit} exhausted")
+            if stack:
+                self._set(stack[-1][0])
+                conflict = self.propagate()
+            else:
+                conflict = self.assume(assumptions)
+            if not conflict:
+                # every variable below the latest decision is already assigned
+                v = abs(stack[-1][0]) + 1 if stack else 1
+                while v <= n and (true[v] or true[-v]):
+                    v += 1
+                if v <= n:
+                    stack.append((v, len(trail)))
+                    continue
+                model = Assignment({u: true[u] for u in range(1, n + 1)})
+                self.undo(0)
+                return model, lines
+            lines.append(Clause(frozenset(negated + [-d for d, _ in stack])))
+            while stack and stack[-1][0] < 0:
+                stack.pop()
+                lines.append(Clause(frozenset(negated + [-d for d, _ in stack])))
+            if not stack:
+                self.undo(0)
+                return None, lines
+            d, mark = stack.pop()
+            self.undo(mark)
+            stack.append((-d, mark))
 
 
 def solve(cnf, step_limit=None):
@@ -213,12 +347,10 @@ def solve(cnf, step_limit=None):
     certificate.  `step_limit` bounds the number of search nodes and raises
     BudgetExhausted when hit (default: unbudgeted).
     """
-    sys.setrecursionlimit(max(10000, cnf.num_vars * 50))
-    solver = _Solver(cnf, step_limit)
-    result = solver.search(set(), ())
-    if result is not None:
-        return Verdict(True, model=_model_assignment(result, cnf.num_vars))
-    return Verdict(False, certificate=Certificate(tuple(solver.cert_lines)))
+    model, lines = _Core(cnf).search((), step_limit)
+    if model is not None:
+        return Verdict(True, model=model)
+    return Verdict(False, certificate=Certificate(tuple(lines)))
 
 
 def _cube_order_key(cube):
@@ -226,15 +358,14 @@ def _cube_order_key(cube):
 
 
 def solve_with_cubes(cnf, k, step_limit=None):
-    """Naive top-k variable splitting plumbing for parallel runs.
+    """Top-k variable splitting, each cube solved as assumptions on one core.
 
     Splits on the first k variables, solves all 2^k cubes (none skipped, so
-    the outcome is run-order independent), and merges deterministically:
-    the first satisfiable cube in cube order supplies the model, else the
-    concatenated per-cube certificates plus split-tree merge clauses refute
-    the formula.
+    the outcome is run-order independent; `step_limit` applies per cube),
+    and merges deterministically: the first satisfiable cube in cube order
+    supplies the model, else the concatenated per-cube certificates plus
+    split-tree merge clauses refute the formula.
     """
-    sys.setrecursionlimit(max(10000, cnf.num_vars * 50))
     k = min(k, cnf.num_vars)
     if k == 0:
         return solve(cnf, step_limit=step_limit)
@@ -242,16 +373,16 @@ def solve_with_cubes(cnf, k, step_limit=None):
     for v in range(1, k + 1):
         cubes = [c + (v,) for c in cubes] + [c + (-v,) for c in cubes]
     cubes.sort(key=_cube_order_key)
+    core = _Core(cnf)
     all_lines = []
     sat_model = None
     for cube in cubes:
-        solver = _Solver(cnf, step_limit)
-        model = solver.search(set(cube), tuple(cube))
-        all_lines.extend(solver.cert_lines)
-        if model is not None and sat_model is None:
+        model, lines = core.search(cube, step_limit)
+        all_lines.extend(lines)
+        if sat_model is None:
             sat_model = model
     if sat_model is not None:
-        return Verdict(True, model=_model_assignment(sat_model, cnf.num_vars))
+        return Verdict(True, model=sat_model)
     for depth in range(k - 1, -1, -1):
         prefixes = [()]
         for v in range(1, depth + 1):
@@ -260,7 +391,6 @@ def solve_with_cubes(cnf, k, step_limit=None):
         for p in prefixes:
             all_lines.append(Clause(frozenset(-l for l in p)))
     return Verdict(False, certificate=Certificate(tuple(all_lines)))
-
 
 _TABLE_CHUNK_VARS = 18
 

@@ -124,3 +124,28 @@ class TestSolvePipeline:
             find_threshold(0)
         with pytest.raises(ValueError):
             find_threshold(10, step=0)
+
+
+class TestTriplesComputedOnce:
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counter = []
+        real = bpt.triples
+
+        def counting(m):
+            counter.append(m)
+            return real(m)
+
+        monkeypatch.setattr(bpt, "triples", counting)
+        return counter
+
+    def test_encode(self, calls):
+        encode(100)
+        assert calls == [100]
+
+    def test_verify_coloring(self, calls):
+        cnf, varmap = encode(100)
+        coloring = coloring_from_model(sat.solve(cnf).model, varmap, 100)
+        del calls[:]
+        assert verify_coloring(coloring, 100) == VALID
+        assert calls == [100]

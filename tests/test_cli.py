@@ -5,6 +5,9 @@ import sys
 
 import pytest
 
+from bruteforge import bpt
+from bruteforge.logic import VerificationError
+
 BIN = [sys.executable, "-m", "bruteforge.cli"]
 
 
@@ -74,6 +77,31 @@ class TestBpt:
         result = run_cli("bpt", "scan", "--max", "40", "--step", "20")
         assert result.returncode == 1
         assert "all satisfiable" in result.stdout
+
+
+class TestVerificationFailure:
+    """Re-checks raise VerificationError, which the CLI maps to exit 3."""
+
+    BROKEN_CHECK = (
+        "import sys\n"
+        "from bruteforge import bpt, cli\n"
+        "bpt.verify_coloring = lambda coloring, m: (3, 4, 5)\n"
+        "sys.exit(cli.main(['bpt', 'scan', '--max', '20', '--step', '10']))\n"
+    )
+
+    def test_find_threshold_raises(self, monkeypatch):
+        monkeypatch.setattr(bpt, "verify_coloring", lambda coloring, m: (3, 4, 5))
+        with pytest.raises(VerificationError):
+            bpt.find_threshold(20, step=10)
+
+    def test_cli_exit_code_survives_optimize(self):
+        result = subprocess.run(
+            [sys.executable, "-O", "-c", self.BROKEN_CHECK],
+            capture_output=True, text=True, timeout=300,
+        )
+        assert result.returncode == 3
+        assert result.stderr.startswith("error: verification failed: ")
+        assert len(result.stderr.splitlines()) == 1
 
 
 class TestCapset:

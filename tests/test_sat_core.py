@@ -1,0 +1,294 @@
+"""Golden, differential and edge tests for the watched-literal SAT core.
+
+The digests and step boundaries below were computed with the earlier
+full-scan recursive DPLL.  Matching them shows that models, certificates
+and node counts are unchanged by the propagation core.
+"""
+
+import hashlib
+import random
+import sys
+
+import pytest
+
+from bruteforge import bpt
+from bruteforge.logic import Assignment, Clause, Cnf
+from bruteforge.sat import (
+    STABLE,
+    BudgetExhausted,
+    Certificate,
+    MalformedCertificateError,
+    check_certificate,
+    solve,
+    solve_with_cubes,
+    truth_table_satisfiable,
+    unit_propagate,
+    verify_model,
+)
+
+EMPTY = Clause(frozenset())
+
+
+def _random_3cnf(rng, n):
+    clauses = []
+    for _ in range(round(4.26 * n)):
+        vs = rng.sample(range(1, n + 1), 3)
+        clauses.append(Clause(frozenset(v if rng.random() < 0.5 else -v for v in vs)))
+    return Cnf.of(clauses, n)
+
+
+def _php(pigeons, holes):
+    def var(p, h):
+        return p * holes + h + 1
+
+    clauses = [Clause(frozenset(var(p, h) for h in range(holes))) for p in range(pigeons)]
+    for h in range(holes):
+        for p in range(pigeons):
+            for q in range(p + 1, pigeons):
+                clauses.append(Clause.of(-var(p, h), -var(q, h)))
+    return Cnf.of(clauses, pigeons * holes)
+
+
+def _random_family():
+    rng = random.Random(20240806)
+    return [_random_3cnf(rng, rng.randint(30, 40)) for _ in range(60)]
+
+
+def _artifact(cnf, verdict):
+    """Model text as `sat solve --model` writes it, or the certificate text."""
+    if verdict.satisfiable:
+        lits = [v if verdict.model.values[v] else -v for v in range(1, cnf.num_vars + 1)]
+        return "s " + " ".join(map(str, lits)) + " 0\n"
+    return "u\n" + verdict.certificate.to_text()
+
+
+def _digest(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# --- artifacts pinned from the previous solver ------------------------------
+
+RANDOM_VERDICTS = "usussusuussussuusususussssususssusssussussssssusussussssusss"
+RANDOM_DIGEST = "ec84ae176e2d3e8cad94ee33765b54f0e000763649a4010b945ebb927524493e"
+CUBES_DIGEST = "89054d5300cefab44cf7fbbcfada0d7c691642c808d3212d64a5da89ae7cc525"
+NAMED_DIGESTS = {
+    "php-4-3": "1cee574925faa8c93b275b0048c9b5b7d2452d31d9e28d3d0e25b926b36325ff",
+    "php-5-4": "e2d9010e55d8213daeede20e9bc96b143acc50ebb66b68ef76e61b1e7b0f78bc",
+    "bpt-200": "d697859a1bb297c337ed0e4f44d13757df3ea8dca4a0e2410f9ec445e8868393",
+    "bpt-500": "b8fd8b21519601952cebbeeea61dc565287826bd8f8eef210128bbe2a4909781",
+    "bpt-1000": "28792ef7bbfb8be332de42c690ced474741cf0cb53f814e1f35d7c87662acf8b",
+}
+
+
+def _named(name):
+    kind, *args = name.split("-")
+    if kind == "random":
+        return _random_family()[int(args[0])]
+    if kind == "php":
+        return _php(int(args[0]), int(args[1]))
+    return bpt.encode(int(args[0]))[0]
+
+
+class TestGolden:
+    def test_random_3cnf_artifacts(self):
+        whole = hashlib.sha256()
+        verdicts = ""
+        for cnf in _random_family():
+            v = solve(cnf)
+            verdicts += "s" if v.satisfiable else "u"
+            whole.update(_digest(_artifact(cnf, v)).encode())
+        assert verdicts == RANDOM_VERDICTS
+        assert whole.hexdigest() == RANDOM_DIGEST
+
+    def test_cube_artifacts(self):
+        whole = hashlib.sha256()
+        for cnf in _random_family()[:10]:
+            for k in (1, 2, 3):
+                whole.update(_digest(_artifact(cnf, solve_with_cubes(cnf, k))).encode())
+        assert whole.hexdigest() == CUBES_DIGEST
+
+    @pytest.mark.parametrize("name", sorted(NAMED_DIGESTS))
+    def test_named_artifacts(self, name):
+        cnf = _named(name)
+        assert _digest(_artifact(cnf, solve(cnf))) == NAMED_DIGESTS[name]
+
+    @pytest.mark.parametrize(
+        "name, nodes",
+        [("random-0", 225), ("random-1", 559), ("php-4-3", 17), ("php-5-4", 103),
+         ("bpt-200", 90)],
+    )
+    def test_budget_boundary(self, name, nodes):
+        cnf = _named(name)
+        solve(cnf, step_limit=nodes)
+        with pytest.raises(BudgetExhausted):
+            solve(cnf, step_limit=nodes - 1)
+
+
+# --- differential fuzz against the truth-table oracle -----------------------
+
+
+def _fuzz_cnf(rng):
+    """Up to 14 variables; empty clauses, units and tautologies included."""
+    n = rng.randint(0, 14)
+    clauses = []
+    for _ in range(rng.randint(0, 40)):
+        lits = set()
+        if n and rng.random() > 0.02:
+            width = rng.choice((1, 1, 2, 3, 3, 4))
+            lits = {rng.choice((1, -1)) * rng.randint(1, n) for _ in range(width)}
+            if rng.random() < 0.1:
+                v = rng.randint(1, n)
+                lits |= {v, -v}
+        clauses.append(Clause(frozenset(lits)))
+    return Cnf.of(clauses, n)
+
+
+def test_fuzz_against_truth_table():
+    rng = random.Random(1414)
+    kinds = set()
+    for _ in range(2000):
+        cnf = _fuzz_cnf(rng)
+        v = solve(cnf)
+        assert v.satisfiable == truth_table_satisfiable(cnf)
+        if v.satisfiable:
+            assert verify_model(cnf, v.model)
+        else:
+            assert check_certificate(cnf, v.certificate)
+            assert _reference_check(cnf, v.certificate)
+        for c in cnf.clauses:
+            kinds.add("empty" if not c.lits else "unit" if len(c.lits) == 1
+                      else "taut" if c.is_tautological else "wide")
+        kinds.add("sat" if v.satisfiable else "unsat")
+    assert kinds == {"empty", "unit", "taut", "wide", "sat", "unsat"}
+
+
+# --- reference checker ------------------------------------------------------
+
+
+def _rup(db, lits):
+    """Full-scan reverse unit propagation: does asserting ~lits conflict?"""
+    if any(-l in lits for l in lits):
+        return True
+    true = {-l for l in lits}
+    while True:
+        units = set()
+        for c in db:
+            if c & true:
+                continue
+            rest = [l for l in c if -l not in true]
+            if not rest:
+                return True
+            if len(rest) == 1:
+                units.add(rest[0])
+        if not units:
+            return False
+        if any(-u in units for u in units):
+            return True
+        true |= units
+
+
+def _reference_check(cnf, cert):
+    if not cert.lines or cert.lines[-1].lits:
+        return False
+    db = [c.lits for c in cnf.clauses]
+    for line in cert.lines:
+        if not _rup(db, line.lits):
+            return False
+        db.append(line.lits)
+    return True
+
+
+def _unsat_family():
+    rng = random.Random(77)
+    out = []
+    while len(out) < 60:
+        n = rng.randint(3, 10)
+        cnf = _random_3cnf(rng, n) if rng.random() < 0.7 else _fuzz_cnf(rng)
+        v = solve(cnf)
+        if not v.satisfiable:
+            out.append((cnf, list(v.certificate.lines)))
+    return out
+
+
+class TestCheckerAgreesWithReference:
+    def _agree(self, cnf, lines):
+        cert = Certificate(tuple(lines))
+        expected = _reference_check(cnf, cert)
+        assert check_certificate(cnf, cert) == expected
+        return expected
+
+    def test_valid_certificates(self):
+        for cnf, lines in _unsat_family():
+            assert self._agree(cnf, lines)
+
+    def test_dropped_lines(self):
+        # DPLL certificates are redundant enough that one dropped line often
+        # still checks; a dropped prefix usually does not.
+        rejected = 0
+        for cnf, lines in _unsat_family():
+            for i in range(len(lines) - 1):
+                self._agree(cnf, lines[:i] + lines[i + 1:])
+                rejected += not self._agree(cnf, lines[i + 1:])
+        assert rejected > 0
+
+    def test_flipped_literal(self):
+        rng = random.Random(3)
+        rejected = 0
+        for cnf, lines in _unsat_family():
+            candidates = [i for i, c in enumerate(lines) if c.lits]
+            for i in candidates[:5]:
+                lit = rng.choice(sorted(lines[i].lits))
+                flipped = Clause((lines[i].lits - {lit}) | {-lit})
+                rejected += not self._agree(cnf, lines[:i] + [flipped] + lines[i + 1:])
+        assert rejected > 0
+
+    def test_missing_final_empty_clause(self):
+        for cnf, lines in _unsat_family():
+            assert not self._agree(cnf, lines[:-1])
+
+
+# --- literal range ----------------------------------------------------------
+
+
+class TestLiteralRange:
+    def test_certificate_literal_beyond_num_vars_does_not_alias(self):
+        # With n=5, literal 6 would share -5's slot and make -6 look like 5.
+        cnf = Cnf.of([Clause.of(-5)], 5)
+        for bad in (6, -6, 11):
+            with pytest.raises(MalformedCertificateError):
+                check_certificate(cnf, Certificate((Clause.of(bad), EMPTY)))
+
+    def test_certificate_literal_zero(self):
+        cnf = Cnf.of([Clause.of(1)], 1)
+        with pytest.raises(MalformedCertificateError):
+            check_certificate(cnf, Certificate((Clause(frozenset({0})), EMPTY)))
+
+    def test_solve_rejects_literal_zero(self):
+        with pytest.raises(ValueError):
+            solve(Cnf.of([Clause(frozenset({0, 1}))], 1))
+
+    def test_solve_rejects_literal_beyond_num_vars(self):
+        with pytest.raises(ValueError):
+            solve(Cnf.of([Clause.of(6)], 5))
+
+    def test_assignment_beyond_num_vars_is_carried_not_aliased(self):
+        cnf = Cnf.of([Clause.of(5, 1)], 5)
+        a, status = unit_propagate(cnf, Assignment({6: True}))
+        assert status == STABLE
+        assert a.values == {6: True}
+
+
+# --- no recursion -----------------------------------------------------------
+
+
+class TestNoRecursion:
+    def test_deep_search_returns_total_model(self):
+        v = solve(Cnf.of([], 20000))
+        assert v.satisfiable
+        assert v.model.is_total(20000)
+
+    def test_cubes_leave_recursion_limit_unchanged(self):
+        before = sys.getrecursionlimit()
+        solve_with_cubes(_php(4, 3), 3)
+        solve(_php(4, 3))
+        assert sys.getrecursionlimit() == before
