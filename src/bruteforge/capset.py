@@ -1,12 +1,20 @@
 """Cap-set laboratory: cap predicate, constructions, exact small-n oracle.
 
-Vectors over {0,1,2} are plain tuples.  A set is a cap iff no three
-distinct vectors sum to the zero vector mod 3, equivalently iff it
-contains no 3-term arithmetic progression (affine line).
+A set is a cap iff no three distinct vectors sum to the zero vector mod 3,
+equivalently iff it contains no 3-term arithmetic progression (affine line).
+
+Vectors are tuples over {0,1,2} at the boundary: in files, on the command
+line and in the oracles (`is_cap`, `is_cap_ap`, `extends_cap`,
+`exact_cap_enumeration`).  Inside the search kernel a vector of (Z/3)^n is
+its code, the int in [0, 3^n) whose base-3 digits are the coordinates, so
+integer order is lexicographic tuple order.  A walk keeps the codes it has
+blocked: adjoining v blocks v and the third point -(x+v) of every chosen x,
+so "does v extend the cap" is one lookup.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -62,6 +70,69 @@ def is_cap_ap(vectors):
     return True
 
 
+def code_vector(code, n):
+    """The tuple vector of dimension n with the given code."""
+    digits = [0] * n
+    for i in range(n - 1, -1, -1):
+        code, digits[i] = divmod(code, 3)
+    return tuple(digits)
+
+
+def digit_columns(n):
+    """Digit i of every code in [0, 3^n), as n lists in code order."""
+    columns = []
+    for i in range(n):
+        run = 3 ** (n - 1 - i)
+        columns.append(([0] * run + [1] * run + [2] * run) * 3**i)
+    return columns
+
+
+@functools.lru_cache(maxsize=None)
+def _third_table(k):
+    """Codes of -(a+b) for k-digit codes a, b, at index a * 3^k + b."""
+    table = (0,)
+    for size in (3**i for i in range(k)):
+        # extend by one low digit: a = 3a' + d, b = 3b' + e
+        table = tuple(
+            3 * table[a // 3 * size + b // 3] + (-(a + b)) % 3
+            for a in range(3 * size)
+            for b in range(3 * size)
+        )
+    return table
+
+
+def _split(n):
+    """(s, table) for dimension n, with k = ceil(n/2) and s = 3^k.
+
+    A code c splits into halves divmod(c, s), and the code of -(x+v) is
+    table[xh*s + vh] * s + table[xl*s + vl]: the table has 3^(2k) entries,
+    never 3^(2n).
+    """
+    k = (n + 1) // 2
+    return 3**k, _third_table(k)
+
+
+def greedy_cap(ranking, n):
+    """Adjoin the codes of `ranking` in order, skipping each blocked one.
+
+    Adjoining v blocks v and the third point of v with every chosen code.
+    Returns the chosen codes in the order they were adjoined.
+    """
+    s, table = _split(n)
+    blocked = bytearray(3**n)
+    chosen = []
+    halves = []  # (high * s, low * s) of each chosen code
+    for v in ranking:
+        if not blocked[v]:
+            blocked[v] = 1
+            vh, vl = divmod(v, s)
+            for xh, xl in halves:
+                blocked[table[xh + vh] * s + table[xl + vl]] = 1
+            chosen.append(v)
+            halves.append((vh * s, vl * s))
+    return chosen
+
+
 def extends_cap(vset, v):
     """Does adjoining v to the cap `vset` keep it a cap?  O(|vset|^2)."""
     if v in vset:
@@ -96,34 +167,50 @@ def exact_cap(n, budget=None):
     """
     if n < 1:
         raise ValueError("n must be positive")
-    vectors = all_vectors(n)
-    total = len(vectors)
-    best = [1]
-    nodes = [0]
-    exhausted = [False]
+    if n > MAX_GREEDY_DIMENSION:
+        raise DimensionBudgetError(
+            f"dimension {n} above search limit {MAX_GREEDY_DIMENSION}"
+        )
+    total = 3**n
+    s, table = _split(n)
+    halves = [(0, 0)]  # (high * s, low * s) of each chosen code
+    best = 1
+    nodes = 0
+    exhausted = False
 
-    def extend(chosen, start):
+    def extend(blocked, start):
+        # bit i of `blocked` is set when code i is chosen or completes a line
+        nonlocal best, nodes, exhausted
         if budget is not None:
-            nodes[0] += 1
-            if nodes[0] > budget:
-                exhausted[0] = True
+            nodes += 1
+            if nodes > budget:
+                exhausted = True
                 return
-        if len(chosen) > best[0]:
-            best[0] = len(chosen)
-        for i in range(start, total):
-            if exhausted[0]:
+        size = len(halves)
+        if size > best:
+            best = size
+        # codes below `start` or blocked cannot extend this branch; the
+        # bound below only tightens as i grows, so testing it at the free
+        # codes alone cuts the same branches as testing it at every code
+        free = ~blocked >> start << start
+        while True:
+            low = free & -free
+            i = low.bit_length() - 1
+            if exhausted or i >= total or size + (total - i) <= best:
                 return
-            if len(chosen) + (total - i) <= best[0]:
-                return
-            v = vectors[i]
-            if extends_cap(chosen, v):
-                chosen.add(v)
-                extend(chosen, i + 1)
-                chosen.remove(v)
+            free ^= low
+            mask = blocked | low
+            vh, vl = divmod(i, s)
+            for xh, xl in halves:
+                mask |= 1 << (table[xh + vh] * s + table[xl + vl])
+            halves.append((vh * s, vl * s))
+            extend(mask, i + 1)
+            halves.pop()
 
-    # canonical-first: every maximum cap can be translated to contain 0^n
-    extend({vectors[0]}, 1)
-    return CapBound(best[0], not exhausted[0])
+    # canonical-first: every maximum cap can be translated to contain 0^n,
+    # which is where `halves` and the blocked mask 1 start
+    extend(1, 1)
+    return CapBound(best, not exhausted)
 
 
 def exact_cap_enumeration(n):

@@ -10,16 +10,19 @@ one JSON reply line out.
 Determinism: per-candidate seeds are derived from (run seed, generation,
 slot), and parents are drawn from the population snapshot at the start of
 the generation, so serial and worker-pool runs produce identical logs.
+Within a run each distinct expression text is scored once.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 import random
 import select
 import shlex
 import subprocess
+import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -92,13 +95,19 @@ def _random_expr(rng, depth):
     return BinOp(op, left, right)
 
 
-def _subtrees(e, path=()):
-    yield path, e
-    if isinstance(e, Index):
-        yield from _subtrees(e.index, path + (0,))
-    elif isinstance(e, (BinOp, MinMax)):
-        yield from _subtrees(e.left, path + (0,))
-        yield from _subtrees(e.right, path + (1,))
+def _subtrees(e):
+    """(path, node) of every node of e, in preorder."""
+    out = []
+    stack = [((), e)]
+    while stack:
+        path, node = stack.pop()
+        out.append((path, node))
+        if isinstance(node, Index):
+            stack.append((path + (0,), node.index))
+        elif isinstance(node, (BinOp, MinMax)):
+            stack.append((path + (1,), node.right))
+            stack.append((path + (0,), node.left))
+    return out
 
 
 def _replace(e, path, sub):
@@ -119,7 +128,7 @@ def _replace(e, path, sub):
 
 
 def _mutate(rng, e):
-    nodes = list(_subtrees(e))
+    nodes = _subtrees(e)
     path, node = nodes[rng.randrange(len(nodes))]
     roll = rng.random()
     if isinstance(node, Const) and roll < 0.4:
@@ -136,8 +145,8 @@ def _mutate(rng, e):
 
 
 def _crossover(rng, e1, e2):
-    nodes1 = list(_subtrees(e1))
-    nodes2 = list(_subtrees(e2))
+    nodes1 = _subtrees(e1)
+    nodes2 = _subtrees(e2)
     path, _ = nodes1[rng.randrange(len(nodes1))]
     _, donor = nodes2[rng.randrange(len(nodes2))]
     return _replace(e1, path, donor)
@@ -166,7 +175,8 @@ class ExternalGenerator:
     Request: {"parents": [{"expr": str, "score": int}, ...], "seed": int}
     Reply:   {"expr": str}
     Protocol violations (malformed reply, timeout) raise GeneratorError;
-    the evolve loop logs and skips them, never aborts.
+    the evolve loop logs and skips them, never aborts.  A reply line must
+    be complete within `timeout` seconds of the request.
     """
 
     def __init__(self, command, timeout=10.0):
@@ -176,8 +186,24 @@ class ExternalGenerator:
             shlex.split(command),
             stdin=subprocess.PIPE,
             stdout=subprocess.PIPE,
-            text=True,
         )
+        self._pending = b""  # bytes read past the last reply line
+
+    def _read_line(self):
+        """One reply line, read from the raw pipe against a deadline."""
+        deadline = time.monotonic() + self.timeout
+        fd = self.proc.stdout.fileno()
+        while b"\n" not in self._pending:
+            remaining = deadline - time.monotonic()
+            ready = remaining > 0 and select.select([fd], [], [], remaining)[0]
+            if not ready:
+                raise GeneratorError(f"generator timed out after {self.timeout}s")
+            chunk = os.read(fd, 65536)
+            if not chunk:
+                raise GeneratorError("generator closed its output stream")
+            self._pending += chunk
+        line, _, self._pending = self._pending.partition(b"\n")
+        return line
 
     def __call__(self, parents, seed):
         request = {
@@ -187,16 +213,11 @@ class ExternalGenerator:
             "seed": seed,
         }
         try:
-            self.proc.stdin.write(json.dumps(request) + "\n")
+            self.proc.stdin.write(json.dumps(request).encode() + b"\n")
             self.proc.stdin.flush()
         except (BrokenPipeError, ValueError) as exc:
             raise GeneratorError(f"generator process gone: {exc}")
-        ready, _, _ = select.select([self.proc.stdout], [], [], self.timeout)
-        if not ready:
-            raise GeneratorError(f"generator timed out after {self.timeout}s")
-        line = self.proc.stdout.readline()
-        if not line:
-            raise GeneratorError("generator closed its output stream")
+        line = self._read_line()
         try:
             reply = json.loads(line)
             return parse_expr(reply["expr"])
@@ -236,9 +257,26 @@ class EvolveConfig:
 SEED_EXPRS = ("0", "v[0]", "n", "v[0] + v[1]")
 
 
-def _score_text(args):
-    text, n = args
-    return score(parse_expr(text), n)
+def _score_expr(args):
+    expr, n = args
+    return score(expr, n)
+
+
+def _score_batch(exprs, n, memo, pool):
+    """(texts, scores) of `exprs`; only texts not yet in `memo` are scored.
+
+    The memo is keyed by formatted expression text and looked up before
+    dispatch, so the serial path and the worker pool score the same
+    expressions and the log does not depend on the path.
+    """
+    texts = [format_expr(e) for e in exprs]
+    fresh = {}
+    for text, expr in zip(texts, exprs):
+        if text not in memo:
+            fresh.setdefault(text, (expr, n))
+    args = list(fresh.values())
+    memo.update(zip(fresh, pool.map(_score_expr, args) if pool else map(_score_expr, args)))
+    return texts, [memo[t] for t in texts]
 
 
 def _select_parents(rng, members, tournament):
@@ -273,17 +311,15 @@ def evolve(config, log_sink=None):
         generate = None  # baseline, inlined below
 
     pool = ProcessPoolExecutor(config.jobs) if config.jobs > 1 else None
+    memo = {}  # score by formatted expression text, for this run only
     population = Population(config.capacity)
     evals = 0
     best = None
     try:
         seed_exprs = [parse_expr(t) for t in SEED_EXPRS]
         seed_exprs = seed_exprs[: max(1, config.eval_budget)]
-        texts = [(format_expr(e), config.n) for e in seed_exprs]
-        scores = list(pool.map(_score_text, texts)) if pool else [
-            _score_text(t) for t in texts
-        ]
-        for slot, (expr, sc) in enumerate(zip(seed_exprs, scores)):
+        texts, scores = _score_batch(seed_exprs, config.n, memo, pool)
+        for slot, (expr, text, sc) in enumerate(zip(seed_exprs, texts, scores)):
             cand = Candidate(expr, sc, "seed", 0)
             population.add(cand)
             evals += 1
@@ -294,7 +330,7 @@ def evolve(config, log_sink=None):
                     "generation": 0,
                     "slot": slot,
                     "seed": config.seed,
-                    "expr": format_expr(expr),
+                    "expr": text,
                     "score": sc,
                     "best": best.score,
                 }
@@ -329,11 +365,8 @@ def evolve(config, log_sink=None):
                         evals += 1
                         continue
                 proposals.append((slot, slot_seed, expr))
-            texts = [(format_expr(e), config.n) for _, _, e in proposals]
-            scores = list(pool.map(_score_text, texts)) if pool else [
-                _score_text(t) for t in texts
-            ]
-            for (slot, slot_seed, expr), sc in zip(proposals, scores):
+            texts, scores = _score_batch([e for _, _, e in proposals], config.n, memo, pool)
+            for (slot, slot_seed, expr), text, sc in zip(proposals, texts, scores):
                 cand = Candidate(expr, sc, config.generator, generation)
                 population.add(cand)
                 evals += 1
@@ -344,7 +377,7 @@ def evolve(config, log_sink=None):
                         "generation": generation,
                         "slot": slot,
                         "seed": slot_seed,
-                        "expr": format_expr(expr),
+                        "expr": text,
                         "score": sc,
                         "best": best.score,
                     }

@@ -6,6 +6,13 @@ adjoins each one that keeps the set a cap.  Expressions are total by
 construction: indices wrap mod n, mod by zero returns its left operand,
 and all arithmetic is 64-bit signed with wraparound.
 
+Text and tuple vectors are the boundary: `parse_expr` reads an expression,
+`eval_priority` takes a tuple, `greedy` returns a set of tuples.  Inside,
+an expression is compiled once per dimension into nested closures that
+evaluate it over the digit columns of all 3^n vector codes at once, and
+the greedy walk runs on those int codes (see `capset`).  The parser
+rejects trees and bracket nesting deeper than MAX_EXPR_DEPTH.
+
 Expression grammar:
 
     expr    := term { ("+" | "-") term }
@@ -17,13 +24,22 @@ Expression grammar:
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
+from itertools import repeat
 
-from .capset import DimensionBudgetError, MAX_GREEDY_DIMENSION, all_vectors, extends_cap
+from .capset import (
+    MAX_GREEDY_DIMENSION,
+    DimensionBudgetError,
+    code_vector,
+    digit_columns,
+    greedy_cap,
+)
 
 _U64 = 1 << 64
 _I64_MAX = (1 << 63) - 1
+_I64_MIN = -(1 << 63)
 
 
 def _wrap(x):
@@ -66,36 +82,81 @@ class MinMax(Expr):
     right: Expr
 
 
+def _wrapping(fn):
+    def apply(a, b):
+        out = list(map(fn, a, b))
+        if out and (min(out) < _I64_MIN or max(out) > _I64_MAX):
+            return [_wrap(x) for x in out]
+        return out
+
+    return apply
+
+
+def _mod(a, b):
+    # Euclidean mod; mod by zero is identity on the left operand
+    return [x if y == 0 else x % abs(y) for x, y in zip(a, b)]
+
+
+# each takes two columns of operand values, and returns the result column
+_COLUMN_OPS = {
+    "+": _wrapping(operator.add),
+    "-": _wrapping(operator.sub),
+    "*": _wrapping(operator.mul),
+    "%": _mod,
+    "min": lambda a, b: list(map(min, a, b)),
+    "max": lambda a, b: list(map(max, a, b)),
+}
+
+
+def _compile(e, n):
+    """The constant value of e, or a function from digit columns to its values.
+
+    Subexpressions that read no digit are folded to constants by the same
+    column operations, so folding cannot change a value.
+    """
+    if isinstance(e, Const):
+        return _wrap(e.value)
+    if isinstance(e, Dim):
+        return n
+    if isinstance(e, Index):
+        index = _compile(e.index, n)
+        if isinstance(index, int):
+            i = index % n
+            return lambda cols: cols[i]
+        return lambda cols: [cols[i % n][k] for k, i in enumerate(index(cols))]
+    if isinstance(e, (BinOp, MinMax)):
+        op = e.op if isinstance(e, BinOp) else e.fn
+        apply = _COLUMN_OPS.get(op)
+        if apply is None:
+            raise ValueError(f"unknown operator {op!r}")
+        left, right = _compile(e.left, n), _compile(e.right, n)
+        if isinstance(left, int):
+            if isinstance(right, int):
+                return apply([left], [right])[0]
+            return lambda cols: apply(repeat(left), right(cols))
+        if isinstance(right, int):
+            return lambda cols: apply(left(cols), repeat(right))
+        return lambda cols: apply(left(cols), right(cols))
+    raise TypeError(f"not an expression: {e!r}")
+
+
+def compile_priority(expr, n):
+    """Compile expr for dimension n into a function over a batch of vectors.
+
+    The function takes the batch as n digit columns (column i holds digit i
+    of every vector) and returns the list of values in batch order.
+    """
+    compiled = _compile(expr, n)
+    if isinstance(compiled, int):
+        return lambda cols: [compiled] * len(cols[0])
+    return compiled
+
+
 def eval_priority(expr, v, n=None):
     """Deterministic 64-bit integer value of expr on vector v; never fails."""
     if n is None:
         n = len(v)
-
-    def ev(e):
-        if isinstance(e, Const):
-            return _wrap(e.value)
-        if isinstance(e, Dim):
-            return n
-        if isinstance(e, Index):
-            return v[ev(e.index) % n]
-        if isinstance(e, BinOp):
-            a, b = ev(e.left), ev(e.right)
-            if e.op == "+":
-                return _wrap(a + b)
-            if e.op == "-":
-                return _wrap(a - b)
-            if e.op == "*":
-                return _wrap(a * b)
-            if e.op == "%":
-                # Euclidean mod; mod by zero is identity on the left operand
-                return a if b == 0 else _wrap(a % abs(b))
-            raise ValueError(f"unknown operator {e.op!r}")
-        if isinstance(e, MinMax):
-            a, b = ev(e.left), ev(e.right)
-            return min(a, b) if e.fn == "min" else max(a, b)
-        raise TypeError(f"not an expression: {e!r}")
-
-    return ev(expr)
+    return compile_priority(expr, n)([[d] for d in v])[0]
 
 
 def format_expr(e):
@@ -114,6 +175,11 @@ def format_expr(e):
 
 class ExprSyntaxError(ValueError):
     pass
+
+
+# deepest expression tree, and deepest bracket nesting, that parse_expr
+# accepts; evolved expressions stay far below it
+MAX_EXPR_DEPTH = 200
 
 
 _EXPR_TOKEN = re.compile(r"\s*(\d+|[nv]|min|max|[-+*%()\[\],])")
@@ -146,76 +212,96 @@ def parse_expr(text):
         i += 1
         return tok
 
+    nesting = 0
+
+    def deeper(*depths):
+        depth = 1 + max(depths)
+        if depth > MAX_EXPR_DEPTH:
+            raise ExprSyntaxError(f"expression deeper than {MAX_EXPR_DEPTH} levels")
+        return depth
+
+    # each parser returns (expression, depth of its tree); parse_sum is the
+    # only recursive entry, so `nesting` bounds the parser's own recursion
     def parse_sum():
-        left = parse_term()
+        nonlocal nesting
+        nesting += 1
+        if nesting > MAX_EXPR_DEPTH:
+            raise ExprSyntaxError(f"expression nested deeper than {MAX_EXPR_DEPTH} levels")
+        left, depth = parse_term()
         while peek() in ("+", "-"):
             op = take()
-            left = BinOp(op, left, parse_term())
-        return left
+            right, right_depth = parse_term()
+            left, depth = BinOp(op, left, right), deeper(depth, right_depth)
+        nesting -= 1
+        return left, depth
 
     def parse_term():
-        left = parse_unary()
+        left, depth = parse_unary()
         while peek() in ("*", "%"):
             op = take()
-            left = BinOp(op, left, parse_unary())
-        return left
+            right, right_depth = parse_unary()
+            left, depth = BinOp(op, left, right), deeper(depth, right_depth)
+        return left, depth
 
     def parse_unary():
-        if peek() == "-":
+        negations = 0
+        while peek() == "-":
             take()
-            inner = parse_unary()
-            if isinstance(inner, Const):
-                return Const(-inner.value)
-            return BinOp("-", Const(0), inner)
-        return parse_primary()
-
-    def parse_primary():
+            negations += 1
         tok = take()
         if tok.isdigit():
-            return Const(int(tok))
-        if tok == "n":
-            return Dim()
-        if tok == "v":
+            node, depth = Const(int(tok)), 1
+        elif tok == "n":
+            node, depth = Dim(), 1
+        elif tok == "v":
             take("[")
-            idx = parse_sum()
+            idx, idx_depth = parse_sum()
             take("]")
-            return Index(idx)
-        if tok in ("min", "max"):
+            node, depth = Index(idx), deeper(idx_depth)
+        elif tok in ("min", "max"):
             take("(")
-            a = parse_sum()
+            a, a_depth = parse_sum()
             take(",")
-            b = parse_sum()
+            b, b_depth = parse_sum()
             take(")")
-            return MinMax(tok, a, b)
-        if tok == "(":
-            inner = parse_sum()
+            node, depth = MinMax(tok, a, b), deeper(a_depth, b_depth)
+        elif tok == "(":
+            node, depth = parse_sum()
             take(")")
-            return inner
-        raise ExprSyntaxError(f"unexpected token {tok!r}")
+        else:
+            raise ExprSyntaxError(f"unexpected token {tok!r}")
+        for _ in range(negations):
+            if isinstance(node, Const):
+                node = Const(-node.value)
+            else:
+                node, depth = BinOp("-", Const(0), node), deeper(depth, 1)
+        return node, depth
 
-    out = parse_sum()
+    out, _ = parse_sum()
     if i < len(tokens):
         raise ExprSyntaxError(f"trailing input {tokens[i]!r}")
     return out
 
 
-def greedy(expr, n):
-    """Greedy cap construction under the expression's ranking; deterministic."""
+def _greedy_codes(expr, n):
     if n < 1:
         raise ValueError("n must be positive")
     if n > MAX_GREEDY_DIMENSION:
         raise DimensionBudgetError(
             f"dimension {n} above greedy limit {MAX_GREEDY_DIMENSION}"
         )
-    vectors = all_vectors(n)
-    ranked = sorted(vectors, key=lambda v: (-eval_priority(expr, v, n), v))
-    chosen = set()
-    for v in ranked:
-        if extends_cap(chosen, v):
-            chosen.add(v)
-    return chosen
+    keys = compile_priority(expr, n)(digit_columns(n))
+    # the sort is stable under reverse=True, so equal priorities keep
+    # ascending code order: (priority descending, lexicographic ascending)
+    ranking = sorted(range(3**n), key=keys.__getitem__, reverse=True)
+    return greedy_cap(ranking, n)
+
+
+def greedy(expr, n):
+    """Greedy cap construction under the expression's ranking; deterministic."""
+    return {code_vector(code, n) for code in _greedy_codes(expr, n)}
 
 
 def score(expr, n):
     """Fitness of a priority program: the size of its greedy cap set."""
-    return len(greedy(expr, n))
+    return len(_greedy_codes(expr, n))

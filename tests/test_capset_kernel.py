@@ -1,0 +1,253 @@
+"""Differential tests of the integer-coded cap-set kernel.
+
+The kernel (vector codes, blocked-code walks, compiled priorities, the
+bitmask `exact_cap` and the per-run score memo) is checked against slow
+references kept in this file: a tree-walking evaluator, and a greedy walk
+over tuple vectors built on the tuple oracle `extends_cap`.
+"""
+
+import random
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from bruteforge import capset, evolve as evolve_mod
+from bruteforge.capset import (
+    CapBound,
+    all_vectors,
+    code_vector,
+    exact_cap,
+    extends_cap,
+    greedy_cap,
+    is_cap,
+    vec_add,
+    vec_neg,
+)
+from bruteforge.evolve import EvolveConfig, evolve, record_to_json
+from bruteforge.priority import (
+    BinOp,
+    Const,
+    Dim,
+    Index,
+    MinMax,
+    compile_priority,
+    eval_priority,
+    format_expr,
+    greedy,
+    parse_expr,
+    score,
+)
+
+_U64 = 1 << 64
+_I64_MAX = (1 << 63) - 1
+_I64_MIN = -(1 << 63)
+
+
+def _wrap(x):
+    x &= _U64 - 1
+    return x - _U64 if x > _I64_MAX else x
+
+
+def vector_code(v):
+    return int("".join(map(str, v)), 3)
+
+
+def reference_eval(expr, v, n):
+    """The tree-walking evaluator, one vector at a time."""
+
+    def ev(e):
+        if isinstance(e, Const):
+            return _wrap(e.value)
+        if isinstance(e, Dim):
+            return n
+        if isinstance(e, Index):
+            return v[ev(e.index) % n]
+        if isinstance(e, BinOp):
+            a, b = ev(e.left), ev(e.right)
+            if e.op == "+":
+                return _wrap(a + b)
+            if e.op == "-":
+                return _wrap(a - b)
+            if e.op == "*":
+                return _wrap(a * b)
+            if e.op == "%":
+                return a if b == 0 else _wrap(a % abs(b))
+            raise ValueError(e.op)
+        if isinstance(e, MinMax):
+            a, b = ev(e.left), ev(e.right)
+            return min(a, b) if e.fn == "min" else max(a, b)
+        raise TypeError(e)
+
+    return ev(expr)
+
+
+def reference_greedy(expr, n):
+    """Greedy over tuples: rank by (-priority, tuple), keep what extends."""
+    ranked = sorted(all_vectors(n), key=lambda v: (-reference_eval(expr, v, n), v))
+    chosen = set()
+    for v in ranked:
+        if extends_cap(chosen, v):
+            chosen.add(v)
+    return chosen
+
+
+_BIG = st.sampled_from(
+    [_I64_MAX, _I64_MIN, _I64_MAX + 5, -(_U64 + 3), 3074457345618258602, 1 << 70]
+)
+
+
+def _exprs(max_leaves=12):
+    leaves = st.one_of(
+        st.integers(min_value=-9, max_value=9).map(Const),
+        _BIG.map(Const),
+        st.just(Dim()),
+        st.integers(min_value=0, max_value=7).map(lambda i: Index(Const(i))),
+    )
+
+    def extend(children):
+        return st.one_of(
+            st.builds(BinOp, st.sampled_from("+-*%"), children, children),
+            st.builds(MinMax, st.sampled_from(["min", "max"]), children, children),
+            st.builds(Index, children),
+        )
+
+    return st.recursive(leaves, extend, max_leaves=max_leaves)
+
+
+class TestCodes:
+    def test_code_order_is_lexicographic_order(self):
+        for n in range(1, 6):
+            vectors = all_vectors(n)
+            assert [code_vector(c, n) for c in range(3**n)] == vectors
+            assert capset.digit_columns(n) == [[v[i] for v in vectors] for i in range(n)]
+
+    def test_third_points_match_tuple_arithmetic(self):
+        # the split-table formula that greedy_cap and exact_cap inline
+        rng = random.Random(5)
+        for n in range(1, 13):
+            s, table = capset._split(n)
+            for _ in range(100):
+                x, v = (tuple(rng.randrange(3) for _ in range(n)) for _ in range(2))
+                (xh, xl), (vh, vl) = divmod(vector_code(x), s), divmod(vector_code(v), s)
+                third = table[xh * s + vh] * s + table[xl * s + vl]
+                assert third == vector_code(vec_neg(vec_add(x, v)))
+
+    def test_walk_gives_a_maximal_cap(self):
+        rng = random.Random(8)
+        for n in range(1, 5):
+            ranking = list(range(3**n))
+            rng.shuffle(ranking)
+            cap = {code_vector(c, n) for c in greedy_cap(ranking, n)}
+            assert is_cap(cap)
+            assert not any(extends_cap(cap, v) for v in all_vectors(n) if v not in cap)
+
+
+class TestCompiledPriority:
+    @settings(max_examples=300, deadline=None)
+    @given(_exprs(), st.integers(min_value=1, max_value=4))
+    def test_batch_matches_tree_walk(self, expr, n):
+        vectors = all_vectors(n)
+        values = compile_priority(expr, n)(capset.digit_columns(n))
+        assert values == [reference_eval(expr, v, n) for v in vectors]
+        assert all(_I64_MIN <= x <= _I64_MAX for x in values)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_exprs(), st.integers(min_value=1, max_value=5), st.integers(0, 10**9))
+    def test_eval_priority_matches_tree_walk(self, expr, n, seed):
+        rng = random.Random(seed)
+        v = tuple(rng.randrange(3) for _ in range(n))
+        assert eval_priority(expr, v, n) == reference_eval(expr, v, n)
+
+    def test_wraparound_and_mod_by_zero(self):
+        texts = [
+            "9223372036854775807 * 9223372036854775807 + v[0]",
+            "(v[0] - 9223372036854775807) - 9223372036854775807",
+            "v[v[1] * 99999999999999999999] % 0",
+            "(0 - 9223372036854775807 - 1) % v[0]",
+            "v[0] % (0 - 9223372036854775807 - 1)",
+            "min(v[0], 18446744073709551616 + v[1])",
+            "(v[0] % 0) * (n % 0) - 4611686018427387904 * (v[1] + 2)",
+        ]
+        for text in texts:
+            expr = parse_expr(text)
+            for n in (1, 2, 3):
+                for v in all_vectors(n):
+                    assert eval_priority(expr, v, n) == reference_eval(expr, v, n)
+
+
+class TestGreedy:
+    @settings(max_examples=150, deadline=None)
+    @given(_exprs(), st.integers(min_value=1, max_value=4))
+    def test_matches_reference_greedy(self, expr, n):
+        expected = reference_greedy(expr, n)
+        assert greedy(expr, n) == expected
+        assert score(expr, n) == len(expected)
+
+    @pytest.mark.parametrize(
+        "text, n",
+        [
+            ("v[0] - v[1]", 5),
+            ("0 - ((v[0]*v[0] + v[1]*v[1] - v[2]) % 3)", 5),
+            ("max(v[1], v[3] * n) % 4 - v[v[2]]", 5),
+            ("(v[0] * v[5] + v[2]) % 3 - min(v[1], v[4])", 6),
+        ],
+    )
+    def test_matches_reference_greedy_fixed(self, text, n):
+        expr = parse_expr(text)
+        assert greedy(expr, n) == reference_greedy(expr, n)
+
+
+class TestExactCap:
+    # CapBounds of the tuple-based branch and bound this kernel replaced
+    @pytest.mark.parametrize(
+        "n, budget, bound",
+        [
+            (1, None, CapBound(2, True)),
+            (2, None, CapBound(4, True)),
+            (3, None, CapBound(9, True)),
+            (3, 10, CapBound(8, False)),
+            (3, 500, CapBound(9, False)),
+            (4, 2000, CapBound(18, False)),
+            (3, 0, CapBound(1, False)),
+            (3, 17, CapBound(8, False)),
+            (3, 18, CapBound(9, False)),
+            (2, 3, CapBound(3, False)),
+            (4, 17, CapBound(16, False)),
+            (4, 50, CapBound(18, False)),
+        ],
+    )
+    def test_pinned_bounds(self, n, budget, bound):
+        assert exact_cap(n, budget=budget) == bound
+
+    def test_node_count_is_unchanged(self):
+        # the full searches visit 34 and 39,928 nodes
+        assert exact_cap(2, budget=33) == CapBound(4, False)
+        assert exact_cap(2, budget=34) == CapBound(4, True)
+        assert exact_cap(3, budget=39927) == CapBound(9, False)
+        assert exact_cap(3, budget=39928) == CapBound(9, True)
+
+
+class TestScoreMemo:
+    def test_memo_keeps_the_log_and_saves_calls(self, monkeypatch):
+        calls = []
+        real_score = evolve_mod.score
+
+        def counted_score(expr, n):
+            calls.append(n)
+            return real_score(expr, n)
+
+        def no_memo(exprs, n, memo, pool):
+            return [format_expr(e) for e in exprs], [counted_score(e, n) for e in exprs]
+
+        config = EvolveConfig(n=3, seed=0, eval_budget=300)
+        monkeypatch.setattr(evolve_mod, "score", counted_score)
+        _, records = evolve(config)
+        memo_calls = len(calls)
+        memo_log = "".join(record_to_json(r) + "\n" for r in records)
+
+        calls.clear()
+        monkeypatch.setattr(evolve_mod, "_score_batch", no_memo)
+        _, records = evolve(config)
+        assert "".join(record_to_json(r) + "\n" for r in records) == memo_log
+        assert len(calls) == 300
+        assert memo_calls == len({r["expr"] for r in records}) < 300

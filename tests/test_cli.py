@@ -124,6 +124,13 @@ class TestCapset:
         assert result.returncode == 0
         assert out.read_text() == "00\n01\n10\n11\n"
 
+    def test_deeply_nested_expr_is_usage_error(self):
+        expr = "(" * 3000 + "1" + ")" * 3000
+        result = run_cli("capset", "greedy", "--n", "2", "--expr", expr)
+        assert result.returncode == 2
+        assert "Traceback" not in result.stderr
+        assert result.stderr.startswith("error: ")
+
     def test_evolve_log_reproducible(self, tmp_path):
         logs = []
         for name in ("a.jsonl", "b.jsonl"):

@@ -2,6 +2,7 @@ import json
 import os
 import sys
 import textwrap
+import time
 
 import pytest
 
@@ -128,6 +129,27 @@ BROKEN_GENERATOR = textwrap.dedent(
 )
 
 
+TWO_REPLIES_GENERATOR = textwrap.dedent(
+    """
+    import sys, time
+    sys.stdin.readline()
+    sys.stdout.write('{"expr": "v[0]"}\\n{"expr": "v[1]"}\\n')
+    sys.stdout.flush()
+    time.sleep(60)
+    """
+)
+
+PARTIAL_LINE_GENERATOR = textwrap.dedent(
+    """
+    import sys, time
+    sys.stdin.readline()
+    sys.stdout.write('{"expr": "v[0]"')
+    sys.stdout.flush()
+    time.sleep(60)
+    """
+)
+
+
 class TestExternalGenerator:
     def _command(self, tmp_path, source, name):
         path = tmp_path / name
@@ -147,6 +169,31 @@ class TestExternalGenerator:
         try:
             with pytest.raises(GeneratorError):
                 gen([_cand("0", 1)], 0)
+        finally:
+            gen.close()
+
+    def test_partial_reply_line_times_out(self, tmp_path):
+        gen = ExternalGenerator(
+            self._command(tmp_path, PARTIAL_LINE_GENERATOR, "partial.py"), timeout=0.5
+        )
+        try:
+            start = time.monotonic()
+            with pytest.raises(GeneratorError, match="timed out"):
+                gen([_cand("0", 1)], 0)
+            assert time.monotonic() - start < 2 * gen.timeout
+        finally:
+            gen.close()
+
+    def test_replies_in_one_write_are_all_read(self, tmp_path):
+        gen = ExternalGenerator(
+            self._command(tmp_path, TWO_REPLIES_GENERATOR, "two.py"), timeout=5.0
+        )
+        try:
+            assert gen([_cand("0", 1)], 0) == parse_expr("v[0]")
+            start = time.monotonic()
+            # the second reply arrived with the first; it must not wait
+            assert gen([_cand("0", 1)], 1) == parse_expr("v[1]")
+            assert time.monotonic() - start < 1.0
         finally:
             gen.close()
 

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from bruteforge.capset import DimensionBudgetError, is_cap
 from bruteforge.priority import (
+    MAX_EXPR_DEPTH,
     BinOp,
     Const,
     Dim,
@@ -85,6 +86,22 @@ class TestParseFormat:
         for bad in ("v[", "min(1)", "1 +", "q", ""):
             with pytest.raises(ExprSyntaxError):
                 parse_expr(bad)
+
+    def test_depth_limit(self):
+        d = MAX_EXPR_DEPTH
+        # at the limit: brackets, a tree of Index nodes, a left-deep sum
+        accepted = ["(" * (d - 1) + "1" + ")" * (d - 1), "v[" * (d - 1) + "0" + "]" * (d - 1),
+                    " + ".join(["v[0]"] * (d - 1)), "-" * (d - 2) + "v[0]", "-" * 5000 + "1"]
+        for text in accepted:
+            expr = parse_expr(text)
+            assert parse_expr(format_expr(expr)) == expr
+            eval_priority(expr, (0, 1))
+        rejected = ["(" * d + "1" + ")" * d, "v[" * d + "0" + "]" * d,
+                    " + ".join(["v[0]"] * d), "-" * (d - 1) + "v[0]", "-" * 5000 + "v[0]",
+                    "(" * 5000 + "1" + ")" * 5000]
+        for text in rejected:
+            with pytest.raises(ExprSyntaxError):
+                parse_expr(text)
 
     @settings(max_examples=200, deadline=None)
     @given(_exprs())
