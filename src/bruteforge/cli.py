@@ -19,7 +19,9 @@ import sys
 import tempfile
 
 from . import bpt, capset, equational, evolve, hierarchy, priority, sat
-from .logic import VerificationError, parse_dimacs, write_dimacs
+from .logic import (
+    VerificationError, format_term, parse_dimacs, parse_term, var_name, write_dimacs,
+)
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -59,10 +61,7 @@ def _cmd_sat_solve(args, parser):
     _require_file(parser, args.cnf)
     with open(args.cnf) as handle:
         cnf = parse_dimacs(handle.read())
-    if args.cubes:
-        verdict = sat.solve_with_cubes(cnf, args.cubes)
-    else:
-        verdict = sat.solve(cnf)
+    verdict = sat.solve(cnf)
     if verdict.satisfiable:
         print("SATISFIABLE")
         if args.model:
@@ -213,8 +212,6 @@ def _parse_axiom_file(text, parser):
             parser.error(f"line {lineno}: expected 'ID: lhs = rhs'")
         eq_id, _, rest = line.partition(":")
         lhs, _, rhs = rest.partition("=")
-        from .logic import parse_term
-
         axioms[eq_id.strip()] = equational.Equation(
             parse_term(lhs.strip(), signature), parse_term(rhs.strip(), signature)
         )
@@ -222,8 +219,6 @@ def _parse_axiom_file(text, parser):
 
 
 def _parse_goal(parser, text, signature):
-    from .logic import parse_term
-
     if "=" not in text:
         parser.error("goal must have the form 'lhs = rhs'")
     lhs, _, rhs = text.partition("=")
@@ -244,6 +239,12 @@ def _parse_precedence(parser, text, signature):
     return {s: len(symbols) - i for i, s in enumerate(symbols)}
 
 
+def _check_proof(proof, axioms, goal):
+    diagnostics = []
+    if not equational.check_proof(proof, axioms, goal, diagnostics):
+        raise VerificationError("proof does not replay: " + "; ".join(diagnostics))
+
+
 def _cmd_eq_prove(args, parser):
     axioms, signature = _load_axioms(parser, args.axioms)
     goal = _parse_goal(parser, args.goal, signature)
@@ -252,11 +253,15 @@ def _cmd_eq_prove(args, parser):
             goal, axioms, signature, max_candidates=args.budget
         )
         if isinstance(result, equational.WitnessResult):
-            from .logic import format_term, var_name
-
+            sigma = result.witness
+            instance = equational.Equation(
+                equational.apply_subst(goal.lhs, sigma),
+                equational.apply_subst(goal.rhs, sigma),
+            )
+            _check_proof(result.proof, axioms, instance)
             witness = ", ".join(
                 f"{var_name(v)} := {format_term(t)}"
-                for v, t in sorted(result.witness.items())
+                for v, t in sorted(sigma.items())
             )
             print(f"witness found: {witness or '(trivial)'}")
             if args.output:
@@ -267,11 +272,7 @@ def _cmd_eq_prove(args, parser):
             goal, axioms, max_expansions=args.budget, max_seconds=args.max_seconds
         )
         if isinstance(result, equational.EqProof):
-            diagnostics = []
-            if not equational.check_proof(result, axioms, goal, diagnostics):
-                raise VerificationError(
-                    "proof does not replay: " + "; ".join(diagnostics)
-                )
+            _check_proof(result, axioms, goal)
             print(f"proof found: {len(result.steps)} steps")
             if args.output:
                 _atomic_write(args.output, equational.format_proof(result))
@@ -348,7 +349,6 @@ def build_parser():
     p.add_argument("cnf")
     p.add_argument("--cert", help="write the refutation certificate here")
     p.add_argument("--model", help="write the satisfying assignment here")
-    p.add_argument("--cubes", type=int, default=0, help="split on the first K variables")
     p.set_defaults(handler=_cmd_sat_solve)
 
     p_bpt = sub.add_parser("bpt", help="Pythagorean-triple colorings")

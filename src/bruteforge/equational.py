@@ -25,6 +25,8 @@ from .logic import (
     parse_term,
     term_size,
     term_vars,
+    var_id,
+    var_name,
     with_constants,
 )
 
@@ -503,7 +505,7 @@ def format_proof(proof):
         pos = ".".join(str(i) for i in s.pos) if s.pos else "-"
         if s.subst:
             sub = "; ".join(
-                f"{_var_text(v)}={format_term(t)}" for v, t in sorted(s.subst.items())
+                f"{var_name(v)}={format_term(t)}" for v, t in sorted(s.subst.items())
             )
         else:
             sub = "-"
@@ -511,15 +513,7 @@ def format_proof(proof):
     return "\n".join(lines) + "\n"
 
 
-def _var_text(vid):
-    from .logic import var_name
-
-    return var_name(vid)
-
-
 def parse_proof(text, signature):
-    from .logic import var_id
-
     steps = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
@@ -716,10 +710,10 @@ def prove_exists(goal, axioms, signature, max_candidates=200,
     size-lexicographic order and try to prove each ground instance.
 
     Witness terms may share one fresh variable (witnesses need not be
-    ground).  Returns WitnessResult or Timeout with aggregate counters.
+    ground).  At most `max_candidates` instances are tried, serially in
+    enumeration order, and the first one proved wins.  Returns
+    WitnessResult or Timeout with aggregate counters.
     """
-    from . import search
-
     gvars = sorted(term_vars(goal.lhs) | term_vars(goal.rhs))
     if not gvars:
         result = prove(goal, axioms, max_expansions=per_candidate_expansions)
@@ -730,24 +724,13 @@ def prove_exists(goal, axioms, signature, max_candidates=200,
     terms = enumerate_ground_terms(signature, max_term_size, variables=(fresh,))
     generated = 0
     rewrites = 0
-    hit = []
-
-    def try_witness(assignment):
-        nonlocal generated, rewrites
+    candidates = itertools.product(terms, repeat=len(gvars))
+    for assignment in itertools.islice(candidates, max(max_candidates, 0)):
         sigma = dict(zip(gvars, assignment))
         instance = Equation(apply_subst(goal.lhs, sigma), apply_subst(goal.rhs, sigma))
         result = prove(instance, axioms, max_expansions=per_candidate_expansions)
         if isinstance(result, EqProof):
-            hit.append(WitnessResult(sigma, result))
-            return True
+            return WitnessResult(sigma, result)
         generated += result.equations_generated
         rewrites += result.rewrites_attempted
-        return False
-
-    budget = search.Budget(max_candidates=max_candidates)
-    outcome = search.run(
-        itertools.product(terms, repeat=len(gvars)), try_witness, budget
-    )
-    if isinstance(outcome, search.Found):
-        return hit[0]
     return Timeout(generated, rewrites)

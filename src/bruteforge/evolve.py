@@ -15,6 +15,7 @@ Within a run each distinct expression text is scored once.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
@@ -176,14 +177,19 @@ class ExternalGenerator:
     Reply:   {"expr": str}
     Protocol violations (malformed reply, timeout) raise GeneratorError;
     the evolve loop logs and skips them, never aborts.  A reply line must
-    be complete within `timeout` seconds of the request.
+    be complete within `timeout` seconds of the request.  A child that
+    times out is stopped and a fresh one serves the next request, so a
+    late reply is never taken as the answer to a later request.
     """
 
     def __init__(self, command, timeout=10.0):
         self.command = command
         self.timeout = timeout
+        self._start()
+
+    def _start(self):
         self.proc = subprocess.Popen(
-            shlex.split(command),
+            shlex.split(self.command),
             stdin=subprocess.PIPE,
             stdout=subprocess.PIPE,
         )
@@ -197,6 +203,7 @@ class ExternalGenerator:
             remaining = deadline - time.monotonic()
             ready = remaining > 0 and select.select([fd], [], [], remaining)[0]
             if not ready:
+                self.close()
                 raise GeneratorError(f"generator timed out after {self.timeout}s")
             chunk = os.read(fd, 65536)
             if not chunk:
@@ -212,6 +219,8 @@ class ExternalGenerator:
             ],
             "seed": seed,
         }
+        if self.proc is None:
+            self._start()
         try:
             self.proc.stdin.write(json.dumps(request).encode() + b"\n")
             self.proc.stdin.flush()
@@ -225,12 +234,17 @@ class ExternalGenerator:
             raise GeneratorError(f"malformed generator reply {line!r}: {exc}")
 
     def close(self):
-        if self.proc.poll() is None:
-            self.proc.terminate()
-            try:
-                self.proc.wait(timeout=2)
-            except subprocess.TimeoutExpired:
-                self.proc.kill()
+        """Stop the child and close its pipes; a later request starts a fresh one."""
+        proc, self.proc = self.proc, None
+        if proc is None:
+            return
+        proc.terminate()
+        try:
+            proc.wait(timeout=2)
+        except subprocess.TimeoutExpired:
+            proc.kill()
+        with contextlib.suppress(BrokenPipeError), proc:
+            pass  # leaving the block closes the pipes and reaps the child
 
 
 class GeneratorError(RuntimeError):

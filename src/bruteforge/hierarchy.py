@@ -23,6 +23,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
+from .logic import MAX_PARSE_DEPTH
+
 FORALL = "all"
 EXISTS = "ex"
 
@@ -227,6 +229,9 @@ def classify(f):
 
 # --- text front end -------------------------------------------------------
 
+# binary connectives: token -> (precedence, node); "&" binds tightest
+_CONNECTIVES = {"->": (0, Implies), "|": (1, Or), "&": (2, And)}
+
 _TOKEN_RE = re.compile(
     r"\s*(->|[()&|~.,<]|[A-Za-z_]\w*|[0-9^+*-]+)"
 )
@@ -248,6 +253,8 @@ def _tokenize(text):
 
 
 def parse_formula(text):
+    """Parse formula text; rejects trees, and nesting of brackets and
+    quantifier bodies, deeper than MAX_PARSE_DEPTH."""
     tokens = _tokenize(text)
     pos = 0
 
@@ -264,42 +271,53 @@ def parse_formula(text):
         pos += 1
         return tok
 
-    def parse_impl():
-        left = parse_or()
-        if peek() == "->":
-            take()
-            return Implies(left, parse_impl())
-        return left
+    def deeper(depth):
+        if depth >= MAX_PARSE_DEPTH:
+            raise FormulaSyntaxError(f"formula deeper than {MAX_PARSE_DEPTH} levels")
+        return depth + 1
 
-    def parse_or():
-        left = parse_and()
-        while peek() == "|":
-            take()
-            left = Or(left, parse_and())
-        return left
+    # precedence climbing over "->", "|" and "&": each parser returns
+    # (formula, depth of its tree), and `nesting` counts the enclosing
+    # brackets and quantifier bodies, the only recursion not bounded by
+    # precedence; a chain of "->" is folded to the right once it ends
+    def parse_binary(min_prec, nesting):
+        left, depth = parse_unary(nesting)
+        implications = []
+        while peek() in _CONNECTIVES and _CONNECTIVES[peek()][0] >= min_prec:
+            prec, node = _CONNECTIVES[take()]
+            right, right_depth = parse_binary(prec + 1, nesting)
+            if node is Implies:
+                implications.append((left, depth))
+                left, depth = right, right_depth
+            else:
+                left, depth = node(left, right), deeper(max(depth, right_depth))
+        for premise, premise_depth in reversed(implications):
+            left, depth = Implies(premise, left), deeper(max(premise_depth, depth))
+        return left, depth
 
-    def parse_and():
-        left = parse_unary()
-        while peek() == "&":
+    def parse_unary(nesting):
+        negations = 0
+        while peek() == "~":
             take()
-            left = And(left, parse_unary())
-        return left
-
-    def parse_unary():
+            negations += 1
         tok = peek()
-        if tok == "~":
-            take()
-            return Not(parse_unary())
+        if tok in ("(", FORALL, EXISTS) and nesting >= MAX_PARSE_DEPTH:
+            raise FormulaSyntaxError(f"formula nested deeper than {MAX_PARSE_DEPTH} levels")
         if tok == "(":
             take()
-            inner = parse_impl()
+            f, depth = parse_binary(0, nesting + 1)
             take(")")
-            return inner
-        if tok in (FORALL, EXISTS):
-            return parse_quant()
-        return parse_atom()
+        elif tok in (FORALL, EXISTS):
+            kind, var, bound = parse_quant_prefix()
+            body, depth = parse_binary(0, nesting + 1)
+            f, depth = Quant(kind, var, bound, body), deeper(depth)
+        else:
+            f, depth = parse_atom(), 1
+        for _ in range(negations):
+            f, depth = Not(f), deeper(depth)
+        return f, depth
 
-    def parse_quant():
+    def parse_quant_prefix():
         kind = take()
         var = take()
         if not re.match(r"^[A-Za-z_]\w*$", var):
@@ -315,7 +333,7 @@ def parse_formula(text):
                 raise FormulaSyntaxError("empty quantifier bound")
             bound = "".join(parts)
         take(".")
-        return Quant(kind, var, bound, parse_impl())
+        return kind, var, bound
 
     def parse_atom():
         name = take()
@@ -332,7 +350,7 @@ def parse_formula(text):
             args = tuple(parts)
         return Atom(name, args)
 
-    f = parse_impl()
+    f, _ = parse_binary(0, 1)
     if pos < len(tokens):
         raise FormulaSyntaxError(f"trailing input {tokens[pos]!r}")
     return f

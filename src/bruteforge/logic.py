@@ -80,6 +80,11 @@ _VAR_RE = re.compile(r"^(x|y|z|x\d+)$")
 
 _BINOPS = {"v": 1, "^": 2, "*": 2}  # symbol -> precedence
 
+# deepest tree, and deepest bracket nesting, that the parsers of terms,
+# formulas and priority expressions accept; recursive code downstream of
+# them stays within Python's default recursion limit at this depth
+MAX_PARSE_DEPTH = 200
+
 
 def var_id(name):
     if name == "x":
@@ -118,7 +123,8 @@ def _tokenize(text):
 
 
 def parse_term(text, signature):
-    """Parse term text against a signature; rejects symbols outside it."""
+    """Parse term text against a signature; rejects symbols outside it, and
+    trees or bracket nesting deeper than MAX_PARSE_DEPTH."""
     tokens = _tokenize(text)
     pos = 0
 
@@ -135,56 +141,66 @@ def parse_term(text, signature):
         pos += 1
         return tok, at
 
-    def parse_binary(min_prec):
-        left = parse_unary()
+    def deeper(depth, at):
+        if depth >= MAX_PARSE_DEPTH:
+            raise TermSyntaxError(f"term deeper than {MAX_PARSE_DEPTH} levels", at)
+        return depth + 1
+
+    # each parser returns (term, depth of its tree); `nesting` counts the
+    # brackets around it, the only recursion not bounded by precedence
+    def parse_binary(min_prec, nesting):
+        left, depth = parse_unary(nesting)
         while True:
             tok = peek()
             if tok in _BINOPS and _BINOPS[tok] >= min_prec:
                 op, at = take()
                 if op not in signature:
                     raise UnknownSymbolError(f"symbol {op!r} not in signature")
-                right = parse_binary(_BINOPS[op] + 1)
-                left = App(op, (left, right))
+                right, right_depth = parse_binary(_BINOPS[op] + 1, nesting)
+                left, depth = App(op, (left, right)), deeper(max(depth, right_depth), at)
             else:
-                return left
+                return left, depth
 
-    def parse_unary():
-        tok = peek()
-        if tok == "-":
+    def parse_unary(nesting):
+        negations = []
+        while peek() == "-":
             _, at = take()
             if "-" not in signature:
                 raise UnknownSymbolError("symbol '-' not in signature")
-            return App("-", (parse_unary(),))
-        return parse_primary()
-
-    def parse_primary():
+            negations.append(at)
         tok, at = take()
+        if (tok == "(" or peek() == "(") and nesting >= MAX_PARSE_DEPTH:
+            raise TermSyntaxError(f"term nested deeper than {MAX_PARSE_DEPTH} levels", at)
         if tok == "(":
-            inner = parse_binary(1)
+            term, depth = parse_binary(1, nesting + 1)
             take(")")
-            return inner
-        if _VAR_RE.match(tok) and tok not in signature:
-            return Var(var_id(tok))
-        if tok not in signature:
+        elif _VAR_RE.match(tok) and tok not in signature:
+            term, depth = Var(var_id(tok)), 1
+        elif tok not in signature:
             raise UnknownSymbolError(f"symbol {tok!r} not in signature")
-        arity = signature[tok]
-        if peek() == "(":
+        elif peek() == "(":
             take("(")
-            args = [parse_binary(1)]
+            args = [parse_binary(1, nesting + 1)]
             while peek() == ",":
                 take(",")
-                args.append(parse_binary(1))
+                args.append(parse_binary(1, nesting + 1))
             take(")")
+            arity = signature[tok]
             if len(args) != arity:
                 raise TermSyntaxError(
                     f"symbol {tok!r} expects {arity} arguments, got {len(args)}", at
                 )
-            return App(tok, tuple(args))
-        if arity != 0:
-            raise TermSyntaxError(f"symbol {tok!r} expects {arity} arguments", at)
-        return App(tok)
+            term = App(tok, tuple(t for t, _ in args))
+            depth = deeper(max(d for _, d in args), at)
+        elif signature[tok] != 0:
+            raise TermSyntaxError(f"symbol {tok!r} expects {signature[tok]} arguments", at)
+        else:
+            term, depth = App(tok), 1
+        for at in reversed(negations):
+            term, depth = App("-", (term,)), deeper(depth, at)
+        return term, depth
 
-    term = parse_binary(1)
+    term, _ = parse_binary(1, 1)
     if pos < len(tokens):
         raise TermSyntaxError(f"trailing input {tokens[pos][0]!r}", tokens[pos][1])
     return term
@@ -248,12 +264,6 @@ class Clause:
     @property
     def is_tautological(self):
         return any(-l in self.lits for l in self.lits)
-
-    def variables(self):
-        return {abs(l) for l in self.lits}
-
-
-EMPTY_CLAUSE = Clause(frozenset())
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ Text and tuple vectors are the boundary: `parse_expr` reads an expression,
 an expression is compiled once per dimension into nested closures that
 evaluate it over the digit columns of all 3^n vector codes at once, and
 the greedy walk runs on those int codes (see `capset`).  The parser
-rejects trees and bracket nesting deeper than MAX_EXPR_DEPTH.
+rejects trees and bracket nesting deeper than MAX_PARSE_DEPTH.
 
 Expression grammar:
 
@@ -36,6 +36,7 @@ from .capset import (
     digit_columns,
     greedy_cap,
 )
+from .logic import MAX_PARSE_DEPTH
 
 _U64 = 1 << 64
 _I64_MAX = (1 << 63) - 1
@@ -177,11 +178,6 @@ class ExprSyntaxError(ValueError):
     pass
 
 
-# deepest expression tree, and deepest bracket nesting, that parse_expr
-# accepts; evolved expressions stay far below it
-MAX_EXPR_DEPTH = 200
-
-
 _EXPR_TOKEN = re.compile(r"\s*(\d+|[nv]|min|max|[-+*%()\[\],])")
 
 
@@ -216,8 +212,8 @@ def parse_expr(text):
 
     def deeper(*depths):
         depth = 1 + max(depths)
-        if depth > MAX_EXPR_DEPTH:
-            raise ExprSyntaxError(f"expression deeper than {MAX_EXPR_DEPTH} levels")
+        if depth > MAX_PARSE_DEPTH:
+            raise ExprSyntaxError(f"expression deeper than {MAX_PARSE_DEPTH} levels")
         return depth
 
     # each parser returns (expression, depth of its tree); parse_sum is the
@@ -225,8 +221,8 @@ def parse_expr(text):
     def parse_sum():
         nonlocal nesting
         nesting += 1
-        if nesting > MAX_EXPR_DEPTH:
-            raise ExprSyntaxError(f"expression nested deeper than {MAX_EXPR_DEPTH} levels")
+        if nesting > MAX_PARSE_DEPTH:
+            raise ExprSyntaxError(f"expression nested deeper than {MAX_PARSE_DEPTH} levels")
         left, depth = parse_term()
         while peek() in ("+", "-"):
             op = take()

@@ -205,7 +205,7 @@ class _Core:
     `true` and `watches` are indexed by literal: +v is slot v and -v is slot
     2n+1-v, reached through Python's negative indexing.  Tautologies are
     dropped; unit clauses and the empty clause are kept aside and asserted
-    at the root of each search.  A longer clause watches its first two
+    at the root of the search.  A longer clause watches its first two
     literals, which propagation keeps non-false while the clause is open.
     """
 
@@ -294,17 +294,16 @@ class _Core:
         del trail[mark:]
         self.head = mark
 
-    def search(self, assumptions, step_limit=None):
-        """Depth-first search below `assumptions`: (model or None, lines).
+    def search(self, step_limit=None):
+        """Depth-first search from the root: (model or None, lines).
 
         Branches on the lowest unassigned variable, true first.  Each node
         entry counts one step against `step_limit`.  Each conflict and each
-        exhausted branch appends the clause ~(assumptions + decisions) to
-        `lines`; in order they form an RUP refutation when no model exists.
-        The core is left unassigned on return.
+        exhausted branch appends the clause ~(decisions) to `lines`; in
+        order they form an RUP refutation when no model exists.  The core
+        is left unassigned on return.
         """
         true, trail, n = self.true, self.trail, self.num_vars
-        negated = [-l for l in assumptions]
         stack = []  # (decision literal, trail length before it)
         lines = []
         steps = 0
@@ -316,7 +315,7 @@ class _Core:
                 self._set(stack[-1][0])
                 conflict = self.propagate()
             else:
-                conflict = self.assume(assumptions)
+                conflict = self.assume(())
             if not conflict:
                 # every variable below the latest decision is already assigned
                 v = abs(stack[-1][0]) + 1 if stack else 1
@@ -328,10 +327,10 @@ class _Core:
                 model = Assignment({u: true[u] for u in range(1, n + 1)})
                 self.undo(0)
                 return model, lines
-            lines.append(Clause(frozenset(negated + [-d for d, _ in stack])))
+            lines.append(Clause(frozenset([-d for d, _ in stack])))
             while stack and stack[-1][0] < 0:
                 stack.pop()
-                lines.append(Clause(frozenset(negated + [-d for d, _ in stack])))
+                lines.append(Clause(frozenset([-d for d, _ in stack])))
             if not stack:
                 self.undo(0)
                 return None, lines
@@ -347,50 +346,11 @@ def solve(cnf, step_limit=None):
     certificate.  `step_limit` bounds the number of search nodes and raises
     BudgetExhausted when hit (default: unbudgeted).
     """
-    model, lines = _Core(cnf).search((), step_limit)
+    model, lines = _Core(cnf).search(step_limit)
     if model is not None:
         return Verdict(True, model=model)
     return Verdict(False, certificate=Certificate(tuple(lines)))
 
-
-def _cube_order_key(cube):
-    return [l < 0 for l in cube]
-
-
-def solve_with_cubes(cnf, k, step_limit=None):
-    """Top-k variable splitting, each cube solved as assumptions on one core.
-
-    Splits on the first k variables, solves all 2^k cubes (none skipped, so
-    the outcome is run-order independent; `step_limit` applies per cube),
-    and merges deterministically: the first satisfiable cube in cube order
-    supplies the model, else the concatenated per-cube certificates plus
-    split-tree merge clauses refute the formula.
-    """
-    k = min(k, cnf.num_vars)
-    if k == 0:
-        return solve(cnf, step_limit=step_limit)
-    cubes = [()]
-    for v in range(1, k + 1):
-        cubes = [c + (v,) for c in cubes] + [c + (-v,) for c in cubes]
-    cubes.sort(key=_cube_order_key)
-    core = _Core(cnf)
-    all_lines = []
-    sat_model = None
-    for cube in cubes:
-        model, lines = core.search(cube, step_limit)
-        all_lines.extend(lines)
-        if sat_model is None:
-            sat_model = model
-    if sat_model is not None:
-        return Verdict(True, model=sat_model)
-    for depth in range(k - 1, -1, -1):
-        prefixes = [()]
-        for v in range(1, depth + 1):
-            prefixes = [p + (v,) for p in prefixes] + [p + (-v,) for p in prefixes]
-        prefixes.sort(key=_cube_order_key)
-        for p in prefixes:
-            all_lines.append(Clause(frozenset(-l for l in p)))
-    return Verdict(False, certificate=Certificate(tuple(all_lines)))
 
 _TABLE_CHUNK_VARS = 18
 

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from bruteforge import bpt
-from bruteforge.logic import VerificationError
+from bruteforge.logic import MAX_PARSE_DEPTH, VerificationError
 
 BIN = [sys.executable, "-m", "bruteforge.cli"]
 
@@ -51,11 +51,6 @@ class TestSat:
         assert result.returncode == 1
         assert "UNSATISFIABLE" in result.stdout
         assert cert.read_text().splitlines()[-1] == "0"
-
-    def test_cube_mode(self, tmp_path):
-        cnf = tmp_path / "f.cnf"
-        cnf.write_text("p cnf 2 2\n1 2 0\n-1 2 0\n")
-        assert run_cli("sat", "solve", str(cnf), "--cubes", "2").returncode == 0
 
 
 class TestBpt:
@@ -102,6 +97,29 @@ class TestVerificationFailure:
         assert result.returncode == 3
         assert result.stderr.startswith("error: verification failed: ")
         assert len(result.stderr.splitlines()) == 1
+
+    BROKEN_PROOF_CHECK = (
+        "import sys\n"
+        "from bruteforge import cli, equational\n"
+        "def reject(proof, axioms, goal, diagnostics=None):\n"
+        "    diagnostics.append('rejected')\n"
+        "    return False\n"
+        "equational.check_proof = reject\n"
+        "sys.exit(cli.main(sys.argv[1:]))\n"
+    )
+
+    @pytest.mark.parametrize("goal, extra", [("x v y = x", ["--exists", "--budget", "80"]),
+                                             ("x v x = x", [])], ids=["exists", "prove"])
+    def test_eq_prove_rechecks_proof_under_optimize(self, tmp_path, goal, extra):
+        proof = tmp_path / "p.prf"
+        result = subprocess.run(
+            [sys.executable, "-O", "-c", self.BROKEN_PROOF_CHECK, "eq", "prove",
+             "--axioms", "boolean", "--goal", goal, "-o", str(proof), *extra],
+            capture_output=True, text=True, timeout=300,
+        )
+        assert result.returncode == 3
+        assert result.stderr == "error: verification failed: proof does not replay: rejected\n"
+        assert not proof.exists()
 
 
 class TestCapset:
@@ -224,3 +242,56 @@ class TestClassify:
         f.write_text("all x < n . A(x)\n")
         result = run_cli("classify", str(f))
         assert result.stdout.strip() == "Delta0"
+
+
+class TestDepthLimit:
+    """Input nested exactly MAX_PARSE_DEPTH deep runs; one level more is a
+    usage error with one `error:` line, never a traceback."""
+
+    @staticmethod
+    def _usage_error(result):
+        assert result.returncode == 2
+        assert result.stderr.startswith("error: ")
+        assert len(result.stderr.splitlines()) == 1
+
+    @pytest.mark.parametrize("extra", [[], ["--exists"]], ids=["prove", "exists"])
+    def test_eq_goal_at_the_limit(self, extra):
+        t = "-" * (MAX_PARSE_DEPTH - 1) + "x"
+        result = run_cli("eq", "prove", "--axioms", "boolean", "--goal", f"{t} = {t}",
+                         "--budget", "5", *extra)
+        assert result.returncode == 0
+        assert "Traceback" not in result.stderr
+
+    def test_eq_search_at_the_limit(self):
+        t = "-" * (MAX_PARSE_DEPTH - 1) + "x"
+        result = run_cli("eq", "prove", "--axioms", "boolean", "--goal", f"{t} = y",
+                         "--budget", "1")
+        assert result.returncode == 1
+        assert "timeout" in result.stdout
+
+    @pytest.mark.parametrize("goal", ["-" * MAX_PARSE_DEPTH + "x = x",
+                                      "x = " + "(" * MAX_PARSE_DEPTH + "x" + ")" * MAX_PARSE_DEPTH,
+                                      "-" * 5000 + "x = x"],
+                             ids=["negation", "brackets", "negation-5000"])
+    def test_eq_goal_beyond_the_limit(self, goal):
+        self._usage_error(run_cli("eq", "prove", "--axioms", "boolean", "--goal", goal))
+
+    @pytest.mark.parametrize("text, label", [("~" * (MAX_PARSE_DEPTH - 1) + "A", "Delta0"),
+                                             ("all x . " * (MAX_PARSE_DEPTH - 1) + "A(x)",
+                                              "Pi(1)")],
+                             ids=["negation", "quantifier"])
+    def test_classify_at_the_limit(self, tmp_path, text, label):
+        f = tmp_path / "f.txt"
+        f.write_text(text + "\n")
+        result = run_cli("classify", str(f))
+        assert result.returncode == 0
+        assert result.stdout.strip() == label
+
+    @pytest.mark.parametrize("text", ["~" * MAX_PARSE_DEPTH + "A",
+                                      "all x . " * MAX_PARSE_DEPTH + "A(x)",
+                                      "~" * 5000 + "A", "all x . " * 300 + "A(x)"],
+                             ids=["negation", "quantifier", "negation-5000", "quantifier-300"])
+    def test_classify_beyond_the_limit(self, tmp_path, text):
+        f = tmp_path / "f.txt"
+        f.write_text(text + "\n")
+        self._usage_error(run_cli("classify", str(f)))

@@ -11,8 +11,10 @@ from bruteforge.logic import (
     Var,
     format_term,
     parse_term,
+    term_size,
     with_constants,
 )
+from bruteforge import equational
 from bruteforge.equational import (
     BOOLEAN_AXIOMS,
     CompletionBudgetExhausted,
@@ -369,6 +371,65 @@ class TestProveExists:
             goal, {}, BOOLEAN_SIG, max_candidates=5, per_candidate_expansions=5
         )
         assert isinstance(result, Timeout)
+
+    def test_absorption_witness_is_pinned(self):
+        goal = Equation(_bt("x v y", BOOLEAN_SIG), Var(0))
+        result = prove_exists(goal, BOOLEAN_AXIOMS, BOOLEAN_SIG, max_candidates=80)
+        assert result.witness == {0: App("0"), 1: App("0")}
+        assert format_proof(result.proof) == "B10 1 x=0 rl\nB3 - x=0; y=-0 lr\n"
+
+    @staticmethod
+    def _record_prove(monkeypatch, passes=lambda instance: False):
+        """Replace prove by a stub that logs each instance it is given."""
+        tried = []
+
+        def fake_prove(goal, axioms, max_expansions):
+            tried.append(goal)
+            return EqProof(()) if passes(goal) else Timeout(1, 2)
+
+        monkeypatch.setattr(equational, "prove", fake_prove)
+        return tried
+
+    def test_first_passing_witness_in_enumeration_order(self, monkeypatch):
+        # instances pass once the witness for y has size 2, so later
+        # candidates pass too; the first in enumeration order must win
+        tried = self._record_prove(monkeypatch, lambda g: term_size(g.lhs.args[1]) == 2)
+        goal = Equation(_bt("x v y", BOOLEAN_SIG), Var(0))
+        result = prove_exists(goal, BOOLEAN_AXIOMS, BOOLEAN_SIG, max_candidates=200)
+        terms = enumerate_ground_terms(BOOLEAN_SIG, 7, variables=(Var(3),))
+        expected = next(
+            (a, b) for a, b in itertools.product(terms, repeat=2) if term_size(b) == 2
+        )
+        assert (result.witness[0], result.witness[1]) == expected
+        assert len(tried) == terms.index(expected[1]) + 1
+        assert [g.lhs.args for g in tried] == list(
+            itertools.islice(itertools.product(terms, repeat=2), len(tried))
+        )
+
+    def test_tries_exactly_max_candidates(self, monkeypatch):
+        tried = self._record_prove(monkeypatch)
+        goal = Equation(_bt("x v y", BOOLEAN_SIG), Var(0))
+        result = prove_exists(goal, BOOLEAN_AXIOMS, BOOLEAN_SIG, max_candidates=7)
+        assert len(tried) == 7
+        assert result == Timeout(7, 14)
+
+    def test_finite_term_stream_exhausts_before_the_budget(self, monkeypatch):
+        tried = self._record_prove(monkeypatch)
+        goal = Equation(_bt("-x", BOOLEAN_SIG), _bt("x", BOOLEAN_SIG))
+        # size-1 witnesses: the constants 0 and 1 and one fresh variable
+        result = prove_exists(
+            goal, BOOLEAN_AXIOMS, BOOLEAN_SIG, max_candidates=200, max_term_size=1
+        )
+        assert len(tried) == 3
+        assert result == Timeout(3, 6)
+
+    @pytest.mark.parametrize("budget", [0, -1])
+    def test_empty_budget_times_out(self, monkeypatch, budget):
+        tried = self._record_prove(monkeypatch)
+        goal = Equation(_bt("x v y", BOOLEAN_SIG), Var(0))
+        result = prove_exists(goal, BOOLEAN_AXIOMS, BOOLEAN_SIG, max_candidates=budget)
+        assert tried == []
+        assert result == Timeout(0, 0)
 
 
 class TestGroundEnumeration:

@@ -150,6 +150,23 @@ PARTIAL_LINE_GENERATOR = textwrap.dedent(
 )
 
 
+# slow only on the first request it ever serves: the first child leaves a
+# marker file, so later children answer at once; each reply names its seed
+SLOW_FIRST_GENERATOR = textwrap.dedent(
+    """
+    import json, os, sys, time
+    marker = sys.argv[1]
+    for line in sys.stdin:
+        request = json.loads(line)
+        if not os.path.exists(marker):
+            open(marker, "w").close()
+            time.sleep(0.8)
+        print(json.dumps({"expr": str(request["seed"])}))
+        sys.stdout.flush()
+    """
+)
+
+
 class TestExternalGenerator:
     def _command(self, tmp_path, source, name):
         path = tmp_path / name
@@ -194,6 +211,18 @@ class TestExternalGenerator:
             # the second reply arrived with the first; it must not wait
             assert gen([_cand("0", 1)], 1) == parse_expr("v[1]")
             assert time.monotonic() - start < 1.0
+        finally:
+            gen.close()
+
+    def test_late_reply_is_never_taken_for_a_later_request(self, tmp_path):
+        command = self._command(tmp_path, SLOW_FIRST_GENERATOR, "slow.py")
+        gen = ExternalGenerator(f"{command} {tmp_path / 'marker'}", timeout=0.5)
+        try:
+            with pytest.raises(GeneratorError, match="timed out"):
+                gen([_cand("0", 1)], 0)
+            time.sleep(0.5)  # the first child's reply would be due by now
+            for seed in (1, 2, 3):
+                assert gen([_cand("0", 1)], seed) == Const(seed)
         finally:
             gen.close()
 

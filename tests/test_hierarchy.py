@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from bruteforge.logic import MAX_PARSE_DEPTH
 from bruteforge.hierarchy import (
     Atom,
     DELTA0,
@@ -35,6 +36,39 @@ class TestParsing:
     def test_syntax_error(self):
         with pytest.raises(FormulaSyntaxError):
             parse_formula("all . A")
+
+
+class TestDepthLimit:
+    def test_formulas_at_the_limit_parse_and_classify(self):
+        d = MAX_PARSE_DEPTH
+        accepted = {
+            "~" * (d - 1) + "A": "Delta0",
+            "all x . " * (d - 1) + "A(x)": "Pi(1)",
+            "(" * (d - 1) + "A" + ")" * (d - 1): "Delta0",
+            "A | (" * (d - 1) + "A" + ")" * (d - 1): "Delta0",
+            "A -> " * (d - 1) + "A": "Delta0",
+            "(A -> " * (d - 1) + "A" + ")" * (d - 1): "Delta0",
+            " & ".join(["A"] * d): "Delta0",
+            "~ ex x . " * ((d - 1) // 2) + "A(x)": "Pi(99)",
+        }
+        for text, label in accepted.items():
+            assert str(classify(parse_formula(text))) == label
+
+    def test_deeper_formulas_are_rejected(self):
+        d = MAX_PARSE_DEPTH
+        rejected = [
+            "~" * d + "A",
+            "all x . " * d + "A(x)",
+            "(" * d + "A" + ")" * d,
+            "A -> " * d + "A",
+            " & ".join(["A"] * (d + 1)),
+            "~" * 5000 + "A",
+            "all x . " * 300 + "A(x)",
+            "A -> " * 5000 + "A",
+        ]
+        for text in rejected:
+            with pytest.raises(FormulaSyntaxError):
+                parse_formula(text)
 
 
 class TestHierarchyClass:

@@ -9,6 +9,7 @@ from bruteforge.logic import (
     Cnf,
     DimacsError,
     GROUP_SIG,
+    MAX_PARSE_DEPTH,
     ROBBINS_SIG,
     TermSyntaxError,
     UnknownSymbolError,
@@ -97,6 +98,37 @@ def _terms(signature):
         *[st.just(App(s)) for s, a in signature.items() if a == 0],
     )
     return st.recursive(leaves, extend, max_leaves=12)
+
+
+class TestTermDepthLimit:
+    def test_terms_at_the_limit_parse_and_round_trip(self):
+        d = MAX_PARSE_DEPTH
+        accepted = [
+            ("-" * (d - 1) + "x", BOOLEAN_SIG),
+            ("(" * (d - 1) + "x" + ")" * (d - 1), BOOLEAN_SIG),
+            ("x v (" * (d - 1) + "x" + ")" * (d - 1), BOOLEAN_SIG),
+            (" v ".join(["x"] * d), BOOLEAN_SIG),
+            ("-(" * (d - 1) + "x" + ")" * (d - 1), BOOLEAN_SIG),
+            ("i(" * (d - 1) + "x" + ")" * (d - 1), GROUP_SIG),
+        ]
+        for text, sig in accepted:
+            t = parse_term(text, sig)
+            assert parse_term(format_term(t), sig) == t
+
+    def test_deeper_terms_are_rejected(self):
+        d = MAX_PARSE_DEPTH
+        rejected = [
+            ("-" * d + "x", BOOLEAN_SIG),
+            ("(" * d + "x" + ")" * d, BOOLEAN_SIG),
+            ("x v (" * d + "x" + ")" * d, BOOLEAN_SIG),
+            (" v ".join(["x"] * (d + 1)), BOOLEAN_SIG),
+            ("i(" * d + "x" + ")" * d, GROUP_SIG),
+            ("-" * 5000 + "x", BOOLEAN_SIG),
+            ("(" * 5000 + "x" + ")" * 5000, BOOLEAN_SIG),
+        ]
+        for text, sig in rejected:
+            with pytest.raises(TermSyntaxError):
+                parse_term(text, sig)
 
 
 class TestTermFormatting:

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bruteforge.capset import DimensionBudgetError, is_cap
+from bruteforge.logic import MAX_PARSE_DEPTH
 from bruteforge.priority import (
-    MAX_EXPR_DEPTH,
     BinOp,
     Const,
     Dim,
@@ -88,7 +88,7 @@ class TestParseFormat:
                 parse_expr(bad)
 
     def test_depth_limit(self):
-        d = MAX_EXPR_DEPTH
+        d = MAX_PARSE_DEPTH
         # at the limit: brackets, a tree of Index nodes, a left-deep sum
         accepted = ["(" * (d - 1) + "1" + ")" * (d - 1), "v[" * (d - 1) + "0" + "]" * (d - 1),
                     " + ".join(["v[0]"] * (d - 1)), "-" * (d - 2) + "v[0]", "-" * 5000 + "1"]

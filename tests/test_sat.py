@@ -16,7 +16,6 @@ from bruteforge.sat import (
     check_certificate,
     resolve,
     solve,
-    solve_with_cubes,
     truth_table_satisfiable,
     unit_propagate,
     verify_model,
@@ -141,27 +140,6 @@ class TestSolve:
             assert verify_model(cnf, v.model)
         else:
             assert check_certificate(cnf, v.certificate)
-
-
-class TestCubes:
-    @settings(max_examples=40, deadline=None)
-    @given(
-        st.integers(min_value=0, max_value=10**9),
-        st.integers(min_value=1, max_value=3),
-    )
-    def test_cube_split_agrees_with_plain_solve(self, seed, k):
-        rng = random.Random(seed)
-        cnf = _random_cnf(rng)
-        v = solve_with_cubes(cnf, k)
-        assert v.satisfiable == solve(cnf).satisfiable
-        if v.satisfiable:
-            assert verify_model(cnf, v.model)
-        else:
-            assert check_certificate(cnf, v.certificate)
-
-    def test_zero_cubes_degenerates_to_solve(self):
-        cnf = Cnf.of([Clause.of(1)], 1)
-        assert solve_with_cubes(cnf, 0) == solve(cnf)
 
 
 class TestCertificates:

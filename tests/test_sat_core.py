@@ -20,7 +20,6 @@ from bruteforge.sat import (
     MalformedCertificateError,
     check_certificate,
     solve,
-    solve_with_cubes,
     truth_table_satisfiable,
     unit_propagate,
     verify_model,
@@ -70,7 +69,6 @@ def _digest(text):
 
 RANDOM_VERDICTS = "usussusuussussuusususussssususssusssussussssssusussussssusss"
 RANDOM_DIGEST = "ec84ae176e2d3e8cad94ee33765b54f0e000763649a4010b945ebb927524493e"
-CUBES_DIGEST = "89054d5300cefab44cf7fbbcfada0d7c691642c808d3212d64a5da89ae7cc525"
 NAMED_DIGESTS = {
     "php-4-3": "1cee574925faa8c93b275b0048c9b5b7d2452d31d9e28d3d0e25b926b36325ff",
     "php-5-4": "e2d9010e55d8213daeede20e9bc96b143acc50ebb66b68ef76e61b1e7b0f78bc",
@@ -99,13 +97,6 @@ class TestGolden:
             whole.update(_digest(_artifact(cnf, v)).encode())
         assert verdicts == RANDOM_VERDICTS
         assert whole.hexdigest() == RANDOM_DIGEST
-
-    def test_cube_artifacts(self):
-        whole = hashlib.sha256()
-        for cnf in _random_family()[:10]:
-            for k in (1, 2, 3):
-                whole.update(_digest(_artifact(cnf, solve_with_cubes(cnf, k))).encode())
-        assert whole.hexdigest() == CUBES_DIGEST
 
     @pytest.mark.parametrize("name", sorted(NAMED_DIGESTS))
     def test_named_artifacts(self, name):
@@ -287,8 +278,7 @@ class TestNoRecursion:
         assert v.satisfiable
         assert v.model.is_total(20000)
 
-    def test_cubes_leave_recursion_limit_unchanged(self):
+    def test_solve_leaves_recursion_limit_unchanged(self):
         before = sys.getrecursionlimit()
-        solve_with_cubes(_php(4, 3), 3)
         solve(_php(4, 3))
         assert sys.getrecursionlimit() == before
