@@ -9,10 +9,11 @@ proofs are replayable step lists that check_proof validates.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .logic import (
     App,
@@ -21,6 +22,7 @@ from .logic import (
     ROBBINS_SIG,
     Term,
     Var,
+    _VAR_RE,
     format_term,
     parse_term,
     term_size,
@@ -221,7 +223,7 @@ def positions(t, prefix=()):
 
 def subterm_at(t, pos):
     for i in pos:
-        if isinstance(t, Var) or i >= len(t.args):
+        if isinstance(t, Var) or not 0 <= i < len(t.args):
             raise IndexError(f"no subterm at position {pos}")
         t = t.args[i]
     return t
@@ -230,7 +232,7 @@ def subterm_at(t, pos):
 def replace_at(t, pos, sub):
     if not pos:
         return sub
-    if isinstance(t, Var) or pos[0] >= len(t.args):
+    if isinstance(t, Var) or not 0 <= pos[0] < len(t.args):
         raise IndexError(f"no subterm at position {pos}")
     args = list(t.args)
     args[pos[0]] = replace_at(args[pos[0]], pos[1:], sub)
@@ -531,7 +533,10 @@ def parse_proof(text, signature):
         if sub_text != "-":
             for binding in sub_text.split(";"):
                 name, _, term_text = binding.partition("=")
-                subst[var_id(name.strip())] = parse_term(term_text, signature)
+                name = name.strip()
+                if not _VAR_RE.match(name):
+                    raise ProofStepError(f"line {lineno}: bad variable name {name!r}")
+                subst[var_id(name)] = parse_term(term_text, signature)
         steps.append(ProofStep(eq_id, pos, subst, direction))
     return EqProof(tuple(steps))
 
@@ -547,15 +552,16 @@ class Timeout:
     rewrites_attempted: int
 
 
-@dataclass
+@dataclass(eq=False, slots=True)
 class _Node:
+    """A term reached from the goal's left side, with the node it was reached
+    from and the step taken; `taken` marks it expanded (see prove)."""
+
     term: Term
     parent: object
     step: ProofStep | None
-    size: int = field(init=False)
-
-    def __post_init__(self):
-        self.size = term_size(self.term)
+    size: int
+    taken: bool = False
 
 
 def _ground_pool(goal, extra_terms=(), limit=6):
@@ -589,25 +595,80 @@ def _renamed_axioms(axioms, goal):
     return out, offset
 
 
-def _successors(t, axioms, pool, max_size, max_extra_vars=2):
+def _orientations(axioms, pool, max_extra_vars=2):
+    """The rewrites prove tries, as (eq_id, frm, to, direction, to_size,
+    shared, fills) for each axiom in both directions, in axiom order, lr
+    before rl.
+
+    shared lists (var, occurrences in to) for the variables of `to` that
+    matching `frm` binds.  The other variables of `to` are filled from the
+    ground pool: fills lists each such binding as ((var, term) pairs in
+    sorted variable order, size it adds to the instance of `to`).
+    Orientations that would need more than max_extra_vars fills are left out.
+    """
+    out = []
     for eq_id, eq in axioms.items():
         for frm, to, direction in ((eq.lhs, eq.rhs, "lr"), (eq.rhs, eq.lhs, "rl")):
             frm_vars = term_vars(frm)
             extra = sorted(term_vars(to) - frm_vars)
             if len(extra) > max_extra_vars:
                 continue
-            for pos, sub in positions(t):
-                sigma0 = match(frm, sub)
-                if sigma0 is None:
+            occurrences = {}
+            for _, sub in positions(to):
+                if isinstance(sub, Var):
+                    occurrences[sub.id] = occurrences.get(sub.id, 0) + 1
+            shared = [(v, n) for v, n in occurrences.items() if v in frm_vars]
+            fills = [
+                (
+                    tuple(zip(extra, fill)),
+                    sum(occurrences[v] * (term_size(u) - 1) for v, u in zip(extra, fill)),
+                )
+                for fill in itertools.product(pool, repeat=len(extra))
+            ]
+            out.append((eq_id, frm, to, direction, term_size(to), shared, fills))
+    return out
+
+
+def _successors(t, orientations, max_size):
+    """(step, term, size) for every one-step rewrite of t no larger than
+    max_size, one yield per rewrite attempted.
+
+    A successor's size is t's, minus the replaced subterm's, plus that of
+    the instance of `to`; the instance's size comes from the sizes of the
+    bindings, so only the successors that fit are built.
+    """
+    subterms = []  # (pos, subterm, size), preorder like positions(t)
+    size_of = {}  # id of each subterm object of t -> its size
+
+    def walk(u, pos):
+        i = len(subterms)
+        subterms.append(None)
+        size = 1
+        if isinstance(u, App):
+            for k, a in enumerate(u.args):
+                size += walk(a, pos + (k,))
+        subterms[i] = (pos, u, size)
+        size_of[id(u)] = size
+        return size
+
+    size = walk(t, ())
+    for eq_id, frm, to, direction, to_size, shared, fills in orientations:
+        for pos, sub, sub_size in subterms:
+            sigma0 = match(frm, sub)
+            if sigma0 is None:
+                continue
+            # match binds variables to subterm objects of t itself
+            base = size - sub_size + to_size
+            for v, n in shared:
+                base += n * (size_of[id(sigma0[v])] - 1)
+            for fill, fill_size in fills:
+                new_size = base + fill_size
+                if new_size > max_size:
                     continue
-                for fill in itertools.product(pool, repeat=len(extra)):
-                    sigma = dict(sigma0)
-                    sigma.update(zip(extra, fill))
-                    new_sub = apply_subst(to, sigma)
-                    new_term = replace_at(t, pos, new_sub)
-                    if term_size(new_term) > max_size:
-                        continue
-                    yield ProofStep(eq_id, pos, sigma, direction), new_term
+                sigma = dict(sigma0)
+                sigma.update(fill)
+                new_term = replace_at(t, pos, apply_subst(to, sigma))
+                yield ProofStep(eq_id, pos, sigma, direction), new_term, new_size
 
 
 def prove(goal, axioms, max_expansions=5000, max_seconds=None, size_margin=8,
@@ -617,16 +678,22 @@ def prove(goal, axioms, max_expansions=5000, max_seconds=None, size_margin=8,
     Explores terms reachable from goal.lhs by equational steps, dovetailing
     by age and by weight (term size): out of every `age_weight_ratio` + 1
     selections, one is the oldest frontier node and the rest are the
-    smallest.  Returns an EqProof (always check_proof-valid) or Timeout
-    with counters.
+    smallest, oldest first among equals.  The frontier is kept twice, in
+    generation order and in a heap on (size, generation), so each selection
+    costs O(log n) in the frontier size n; a node taken through one view is
+    skipped when it comes up in the other.  Proof steps use non-negative
+    argument positions.  Returns an EqProof (always check_proof-valid) or
+    Timeout with counters.
     """
     axioms_r, offset = _renamed_axioms(axioms, goal)
-    pool = _ground_pool(goal)
+    orientations = _orientations(axioms_r, _ground_pool(goal))
     max_size = max(term_size(goal.lhs), term_size(goal.rhs)) + size_margin
     start = time.monotonic()
 
-    root = _Node(goal.lhs, None, None)
-    frontier = deque([root])
+    root = _Node(goal.lhs, None, None, term_size(goal.lhs))
+    by_age = deque([root])
+    by_weight = [(root.size, 0, root)]
+    untaken = 1
     visited = {goal.lhs}
     generated = 0
     rewrites = 0
@@ -647,7 +714,7 @@ def prove(goal, axioms, max_expansions=5000, max_seconds=None, size_margin=8,
     if goal.lhs == goal.rhs:
         return EqProof(())
 
-    while frontier:
+    while untaken:
         expansions += 1
         if expansions > max_expansions:
             return Timeout(generated, rewrites)
@@ -655,20 +722,28 @@ def prove(goal, axioms, max_expansions=5000, max_seconds=None, size_margin=8,
             return Timeout(generated, rewrites)
         tick += 1
         if tick % (age_weight_ratio + 1) == 0:
-            node = frontier.popleft()  # by age
+            node = by_age.popleft()
+            while node.taken:
+                node = by_age.popleft()
         else:
-            node = min(frontier, key=lambda nd: nd.size)  # by weight
-            frontier.remove(node)
-        for step, new_term in _successors(node.term, axioms_r, pool, max_size):
+            node = heapq.heappop(by_weight)[2]
+            while node.taken:
+                node = heapq.heappop(by_weight)[2]
+        node.taken = True
+        untaken -= 1
+        for step, new_term, new_size in _successors(node.term, orientations, max_size):
             rewrites += 1
-            if new_term in visited:
+            seen = len(visited)
+            visited.add(new_term)  # one hash of new_term, not two
+            if len(visited) == seen:
                 continue
-            visited.add(new_term)
             generated += 1
-            child = _Node(new_term, node, step)
+            child = _Node(new_term, node, step, new_size)
             if new_term == goal.rhs:
                 return build_proof(child)
-            frontier.append(child)
+            by_age.append(child)
+            heapq.heappush(by_weight, (new_size, generated, child))
+            untaken += 1
     return Timeout(generated, rewrites)
 
 

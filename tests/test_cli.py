@@ -195,6 +195,25 @@ class TestEq:
                          "--goal", "x v x = x")
         assert result.returncode == 1
 
+    GOAL = "z v (x v y) = z v (y v x)"
+
+    def test_check_rejects_negative_position(self, tmp_path):
+        proof = tmp_path / "p.prf"
+        proof.write_text("B2 -1 - lr\n")
+        result = run_cli("eq", "check", str(proof), "--axioms", "boolean", "--goal", self.GOAL)
+        assert result.returncode == 1
+        assert "proof invalid" in result.stdout
+        proof.write_text("B2 1 - lr\n")
+        result = run_cli("eq", "check", str(proof), "--axioms", "boolean", "--goal", self.GOAL)
+        assert result.returncode == 0
+
+    def test_check_rejects_bad_binding_name(self, tmp_path):
+        proof = tmp_path / "p.prf"
+        proof.write_text("B2 1 q=1 lr\n")
+        result = run_cli("eq", "check", str(proof), "--axioms", "boolean", "--goal", self.GOAL)
+        assert result.returncode == 2
+        assert result.stderr == "error: line 1: bad variable name 'q'\n"
+
     def test_prove_timeout_is_negative_result(self):
         result = run_cli("eq", "prove", "--axioms", "robbins",
                          "--goal", "-(x) v x = x", "--budget", "50")

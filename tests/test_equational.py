@@ -1,5 +1,7 @@
+import hashlib
 import itertools
 import random
+from collections import deque
 
 import pytest
 
@@ -12,10 +14,13 @@ from bruteforge.logic import (
     format_term,
     parse_term,
     term_size,
+    term_vars,
     with_constants,
 )
 from bruteforge import equational
 from bruteforge.equational import (
+    AXIOM_SETS,
+    AXIOM_SIGNATURES,
     BOOLEAN_AXIOMS,
     CompletionBudgetExhausted,
     EqProof,
@@ -48,7 +53,9 @@ from bruteforge.equational import (
     positions,
     prove,
     prove_exists,
+    replace_at,
     rewrite,
+    subterm_at,
     superpose,
 )
 
@@ -299,6 +306,24 @@ class TestProofChecking:
         with pytest.raises(ProofStepError):
             apply_step(_bt("a"), ProofStep("Z9", (), {}, "lr"), BOOLEAN_AXIOMS)
 
+    @pytest.mark.parametrize("pos", [(-1,), (1, -2)])
+    def test_negative_positions_do_not_exist(self, pos):
+        t = _bt("a v (a v b)")
+        with pytest.raises(IndexError):
+            subterm_at(t, pos)
+        with pytest.raises(IndexError):
+            replace_at(t, pos, _bt("b"))
+
+    def test_negative_position_step_rejected(self):
+        # with Python indexing, -1 would name the last argument, (x v y)
+        goal = Equation(_bt("z v (x v y)", BOOLEAN_SIG), _bt("z v (y v x)", BOOLEAN_SIG))
+        proof = parse_proof("B2 -1 - lr\n", BOOLEAN_SIG)
+        diagnostics = []
+        assert not check_proof(proof, BOOLEAN_AXIOMS, goal, diagnostics)
+        assert diagnostics and "bad position" in diagnostics[0]
+        fixed = parse_proof("B2 1 - lr\n", BOOLEAN_SIG)
+        assert check_proof(fixed, BOOLEAN_AXIOMS, goal)
+
     def test_wrong_final_term_diagnosed(self):
         goal = Equation(_bt("a v a"), _bt("b"))
         diagnostics = []
@@ -325,6 +350,15 @@ class TestProofFiles:
     def test_bad_direction(self):
         with pytest.raises(ProofStepError):
             parse_proof("B2 - - sideways\n", BOOL_A)
+
+    @pytest.mark.parametrize("binding", ["y5=a", "q7=a", "q=1", "X=a", "x-1=a", "=a"])
+    def test_binding_names_follow_the_variable_grammar(self, binding):
+        with pytest.raises(ProofStepError, match="line 2: bad variable name"):
+            parse_proof(f"# header\nB2 - {binding} lr\n", BOOL_A)
+
+    def test_every_variable_name_binds(self):
+        proof = parse_proof("B1 - x=a; y=b; z=a; x0=b; x12=a lr\n", BOOL_A)
+        assert sorted(proof.steps[0].subst) == [0, 1, 2, 3, 15]
 
     def test_too_few_fields(self):
         with pytest.raises(ProofStepError):
@@ -442,3 +476,185 @@ class TestGroundEnumeration:
         terms = enumerate_ground_terms(GROUP_A, 2)
         assert App("a") in terms and App("e") in terms
         assert App("i", (App("e"),)) in terms
+
+
+# --- golden search outcomes --------------------------------------------------
+
+
+def _golden_walk(t, rng, axioms, steps, max_size):
+    """t after up to `steps` seeded apply_step moves that keep it small."""
+    for _ in range(steps):
+        subterms = [s for _, s in positions(t)]
+        options = []
+        for eq_id in sorted(axioms):
+            e = axioms[eq_id]
+            for frm, to, direction in ((e.lhs, e.rhs, "lr"), (e.rhs, e.lhs, "rl")):
+                extra = sorted(term_vars(to) - term_vars(frm))
+                for pos, sub in positions(t):
+                    sigma = match(frm, sub)
+                    if sigma is not None:
+                        options.append((eq_id, pos, sigma, direction, extra))
+        rng.shuffle(options)
+        for eq_id, pos, sigma, direction, extra in options:
+            sigma = dict(sigma)
+            for v in extra:
+                sigma[v] = rng.choice(subterms)
+            new = apply_step(t, ProofStep(eq_id, pos, sigma, direction), axioms)
+            if term_size(new) <= max_size:
+                t = new
+                break
+    return t
+
+
+def _golden_goals(name, pairs=8, walks=8):
+    """Seeded goals over one axiom set: pairs of enumerated terms (almost all
+    unprovable, so their Timeout counters pin how far the search got) and
+    short axiom walks (provable)."""
+    axioms, sig = AXIOM_SETS[name], AXIOM_SIGNATURES[name]
+    rng = random.Random(f"golden-{name}")
+    terms = enumerate_ground_terms(sig, 4, variables=(Var(0), Var(1)))
+    goals = [Equation(*rng.sample(terms, 2)) for _ in range(pairs)]
+    for _ in range(walks):
+        t0 = rng.choice(terms[len(terms) // 3:])
+        goals.append(Equation(t0, _golden_walk(
+            t0, rng, axioms, rng.randrange(1, 4), term_size(t0) + 3)))
+    return goals
+
+
+def _outcome(result):
+    """The artifact a search leaves: proof text, witness plus proof text, or
+    the Timeout counters."""
+    if isinstance(result, EqProof):
+        return format_proof(result)
+    if isinstance(result, WitnessResult):
+        witness = "; ".join(f"{v}={format_term(t)}" for v, t in sorted(result.witness.items()))
+        return f"witness {witness}\n{format_proof(result.proof)}"
+    return f"timeout {result.equations_generated} {result.rewrites_attempted}\n"
+
+
+def _digest(outcomes):
+    return hashlib.sha256("".join(outcomes).encode()).hexdigest()
+
+
+def _list_scan_prove(goal, axioms, max_expansions, expanded):
+    """prove with the list-scan frontier it replaced, kept as the reference:
+    the weight pick is min() over the generation-ordered deque followed by
+    deque.remove, and every successor's size is computed from scratch.
+    Appends each expanded term to `expanded`."""
+    axioms_r, offset = equational._renamed_axioms(axioms, goal)
+    pool = equational._ground_pool(goal)
+    max_size = max(term_size(goal.lhs), term_size(goal.rhs)) + 8
+
+    def successors(t):
+        for eq_id, eq in axioms_r.items():
+            for frm, to, direction in ((eq.lhs, eq.rhs, "lr"), (eq.rhs, eq.lhs, "rl")):
+                extra = sorted(term_vars(to) - term_vars(frm))
+                if len(extra) > 2:
+                    continue
+                for pos, sub in positions(t):
+                    sigma0 = match(frm, sub)
+                    if sigma0 is None:
+                        continue
+                    for fill in itertools.product(pool, repeat=len(extra)):
+                        sigma = dict(sigma0)
+                        sigma.update(zip(extra, fill))
+                        new_term = replace_at(t, pos, apply_subst(to, sigma))
+                        if term_size(new_term) <= max_size:
+                            yield ProofStep(eq_id, pos, sigma, direction), new_term
+
+    if goal.lhs == goal.rhs:
+        return EqProof(())
+    # nodes are [term, parent, step, size]; identity is what deque.remove finds
+    frontier = deque([[goal.lhs, None, None, term_size(goal.lhs)]])
+    visited = {goal.lhs}
+    generated = rewrites = expansions = tick = 0
+    while frontier:
+        expansions += 1
+        if expansions > max_expansions:
+            return Timeout(generated, rewrites)
+        tick += 1
+        if tick % 5 == 0:
+            node = frontier.popleft()
+        else:
+            node = min(frontier, key=lambda nd: nd[3])
+            frontier.remove(node)
+        expanded.append(node[0])
+        for step, new_term in successors(node[0]):
+            rewrites += 1
+            if new_term in visited:
+                continue
+            visited.add(new_term)
+            generated += 1
+            child = [new_term, node, step, term_size(new_term)]
+            if new_term == goal.rhs:
+                steps = []
+                while child[2] is not None:
+                    s = child[2]
+                    subst = {v - offset: t for v, t in s.subst.items()}
+                    steps.append(ProofStep(s.eq_id, s.pos, subst, s.direction))
+                    child = child[1]
+                return EqProof(tuple(reversed(steps)))
+            frontier.append(child)
+    return Timeout(generated, rewrites)
+
+
+class TestProveGolden:
+    """Pins the search itself: which proof is found first, and how far a
+    failed search got, must not move when the frontier or the successor
+    bookkeeping is reworked."""
+
+    BUDGETS = (30, 120)
+    # SHA-256 of the concatenated outcomes of _golden_goals(name) at each
+    # budget, computed with the list-scan frontier
+    DIGESTS = {
+        ("boolean", 30): "3ba3190f261c57fa199c67e8a530ad9843f10411bc5f225c2fc8f54577212c6c",
+        ("group", 30): "f8f4ee69138fa72a640cbd74e62423247c8d9778bb7ccbcee2a4a0fa1d87a5a0",
+        ("robbins", 30): "95e8f99e8a0ed3d7d28a38826d309a026f9d054ae5174d9b03331a367b2694b9",
+        ("boolean", 120): "afe5de20353b2fb60a8d844939533e446ad7547b1cbeae21ee9132a8a7121b89",
+        ("group", 120): "ed1dc9adfbc15cedad475675557958fd6c5cf19a5f58a589dff5786ba3290785",
+        ("robbins", 120): "9aac8b2e82dc725403b214e15bca16b74bda189410613e146be7ca1642ca5033",
+    }
+    EXISTS_GOALS = ("x v y = x", "x ^ y = x", "x v y = 1", "x ^ y = 0", "x v y = -x")
+    # four witnesses found, and a Timeout after five candidates
+    EXISTS_DIGEST = "eca26b3952925fe62be09621190c569664197bce2f7fb1208cbfd6daa7cbb1a8"
+
+    @pytest.mark.parametrize("name", ["boolean", "group", "robbins"])
+    @pytest.mark.parametrize("budget", BUDGETS)
+    def test_outcomes_are_pinned(self, name, budget):
+        outcomes = [
+            _outcome(prove(goal, AXIOM_SETS[name], max_expansions=budget))
+            for goal in _golden_goals(name)
+        ]
+        assert _digest(outcomes) == self.DIGESTS[name, budget]
+
+    def test_exists_outcomes_are_pinned(self):
+        outcomes = []
+        for text in self.EXISTS_GOALS:
+            lhs, _, rhs = text.partition("=")
+            goal = Equation(parse_term(lhs, BOOLEAN_SIG), parse_term(rhs, BOOLEAN_SIG))
+            outcomes.append(_outcome(prove_exists(
+                goal, BOOLEAN_AXIOMS, BOOLEAN_SIG, max_candidates=5,
+                per_candidate_expansions=60)))
+        assert _digest(outcomes) == self.EXISTS_DIGEST
+
+    def test_same_expansion_order_as_list_scan(self, monkeypatch):
+        expanded = []
+        successors = equational._successors
+
+        def recording(t, *args):
+            expanded.append(t)
+            return successors(t, *args)
+
+        monkeypatch.setattr(equational, "_successors", recording)
+        cases = [(goal, AXIOM_SETS[name]) for name in ("boolean", "group", "robbins")
+                 for goal in _golden_goals(name)]
+        # the frontier empties under the size bound before the budget is hit
+        cases.append((Equation(App("v", (T1, T2)), T1), ROBBINS_AXIOMS))
+        cases.append((Equation(_bt("a"), _bt("b")), {}))
+        for goal, axioms in cases:
+            expanded.clear()
+            result = prove(goal, axioms, max_expansions=30)
+            reference = []
+            expected = _list_scan_prove(goal, axioms, 30, reference)
+            assert _outcome(result) == _outcome(expected), str(goal)
+            assert expanded == reference, str(goal)
