@@ -6,8 +6,9 @@ self-check failed (a bug, not an input fault).  All output files
 are written atomically (temp file + rename).  Machine logs are JSON lines;
 human summaries go to standard output.
 
-Environment: BRUTEFORGE_JOBS sets the default --jobs value; CAPSET_GENERATOR
-supplies an external generator command for `capset evolve`.
+Environment: BRUTEFORGE_JOBS sets the evolve worker count when --jobs is
+not given, over a config file's `jobs` key; CAPSET_GENERATOR supplies an
+external generator command for `capset evolve`.
 """
 
 from __future__ import annotations
@@ -47,11 +48,11 @@ def _require_file(parser, path):
         parser.error(f"no such file: {path}")
 
 
-def _default_jobs():
+def _env_jobs():
     try:
-        return max(1, int(os.environ.get("BRUTEFORGE_JOBS", "1")))
-    except ValueError:
-        return 1
+        return int(os.environ["BRUTEFORGE_JOBS"])
+    except (KeyError, ValueError):
+        return None
 
 
 # --- sat -------------------------------------------------------------------
@@ -63,11 +64,15 @@ def _cmd_sat_solve(args, parser):
         cnf = parse_dimacs(handle.read())
     verdict = sat.solve(cnf)
     if verdict.satisfiable:
+        if not sat.verify_model(cnf, verdict.model):
+            raise VerificationError("model does not satisfy every clause")
         print("SATISFIABLE")
         if args.model:
             lits = [v if verdict.model.values[v] else -v for v in range(1, cnf.num_vars + 1)]
             _atomic_write(args.model, " ".join(str(l) for l in lits) + " 0\n")
         return EXIT_OK
+    if not sat.check_certificate(cnf, verdict.certificate):
+        raise VerificationError("certificate does not check")
     print("UNSATISFIABLE")
     if args.cert:
         _atomic_write(args.cert, verdict.certificate.to_text())
@@ -138,6 +143,8 @@ def _cmd_capset_verify(args, parser):
 def _cmd_capset_greedy(args, parser):
     expr = priority.parse_expr(args.expr)
     chosen = priority.greedy(expr, args.n)
+    if not capset.is_cap(chosen):
+        raise VerificationError("greedy set is not a cap")
     print(f"greedy cap size {len(chosen)} for n={args.n}")
     if args.output:
         _atomic_write(args.output, capset.format_capset(chosen))
@@ -162,12 +169,17 @@ def _cmd_capset_evolve(args, parser):
     config.seed = args.seed if args.seed is not None else config.seed
     if args.evals is not None:
         config.eval_budget = args.evals
-    config.jobs = args.jobs
+    # --jobs, then BRUTEFORGE_JOBS, then the config file; the log does not
+    # depend on the worker count, so clamping it changes no artifact
+    jobs = args.jobs if args.jobs is not None else _env_jobs()
+    config.jobs = max(1, min(config.jobs if jobs is None else jobs, os.cpu_count() or 1))
     generator_command = args.generator_command or os.environ.get("CAPSET_GENERATOR")
     if generator_command:
         config.generator = "external"
         config.generator_command = generator_command
     best, records = evolve.evolve(config)
+    if priority.score(best.expr, config.n) != best.score:
+        raise VerificationError(f"best expression does not re-score to {best.score}")
     if args.log:
         _atomic_write(
             args.log, "".join(evolve.record_to_json(r) + "\n" for r in records)
@@ -316,6 +328,8 @@ def _cmd_eq_complete(args, parser):
     except equational.CompletionBudgetExhausted as exc:
         print(f"budget exhausted with {len(exc.partial_rules)} partial rules")
         return EXIT_NEGATIVE
+    if not equational.critical_pairs_join(rules):
+        raise VerificationError("a critical pair of the completed rules does not join")
     for rule in rules:
         print(rule)
     return EXIT_OK
@@ -388,7 +402,7 @@ def build_parser():
     p.add_argument("--log", help="write the JSON-lines run log here")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--evals", type=int, default=None, help="evaluation budget")
-    p.add_argument("--jobs", type=int, default=_default_jobs())
+    p.add_argument("--jobs", type=int, help="worker processes (or BRUTEFORGE_JOBS)")
     p.add_argument("--generator-command", help="external generator (or CAPSET_GENERATOR)")
     p.set_defaults(handler=_cmd_capset_evolve)
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import re
 import time
 from collections import deque
 from dataclasses import dataclass
@@ -515,6 +516,10 @@ def format_proof(proof):
     return "\n".join(lines) + "\n"
 
 
+# a negative index parses, so that replaying the step reports it
+_POSITION_RE = re.compile(r"-?[0-9]+(\.-?[0-9]+)*")
+
+
 def parse_proof(text, signature):
     steps = []
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -528,7 +533,12 @@ def parse_proof(text, signature):
         sub_text = " ".join(parts[2:-1])
         if direction not in ("lr", "rl"):
             raise ProofStepError(f"line {lineno}: bad direction {direction!r}")
-        pos = () if pos_text == "-" else tuple(int(p) for p in pos_text.split("."))
+        if pos_text == "-":
+            pos = ()
+        elif _POSITION_RE.fullmatch(pos_text):
+            pos = tuple(int(p) for p in pos_text.split("."))
+        else:
+            raise ProofStepError(f"line {lineno}: bad position {pos_text!r}")
         subst = {}
         if sub_text != "-":
             for binding in sub_text.split(";"):

@@ -23,13 +23,15 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .logic import MAX_PARSE_DEPTH
+from .logic import ParseError, Tokens
 
 FORALL = "all"
 EXISTS = "ex"
 
+_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 
-class FormulaSyntaxError(ValueError):
+
+class FormulaSyntaxError(ParseError):
     pass
 
 
@@ -91,24 +93,6 @@ class HierarchyClass:
 DELTA0 = HierarchyClass("Delta0")
 
 
-def _rename(f, old, new):
-    """Rename free occurrences of variable `old` to `new`."""
-    if isinstance(f, Atom):
-        return Atom(f.name, tuple(new if a == old else a for a in f.args))
-    if isinstance(f, Not):
-        return Not(_rename(f.body, old, new))
-    if isinstance(f, (And, Or, Implies)):
-        return type(f)(_rename(f.left, old, new), _rename(f.right, old, new))
-    if isinstance(f, Quant):
-        bound = f.bound
-        if bound is not None:
-            bound = re.sub(rf"\b{re.escape(old)}\b", new, bound)
-        if f.var == old:
-            return Quant(f.kind, f.var, bound, f.body)
-        return Quant(f.kind, f.var, bound, _rename(f.body, old, new))
-    raise TypeError(f"not a formula: {f!r}")
-
-
 def free_vars(f):
     if isinstance(f, Atom):
         return set(f.args)
@@ -119,7 +103,7 @@ def free_vars(f):
     if isinstance(f, Quant):
         out = free_vars(f.body) - {f.var}
         if f.bound is not None:
-            out |= set(re.findall(r"[A-Za-z_]\w*", f.bound))
+            out |= set(_NAME_RE.findall(f.bound))
         return out
     raise TypeError(f"not a formula: {f!r}")
 
@@ -166,18 +150,30 @@ def _pull(f):
     raise TypeError(f"not a formula: {f!r}")
 
 
+def _bounded_vars(f):
+    """Variables bound by the bounded quantifiers of f."""
+    if isinstance(f, Atom):
+        return set()
+    if isinstance(f, Not):
+        return _bounded_vars(f.body)
+    if isinstance(f, (And, Or)):
+        return _bounded_vars(f.left) | _bounded_vars(f.right)
+    inner = _bounded_vars(f.body)
+    return inner | {f.var} if f.bound is not None else inner
+
+
 def prenexify(f):
     """Canonical prenex form: unbounded quantifiers outermost, renamed q0..qk.
 
     Idempotent; logically equivalent under classical semantics.  Bounded
-    quantifiers are treated as matrix and never pulled out.
+    quantifiers are treated as matrix and never pulled out.  The canonical
+    names avoid the free variables and the variables of bounded quantifiers,
+    so no renamed variable is captured.
     """
     g = _expand_implies(f)
     prefix = _pull(g)
 
-    # rebuild by repeatedly extracting the leftmost pullable quantifier,
-    # renaming it canonically
-    taken = free_vars(g)
+    taken = free_vars(g) | _bounded_vars(g)
     names = []
     for k, _ in prefix:
         i = len(names)
@@ -188,26 +184,24 @@ def prenexify(f):
             i += 1
         names.append(candidate)
         taken.add(candidate)
+    fresh = iter(names)
 
     def strip(h, renames):
-        """Remove pulled quantifiers in prefix order, applying renames."""
-        if isinstance(h, (Atom,)):
-            return h
+        """h without its unbounded quantifiers, which are taken in prefix
+        order; `renames` maps each variable in scope to its new name."""
+        if isinstance(h, Atom):
+            return Atom(h.name, tuple(renames.get(a, a) for a in h.args))
         if isinstance(h, Not):
             return Not(strip(h.body, renames))
         if isinstance(h, (And, Or)):
             return type(h)(strip(h.left, renames), strip(h.right, renames))
-        if isinstance(h, Quant):
-            if h.bound is not None:
-                return h
-            new = renames.pop(0)
-            body = _rename(h.body, h.var, new)
-            return strip(body, renames)
-        raise TypeError(f"not a formula: {h!r}")
+        if h.bound is None:
+            return strip(h.body, {**renames, h.var: next(fresh)})
+        bound = _NAME_RE.sub(lambda m: renames.get(m.group(), m.group()), h.bound)
+        inner = {old: new for old, new in renames.items() if old != h.var}
+        return Quant(h.kind, h.var, bound, strip(h.body, inner))
 
-    renames = list(names)
-    matrix = strip(g, renames)
-    out = matrix
+    out = strip(g, {})
     for (kind, _), name in zip(reversed(prefix), reversed(names)):
         out = Quant(kind, name, None, out)
     return out
@@ -233,124 +227,77 @@ def classify(f):
 _CONNECTIVES = {"->": (0, Implies), "|": (1, Or), "&": (2, And)}
 
 _TOKEN_RE = re.compile(
-    r"\s*(->|[()&|~.,<]|[A-Za-z_]\w*|[0-9^+*-]+)"
+    r"\s*(->|[()&|~.,<]|[A-Za-z_][A-Za-z_0-9]*|[0-9^+*-]+)"
 )
-
-
-def _tokenize(text):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        if text[pos].isspace():
-            pos += 1
-            continue
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            raise FormulaSyntaxError(f"bad character at position {pos}: {text[pos]!r}")
-        tokens.append(m.group(1))
-        pos = m.end()
-    return tokens
 
 
 def parse_formula(text):
     """Parse formula text; rejects trees, and nesting of brackets and
     quantifier bodies, deeper than MAX_PARSE_DEPTH."""
-    tokens = _tokenize(text)
-    pos = 0
-
-    def peek():
-        return tokens[pos] if pos < len(tokens) else None
-
-    def take(expected=None):
-        nonlocal pos
-        if pos >= len(tokens):
-            raise FormulaSyntaxError("unexpected end of input")
-        tok = tokens[pos]
-        if expected is not None and tok != expected:
-            raise FormulaSyntaxError(f"expected {expected!r}, got {tok!r}")
-        pos += 1
-        return tok
-
-    def deeper(depth):
-        if depth >= MAX_PARSE_DEPTH:
-            raise FormulaSyntaxError(f"formula deeper than {MAX_PARSE_DEPTH} levels")
-        return depth + 1
+    tokens = Tokens(text, _TOKEN_RE, FormulaSyntaxError)
 
     # precedence climbing over "->", "|" and "&": each parser returns
-    # (formula, depth of its tree), and `nesting` counts the enclosing
+    # (formula, depth of its tree), and `level` counts the enclosing
     # brackets and quantifier bodies, the only recursion not bounded by
     # precedence; a chain of "->" is folded to the right once it ends
-    def parse_binary(min_prec, nesting):
-        left, depth = parse_unary(nesting)
+    def parse_binary(min_prec, level):
+        left, depth = parse_unary(level)
         implications = []
-        while peek() in _CONNECTIVES and _CONNECTIVES[peek()][0] >= min_prec:
-            prec, node = _CONNECTIVES[take()]
-            right, right_depth = parse_binary(prec + 1, nesting)
+        while tokens.peek() in _CONNECTIVES and _CONNECTIVES[tokens.peek()][0] >= min_prec:
+            prec, node = _CONNECTIVES[tokens.take()]
+            right, right_depth = parse_binary(prec + 1, level)
             if node is Implies:
                 implications.append((left, depth))
                 left, depth = right, right_depth
             else:
-                left, depth = node(left, right), deeper(max(depth, right_depth))
+                left, depth = node(left, right), tokens.deeper(depth, right_depth)
         for premise, premise_depth in reversed(implications):
-            left, depth = Implies(premise, left), deeper(max(premise_depth, depth))
+            left, depth = Implies(premise, left), tokens.deeper(premise_depth, depth)
         return left, depth
 
-    def parse_unary(nesting):
-        negations = 0
-        while peek() == "~":
-            take()
-            negations += 1
-        tok = peek()
-        if tok in ("(", FORALL, EXISTS) and nesting >= MAX_PARSE_DEPTH:
-            raise FormulaSyntaxError(f"formula nested deeper than {MAX_PARSE_DEPTH} levels")
-        if tok == "(":
-            take()
-            f, depth = parse_binary(0, nesting + 1)
-            take(")")
-        elif tok in (FORALL, EXISTS):
-            kind, var, bound = parse_quant_prefix()
-            body, depth = parse_binary(0, nesting + 1)
-            f, depth = Quant(kind, var, bound, body), deeper(depth)
+    def parse_unary(level):
+        negations = tokens.skip("~")
+        if tokens.peek() == "(":
+            tokens.take()
+            f, depth = parse_binary(0, tokens.nested(level))
+            tokens.take(")")
+        elif tokens.peek() in (FORALL, EXISTS):
+            kind, var, bound = tokens.take(), tokens.take(), None
+            if not _NAME_RE.fullmatch(var):
+                raise tokens.fail(f"bad variable name {var!r}")
+            if tokens.peek() == "<":
+                tokens.take()
+                # the bound is an arbitrary term; consume tokens up to the "."
+                parts = []
+                while tokens.peek() not in (None, "."):
+                    parts.append(tokens.take())
+                if not parts:
+                    raise tokens.fail("empty quantifier bound")
+                bound = "".join(parts)
+            tokens.take(".")
+            body, depth = parse_binary(0, tokens.nested(level))
+            f, depth = Quant(kind, var, bound, body), tokens.deeper(depth)
         else:
             f, depth = parse_atom(), 1
         for _ in range(negations):
-            f, depth = Not(f), deeper(depth)
+            f, depth = Not(f), tokens.deeper(depth)
         return f, depth
 
-    def parse_quant_prefix():
-        kind = take()
-        var = take()
-        if not re.match(r"^[A-Za-z_]\w*$", var):
-            raise FormulaSyntaxError(f"bad variable name {var!r}")
-        bound = None
-        if peek() == "<":
-            take()
-            # the bound is an arbitrary term; consume tokens up to the "."
-            parts = []
-            while peek() is not None and peek() != ".":
-                parts.append(take())
-            if not parts:
-                raise FormulaSyntaxError("empty quantifier bound")
-            bound = "".join(parts)
-        take(".")
-        return kind, var, bound
-
     def parse_atom():
-        name = take()
-        if not re.match(r"^[A-Za-z_]\w*$", name):
-            raise FormulaSyntaxError(f"bad atom name {name!r}")
+        name = tokens.take()
+        if not _NAME_RE.fullmatch(name):
+            raise tokens.fail(f"bad atom name {name!r}")
         args = ()
-        if peek() == "(":
-            take()
-            parts = [take()]
-            while peek() == ",":
-                take()
-                parts.append(take())
-            take(")")
+        if tokens.peek() == "(":
+            tokens.take()
+            parts = [tokens.take()]
+            while tokens.peek() == ",":
+                tokens.take()
+                parts.append(tokens.take())
+            tokens.take(")")
             args = tuple(parts)
         return Atom(name, args)
 
     f, _ = parse_binary(0, 1)
-    if pos < len(tokens):
-        raise FormulaSyntaxError(f"trailing input {tokens[pos]!r}")
+    tokens.expect_end()
     return f

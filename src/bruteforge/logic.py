@@ -14,6 +14,13 @@ Term grammar (EBNF, ASCII rendering of the usual connectives):
 
 "-" is negation, "v" disjunction, "^" conjunction, "*" a generic binary
 operation (group multiplication).  Variable ids: x=0, y=1, z=2, xN=3+N.
+
+The parsers of all three grammars (terms here, formulas in `hierarchy`,
+priority expressions in `priority`) read their text through one `Tokens`
+cursor: it splits the text with the grammar's token pattern, reports every
+syntax error as the grammar's `ParseError` subclass with the position
+where parsing failed, and is the one place that enforces MAX_PARSE_DEPTH.
+Token patterns accept ASCII letters and digits only.
 """
 
 from __future__ import annotations
@@ -22,12 +29,17 @@ import re
 from dataclasses import dataclass, field
 
 
-class TermSyntaxError(ValueError):
-    """Raised on malformed term text; carries the offending position."""
+class ParseError(ValueError):
+    """Malformed text in one of the grammars; `pos` is the offset in the
+    text where parsing failed, or None where no single token is to blame."""
 
-    def __init__(self, message, pos):
-        super().__init__(f"{message} (at position {pos})")
+    def __init__(self, message, pos=None):
+        super().__init__(message if pos is None else f"{message} (at position {pos})")
         self.pos = pos
+
+
+class TermSyntaxError(ParseError):
+    """Raised on malformed term text."""
 
 
 class UnknownSymbolError(ValueError):
@@ -76,7 +88,7 @@ def with_constants(signature, *names):
     return sig
 
 
-_VAR_RE = re.compile(r"^(x|y|z|x\d+)$")
+_VAR_RE = re.compile(r"^(x|y|z|x[0-9]+)$")
 
 _BINOPS = {"v": 1, "^": 2, "*": 2}  # symbol -> precedence
 
@@ -102,107 +114,130 @@ def var_name(vid):
     return f"x{vid - 3}"
 
 
-def _tokenize(text):
-    tokens = []
-    i = 0
-    while i < len(text):
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c in "()-,^*":
-            tokens.append((c, i))
-            i += 1
-            continue
-        m = re.match(r"[A-Za-z_]\w*|\d+", text[i:])
-        if not m:
-            raise TermSyntaxError(f"unexpected character {c!r}", i)
-        tokens.append((m.group(0), i))
-        i += len(m.group(0))
-    return tokens
+class Tokens:
+    """Cursor over the tokens of one text, shared by the three parsers.
+
+    `pattern` matches optional whitespace and then one token as group 1;
+    `error` is the grammar's ParseError subclass, raised with the position
+    of the token at fault.  `deeper` gives the depth of a new tree node and
+    `nested` the level inside a new bracket (the top level is 1), and both
+    reject what goes past MAX_PARSE_DEPTH, so a parser's recursion is
+    bounded by the levels it passes down.
+    """
+
+    def __init__(self, text, pattern, error):
+        self.error = error
+        self.tokens, self.starts = [], []
+        pos, end = 0, len(text.rstrip())
+        while pos < end:
+            m = pattern.match(text, pos)
+            if m is None:
+                pos = len(text) - len(text[pos:].lstrip())
+                raise error(f"unexpected character {text[pos]!r}", pos)
+            self.tokens.append(m.group(1))
+            self.starts.append(m.start(1))
+            pos = m.end()
+        # None marks the end, so peek needs no bounds check
+        self.tokens.append(None)
+        self.starts.append(len(text))
+        self.i = 0
+
+    def peek(self):
+        return self.tokens[self.i]
+
+    def take(self, expected=None):
+        tok = self.tokens[self.i]
+        if tok is None:
+            raise self.error("unexpected end of input", self.starts[self.i])
+        if expected is not None and tok != expected:
+            raise self.error(f"expected {expected!r}, got {tok!r}", self.starts[self.i])
+        self.i += 1
+        return tok
+
+    def skip(self, tok):
+        """Take every consecutive `tok`; return how many there were."""
+        start = self.i
+        while self.tokens[self.i] == tok:
+            self.i += 1
+        return self.i - start
+
+    def expect_end(self):
+        if self.tokens[self.i] is not None:
+            raise self.error(f"trailing input {self.tokens[self.i]!r}", self.starts[self.i])
+
+    def fail(self, message):
+        """The grammar's error at the last token taken."""
+        return self.error(message, self.starts[self.i - 1])
+
+    def deeper(self, *depths):
+        depth = 1 + max(depths)
+        if depth > MAX_PARSE_DEPTH:
+            raise self.fail(f"tree deeper than {MAX_PARSE_DEPTH} levels")
+        return depth
+
+    def nested(self, level):
+        if level >= MAX_PARSE_DEPTH:
+            raise self.fail(f"nested deeper than {MAX_PARSE_DEPTH} levels")
+        return level + 1
+
+
+_TERM_TOKEN = re.compile(r"\s*([-()^*,]|[A-Za-z_][A-Za-z_0-9]*|[0-9]+)")
 
 
 def parse_term(text, signature):
     """Parse term text against a signature; rejects symbols outside it, and
     trees or bracket nesting deeper than MAX_PARSE_DEPTH."""
-    tokens = _tokenize(text)
-    pos = 0
+    tokens = Tokens(text, _TERM_TOKEN, TermSyntaxError)
 
-    def peek():
-        return tokens[pos][0] if pos < len(tokens) else None
-
-    def take(expected=None):
-        nonlocal pos
-        if pos >= len(tokens):
-            raise TermSyntaxError("unexpected end of input", len(text))
-        tok, at = tokens[pos]
-        if expected is not None and tok != expected:
-            raise TermSyntaxError(f"expected {expected!r}, got {tok!r}", at)
-        pos += 1
-        return tok, at
-
-    def deeper(depth, at):
-        if depth >= MAX_PARSE_DEPTH:
-            raise TermSyntaxError(f"term deeper than {MAX_PARSE_DEPTH} levels", at)
-        return depth + 1
-
-    # each parser returns (term, depth of its tree); `nesting` counts the
+    # each parser returns (term, depth of its tree); `level` counts the
     # brackets around it, the only recursion not bounded by precedence
-    def parse_binary(min_prec, nesting):
-        left, depth = parse_unary(nesting)
-        while True:
-            tok = peek()
-            if tok in _BINOPS and _BINOPS[tok] >= min_prec:
-                op, at = take()
-                if op not in signature:
-                    raise UnknownSymbolError(f"symbol {op!r} not in signature")
-                right, right_depth = parse_binary(_BINOPS[op] + 1, nesting)
-                left, depth = App(op, (left, right)), deeper(max(depth, right_depth), at)
-            else:
-                return left, depth
+    def parse_binary(min_prec, level):
+        left, depth = parse_unary(level)
+        while tokens.peek() in _BINOPS and _BINOPS[tokens.peek()] >= min_prec:
+            op = tokens.take()
+            if op not in signature:
+                raise UnknownSymbolError(f"symbol {op!r} not in signature")
+            right, right_depth = parse_binary(_BINOPS[op] + 1, level)
+            left, depth = App(op, (left, right)), tokens.deeper(depth, right_depth)
+        return left, depth
 
-    def parse_unary(nesting):
-        negations = []
-        while peek() == "-":
-            _, at = take()
-            if "-" not in signature:
-                raise UnknownSymbolError("symbol '-' not in signature")
-            negations.append(at)
-        tok, at = take()
-        if (tok == "(" or peek() == "(") and nesting >= MAX_PARSE_DEPTH:
-            raise TermSyntaxError(f"term nested deeper than {MAX_PARSE_DEPTH} levels", at)
+    def parse_unary(level):
+        negations = tokens.skip("-")
+        if negations and "-" not in signature:
+            raise UnknownSymbolError("symbol '-' not in signature")
+        tok = tokens.take()
+        if tok == "(" or tokens.peek() == "(":
+            level = tokens.nested(level)
         if tok == "(":
-            term, depth = parse_binary(1, nesting + 1)
-            take(")")
+            term, depth = parse_binary(1, level)
+            tokens.take(")")
         elif _VAR_RE.match(tok) and tok not in signature:
             term, depth = Var(var_id(tok)), 1
         elif tok not in signature:
             raise UnknownSymbolError(f"symbol {tok!r} not in signature")
-        elif peek() == "(":
-            take("(")
-            args = [parse_binary(1, nesting + 1)]
-            while peek() == ",":
-                take(",")
-                args.append(parse_binary(1, nesting + 1))
-            take(")")
-            arity = signature[tok]
-            if len(args) != arity:
-                raise TermSyntaxError(
-                    f"symbol {tok!r} expects {arity} arguments, got {len(args)}", at
+        elif tokens.peek() == "(":
+            tokens.take()
+            args = [parse_binary(1, level)]
+            while tokens.peek() == ",":
+                tokens.take()
+                args.append(parse_binary(1, level))
+            tokens.take(")")
+            if len(args) != signature[tok]:
+                raise tokens.fail(
+                    f"symbol {tok!r} expects {signature[tok]} arguments, got {len(args)}"
                 )
             term = App(tok, tuple(t for t, _ in args))
-            depth = deeper(max(d for _, d in args), at)
+            depth = tokens.deeper(*(d for _, d in args))
         elif signature[tok] != 0:
-            raise TermSyntaxError(f"symbol {tok!r} expects {signature[tok]} arguments", at)
+            raise tokens.fail(f"symbol {tok!r} expects {signature[tok]} arguments")
         else:
             term, depth = App(tok), 1
-        for at in reversed(negations):
-            term, depth = App("-", (term,)), deeper(depth, at)
+        for _ in range(negations):
+            term, depth = App("-", (term,)), tokens.deeper(depth)
         return term, depth
 
     term, _ = parse_binary(1, 1)
-    if pos < len(tokens):
-        raise TermSyntaxError(f"trailing input {tokens[pos][0]!r}", tokens[pos][1])
+    tokens.expect_end()
     return term
 
 

@@ -11,7 +11,7 @@ Text and tuple vectors are the boundary: `parse_expr` reads an expression,
 an expression is compiled once per dimension into nested closures that
 evaluate it over the digit columns of all 3^n vector codes at once, and
 the greedy walk runs on those int codes (see `capset`).  The parser
-rejects trees and bracket nesting deeper than MAX_PARSE_DEPTH.
+rejects trees and bracket nesting deeper than `logic.MAX_PARSE_DEPTH`.
 
 Expression grammar:
 
@@ -36,7 +36,7 @@ from .capset import (
     digit_columns,
     greedy_cap,
 )
-from .logic import MAX_PARSE_DEPTH
+from .logic import ParseError, Tokens
 
 _U64 = 1 << 64
 _I64_MAX = (1 << 63) - 1
@@ -174,108 +174,67 @@ def format_expr(e):
     raise TypeError(f"not an expression: {e!r}")
 
 
-class ExprSyntaxError(ValueError):
+class ExprSyntaxError(ParseError):
     pass
 
 
-_EXPR_TOKEN = re.compile(r"\s*(\d+|[nv]|min|max|[-+*%()\[\],])")
+_EXPR_TOKEN = re.compile(r"\s*([0-9]+|[nv]|min|max|[-+*%()\[\],])")
 
 
 def parse_expr(text):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        if text[pos].isspace():
-            pos += 1
-            continue
-        m = _EXPR_TOKEN.match(text, pos)
-        if not m:
-            raise ExprSyntaxError(f"bad character at {pos}: {text[pos]!r}")
-        tokens.append(m.group(1))
-        pos = m.end()
-    i = 0
-
-    def peek():
-        return tokens[i] if i < len(tokens) else None
-
-    def take(expected=None):
-        nonlocal i
-        if i >= len(tokens):
-            raise ExprSyntaxError("unexpected end of input")
-        tok = tokens[i]
-        if expected is not None and tok != expected:
-            raise ExprSyntaxError(f"expected {expected!r}, got {tok!r}")
-        i += 1
-        return tok
-
-    nesting = 0
-
-    def deeper(*depths):
-        depth = 1 + max(depths)
-        if depth > MAX_PARSE_DEPTH:
-            raise ExprSyntaxError(f"expression deeper than {MAX_PARSE_DEPTH} levels")
-        return depth
+    tokens = Tokens(text, _EXPR_TOKEN, ExprSyntaxError)
 
     # each parser returns (expression, depth of its tree); parse_sum is the
-    # only recursive entry, so `nesting` bounds the parser's own recursion
-    def parse_sum():
-        nonlocal nesting
-        nesting += 1
-        if nesting > MAX_PARSE_DEPTH:
-            raise ExprSyntaxError(f"expression nested deeper than {MAX_PARSE_DEPTH} levels")
-        left, depth = parse_term()
-        while peek() in ("+", "-"):
-            op = take()
-            right, right_depth = parse_term()
-            left, depth = BinOp(op, left, right), deeper(depth, right_depth)
-        nesting -= 1
+    # only recursive entry, and `level` counts the brackets around it
+    def parse_sum(level):
+        left, depth = parse_term(level)
+        while tokens.peek() in ("+", "-"):
+            op = tokens.take()
+            right, right_depth = parse_term(level)
+            left, depth = BinOp(op, left, right), tokens.deeper(depth, right_depth)
         return left, depth
 
-    def parse_term():
-        left, depth = parse_unary()
-        while peek() in ("*", "%"):
-            op = take()
-            right, right_depth = parse_unary()
-            left, depth = BinOp(op, left, right), deeper(depth, right_depth)
+    def parse_term(level):
+        left, depth = parse_unary(level)
+        while tokens.peek() in ("*", "%"):
+            op = tokens.take()
+            right, right_depth = parse_unary(level)
+            left, depth = BinOp(op, left, right), tokens.deeper(depth, right_depth)
         return left, depth
 
-    def parse_unary():
-        negations = 0
-        while peek() == "-":
-            take()
-            negations += 1
-        tok = take()
+    def parse_unary(level):
+        negations = tokens.skip("-")
+        tok = tokens.take()
         if tok.isdigit():
             node, depth = Const(int(tok)), 1
         elif tok == "n":
             node, depth = Dim(), 1
         elif tok == "v":
-            take("[")
-            idx, idx_depth = parse_sum()
-            take("]")
-            node, depth = Index(idx), deeper(idx_depth)
+            tokens.take("[")
+            idx, idx_depth = parse_sum(tokens.nested(level))
+            tokens.take("]")
+            node, depth = Index(idx), tokens.deeper(idx_depth)
         elif tok in ("min", "max"):
-            take("(")
-            a, a_depth = parse_sum()
-            take(",")
-            b, b_depth = parse_sum()
-            take(")")
-            node, depth = MinMax(tok, a, b), deeper(a_depth, b_depth)
+            tokens.take("(")
+            a, a_depth = parse_sum(tokens.nested(level))
+            tokens.take(",")
+            b, b_depth = parse_sum(tokens.nested(level))
+            tokens.take(")")
+            node, depth = MinMax(tok, a, b), tokens.deeper(a_depth, b_depth)
         elif tok == "(":
-            node, depth = parse_sum()
-            take(")")
+            node, depth = parse_sum(tokens.nested(level))
+            tokens.take(")")
         else:
-            raise ExprSyntaxError(f"unexpected token {tok!r}")
+            raise tokens.fail(f"unexpected token {tok!r}")
         for _ in range(negations):
             if isinstance(node, Const):
                 node = Const(-node.value)
             else:
-                node, depth = BinOp("-", Const(0), node), deeper(depth, 1)
+                node, depth = BinOp("-", Const(0), node), tokens.deeper(depth)
         return node, depth
 
-    out, _ = parse_sum()
-    if i < len(tokens):
-        raise ExprSyntaxError(f"trailing input {tokens[i]!r}")
+    out, _ = parse_sum(1)
+    tokens.expect_end()
     return out
 
 

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from bruteforge import bpt
+from bruteforge import bpt, cli, evolve, priority
 from bruteforge.logic import MAX_PARSE_DEPTH, VerificationError
 
 BIN = [sys.executable, "-m", "bruteforge.cli"]
@@ -121,6 +121,34 @@ class TestVerificationFailure:
         assert result.stderr == "error: verification failed: proof does not replay: rejected\n"
         assert not proof.exists()
 
+    @pytest.mark.parametrize("fault, argv", [
+        ("sat.verify_model = lambda cnf, model: False",
+         ["sat", "solve", "{sat}", "--model", "{out}"]),
+        ("sat.check_certificate = lambda cnf, cert: False",
+         ["sat", "solve", "{unsat}", "--cert", "{out}"]),
+        ("capset.is_cap = lambda vectors: False",
+         ["capset", "greedy", "--n", "2", "--expr", "v[0]", "-o", "{out}"]),
+        ("priority.score = lambda expr, n: -1",
+         ["capset", "evolve", "--n", "2", "--evals", "20", "--log", "{out}"]),
+        ("equational.critical_pairs_join = lambda rules: False",
+         ["eq", "complete", "--axioms", "group"]),
+    ], ids=["sat-model", "sat-cert", "capset-greedy", "capset-evolve", "eq-complete"])
+    def test_every_verdict_is_rechecked_under_optimize(self, tmp_path, fault, argv):
+        (tmp_path / "sat.cnf").write_text("p cnf 2 2\n1 2 0\n-1 2 0\n")
+        (tmp_path / "unsat.cnf").write_text("p cnf 1 2\n1 0\n-1 0\n")
+        out = tmp_path / "out"
+        argv = [a.format(sat=tmp_path / "sat.cnf", unsat=tmp_path / "unsat.cnf", out=out)
+                for a in argv]
+        script = ("import sys\nfrom bruteforge import capset, cli, equational, priority, sat\n"
+                  f"{fault}\nsys.exit(cli.main(sys.argv[1:]))\n")
+        result = subprocess.run([sys.executable, "-O", "-c", script, *argv],
+                                capture_output=True, text=True, timeout=300)
+        assert result.returncode == 3
+        assert result.stderr.startswith("error: verification failed: ")
+        assert len(result.stderr.splitlines()) == 1
+        assert result.stdout == ""
+        assert not out.exists()
+
 
 class TestCapset:
     def test_exact_two(self):
@@ -174,6 +202,52 @@ class TestCapset:
         assert log1.read_bytes() == log4.read_bytes()
 
 
+class TestEvolveJobs:
+    """--jobs, then BRUTEFORGE_JOBS, then the config file's `jobs`, clamped to
+    the CPU count; `evolve` is a spy, so no worker process starts."""
+
+    @pytest.fixture
+    def jobs_seen(self, monkeypatch, tmp_path):
+        seen = []
+
+        def spy(config):
+            seen.append(config.jobs)
+            expr = priority.parse_expr("0")
+            return evolve.Candidate(expr, priority.score(expr, config.n), "seed", 0), []
+
+        monkeypatch.setattr(evolve, "evolve", spy)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        monkeypatch.delenv("BRUTEFORGE_JOBS", raising=False)
+        config = tmp_path / "evolve.cfg"
+        config.write_text("n = 2\njobs = 2\n")
+
+        def run(*flags, env=None):
+            if env is not None:
+                monkeypatch.setenv("BRUTEFORGE_JOBS", env)
+            assert cli.main(["capset", "evolve", "--n", "2", "--config", str(config),
+                             *flags]) == 0
+            return seen.pop()
+
+        return run
+
+    def test_config_file_jobs_takes_effect(self, jobs_seen):
+        assert jobs_seen() == 2
+
+    def test_environment_overrides_config_file(self, jobs_seen):
+        assert jobs_seen(env="3") == 3
+        assert jobs_seen(env="not a number") == 2
+
+    def test_flag_overrides_environment(self, jobs_seen):
+        assert jobs_seen("--jobs", "1", env="3") == 1
+
+    @pytest.mark.parametrize("flags, env, expected", [
+        (["--jobs", "1000"], None, 4), ([], "1000", 4), (["--jobs", "0"], None, 1),
+        (["--jobs", "-3"], None, 1),
+    ])
+    def test_worker_count_is_clamped(self, jobs_seen, flags, env, expected):
+        assert jobs_seen(*flags, env=env) == expected
+
+
 class TestEq:
     def test_prove_then_check(self, tmp_path):
         proof = tmp_path / "p.prf"
@@ -206,6 +280,13 @@ class TestEq:
         proof.write_text("B2 1 - lr\n")
         result = run_cli("eq", "check", str(proof), "--axioms", "boolean", "--goal", self.GOAL)
         assert result.returncode == 0
+
+    def test_check_rejects_bad_position(self, tmp_path):
+        proof = tmp_path / "p.prf"
+        proof.write_text("B2 a - lr\n")
+        result = run_cli("eq", "check", str(proof), "--axioms", "boolean", "--goal", self.GOAL)
+        assert result.returncode == 2
+        assert result.stderr == "error: line 1: bad position 'a'\n"
 
     def test_check_rejects_bad_binding_name(self, tmp_path):
         proof = tmp_path / "p.prf"

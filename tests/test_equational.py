@@ -356,6 +356,11 @@ class TestProofFiles:
         with pytest.raises(ProofStepError, match="line 2: bad variable name"):
             parse_proof(f"# header\nB2 - {binding} lr\n", BOOL_A)
 
+    @pytest.mark.parametrize("pos", ["a", "+1", "1_0", "\u0661", "1.", "0..1"])
+    def test_positions_are_ascii_child_indices(self, pos):
+        with pytest.raises(ProofStepError, match="line 2: bad position"):
+            parse_proof(f"# header\nB2 {pos} - lr\n", BOOL_A)
+
     def test_every_variable_name_binds(self):
         proof = parse_proof("B1 - x=a; y=b; z=a; x0=b; x12=a lr\n", BOOL_A)
         assert sorted(proof.steps[0].subst) == [0, 1, 2, 3, 15]

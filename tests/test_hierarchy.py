@@ -4,6 +4,7 @@ import pytest
 
 from bruteforge.logic import MAX_PARSE_DEPTH
 from bruteforge.hierarchy import (
+    And,
     Atom,
     DELTA0,
     EXISTS,
@@ -111,6 +112,18 @@ class TestPrenexify:
         p = prenexify(parse_formula("all x . A(x, q0)"))
         assert p.var != "q0"
         assert "q0" in free_vars(p)
+
+    def test_bounded_variable_is_not_captured(self):
+        p = prenexify(parse_formula("all x . ex q0 < x . P(x,q0)"))
+        assert p == Quant(FORALL, "q1", None, Quant(EXISTS, "q0", "q1", Atom("P", ("q1", "q0"))))
+        assert prenexify(p) == p
+
+    def test_renamed_quantifiers_are_not_captured(self):
+        p = prenexify(parse_formula("all x . (ex y . P(x,y)) & (all q0 . Q(q0,x))"))
+        matrix = And(Atom("P", ("q0", "q1")), Atom("Q", ("q2", "q0")))
+        assert p == Quant(FORALL, "q0", None, Quant(EXISTS, "q1", None,
+                                                    Quant(FORALL, "q2", None, matrix)))
+        assert prenexify(p) == p
 
     def test_unbounded_under_bounded_rejected(self):
         f = parse_formula("all x < n . ex y . A(x,y)")

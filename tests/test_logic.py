@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from bruteforge.hierarchy import FormulaSyntaxError, parse_formula
 from bruteforge.logic import (
     App,
     Assignment,
@@ -10,6 +11,7 @@ from bruteforge.logic import (
     DimacsError,
     GROUP_SIG,
     MAX_PARSE_DEPTH,
+    ParseError,
     ROBBINS_SIG,
     TermSyntaxError,
     UnknownSymbolError,
@@ -24,6 +26,7 @@ from bruteforge.logic import (
     with_constants,
     write_dimacs,
 )
+from bruteforge.priority import ExprSyntaxError, parse_expr
 
 
 class TestTermParsing:
@@ -129,6 +132,37 @@ class TestTermDepthLimit:
         for text, sig in rejected:
             with pytest.raises(TermSyntaxError):
                 parse_term(text, sig)
+
+
+class TestParseErrors:
+    """Terms, formulas and priority expressions read through one cursor."""
+
+    @pytest.mark.parametrize("parse, error, text, pos", [
+        (lambda t: parse_term(t, BOOLEAN_SIG), TermSyntaxError, "x v (y z)", 7),
+        (lambda t: parse_term(t, GROUP_SIG), TermSyntaxError, "i(x, y)", 6),
+        (parse_formula, FormulaSyntaxError, "all x . A(x) & )", 15),
+        (parse_formula, FormulaSyntaxError, "A | ?", 4),
+        (parse_expr, ExprSyntaxError, "v[0] + * 1", 7),
+        (parse_expr, ExprSyntaxError, "min(1, 2", 8),
+    ], ids=["term", "term-arity", "formula", "formula-char", "expr", "expr-end"])
+    def test_every_grammar_reports_the_position(self, parse, error, text, pos):
+        with pytest.raises(error) as err:
+            parse(text)
+        assert isinstance(err.value, ParseError)
+        assert err.value.pos == pos
+        assert str(err.value).endswith(f"(at position {pos})")
+
+    @pytest.mark.parametrize("parse, text", [
+        (lambda t: parse_term(t, BOOLEAN_SIG), "x\u0661 v y"),
+        (lambda t: parse_term(t, BOOLEAN_SIG), "x\u00e9"),
+        (parse_formula, "A(x\u0661)"),
+        (parse_formula, "all \u00e9 . A"),
+        (parse_expr, "v[\u0661\u0662] + \u0663"),
+    ], ids=["term-digit", "term-letter", "formula-digit", "formula-letter", "expr-digit"])
+    def test_only_ascii_letters_and_digits_are_tokens(self, parse, text):
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert text[err.value.pos] > "\x7f"
 
 
 class TestTermFormatting:
