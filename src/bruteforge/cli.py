@@ -21,7 +21,7 @@ import tempfile
 
 from . import bpt, capset, equational, evolve, hierarchy, priority, sat
 from .logic import (
-    VerificationError, format_term, parse_dimacs, parse_term, var_name, write_dimacs,
+    App, VerificationError, format_term, parse_dimacs, parse_term, var_name, write_dimacs,
 )
 
 EXIT_OK = 0
@@ -239,7 +239,9 @@ def _parse_goal(parser, text, signature):
     )
 
 
-def _parse_precedence(parser, text, signature):
+def _parse_precedence(parser, text, signature, axioms):
+    """Rank map from "f > g > ..."; it must rank every symbol of the axioms
+    once, since the path order compares any two of them."""
     if text is None:
         if signature is equational.GROUP_SIG:
             return equational.GROUP_PRECEDENCE
@@ -248,6 +250,16 @@ def _parse_precedence(parser, text, signature):
     for s in symbols:
         if s not in signature:
             parser.error(f"precedence symbol {s!r} not in signature")
+        if symbols.count(s) > 1:
+            parser.error(f"precedence symbol {s!r} repeated")
+    used = {
+        sub.symbol
+        for eq in axioms for side in (eq.lhs, eq.rhs)
+        for _, sub in equational.positions(side) if isinstance(sub, App)
+    }
+    missing = sorted(used - set(symbols))
+    if missing:
+        parser.error(f"precedence misses symbol(s) {', '.join(map(repr, missing))} of the axioms")
     return {s: len(symbols) - i for i, s in enumerate(symbols)}
 
 
@@ -317,11 +329,10 @@ def _cmd_eq_check(args, parser):
 
 def _cmd_eq_complete(args, parser):
     axioms, signature = _load_axioms(parser, args.axioms)
-    precedence = _parse_precedence(parser, args.precedence, signature)
+    axioms = list(axioms.values())
+    precedence = _parse_precedence(parser, args.precedence, signature, axioms)
     try:
-        rules = equational.kb_complete(
-            list(axioms.values()), precedence, budget=args.budget
-        )
+        rules = equational.kb_complete(axioms, precedence, budget=args.budget)
     except equational.OrientationError as exc:
         print(f"orientation failure: {exc.equation}")
         return EXIT_NEGATIVE

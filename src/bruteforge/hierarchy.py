@@ -15,7 +15,7 @@ Formula text grammar (EBNF):
     and     := unary { "&" unary }
     unary   := "~" unary | "(" formula ")" | quant | atom
     atom    := NAME [ "(" ARG { "," ARG } ")" ]
-    BOUND   := a term over in-scope variables, e.g. "n" or "2^n"
+    BOUND   := a term over in-scope variables, e.g. "n" or "2^n", kept as written
 """
 
 from __future__ import annotations
@@ -112,51 +112,13 @@ def _dual(kind):
     return EXISTS if kind == FORALL else FORALL
 
 
-def _expand_implies(f):
-    if isinstance(f, Atom):
-        return f
-    if isinstance(f, Not):
-        return Not(_expand_implies(f.body))
-    if isinstance(f, Implies):
-        return Or(Not(_expand_implies(f.left)), _expand_implies(f.right))
-    if isinstance(f, (And, Or)):
-        return type(f)(_expand_implies(f.left), _expand_implies(f.right))
-    if isinstance(f, Quant):
-        return Quant(f.kind, f.var, f.bound, _expand_implies(f.body))
-    raise TypeError(f"not a formula: {f!r}")
-
-
-def _pull(f):
-    """Prefix of pullable unbounded quantifiers as (kind, var) pairs.
-
-    Leftmost-innermost extraction order; bounded quantifiers are never
-    pulled and remain part of the matrix.
-    """
-    if isinstance(f, Atom):
-        return []
-    if isinstance(f, Not):
-        return [(_dual(k), v) for k, v in _pull(f.body)]
-    if isinstance(f, (And, Or)):
-        return _pull(f.left) + _pull(f.right)
-    if isinstance(f, Quant):
-        if f.bound is not None:
-            if _pull(f.body):
-                raise FormulaSyntaxError(
-                    f"unbounded quantifier under bounded quantifier {f.kind} "
-                    f"{f.var}<{f.bound} cannot be prenexed"
-                )
-            return []
-        return [(f.kind, f.var)] + _pull(f.body)
-    raise TypeError(f"not a formula: {f!r}")
-
-
 def _bounded_vars(f):
     """Variables bound by the bounded quantifiers of f."""
     if isinstance(f, Atom):
         return set()
     if isinstance(f, Not):
         return _bounded_vars(f.body)
-    if isinstance(f, (And, Or)):
+    if isinstance(f, (And, Or, Implies)):
         return _bounded_vars(f.left) | _bounded_vars(f.right)
     inner = _bounded_vars(f.body)
     return inner | {f.var} if f.bound is not None else inner
@@ -165,44 +127,51 @@ def _bounded_vars(f):
 def prenexify(f):
     """Canonical prenex form: unbounded quantifiers outermost, renamed q0..qk.
 
-    Idempotent; logically equivalent under classical semantics.  Bounded
-    quantifiers are treated as matrix and never pulled out.  The canonical
-    names avoid the free variables and the variables of bounded quantifiers,
-    so no renamed variable is captured.
+    One walk builds the matrix and the prefix together: `A -> B` becomes
+    `~A | B`, an unbounded quantifier leaves the matrix and joins the
+    prefix (dualized under an odd number of negations) with the next
+    canonical name the moment the walk reaches it, so the prefix is in
+    leftmost-innermost order.  Bounded quantifiers stay in the matrix and
+    may not contain an unbounded one.  Idempotent; logically equivalent
+    under classical semantics.  The canonical names avoid the free
+    variables and the variables of bounded quantifiers, so no renamed
+    variable is captured.
     """
-    g = _expand_implies(f)
-    prefix = _pull(g)
+    taken = free_vars(f) | _bounded_vars(f)
+    prefix = []
 
-    taken = free_vars(g) | _bounded_vars(g)
-    names = []
-    for k, _ in prefix:
-        i = len(names)
-        while True:
-            candidate = f"q{i}"
-            if candidate not in taken:
-                break
-            i += 1
-        names.append(candidate)
-        taken.add(candidate)
-    fresh = iter(names)
-
-    def strip(h, renames):
-        """h without its unbounded quantifiers, which are taken in prefix
-        order; `renames` maps each variable in scope to its new name."""
+    def walk(h, renames, positive):
+        """The matrix of h; `renames` maps each variable in scope to its
+        new name, and `positive` is False under an odd number of "~"."""
         if isinstance(h, Atom):
             return Atom(h.name, tuple(renames.get(a, a) for a in h.args))
         if isinstance(h, Not):
-            return Not(strip(h.body, renames))
+            return Not(walk(h.body, renames, not positive))
+        if isinstance(h, Implies):
+            return Or(Not(walk(h.left, renames, not positive)), walk(h.right, renames, positive))
         if isinstance(h, (And, Or)):
-            return type(h)(strip(h.left, renames), strip(h.right, renames))
+            return type(h)(walk(h.left, renames, positive), walk(h.right, renames, positive))
         if h.bound is None:
-            return strip(h.body, {**renames, h.var: next(fresh)})
+            i = len(prefix)
+            while f"q{i}" in taken:
+                i += 1
+            name = f"q{i}"
+            taken.add(name)
+            prefix.append((h.kind if positive else _dual(h.kind), name))
+            return walk(h.body, {**renames, h.var: name}, positive)
+        pulled = len(prefix)
         bound = _NAME_RE.sub(lambda m: renames.get(m.group(), m.group()), h.bound)
         inner = {old: new for old, new in renames.items() if old != h.var}
-        return Quant(h.kind, h.var, bound, strip(h.body, inner))
+        body = walk(h.body, inner, positive)
+        if len(prefix) > pulled:
+            raise FormulaSyntaxError(
+                f"unbounded quantifier under bounded quantifier {h.kind} "
+                f"{h.var}<{h.bound} cannot be prenexed"
+            )
+        return Quant(h.kind, h.var, bound, body)
 
-    out = strip(g, {})
-    for (kind, _), name in zip(reversed(prefix), reversed(names)):
+    out = walk(f, {}, True)
+    for kind, name in reversed(prefix):
         out = Quant(kind, name, None, out)
     return out
 
@@ -267,13 +236,15 @@ def parse_formula(text):
                 raise tokens.fail(f"bad variable name {var!r}")
             if tokens.peek() == "<":
                 tokens.take()
-                # the bound is an arbitrary term; consume tokens up to the "."
-                parts = []
+                # the bound is an arbitrary term, kept as written from its
+                # first token to the end of its last, before the "."
+                first = tokens.i
                 while tokens.peek() not in (None, "."):
-                    parts.append(tokens.take())
-                if not parts:
+                    tokens.take()
+                if tokens.i == first:
                     raise tokens.fail("empty quantifier bound")
-                bound = "".join(parts)
+                last = tokens.i - 1
+                bound = text[tokens.starts[first]:tokens.starts[last] + len(tokens.tokens[last])]
             tokens.take(".")
             body, depth = parse_binary(0, tokens.nested(level))
             f, depth = Quant(kind, var, bound, body), tokens.deeper(depth)

@@ -9,7 +9,7 @@ Term grammar (EBNF, ASCII rendering of the usual connectives):
     prod    := unary { "*" unary }        (left-associative)
     unary   := "-" unary | primary
     primary := VAR | CONST | NAME "(" term { "," term } ")" | "(" term ")"
-    VAR     := "x" | "y" | "z" | "x" DIGITS
+    VAR     := "x" | "y" | "z" | "x" DIGITS  (no leading zeros: "x0", "x10")
     CONST   := nullary symbol of the signature (e.g. "0", "1", "e", "a")
 
 "-" is negation, "v" disjunction, "^" conjunction, "*" a generic binary
@@ -88,7 +88,7 @@ def with_constants(signature, *names):
     return sig
 
 
-_VAR_RE = re.compile(r"^(x|y|z|x[0-9]+)$")
+_VAR_RE = re.compile(r"^(x|y|z|x(0|[1-9][0-9]*))$")
 
 _BINOPS = {"v": 1, "^": 2, "*": 2}  # symbol -> precedence
 

@@ -2,8 +2,10 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bruteforge import bpt, cli, evolve, priority
 from bruteforge.logic import MAX_PARSE_DEPTH, VerificationError
@@ -329,6 +331,22 @@ class TestEq:
         assert result.returncode == 0
 
 
+    @pytest.mark.parametrize("axioms, precedence, message", [
+        ("group", "i>*", "precedence misses symbol(s) 'e' of the axioms"),
+        ("boolean", "v>^", "precedence misses symbol(s) '-', '0', '1' of the axioms"),
+        ("group", "i>*>e>i", "precedence symbol 'i' repeated"),
+    ], ids=["group-missing", "boolean-missing", "repeated"])
+    def test_complete_rejects_partial_precedence(self, axioms, precedence, message):
+        result = run_cli("eq", "complete", "--axioms", axioms, "--precedence", precedence)
+        assert result.returncode == 2
+        assert result.stderr.endswith(f"error: {message}\n")
+
+    def test_goal_variable_with_leading_zero(self):
+        result = run_cli("eq", "prove", "--axioms", "boolean", "--goal", "x01 v x1 = x1")
+        assert result.returncode == 2
+        assert result.stderr == "error: symbol 'x01' not in signature\n"
+
+
 class TestClassify:
     def test_formula_file(self, tmp_path):
         f = tmp_path / "f.txt"
@@ -395,3 +413,33 @@ class TestDepthLimit:
         f = tmp_path / "f.txt"
         f.write_text(text + "\n")
         self._usage_error(run_cli("classify", str(f)))
+
+
+def _exit_code(argv):
+    try:
+        return cli.main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+_FORMULA_PIECES = ["all ", "ex ", "x", "y", "n", "A", "(", ")", ",", "<", ".",
+                   "~", "&", "|", "->", " "]
+
+
+class TestExitContractFuzz:
+    """Arbitrary input exits 0, 1 or 2 and raises nothing else."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.text() | st.lists(st.sampled_from(_FORMULA_PIECES)).map("".join))
+    def test_classify_arbitrary_text(self, text):
+        with tempfile.TemporaryDirectory() as directory:
+            path = os.path.join(directory, "f.txt")
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(text)
+            assert _exit_code(["classify", path]) in (0, 1, 2)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.text(alphabet="ie*> x"))
+    def test_complete_arbitrary_precedence(self, text):
+        argv = ["eq", "complete", "--axioms", "group", "--precedence", text]
+        assert _exit_code(argv) in (0, 1, 2)

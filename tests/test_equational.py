@@ -351,7 +351,7 @@ class TestProofFiles:
         with pytest.raises(ProofStepError):
             parse_proof("B2 - - sideways\n", BOOL_A)
 
-    @pytest.mark.parametrize("binding", ["y5=a", "q7=a", "q=1", "X=a", "x-1=a", "=a"])
+    @pytest.mark.parametrize("binding", ["y5=a", "q7=a", "q=1", "X=a", "x-1=a", "=a", "x01=a", "x00=a"])
     def test_binding_names_follow_the_variable_grammar(self, binding):
         with pytest.raises(ProofStepError, match="line 2: bad variable name"):
             parse_proof(f"# header\nB2 - {binding} lr\n", BOOL_A)

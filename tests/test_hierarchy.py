@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -37,6 +38,13 @@ class TestParsing:
     def test_syntax_error(self):
         with pytest.raises(FormulaSyntaxError):
             parse_formula("all . A")
+
+    def test_bound_keeps_its_text(self):
+        f = parse_formula("all y < n 2 . P(y)")
+        assert f.bound == "n 2"
+        assert free_vars(f) == {"n"}
+        for bound in ("n", "pow2(m)", "2^n"):
+            assert parse_formula(f"all y < {bound} . P(y)").bound == bound
 
 
 class TestDepthLimit:
@@ -184,3 +192,41 @@ class TestNegationDuality:
                 assert cn == DELTA0
             else:
                 assert cn == HierarchyClass(swap[c.label], c.index)
+
+
+_GOLDEN_VARS = ("x", "y", "z", "q0", "q1")
+_GOLDEN_BOUNDS = ("n", "x", "y", "q0", "2^x", "pow2(q1)")
+
+
+def _random_formula(rng, depth):
+    """A formula AST over all five node kinds, built without the parser;
+    names shadow each other and collide with the canonical q0, q1."""
+    roll = rng.random() if depth else 0.0
+    if roll < 0.25:
+        args = tuple(rng.choice(_GOLDEN_VARS + ("n",)) for _ in range(rng.randint(0, 2)))
+        return Atom(rng.choice("PQR"), args)
+    if roll < 0.4:
+        return Not(_random_formula(rng, depth - 1))
+    if roll < 0.7:
+        node = rng.choice((And, Or, Implies))
+        return node(_random_formula(rng, depth - 1), _random_formula(rng, depth - 1))
+    bound = rng.choice(_GOLDEN_BOUNDS) if rng.random() < 0.3 else None
+    kind = rng.choice((FORALL, EXISTS))
+    return Quant(kind, rng.choice(_GOLDEN_VARS), bound, _random_formula(rng, depth - 1))
+
+
+def _outcome(f):
+    try:
+        return f"{prenexify(f)!r} {classify(f)}"
+    except FormulaSyntaxError as exc:
+        return f"error: {exc}"
+
+
+class TestPrenexGolden:
+    def test_seeded_formulas(self):
+        # pins the prenex form and class, or the rejection message, of
+        # 2,000 seeded formulas (149 of them rejected)
+        rng = random.Random(2024)
+        lines = [_outcome(_random_formula(rng, rng.randint(0, 6))) for _ in range(2000)]
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == "ee49ce3bb93e4f7753458a2e86c3ae46d89edb08f70a0529ec11592ab84d2ab1"

@@ -83,6 +83,12 @@ class TestTermParsing:
         for vid in range(20):
             assert var_id(var_name(vid)) == vid
 
+    def test_one_spelling_per_variable(self):
+        assert parse_term("x0 v x10", BOOLEAN_SIG) == App("v", (Var(3), Var(13)))
+        for text in ("x01 v x1", "x00", "x007"):
+            with pytest.raises(UnknownSymbolError):
+                parse_term(text, BOOLEAN_SIG)
+
 
 def _terms(signature):
     def extend(children):
