@@ -7,8 +7,10 @@ are written atomically (temp file + rename).  Machine logs are JSON lines;
 human summaries go to standard output.
 
 Environment: BRUTEFORGE_JOBS sets the evolve worker count when --jobs is
-not given, over a config file's `jobs` key; CAPSET_GENERATOR supplies an
-external generator command for `capset evolve`.
+not given, over a config file's `jobs` key.  CAPSET_GENERATOR supplies the
+external generator command of `capset evolve` when --generator-command is
+not given, over a config file's `generator_command` key; the run uses the
+external generator iff one of the three sets a command.
 """
 
 from __future__ import annotations
@@ -173,10 +175,10 @@ def _cmd_capset_evolve(args, parser):
     # depend on the worker count, so clamping it changes no artifact
     jobs = args.jobs if args.jobs is not None else _env_jobs()
     config.jobs = max(1, min(config.jobs if jobs is None else jobs, os.cpu_count() or 1))
-    generator_command = args.generator_command or os.environ.get("CAPSET_GENERATOR")
-    if generator_command:
-        config.generator = "external"
-        config.generator_command = generator_command
+    # --generator-command, then CAPSET_GENERATOR, then the config file
+    config.generator_command = (
+        args.generator_command or os.environ.get("CAPSET_GENERATOR") or config.generator_command
+    )
     best, records = evolve.evolve(config)
     if priority.score(best.expr, config.n) != best.score:
         raise VerificationError(f"best expression does not re-score to {best.score}")

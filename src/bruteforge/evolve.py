@@ -3,14 +3,19 @@
 A generator proposes new priority expressions from one or two high-scoring
 parents; candidates are scored by the size of their greedy cap set and
 curated in a bounded population (tournament selection, best-member
-elitism).  The Baseline generator is seeded mutation/crossover; an
-External generator is a child process speaking one JSON request line in,
-one JSON reply line out.
+elitism).  A generator is a callable `generate(parents, seed)` that
+returns an expression or raises GeneratorError.  The baseline generator,
+`propose`, is seeded mutation/crossover; the external one, used iff
+`EvolveConfig.generator_command` is set, is a child process speaking one
+JSON request line in, one JSON reply line out.
 
-Determinism: per-candidate seeds are derived from (run seed, generation,
-slot), and parents are drawn from the population snapshot at the start of
-the generation, so serial and worker-pool runs produce identical logs.
-Within a run each distinct expression text is scored once.
+One loop runs every generation: generation 0 is SEED_EXPRS, each later
+one a batch of proposals, and each is scored, added to the population
+and logged by the same code.  Per-candidate seeds are derived from (run
+seed, generation, slot), and parents are drawn from the population
+snapshot at the start of the generation, so serial and worker-pool runs
+produce identical logs.  Within a run each distinct expression text is
+scored once.
 """
 
 from __future__ import annotations
@@ -33,7 +38,6 @@ from .priority import (
     Dim,
     Expr,
     Index,
-    MinMax,
     format_expr,
     parse_expr,
     score,
@@ -44,8 +48,6 @@ from .priority import (
 class Candidate:
     expr: Expr
     score: int
-    generator_id: str
-    generation: int
 
 
 @dataclass
@@ -78,22 +80,19 @@ def derive_seed(run_seed, generation, slot):
 # --- baseline generator ----------------------------------------------------
 
 
+_OPS = ("+", "-", "*", "%", "min", "max")
+
+
 def _random_expr(rng, depth):
     if depth <= 0 or rng.random() < 0.3:
         kind = rng.randrange(4)
         if kind == 0:
             return Const(rng.randint(-3, 3))
-        if kind == 1:
-            return Index(Const(rng.randrange(8)))
         if kind == 2:
             return Dim()
-        return Index(Const(rng.randrange(8)))
-    op = rng.choice(["+", "-", "*", "%", "min", "max"])
-    left = _random_expr(rng, depth - 1)
-    right = _random_expr(rng, depth - 1)
-    if op in ("min", "max"):
-        return MinMax(op, left, right)
-    return BinOp(op, left, right)
+        return Index(Const(rng.randrange(8)))  # kinds 1 and 3
+    op = rng.choice(_OPS)
+    return BinOp(op, _random_expr(rng, depth - 1), _random_expr(rng, depth - 1))
 
 
 def _subtrees(e):
@@ -105,7 +104,7 @@ def _subtrees(e):
         out.append((path, node))
         if isinstance(node, Index):
             stack.append((path + (0,), node.index))
-        elif isinstance(node, (BinOp, MinMax)):
+        elif isinstance(node, BinOp):
             stack.append((path + (1,), node.right))
             stack.append((path + (0,), node.left))
     return out
@@ -121,10 +120,6 @@ def _replace(e, path, sub):
         if head == 0:
             return BinOp(e.op, _replace(e.left, rest, sub), e.right)
         return BinOp(e.op, e.left, _replace(e.right, rest, sub))
-    if isinstance(e, MinMax):
-        if head == 0:
-            return MinMax(e.fn, _replace(e.left, rest, sub), e.right)
-        return MinMax(e.fn, e.left, _replace(e.right, rest, sub))
     raise ValueError("path does not exist in expression")
 
 
@@ -137,11 +132,9 @@ def _mutate(rng, e):
     if roll < 0.75:
         return _replace(e, path, _random_expr(rng, rng.randint(1, 3)))
     # wrap the node in a fresh binary operation
-    op = rng.choice(["+", "-", "*", "%", "min", "max"])
+    op = rng.choice(_OPS)
     other = _random_expr(rng, 2)
     left, right = (node, other) if rng.random() < 0.5 else (other, node)
-    if op in ("min", "max"):
-        return _replace(e, path, MinMax(op, left, right))
     return _replace(e, path, BinOp(op, left, right))
 
 
@@ -256,16 +249,25 @@ class GeneratorError(RuntimeError):
 
 @dataclass
 class EvolveConfig:
+    """One run's settings; the external generator runs iff
+    `generator_command` is set."""
+
     n: int
     capacity: int = 24
     seed: int = 0
     eval_budget: int = 500
     batch: int = 10
     tournament: int = 3
-    generator: str = "baseline"  # "baseline" | "external"
     generator_command: str | None = None
     generator_timeout: float = 10.0
     jobs: int = 1
+
+    def __post_init__(self):
+        # a zero batch never spends the budget; an empty population or
+        # tournament has no member to select
+        for key in ("capacity", "batch", "tournament"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"{key} must be positive, got {getattr(self, key)}")
 
 
 SEED_EXPRS = ("0", "v[0]", "n", "v[0] + v[1]")
@@ -306,9 +308,10 @@ def _select_parents(rng, members, tournament):
 def evolve(config, log_sink=None):
     """Run the loop; returns (best Candidate, list of log records).
 
-    Every log record is {"generation", "slot", "seed", "expr", "score"} or
-    a generator_error event.  With the Baseline generator the full log is
-    byte-reproducible given the seed, independent of the worker count.
+    Every log record is {"generation", "slot", "seed", "expr", "score",
+    "best"} or a generator_error event.  With the baseline generator,
+    `propose`, the full log is byte-reproducible given the seed,
+    independent of the worker count.
     """
     records = []
 
@@ -317,95 +320,64 @@ def evolve(config, log_sink=None):
         if log_sink is not None:
             log_sink(record)
 
-    if config.generator == "external":
-        if not config.generator_command:
-            raise ValueError("external generator requires a command")
+    if config.generator_command:
         generate = ExternalGenerator(config.generator_command, config.generator_timeout)
     else:
-        generate = None  # baseline, inlined below
+        generate = propose
 
     pool = ProcessPoolExecutor(config.jobs) if config.jobs > 1 else None
     memo = {}  # score by formatted expression text, for this run only
     population = Population(config.capacity)
     evals = 0
     best = None
+    generation = 0
+    seed_texts = SEED_EXPRS[: max(1, config.eval_budget)]
+    proposals = [(slot, config.seed, parse_expr(t)) for slot, t in enumerate(seed_texts)]
     try:
-        seed_exprs = [parse_expr(t) for t in SEED_EXPRS]
-        seed_exprs = seed_exprs[: max(1, config.eval_budget)]
-        texts, scores = _score_batch(seed_exprs, config.n, memo, pool)
-        for slot, (expr, text, sc) in enumerate(zip(seed_exprs, texts, scores)):
-            cand = Candidate(expr, sc, "seed", 0)
-            population.add(cand)
-            evals += 1
-            if best is None or sc > best.score:
-                best = cand
-            emit(
-                {
-                    "generation": 0,
-                    "slot": slot,
-                    "seed": config.seed,
-                    "expr": text,
-                    "score": sc,
-                    "best": best.score,
-                }
-            )
-        generation = 0
-        while evals < config.eval_budget:
+        while True:
+            texts, scores = _score_batch([e for _, _, e in proposals], config.n, memo, pool)
+            for (slot, slot_seed, expr), text, sc in zip(proposals, texts, scores):
+                cand = Candidate(expr, sc)
+                population.add(cand)
+                evals += 1
+                if best is None or sc > best.score:
+                    best = cand
+                emit({"generation": generation, "slot": slot, "seed": slot_seed,
+                      "expr": text, "score": sc, "best": best.score})
+            if evals >= config.eval_budget:
+                break
             generation += 1
             snapshot = population.members()
-            batch = min(config.batch, config.eval_budget - evals)
             proposals = []
-            for slot in range(batch):
+            for slot in range(min(config.batch, config.eval_budget - evals)):
                 slot_seed = derive_seed(config.seed, generation, slot)
                 rng = random.Random(slot_seed)
                 parents = _select_parents(rng, snapshot, config.tournament)
-                if generate is None:
-                    expr = propose(parents, slot_seed)
-                else:
-                    try:
-                        expr = generate(parents, slot_seed)
-                    except GeneratorError as exc:
-                        emit(
-                            {
-                                "generation": generation,
-                                "slot": slot,
-                                "seed": slot_seed,
-                                "event": "generator_error",
-                                "detail": str(exc),
-                            }
-                        )
-                        # a failed proposal still consumes its evaluation
-                        # slot, so an always-failing generator terminates
-                        evals += 1
-                        continue
-                proposals.append((slot, slot_seed, expr))
-            texts, scores = _score_batch([e for _, _, e in proposals], config.n, memo, pool)
-            for (slot, slot_seed, expr), text, sc in zip(proposals, texts, scores):
-                cand = Candidate(expr, sc, config.generator, generation)
-                population.add(cand)
-                evals += 1
-                if sc > best.score:
-                    best = cand
-                emit(
-                    {
-                        "generation": generation,
-                        "slot": slot,
-                        "seed": slot_seed,
-                        "expr": text,
-                        "score": sc,
-                        "best": best.score,
-                    }
-                )
+                try:
+                    proposals.append((slot, slot_seed, generate(parents, slot_seed)))
+                except GeneratorError as exc:
+                    emit({"generation": generation, "slot": slot, "seed": slot_seed,
+                          "event": "generator_error", "detail": str(exc)})
+                    # a failed proposal still consumes its evaluation
+                    # slot, so an always-failing generator terminates
+                    evals += 1
     finally:
         if pool:
             pool.shutdown()
-        if generate is not None:
+        if generate is not propose:
             generate.close()
     return best, records
 
 
 def record_to_json(record):
     return json.dumps(record, sort_keys=True, separators=(",", ":"))
+
+
+# each config key with the type of its value
+_CONFIG_KEYS = dict.fromkeys(
+    ("n", "capacity", "seed", "eval_budget", "batch", "tournament", "jobs"), int
+)
+_CONFIG_KEYS.update(generator_timeout=float, generator_command=str)
 
 
 def parse_config_file(text, n=None):
@@ -420,16 +392,10 @@ def parse_config_file(text, n=None):
         key, _, value = line.partition("=")
         values[key.strip()] = value.strip().strip('"')
     kwargs = {}
-    int_keys = {"n", "capacity", "seed", "eval_budget", "batch", "tournament", "jobs"}
     for key, value in values.items():
-        if key in int_keys:
-            kwargs[key] = int(value)
-        elif key == "generator_timeout":
-            kwargs[key] = float(value)
-        elif key in ("generator", "generator_command"):
-            kwargs[key] = value
-        else:
+        if key not in _CONFIG_KEYS:
             raise ValueError(f"unknown config key {key!r}")
+        kwargs[key] = _CONFIG_KEYS[key](value)
     if n is not None:
         kwargs["n"] = n
     if "n" not in kwargs:

@@ -15,7 +15,13 @@ Formula text grammar (EBNF):
     and     := unary { "&" unary }
     unary   := "~" unary | "(" formula ")" | quant | atom
     atom    := NAME [ "(" ARG { "," ARG } ")" ]
-    BOUND   := a term over in-scope variables, e.g. "n" or "2^n", kept as written
+    ARG     := NAME | INT
+    BOUND   := one or more tokens up to the ".", with balanced brackets and
+               no "~", "->", "&", "|" or "<"; kept as written, e.g. "n",
+               "2^n" or "pow2(m)"
+
+In a bound, a NAME followed by "(" is a function symbol and every other
+NAME is a variable; an integer ARG is a constant, not a variable.
 """
 
 from __future__ import annotations
@@ -29,6 +35,12 @@ FORALL = "all"
 EXISTS = "ex"
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
+_INT_RE = re.compile(r"[0-9]+")
+# a variable occurrence in a bound: a whole name not followed by "(",
+# which would make it a function symbol
+_BOUND_VAR_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*(?![A-Za-z_0-9]|\s*\()")
+# tokens of the connective grammar, which no bound contains
+_NOT_IN_BOUND = {"~", "->", "&", "|", "<"}
 
 
 class FormulaSyntaxError(ParseError):
@@ -95,7 +107,7 @@ DELTA0 = HierarchyClass("Delta0")
 
 def free_vars(f):
     if isinstance(f, Atom):
-        return set(f.args)
+        return {a for a in f.args if not _INT_RE.fullmatch(a)}
     if isinstance(f, Not):
         return free_vars(f.body)
     if isinstance(f, (And, Or, Implies)):
@@ -103,7 +115,7 @@ def free_vars(f):
     if isinstance(f, Quant):
         out = free_vars(f.body) - {f.var}
         if f.bound is not None:
-            out |= set(_NAME_RE.findall(f.bound))
+            out |= set(_BOUND_VAR_RE.findall(f.bound))
         return out
     raise TypeError(f"not a formula: {f!r}")
 
@@ -160,7 +172,7 @@ def prenexify(f):
             prefix.append((h.kind if positive else _dual(h.kind), name))
             return walk(h.body, {**renames, h.var: name}, positive)
         pulled = len(prefix)
-        bound = _NAME_RE.sub(lambda m: renames.get(m.group(), m.group()), h.bound)
+        bound = _BOUND_VAR_RE.sub(lambda m: renames.get(m.group(), m.group()), h.bound)
         inner = {old: new for old, new in renames.items() if old != h.var}
         body = walk(h.body, inner, positive)
         if len(prefix) > pulled:
@@ -236,13 +248,20 @@ def parse_formula(text):
                 raise tokens.fail(f"bad variable name {var!r}")
             if tokens.peek() == "<":
                 tokens.take()
-                # the bound is an arbitrary term, kept as written from its
-                # first token to the end of its last, before the "."
-                first = tokens.i
+                # the bound is a term, kept as written from its first token
+                # to the end of its last, before the "."
+                first, open_brackets = tokens.i, 0
                 while tokens.peek() not in (None, "."):
-                    tokens.take()
+                    tok = tokens.take()
+                    if tok in _NOT_IN_BOUND:
+                        raise tokens.fail(f"{tok!r} in quantifier bound")
+                    open_brackets += (tok == "(") - (tok == ")")
+                    if open_brackets < 0:
+                        raise tokens.fail("unbalanced ')' in quantifier bound")
                 if tokens.i == first:
                     raise tokens.fail("empty quantifier bound")
+                if open_brackets:
+                    raise tokens.fail("unclosed '(' in quantifier bound")
                 last = tokens.i - 1
                 bound = text[tokens.starts[first]:tokens.starts[last] + len(tokens.tokens[last])]
             tokens.take(".")
@@ -261,13 +280,19 @@ def parse_formula(text):
         args = ()
         if tokens.peek() == "(":
             tokens.take()
-            parts = [tokens.take()]
+            parts = [take_arg()]
             while tokens.peek() == ",":
                 tokens.take()
-                parts.append(tokens.take())
+                parts.append(take_arg())
             tokens.take(")")
             args = tuple(parts)
         return Atom(name, args)
+
+    def take_arg():
+        arg = tokens.take()
+        if not (_NAME_RE.fullmatch(arg) or _INT_RE.fullmatch(arg)):
+            raise tokens.fail(f"bad atom argument {arg!r}")
+        return arg
 
     f, _ = parse_binary(0, 1)
     tokens.expect_end()

@@ -6,6 +6,10 @@ adjoins each one that keeps the set a cap.  Expressions are total by
 construction: indices wrap mod n, mod by zero returns its left operand,
 and all arithmetic is 64-bit signed with wraparound.
 
+An expression is a tree of `Const`, `Dim`, `Index` and `BinOp` nodes.
+`BinOp.op` is one of `+ - * % min max`, each a column operation in
+`_COLUMN_OPS`; `min` and `max` are written in call form, `min(a, b)`.
+
 Text and tuple vectors are the boundary: `parse_expr` reads an expression,
 `eval_priority` takes a tuple, `greedy` returns a set of tuples.  Inside,
 an expression is compiled once per dimension into nested closures that
@@ -71,14 +75,7 @@ class Index(Expr):
 
 @dataclass(frozen=True)
 class BinOp(Expr):
-    op: str  # + - * %
-    left: Expr
-    right: Expr
-
-
-@dataclass(frozen=True)
-class MinMax(Expr):
-    fn: str  # min | max
+    op: str  # + - * % min max
     left: Expr
     right: Expr
 
@@ -125,11 +122,10 @@ def _compile(e, n):
             i = index % n
             return lambda cols: cols[i]
         return lambda cols: [cols[i % n][k] for k, i in enumerate(index(cols))]
-    if isinstance(e, (BinOp, MinMax)):
-        op = e.op if isinstance(e, BinOp) else e.fn
-        apply = _COLUMN_OPS.get(op)
+    if isinstance(e, BinOp):
+        apply = _COLUMN_OPS.get(e.op)
         if apply is None:
-            raise ValueError(f"unknown operator {op!r}")
+            raise ValueError(f"unknown operator {e.op!r}")
         left, right = _compile(e.left, n), _compile(e.right, n)
         if isinstance(left, int):
             if isinstance(right, int):
@@ -168,9 +164,9 @@ def format_expr(e):
     if isinstance(e, Index):
         return f"v[{format_expr(e.index)}]"
     if isinstance(e, BinOp):
+        if e.op in ("min", "max"):
+            return f"{e.op}({format_expr(e.left)}, {format_expr(e.right)})"
         return f"({format_expr(e.left)} {e.op} {format_expr(e.right)})"
-    if isinstance(e, MinMax):
-        return f"{e.fn}({format_expr(e.left)}, {format_expr(e.right)})"
     raise TypeError(f"not an expression: {e!r}")
 
 
@@ -220,7 +216,7 @@ def parse_expr(text):
             tokens.take(",")
             b, b_depth = parse_sum(tokens.nested(level))
             tokens.take(")")
-            node, depth = MinMax(tok, a, b), tokens.deeper(a_depth, b_depth)
+            node, depth = BinOp(tok, a, b), tokens.deeper(a_depth, b_depth)
         elif tok == "(":
             node, depth = parse_sum(tokens.nested(level))
             tokens.take(")")

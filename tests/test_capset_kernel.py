@@ -29,7 +29,6 @@ from bruteforge.priority import (
     Const,
     Dim,
     Index,
-    MinMax,
     compile_priority,
     eval_priority,
     format_expr,
@@ -72,10 +71,11 @@ def reference_eval(expr, v, n):
                 return _wrap(a * b)
             if e.op == "%":
                 return a if b == 0 else _wrap(a % abs(b))
+            if e.op == "min":
+                return min(a, b)
+            if e.op == "max":
+                return max(a, b)
             raise ValueError(e.op)
-        if isinstance(e, MinMax):
-            a, b = ev(e.left), ev(e.right)
-            return min(a, b) if e.fn == "min" else max(a, b)
         raise TypeError(e)
 
     return ev(expr)
@@ -106,8 +106,9 @@ def _exprs(max_leaves=12):
 
     def extend(children):
         return st.one_of(
-            st.builds(BinOp, st.sampled_from("+-*%"), children, children),
-            st.builds(MinMax, st.sampled_from(["min", "max"]), children, children),
+            st.builds(
+                BinOp, st.sampled_from(["+", "-", "*", "%", "min", "max"]), children, children
+            ),
             st.builds(Index, children),
         )
 

@@ -193,6 +193,42 @@ class TestCapset:
         for line in logs[0].decode().splitlines():
             json.loads(line)
 
+    def test_evolve_batch_zero_is_usage_error(self, tmp_path):
+        # a zero batch used to spend no budget, so the run never ended
+        config = tmp_path / "c.cfg"
+        config.write_text("batch = 0\n")
+        result = subprocess.run(
+            BIN + ["capset", "evolve", "--n", "2", "--config", str(config), "--evals", "20"],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert result.returncode == 2
+        assert result.stderr == "error: batch must be positive, got 0\n"
+
+    @pytest.mark.parametrize("line, message", [
+        ("capacity = 0", "capacity must be positive, got 0"),
+        ("tournament = 0", "tournament must be positive, got 0"),
+        ("generator = baseline", "unknown config key 'generator'"),
+    ])
+    def test_evolve_bad_config_is_usage_error(self, tmp_path, capsys, line, message):
+        config = tmp_path / "c.cfg"
+        config.write_text(line + "\n")
+        argv = ["capset", "evolve", "--n", "2", "--config", str(config), "--evals", "20"]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_evolve_config_file_command_selects_external(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("CAPSET_GENERATOR", raising=False)
+        child = tmp_path / "broken.py"
+        child.write_text("import sys\nfor line in sys.stdin:\n    print('no', flush=True)\n")
+        config = tmp_path / "c.cfg"
+        config.write_text(f"generator_command = {sys.executable} {child}\n")
+        log = tmp_path / "r.jsonl"
+        argv = ["capset", "evolve", "--n", "2", "--config", str(config), "--evals", "12",
+                "--log", str(log)]
+        assert cli.main(argv) == 0
+        records = [json.loads(line) for line in log.read_text().splitlines()]
+        assert sum(r.get("event") == "generator_error" for r in records) == 8
+
     def test_evolve_jobs_env_var(self, tmp_path):
         log1 = tmp_path / "j1.jsonl"
         log4 = tmp_path / "j4.jsonl"
@@ -215,7 +251,7 @@ class TestEvolveJobs:
         def spy(config):
             seen.append(config.jobs)
             expr = priority.parse_expr("0")
-            return evolve.Candidate(expr, priority.score(expr, config.n), "seed", 0), []
+            return evolve.Candidate(expr, priority.score(expr, config.n)), []
 
         monkeypatch.setattr(evolve, "evolve", spy)
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
@@ -426,6 +462,15 @@ _FORMULA_PIECES = ["all ", "ex ", "x", "y", "n", "A", "(", ")", ",", "<", ".",
                    "~", "&", "|", "->", " "]
 
 
+_CONFIG_LINES = st.tuples(
+    st.sampled_from(["n", "capacity", "seed", "eval_budget", "batch", "tournament",
+                     "jobs", "generator_timeout", "generator", "bogus", "", " "]),
+    st.sampled_from(["=", " = ", "", "=="]),
+    st.integers(-3, 40).map(str) | st.sampled_from(["", "x", "1.5", '"2"', "# c", "="]),
+    st.sampled_from(["\n", "  # note\n", ""]),
+).map("".join)
+
+
 class TestExitContractFuzz:
     """Arbitrary input exits 0, 1 or 2 and raises nothing else."""
 
@@ -437,6 +482,23 @@ class TestExitContractFuzz:
             with open(path, "w", encoding="utf-8") as handle:
                 handle.write(text)
             assert _exit_code(["classify", path]) in (0, 1, 2)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.text() | st.lists(_CONFIG_LINES).map("".join))
+    def test_evolve_arbitrary_config(self, text):
+        # `generator_command` is left out so that no child process starts;
+        # --jobs and --evals keep each run serial and small
+        try:
+            evolve.parse_config_file(text, n=2)
+        except ValueError:
+            pass
+        with tempfile.TemporaryDirectory() as directory:
+            path = os.path.join(directory, "c.cfg")
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(text)
+            argv = ["capset", "evolve", "--n", "2", "--config", path, "--evals", "12",
+                    "--jobs", "1"]
+            assert _exit_code(argv) in (0, 1, 2)
 
     @settings(max_examples=200, deadline=None)
     @given(st.text(alphabet="ie*> x"))

@@ -24,8 +24,8 @@ from bruteforge.priority import Const, format_expr, greedy, parse_expr
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
-def _cand(expr_text, sc, gen=0):
-    return Candidate(parse_expr(expr_text), sc, "test", gen)
+def _cand(expr_text, sc):
+    return Candidate(parse_expr(expr_text), sc)
 
 
 class TestPopulation:
@@ -232,7 +232,6 @@ class TestExternalGenerator:
             seed=0,
             eval_budget=8,
             batch=2,
-            generator="external",
             generator_command=self._command(tmp_path, BROKEN_GENERATOR, "broken.py"),
             generator_timeout=5.0,
         )
@@ -245,17 +244,27 @@ class TestExternalGenerator:
 class TestConfigFile:
     def test_parse(self):
         cfg = parse_config_file(
-            "n = 3\nseed = 7  # comment\neval_budget = 100\ngenerator = baseline\n"
+            "n = 3\nseed = 7  # comment\neval_budget = 100\ngenerator_timeout = 2.5\n"
         )
-        assert cfg == EvolveConfig(n=3, seed=7, eval_budget=100)
+        assert cfg == EvolveConfig(n=3, seed=7, eval_budget=100, generator_timeout=2.5)
 
     def test_n_override(self):
         cfg = parse_config_file("n = 3\n", n=2)
         assert cfg.n == 2
 
     def test_unknown_key(self):
-        with pytest.raises(ValueError):
-            parse_config_file("n = 2\nbogus = 1\n")
+        # `generator` is unknown: the command alone selects the generator
+        for line in ("bogus = 1", "generator = external"):
+            with pytest.raises(ValueError, match="unknown config key"):
+                parse_config_file(f"n = 2\n{line}\n")
+
+    @pytest.mark.parametrize("key", ["batch", "capacity", "tournament"])
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_non_positive_sizes_are_rejected(self, key, value):
+        with pytest.raises(ValueError, match=f"^{key} must be positive"):
+            parse_config_file(f"n = 2\n{key} = {value}\n")
+        with pytest.raises(ValueError, match=f"^{key} must be positive"):
+            EvolveConfig(n=2, **{key: value})
 
     def test_missing_n(self):
         with pytest.raises(ValueError):

@@ -46,6 +46,27 @@ class TestParsing:
         for bound in ("n", "pow2(m)", "2^n"):
             assert parse_formula(f"all y < {bound} . P(y)").bound == bound
 
+    def test_function_symbol_in_bound_is_not_free(self):
+        assert free_vars(parse_formula("all f < pow2(m) . P(f)")) == {"m"}
+        assert free_vars(parse_formula("all f < g (h(m), k) . P(f)")) == {"m", "k"}
+
+    def test_integer_arguments_are_not_free(self):
+        f = parse_formula("A(x, 12)")
+        assert f == Atom("A", ("x", "12"))
+        assert free_vars(f) == {"x"}
+
+    @pytest.mark.parametrize("text, pos", [
+        ("A(~, ->)", 2), ("A(x, ->)", 5), ("A(-1)", 2), ("A(x,)", 4), ("A(x y)", 4),
+        ("all z < ( . A(z)", 8), ("all z < ) . A(z)", 8), ("all z < f(a) ) . A(z)", 13),
+        ("all z < f(a . A(z)", 10), ("all z < a & b . A(z)", 10),
+        ("all z < ~a . A(z)", 8), ("all z < a -> b . A(z)", 10), ("all z < a | b . A(z)", 10),
+        ("all z < a < b . A(z)", 10), ("all z < . A(z)", 6),
+    ])
+    def test_bad_argument_or_bound(self, text, pos):
+        with pytest.raises(FormulaSyntaxError) as exc:
+            parse_formula(text)
+        assert exc.value.pos == pos
+
 
 class TestDepthLimit:
     def test_formulas_at_the_limit_parse_and_classify(self):
@@ -131,6 +152,11 @@ class TestPrenexify:
         matrix = And(Atom("P", ("q0", "q1")), Atom("Q", ("q2", "q0")))
         assert p == Quant(FORALL, "q0", None, Quant(EXISTS, "q1", None,
                                                     Quant(FORALL, "q2", None, matrix)))
+        assert prenexify(p) == p
+
+    def test_function_symbol_in_bound_is_not_renamed(self):
+        p = prenexify(parse_formula("all pow2 . all y < pow2(pow2) . P(y)"))
+        assert p == Quant(FORALL, "q0", None, Quant(FORALL, "y", "pow2(q0)", Atom("P", ("y",))))
         assert prenexify(p) == p
 
     def test_unbounded_under_bounded_rejected(self):

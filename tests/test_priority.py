@@ -11,7 +11,6 @@ from bruteforge.priority import (
     Dim,
     ExprSyntaxError,
     Index,
-    MinMax,
     eval_priority,
     format_expr,
     greedy,
@@ -32,8 +31,9 @@ def _exprs():
 
     def extend(children):
         return st.one_of(
-            st.builds(BinOp, st.sampled_from("+-*%"), children, children),
-            st.builds(MinMax, st.sampled_from(["min", "max"]), children, children),
+            st.builds(
+                BinOp, st.sampled_from(["+", "-", "*", "%", "min", "max"]), children, children
+            ),
             st.builds(Index, children),
         )
 
@@ -76,7 +76,8 @@ class TestParseFormat:
         assert parse_expr("v[0] + 2 * n") == BinOp(
             "+", Index(Const(0)), BinOp("*", Const(2), Dim())
         )
-        assert parse_expr("min(v[0], 1)") == MinMax("min", Index(Const(0)), Const(1))
+        assert parse_expr("min(v[0], 1)") == BinOp("min", Index(Const(0)), Const(1))
+        assert format_expr(BinOp("max", Dim(), Const(-1))) == "max(n, (-1))"
 
     def test_unary_minus(self):
         assert parse_expr("-3") == Const(-3)
