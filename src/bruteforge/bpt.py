@@ -1,9 +1,10 @@
 """Boolean Pythagorean Triples pipeline.
 
-Enumerates Pythagorean triples up to a bound m, builds the CNF whose
-unsatisfiability is equivalent to every 2-coloring of [m] containing a
-monochromatic triple (one (x_a|x_b|x_c) & (~x_a|~x_b|~x_c) block per
-triple), extracts and verifies colorings, and drives the threshold scan.
+Enumerates Pythagorean triples up to a bound m from Euclid's formula, in
+O(#triples) plus a sort, builds the CNF whose unsatisfiability is
+equivalent to every 2-coloring of [m] containing a monochromatic triple
+(one (x_a|x_b|x_c) & (~x_a|~x_b|~x_c) block per triple), extracts and
+verifies colorings, and drives the threshold scan.
 
 Reference-only facts, not desk-reproducible: the true threshold is 7825;
 the published encodings had 3730 and 3745 variables after symmetry
@@ -47,19 +48,26 @@ class Coloring:
 
 
 def triples(m):
-    """All Pythagorean triples (a, b, c) with a < b < c <= m, sorted."""
+    """All Pythagorean triples (a, b, c) with a < b < c <= m, sorted by (c, a).
+
+    Euclid's formula: every primitive triple is (u^2 - v^2, 2uv, u^2 + v^2)
+    with u > v >= 1, gcd(u, v) = 1 and u - v odd, and every triple is k
+    times exactly one primitive triple.  The work is one gcd per (u, v)
+    with u^2 + v^2 <= m plus one tuple per triple, then the sort.
+    """
     if m < 1:
         raise ValueError("m must be positive")
     out = []
-    for c in range(1, m + 1):
-        c2 = c * c
-        for a in range(1, c):
-            b2 = c2 - a * a
-            if b2 <= a * a:
+    for u in range(2, math.isqrt(m - 1) + 1):
+        for v in range(1 + u % 2, u, 2):  # u - v odd
+            c = u * u + v * v
+            if c > m:
                 break
-            b = math.isqrt(b2)
-            if b * b == b2:
-                out.append((a, b, c))
+            if math.gcd(u, v) == 1:
+                a, b = sorted((u * u - v * v, 2 * u * v))
+                k = m // c
+                out.extend(zip(range(a, k * a + 1, a), range(b, k * b + 1, b),
+                               range(c, k * c + 1, c)))
     out.sort(key=lambda t: (t[2], t[0]))
     return TripleSet(m, tuple(out))
 

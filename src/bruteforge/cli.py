@@ -456,6 +456,11 @@ def main(argv=None):
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except MemoryError:
+        # an input that declares more than fits in memory, such as
+        # "p cnf 99999999999 1", is a usage error, not a crash
+        print("error: out of memory for this input", file=sys.stderr)
+        return EXIT_USAGE
     except VerificationError as exc:
         print(f"error: verification failed: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

@@ -28,6 +28,7 @@ import random
 import select
 import shlex
 import subprocess
+import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -268,6 +269,13 @@ class EvolveConfig:
         for key in ("capacity", "batch", "tournament"):
             if getattr(self, key) < 1:
                 raise ValueError(f"{key} must be positive, got {getattr(self, key)}")
+        # the reply wait goes to select(), which overflows past TIMEOUT_MAX;
+        # the chained comparison is also false for NaN
+        if not 0 < self.generator_timeout <= threading.TIMEOUT_MAX:
+            raise ValueError(
+                f"generator_timeout must be in (0, {threading.TIMEOUT_MAX}], "
+                f"got {self.generator_timeout}"
+            )
 
 
 SEED_EXPRS = ("0", "v[0]", "n", "v[0] + v[1]")

@@ -361,6 +361,8 @@ def parse_dimacs(text):
                 header = (int(parts[2]), int(parts[3]))
             except ValueError:
                 raise DimacsError(f"line {lineno}: malformed header {line!r}")
+            if min(header) < 0:
+                raise DimacsError(f"line {lineno}: negative count in header {line!r}")
             continue
         if header is None:
             raise DimacsError(f"line {lineno}: clause before header")

@@ -1,6 +1,10 @@
-import pytest
+import hashlib
+import math
 
-from bruteforge import bpt, sat
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from bruteforge import bpt, cli, sat
 from bruteforge.bpt import (
     AllSatisfiable,
     Coloring,
@@ -16,7 +20,7 @@ from bruteforge.bpt import (
     triples,
     verify_coloring,
 )
-from bruteforge.logic import Assignment
+from bruteforge.logic import Assignment, write_dimacs
 
 
 def _brute_triples(m):
@@ -27,6 +31,23 @@ def _brute_triples(m):
                 if a * a + b * b == c * c:
                     out.append((a, b, c))
     return sorted(out, key=lambda t: (t[2], t[0]))
+
+
+def _scan_triples(m):
+    """Reference enumeration in O(m^2): for each c, every leg a below
+    c/sqrt(2) whose partner c^2 - a^2 is a perfect square."""
+    out = []
+    for c in range(1, m + 1):
+        c2 = c * c
+        for a in range(1, c):
+            b2 = c2 - a * a
+            if b2 <= a * a:
+                break
+            b = math.isqrt(b2)
+            if b * b == b2:
+                out.append((a, b, c))
+    out.sort(key=lambda t: (t[2], t[0]))
+    return tuple(out)
 
 
 class TestTriples:
@@ -54,6 +75,44 @@ class TestTriples:
     def test_invalid_bound(self):
         with pytest.raises(ValueError):
             triples(0)
+
+
+class TestEuclidEnumeration:
+    """`triples` from Euclid's formula against the scan it replaced."""
+
+    def test_equals_scan_for_every_small_bound(self):
+        for m in range(1, 601):
+            assert triples(m) == bpt.TripleSet(m, _scan_triples(m)), m
+
+    @pytest.mark.parametrize("m", [1000, 1700, 2000, 3000])
+    def test_equals_scan_at_large_bounds(self, m):
+        assert triples(m).triples == _scan_triples(m)
+
+    @settings(deadline=None)
+    @given(st.integers(1, 5000))
+    def test_triples_are_pythagorean_sorted_and_distinct(self, m):
+        ts = triples(m).triples
+        for a, b, c in ts:
+            assert a * a + b * b == c * c
+            assert 0 < a < b < c <= m
+        keys = [(c, a) for a, _, c in ts]
+        assert all(k < nxt for k, nxt in zip(keys, keys[1:]))
+        assert len(set(ts)) == len(ts)
+
+    def test_encode_1000_dimacs_is_pinned(self):
+        # SHA-256 computed with the scan enumeration
+        text = write_dimacs(encode(1000)[0])
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "cbb3e63889cdc42bcef535b2ae245737a86c6ad55bb1412b0be9cdc5cdb4e6af"
+        )
+
+    def test_solve_1000_coloring_is_pinned(self, tmp_path):
+        # SHA-256 computed with the scan enumeration
+        path = tmp_path / "col.txt"
+        assert cli.main(["bpt", "solve", "1000", "--coloring", str(path)]) == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "77814a9551d974064e616f6007742d9f26aeed76db8fe21e0234ee6986961adc"
+        )
 
 
 class TestEncode:

@@ -7,7 +7,7 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bruteforge import bpt, cli, evolve, priority
+from bruteforge import bpt, cli, evolve, priority, sat
 from bruteforge.logic import MAX_PARSE_DEPTH, VerificationError
 
 BIN = [sys.executable, "-m", "bruteforge.cli"]
@@ -53,6 +53,28 @@ class TestSat:
         assert result.returncode == 1
         assert "UNSATISFIABLE" in result.stdout
         assert cert.read_text().splitlines()[-1] == "0"
+
+    @pytest.mark.parametrize("text", ["p cnf -1 0\n", "p cnf -5 1\n0\n"])
+    def test_negative_header_count_is_usage_error(self, tmp_path, capsys, text):
+        cnf = tmp_path / "f.cnf"
+        cnf.write_text(text)
+        assert cli.main(["sat", "solve", str(cnf)]) == 2
+        header = text.splitlines()[0]
+        assert capsys.readouterr().err == (
+            f"error: line 1: negative count in header {header!r}\n"
+        )
+
+    def test_huge_variable_count_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        # the allocation for 99999999999 variables fails; a patched one
+        # fails the same way without asking for the memory
+        def allocate(self, cnf):
+            raise MemoryError
+
+        monkeypatch.setattr(sat._Core, "__init__", allocate)
+        cnf = tmp_path / "f.cnf"
+        cnf.write_text("p cnf 99999999999 1\n1 0\n")
+        assert cli.main(["sat", "solve", str(cnf)]) == 2
+        assert capsys.readouterr().err == "error: out of memory for this input\n"
 
 
 class TestBpt:
@@ -215,6 +237,22 @@ class TestCapset:
         argv = ["capset", "evolve", "--n", "2", "--config", str(config), "--evals", "20"]
         assert cli.main(argv) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("value", ["inf", "1e300", "nan", "0", "-1"])
+    def test_evolve_bad_generator_timeout_is_usage_error(self, tmp_path, capsys,
+                                                         monkeypatch, value):
+        # a generator command is set, so the value must be rejected before
+        # any child starts
+        started = []
+        monkeypatch.setattr(evolve.subprocess, "Popen", lambda *a, **k: started.append(a))
+        config = tmp_path / "c.cfg"
+        config.write_text(f"generator_timeout = {value}\ngenerator_command = python3 g.py\n")
+        argv = ["capset", "evolve", "--n", "2", "--config", str(config), "--evals", "6"]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: generator_timeout must be in (0, ")
+        assert err.count("\n") == 1
+        assert started == []
 
     def test_evolve_config_file_command_selects_external(self, tmp_path, monkeypatch):
         monkeypatch.delenv("CAPSET_GENERATOR", raising=False)
@@ -471,6 +509,13 @@ _CONFIG_LINES = st.tuples(
 ).map("".join)
 
 
+_DIMACS_LINES = st.one_of(
+    st.tuples(st.integers(-2, 6), st.integers(-2, 8)).map(lambda h: "p cnf %d %d\n" % h),
+    st.lists(st.integers(-6, 6), max_size=5).map(lambda lits: " ".join(map(str, lits)) + "\n"),
+    st.sampled_from(["0\n", "c note\n", "\n", "p cnf\n", "p dnf 1 1\n", "1 x 0\n"]),
+)
+
+
 class TestExitContractFuzz:
     """Arbitrary input exits 0, 1 or 2 and raises nothing else."""
 
@@ -505,3 +550,24 @@ class TestExitContractFuzz:
     def test_complete_arbitrary_precedence(self, text):
         argv = ["eq", "complete", "--axioms", "group", "--precedence", text]
         assert _exit_code(argv) in (0, 1, 2)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.text() | st.lists(_DIMACS_LINES, max_size=12).map("".join))
+    def test_sat_solve_arbitrary_text(self, text):
+        with tempfile.TemporaryDirectory() as directory:
+            path = os.path.join(directory, "f.cnf")
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(text)
+            assert _exit_code(["sat", "solve", path]) in (0, 1, 2)
+
+    @settings(deadline=None)
+    @given(st.integers(-5, 60))
+    def test_bpt_solve_any_bound(self, m):
+        assert _exit_code(["bpt", "solve", str(m)]) in (0, 1, 2)
+
+    @settings(deadline=None)
+    @given(st.integers(-5, 60))
+    def test_bpt_encode_any_bound(self, m):
+        with tempfile.TemporaryDirectory() as directory:
+            path = os.path.join(directory, "b.cnf")
+            assert _exit_code(["bpt", "encode", str(m), "-o", path]) in (0, 1, 2)

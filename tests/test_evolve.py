@@ -2,6 +2,7 @@ import json
 import os
 import sys
 import textwrap
+import threading
 import time
 
 import pytest
@@ -265,6 +266,10 @@ class TestConfigFile:
             parse_config_file(f"n = 2\n{key} = {value}\n")
         with pytest.raises(ValueError, match=f"^{key} must be positive"):
             EvolveConfig(n=2, **{key: value})
+
+    def test_generator_timeout_upper_limit_is_accepted(self):
+        cfg = parse_config_file(f"n = 2\ngenerator_timeout = {threading.TIMEOUT_MAX}\n")
+        assert cfg.generator_timeout == threading.TIMEOUT_MAX
 
     def test_missing_n(self):
         with pytest.raises(ValueError):

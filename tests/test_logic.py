@@ -246,3 +246,8 @@ class TestDimacs:
     def test_missing_terminator(self):
         with pytest.raises(DimacsError):
             parse_dimacs("p cnf 2 1\n1 -2\n")
+
+    @pytest.mark.parametrize("text", ["p cnf -1 0\n", "p cnf -5 1\n0\n", "p cnf 2 -1\n"])
+    def test_negative_header_count(self, text):
+        with pytest.raises(DimacsError, match="negative count in header"):
+            parse_dimacs(text)
