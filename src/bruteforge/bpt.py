@@ -209,7 +209,7 @@ def exhaustive_satisfiable(m):
     """Oracle: does any 2-coloring of the triple members avoid mono triples?
 
     Exhausts all 2^|members(m)| colorings via the bitset truth table over
-    the encoding; independent of the DPLL search path.
+    the encoding; independent of the CDCL search in `sat.solve`.
     """
     cnf, _ = encode(m)
     return sat.truth_table_satisfiable(cnf)

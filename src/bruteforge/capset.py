@@ -44,17 +44,32 @@ def vec_neg(x):
 
 
 def is_cap(vectors):
-    """No three distinct vectors sum to zero mod 3."""
+    """No three distinct vectors sum to zero mod 3.
+
+    For distinct x and y the third point -(x+y) differs from both, so the
+    set is a cap iff no pair's third point is in it.  A vector is keyed as
+    K = h << n | l, where bit i of h (of l) is set iff digit i is 2 (is 1),
+    and K' = l << n | h is the key of its negation.  Bitsliced GF(3)
+    addition gives x + y = ((xl|yl) ^ t, (xh|yh) ^ t) with
+    t = (xl|yh) ^ (xh|yl), and (Kx|Ky') ^ (Kx'|Ky) holds t in both halves,
+    so the key of -(x+y) is (Kx|Ky) ^ (Kx|Ky') ^ (Kx'|Ky).
+    """
     vs = list(vectors)
-    vset = set(vs)
-    if len(vset) != len(vs):
+    n = len(vs[0]) if vs else 0
+    keys = []
+    for v in vs:
+        if len(v) != n or not set(v) <= {0, 1, 2}:
+            raise ValueError("vectors must share one dimension over {0, 1, 2}")
+        h = l = 0
+        for a in v:
+            h, l = h << 1 | (a == 2), l << 1 | (a == 1)
+        keys.append((h << n | l, l << n | h))
+    keyset = {k for k, _ in keys}
+    if len(keyset) != len(keys):
         raise ValueError("vectors must be distinct")
-    for i, x in enumerate(vs):
-        for y in vs[i + 1 :]:
-            # z completing a zero-sum triple with x, y is determined
-            z = vec_neg(vec_add(x, y))
-            if z != x and z != y and z in vset:
-                return False
+    for i, (kx, nx) in enumerate(keys):
+        if not keyset.isdisjoint({(kx | ky) ^ (kx | ny) ^ (nx | ky) for ky, ny in keys[i + 1:]}):
+            return False
     return True
 
 

@@ -1,20 +1,25 @@
 """Complete propositional satisfiability engine with checkable certificates.
 
-The solver is an iterative, trail-based DPLL over two watched literals per
-clause (Chaff): unit propagation to fixpoint, branching on the lowest-index
-unassigned variable (true first), backtracking through an explicit stack of
-(decision, trail mark) pairs.  Every conflict and every exhausted branch
-records the negation of the current decision set; the resulting clause list
-is a reverse-unit-propagation (RUP) refutation ending in the empty clause.
+The solver is conflict-driven clause learning in the MiniSat style (Een &
+Sorensson, SAT 2003) over two watched literals per clause (Chaff).  Every
+propagated literal records its reason clause and decision level; each
+conflict is analysed to its first unique implication point, the learned
+clause is added, and the search jumps back to the level where that clause
+becomes unit.  Branching follows EVSIDS activity with ties to the lowest
+variable and saved phases that start true, and the search restarts on
+Luby's sequence.  A search with no conflict therefore branches on the
+lowest unassigned variable, true first.  Learned clauses are never
+deleted: in order, followed by the empty clause, they form a
+reverse-unit-propagation (RUP) refutation.  Models and certificates are
+deterministic for a given input.
 
 check_certificate replays it in one pass with its own small watched-literal
-propagator, independent of the solver's, as in DRAT-trim.  Unit propagation
-reaches a conflict under every order or under none, and otherwise has a
-unique fixpoint, so models and certificates do not depend on propagation
-order."""
+propagator, independent of the solver's, as in DRAT-trim."""
 
 from __future__ import annotations
 
+import heapq
+import math
 from dataclasses import dataclass
 
 from .logic import Assignment, Clause, Cnf
@@ -199,14 +204,32 @@ def check_certificate(cnf, cert):
     return True
 
 
-class _Core:
-    """The solver's two-watched-literal propagation over a fixed clause set.
+EMPTY = Clause(frozenset())
+RESTART_UNIT = 100  # conflicts per unit of Luby's restart sequence
+DECAY = 0.95  # EVSIDS: the bump grows by 1/DECAY after each conflict
 
-    `true` and `watches` are indexed by literal: +v is slot v and -v is slot
-    2n+1-v, reached through Python's negative indexing.  Tautologies are
-    dropped; unit clauses and the empty clause are kept aside and asserted
-    at the root of the search.  A longer clause watches its first two
-    literals, which propagation keeps non-false while the clause is open.
+
+def _luby(i):
+    """Term i (from 0) of Luby's sequence 1 1 2 1 1 2 4 1 1 2 1 1 2 4 8 ..."""
+    size, term = 1, 1
+    while size < i + 1:
+        size, term = 2 * size + 1, 2 * term
+    while size - 1 != i:
+        size, term = size >> 1, term >> 1
+        i %= size
+    return term
+
+
+class _Core:
+    """The solver's two-watched-literal propagation over a growing clause set.
+
+    `true`, `watches`, `reason` and `level` are indexed by literal: +v is
+    slot v and -v is slot 2n+1-v, reached through Python's negative
+    indexing.  `reason[l]` and `level[l]` are read only while l is true.
+    Tautologies are dropped; unit clauses and the empty clause are kept
+    aside and asserted at the root of the search.  A longer clause watches
+    its first two literals, which propagation keeps non-false while the
+    clause is open.  `lim[k]` is the trail length when level k+1 began.
     """
 
     def __init__(self, cnf):
@@ -214,10 +237,17 @@ class _Core:
         self.num_vars = n
         self.true = [False] * (2 * n + 1)
         self.watches = [[] for _ in range(2 * n + 1)]
+        self.reason = [None] * (2 * n + 1)
+        self.level = [0] * (2 * n + 1)
         self.units = []
         self.has_empty = False
         self.trail = []
+        self.lim = []
         self.head = 0  # trail[:head] has been propagated
+        self.act = [0.0] * (n + 1)  # EVSIDS activity by variable
+        self.inc = 1.0
+        self.phase = [True] * (n + 1)
+        self.heap = None  # (-activity, variable), built at the first conflict
         for c in cnf.clauses:
             if c.is_tautological:
                 continue
@@ -249,11 +279,12 @@ class _Core:
         for lit in self.units:
             if not self._set(lit):
                 return True
-        return self.propagate()
+        return self.propagate() is not None
 
     def propagate(self):
-        """Propagate the trail to fixpoint; True iff a clause is falsified."""
+        """Propagate the trail to fixpoint; the falsified clause, or None."""
         true, watches, trail = self.true, self.watches, self.trail
+        reason, level, depth = self.reason, self.level, len(self.lim)
         head = self.head
         while head < len(trail):
             false = -trail[head]
@@ -280,71 +311,144 @@ class _Core:
                     if true[-other]:
                         kept.extend(watching[i + 1:])
                         self.head = head
-                        return True
+                        return c
                     true[other] = True
                     trail.append(other)
+                    reason[other] = c
+                    level[other] = depth
         self.head = head
-        return False
+        return None
 
-    def undo(self, mark):
-        """Unassign everything set after the first `mark` trail entries."""
-        true, trail = self.true, self.trail
+    def _analyze(self, clause):
+        """First-UIP clause of a conflict, asserting literal first, and its level.
+
+        Resolves the conflict clause with the reasons of the current level's
+        literals, latest first, until one literal of that level is left.
+        Literals of level 0 are dropped: the root's units imply them false.
+        The second literal is one of the highest remaining level.
+        """
+        trail, level, act = self.trail, self.level, self.act
+        depth = len(self.lim)
+        seen = set()
+        learnt = [0]
+        pending = 0  # seen variables of the current level not yet resolved
+        i = len(trail)
+        while True:
+            for q in clause:
+                v = abs(q)
+                if v not in seen and level[-q]:
+                    seen.add(v)
+                    act[v] += self.inc
+                    if level[-q] == depth:
+                        pending += 1
+                    else:
+                        learnt.append(q)
+            i -= 1
+            while abs(trail[i]) not in seen:
+                i -= 1
+            pending -= 1
+            if not pending:
+                break
+            clause = self.reason[trail[i]]
+        learnt[0] = -trail[i]
+        if len(learnt) == 1:
+            return learnt, 0
+        k = max(range(1, len(learnt)), key=lambda k: level[-learnt[k]])
+        learnt[1], learnt[k] = learnt[k], learnt[1]
+        return learnt, level[-learnt[1]]
+
+    def _assign(self, lit, reason):
+        self.true[lit] = True
+        self.trail.append(lit)
+        self.reason[lit] = reason
+        self.level[lit] = len(self.lim)
+
+    def _backjump(self, depth):
+        """Unassign every level above `depth`, saving phases, requeueing variables."""
+        true, trail, heap, act, phase = self.true, self.trail, self.heap, self.act, self.phase
+        mark = self.lim[depth]
+        del self.lim[depth:]
         for lit in trail[mark:]:
             true[lit] = False
+            v = abs(lit)
+            phase[v] = lit > 0
+            if heap is not None:
+                heapq.heappush(heap, (-act[v], v))
         del trail[mark:]
         self.head = mark
 
     def search(self, step_limit=None):
-        """Depth-first search from the root: (model or None, lines).
+        """CDCL from the root: (model or None, learned clauses).
 
-        Branches on the lowest unassigned variable, true first.  Each node
-        entry counts one step against `step_limit`.  Each conflict and each
-        exhausted branch appends the clause ~(decisions) to `lines`; in
-        order they form an RUP refutation when no model exists.  The core
-        is left unassigned on return.
+        Until the first conflict every activity is 0, so the pick is a scan
+        for the lowest unassigned variable; the activity heap is built at
+        that conflict.  The root and each decision count one step against
+        `step_limit`.  With no model, the learned clauses and a final empty
+        clause are the RUP refutation.
         """
-        true, trail, n = self.true, self.trail, self.num_vars
-        stack = []  # (decision literal, trail length before it)
+        true, trail, lim, n = self.true, self.trail, self.lim, self.num_vars
+        limit = math.inf if step_limit is None else step_limit
+        if limit < 1:
+            raise BudgetExhausted(f"step limit {step_limit} exhausted")
+        if self.assume(()):
+            return None, [EMPTY]
         lines = []
-        steps = 0
+        steps = 1
+        scan = 1  # before the first conflict: every variable below is assigned
+        conflicts, restarts, restart_at = 0, 0, RESTART_UNIT
         while True:
-            steps += 1
-            if step_limit is not None and steps > step_limit:
-                raise BudgetExhausted(f"step limit {step_limit} exhausted")
-            if stack:
-                self._set(stack[-1][0])
-                conflict = self.propagate()
+            clause = self.propagate()
+            if clause is not None:
+                if not lim:
+                    lines.append(EMPTY)
+                    return None, lines
+                learnt, depth = self._analyze(clause)
+                lines.append(Clause(frozenset(learnt)))
+                self._backjump(depth)
+                self._assign(learnt[0], learnt)
+                if len(learnt) > 1:
+                    self.watches[learnt[0]].append(learnt)
+                    self.watches[learnt[1]].append(learnt)
+                self.inc /= DECAY
+                if self.heap is None or self.inc > 1e100:
+                    if self.inc > 1e100:
+                        self.act = [a * 1e-100 for a in self.act]
+                        self.inc *= 1e-100
+                    act = self.act
+                    self.heap = [(-act[v], v) for v in range(1, n + 1)
+                                 if not (true[v] or true[-v])]
+                    heapq.heapify(self.heap)
+                conflicts += 1
+                continue
+            if conflicts >= restart_at and lim:
+                restarts += 1
+                restart_at = conflicts + RESTART_UNIT * _luby(restarts)
+                self._backjump(0)
+            heap = self.heap
+            if heap is None:
+                while scan <= n and (true[scan] or true[-scan]):
+                    scan += 1
+                v = scan
             else:
-                conflict = self.assume(())
-            if not conflict:
-                # every variable below the latest decision is already assigned
-                v = abs(stack[-1][0]) + 1 if stack else 1
-                while v <= n and (true[v] or true[-v]):
-                    v += 1
-                if v <= n:
-                    stack.append((v, len(trail)))
-                    continue
-                model = Assignment({u: true[u] for u in range(1, n + 1)})
-                self.undo(0)
-                return model, lines
-            lines.append(Clause(frozenset([-d for d, _ in stack])))
-            while stack and stack[-1][0] < 0:
-                stack.pop()
-                lines.append(Clause(frozenset([-d for d, _ in stack])))
-            if not stack:
-                self.undo(0)
-                return None, lines
-            d, mark = stack.pop()
-            self.undo(mark)
-            stack.append((-d, mark))
+                while heap and (true[heap[0][1]] or true[-heap[0][1]]):
+                    heapq.heappop(heap)
+                v = heapq.heappop(heap)[1] if heap else n + 1
+            if v > n:
+                return Assignment({u: true[u] for u in range(1, n + 1)}), lines
+            steps += 1
+            if steps > limit:
+                raise BudgetExhausted(f"step limit {step_limit} exhausted")
+            lim.append(len(trail))
+            self._assign(v if self.phase[v] else -v, None)
 
 
 def solve(cnf, step_limit=None):
     """Decide satisfiability.  Total, sound, complete, deterministic.
 
     SAT verdicts carry a total model; UNSAT verdicts carry an RUP
-    certificate.  `step_limit` bounds the number of search nodes and raises
-    BudgetExhausted when hit (default: unbudgeted).
+    certificate of learned clauses.  `step_limit` bounds the number of
+    decisions, the root counted as one, and raises BudgetExhausted when
+    hit (default: unbudgeted).
     """
     model, lines = _Core(cnf).search(step_limit)
     if model is not None:

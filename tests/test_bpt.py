@@ -115,6 +115,14 @@ class TestEuclidEnumeration:
         )
 
 
+class TestLargeBounds:
+    def test_solve_3000_coloring_verifies(self, tmp_path):
+        path = tmp_path / "col.txt"
+        assert cli.main(["bpt", "solve", "3000", "--coloring", str(path)]) == 0
+        colors = dict(map(int, line.split()) for line in path.read_text().splitlines())
+        assert verify_coloring(Coloring(3000, colors), 3000) == VALID
+
+
 class TestEncode:
     def test_smallest_nontrivial_encoding(self):
         cnf, varmap = encode(5)

@@ -72,6 +72,69 @@ class TestIsCap:
         assert is_cap(vs) == is_cap_ap(vs)
 
 
+def _is_cap_tuples(vectors):
+    """The pair loop in tuple arithmetic that is_cap used to run."""
+    vs = list(vectors)
+    vset = set(vs)
+    if len(vset) != len(vs):
+        raise ValueError("vectors must be distinct")
+    for i, x in enumerate(vs):
+        for y in vs[i + 1 :]:
+            z = vec_neg(vec_add(x, y))
+            if z != x and z != y and z in vset:
+                return False
+    return True
+
+
+def _random_cap(rng, n):
+    """A maximal cap grown in a random order with the tuple oracle."""
+    cap = []
+    for v in rng.sample(all_vectors(n), 3**n):
+        if extends_cap(set(cap), v):
+            cap.append(v)
+    return cap
+
+
+class TestIsCapAgainstOracles:
+    def test_random_sets(self):
+        rng = random.Random(11)
+        verdicts = set()
+        for _ in range(400):
+            n = rng.randint(0, 6)
+            vs = rng.sample(all_vectors(n), rng.randint(0, min(40, 3**n)))
+            verdict = is_cap(vs)
+            assert verdict == _is_cap_tuples(vs)
+            if len(vs) <= 7:
+                assert verdict == is_cap_ap(vs)
+            verdicts.add(verdict)
+        assert verdicts == {True, False}
+
+    def test_caps_and_one_point_more(self):
+        rng = random.Random(12)
+        for _ in range(40):
+            n = rng.randint(1, 5)
+            cap = _random_cap(rng, n)
+            assert is_cap(cap) and _is_cap_tuples(cap)
+            rng.shuffle(cap)
+            for v in rng.sample(all_vectors(n), min(10, 3**n)):
+                if v not in cap:
+                    # the cap is maximal, so any further point completes a line
+                    assert not is_cap(cap + [v])
+                    assert not _is_cap_tuples(cap + [v])
+
+    def test_large_binary_caps(self):
+        for n in (8, 9):
+            cap = list(binary_cap(n))
+            assert is_cap(cap) and _is_cap_tuples(cap)
+            # 0^n, 1^n and 2^n are a line
+            assert not is_cap(cap + [(2,) * n]) and not _is_cap_tuples(cap + [(2,) * n])
+
+    def test_mixed_dimensions_and_digits_rejected(self):
+        for bad in ([(0, 1), (1,)], [(0, 3)], [(0, -1), (1, 1)]):
+            with pytest.raises(ValueError):
+                is_cap(bad)
+
+
 class TestBinaryCap:
     def test_size_and_capness(self):
         for n in range(1, 8):

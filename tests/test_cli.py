@@ -516,6 +516,12 @@ _DIMACS_LINES = st.one_of(
 )
 
 
+_CAPSET_LINES = st.one_of(
+    st.text(alphabet="012", max_size=5).map(lambda digits: digits + "\n"),
+    st.sampled_from(["# c\n", "\n", " 01 \n", "0 1\n", "3\n", "x\n", "012\r\n", "-1\n"]),
+)
+
+
 class TestExitContractFuzz:
     """Arbitrary input exits 0, 1 or 2 and raises nothing else."""
 
@@ -571,3 +577,18 @@ class TestExitContractFuzz:
         with tempfile.TemporaryDirectory() as directory:
             path = os.path.join(directory, "b.cnf")
             assert _exit_code(["bpt", "encode", str(m), "-o", path]) in (0, 1, 2)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(-5, 60), st.integers(-2, 30))
+    def test_bpt_scan_any_bounds(self, max_m, step):
+        argv = ["bpt", "scan", "--max", str(max_m), "--step", str(step)]
+        assert _exit_code(argv) in (0, 1, 2)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.text() | st.lists(_CAPSET_LINES, max_size=12).map("".join))
+    def test_capset_verify_arbitrary_text(self, text):
+        with tempfile.TemporaryDirectory() as directory:
+            path = os.path.join(directory, "c.txt")
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(text)
+            assert _exit_code(["capset", "verify", path]) in (0, 1, 2)

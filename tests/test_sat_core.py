@@ -1,8 +1,11 @@
-"""Golden, differential and edge tests for the watched-literal SAT core.
+"""Golden, differential and edge tests for the CDCL SAT core.
 
-The digests and step boundaries below were computed with the earlier
-full-scan recursive DPLL.  Matching them shows that models, certificates
-and node counts are unchanged by the propagation core.
+The random-family and pigeonhole digests and their step boundaries pin the
+conflict-driven search: models, learned-clause certificates and decision
+counts.  The BPT encodings hit no conflict, so their digests and the bpt-200
+boundary are the ones the earlier chronological DPLL produced: a search
+without conflicts still branches on the lowest unassigned variable, true
+first.
 """
 
 import hashlib
@@ -14,12 +17,15 @@ import pytest
 from bruteforge import bpt
 from bruteforge.logic import Assignment, Clause, Cnf
 from bruteforge.sat import (
+    RESTART_UNIT,
     STABLE,
     BudgetExhausted,
     Certificate,
     MalformedCertificateError,
     check_certificate,
     solve,
+    _Core,
+    _luby,
     truth_table_satisfiable,
     unit_propagate,
     verify_model,
@@ -65,13 +71,13 @@ def _digest(text):
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-# --- artifacts pinned from the previous solver ------------------------------
+# --- pinned artifacts -------------------------------------------------------
 
 RANDOM_VERDICTS = "usussusuussussuusususussssususssusssussussssssusussussssusss"
-RANDOM_DIGEST = "ec84ae176e2d3e8cad94ee33765b54f0e000763649a4010b945ebb927524493e"
+RANDOM_DIGEST = "fdb166e0065744c81f62330dd3bbdcd0bfa404807d5a97d9929be54b917851b8"
 NAMED_DIGESTS = {
-    "php-4-3": "1cee574925faa8c93b275b0048c9b5b7d2452d31d9e28d3d0e25b926b36325ff",
-    "php-5-4": "e2d9010e55d8213daeede20e9bc96b143acc50ebb66b68ef76e61b1e7b0f78bc",
+    "php-4-3": "07cb7721a5e3014a5dc042bf722ae86faac189cc858078aa7ac962f969728af0",
+    "php-5-4": "6ca3c717c7de444547ac110ad46a9dfe95ceaece139c12460c3f7a3dec294877",
     "bpt-200": "d697859a1bb297c337ed0e4f44d13757df3ea8dca4a0e2410f9ec445e8868393",
     "bpt-500": "b8fd8b21519601952cebbeeea61dc565287826bd8f8eef210128bbe2a4909781",
     "bpt-1000": "28792ef7bbfb8be332de42c690ced474741cf0cb53f814e1f35d7c87662acf8b",
@@ -105,7 +111,7 @@ class TestGolden:
 
     @pytest.mark.parametrize(
         "name, nodes",
-        [("random-0", 225), ("random-1", 559), ("php-4-3", 17), ("php-5-4", 103),
+        [("random-0", 53), ("random-1", 46), ("php-4-3", 10), ("php-5-4", 44),
          ("bpt-200", 90)],
     )
     def test_budget_boundary(self, name, nodes):
@@ -118,9 +124,9 @@ class TestGolden:
 # --- differential fuzz against the truth-table oracle -----------------------
 
 
-def _fuzz_cnf(rng):
-    """Up to 14 variables; empty clauses, units and tautologies included."""
-    n = rng.randint(0, 14)
+def _fuzz_cnf(rng, max_vars=14):
+    """Up to `max_vars` variables; empty clauses, units and tautologies included."""
+    n = rng.randint(0, max_vars)
     clauses = []
     for _ in range(rng.randint(0, 40)):
         lits = set()
@@ -151,6 +157,76 @@ def test_fuzz_against_truth_table():
                       else "taut" if c.is_tautological else "wide")
         kinds.add("sat" if v.satisfiable else "unsat")
     assert kinds == {"empty", "unit", "taut", "wide", "sat", "unsat"}
+
+
+def test_wide_fuzz_against_truth_table():
+    """Up to 18 variables, mostly threshold 3-CNFs, so searches learn and jump back."""
+    rng = random.Random(1818)
+    learned = 0
+    for _ in range(300):
+        if rng.random() < 0.7:
+            cnf = _random_3cnf(rng, rng.randint(8, 18))
+        else:
+            cnf = _fuzz_cnf(rng, 18)
+        v = solve(cnf)
+        assert v.satisfiable == truth_table_satisfiable(cnf)
+        if v.satisfiable:
+            assert verify_model(cnf, v.model)
+        else:
+            assert check_certificate(cnf, v.certificate)
+            assert _reference_check(cnf, v.certificate)
+            learned += len(v.certificate.lines) - 1
+    assert learned > 200
+
+
+# --- CDCL -------------------------------------------------------------------
+
+
+class TestCdcl:
+    def test_luby_sequence(self):
+        assert [_luby(i) for i in range(15)] == [1, 1, 2, 1, 1, 2, 4, 1, 1, 2, 1, 1, 2, 4, 8]
+
+    def test_php_7_6_refuted_through_restarts_deterministically(self):
+        cnf = _php(7, 6)
+        first, second = solve(cnf), solve(cnf)
+        assert not first.satisfiable
+        # one line per conflict and the empty clause: the search restarted
+        assert len(first.certificate.lines) > RESTART_UNIT + 1
+        assert check_certificate(cnf, first.certificate)
+        assert first.certificate == second.certificate
+
+    def test_activity_rescale_keeps_search_complete(self):
+        rescaled = 0
+        cases = [(_php(6, 5), "u")] + list(zip(_random_family()[:20], RANDOM_VERDICTS))
+        for cnf, verdict in cases:
+            core = _Core(cnf)
+            core.inc = 0.99e100  # the first conflict crosses the 1e100 rescale
+            model, lines = core.search()
+            if model is None:
+                assert check_certificate(cnf, Certificate(tuple(lines)))
+                rescaled += len(lines) > 1 and core.inc < 1e99
+            else:
+                assert verify_model(cnf, model)
+            assert ("s" if model else "u") == verdict
+        assert rescaled > 5
+
+    def test_only_the_last_line_is_empty(self):
+        refuted = 0
+        for cnf in _random_family() + [_php(p, p - 1) for p in range(2, 8)]:
+            v = solve(cnf)
+            if not v.satisfiable:
+                lines = v.certificate.lines
+                assert not lines[-1].lits
+                assert all(c.lits for c in lines[:-1])
+                refuted += 1
+        assert refuted > 20
+
+    def test_bpt_1700_decides_within_1000_steps(self):
+        cnf, varmap = bpt.encode(1700)
+        v = solve(cnf, step_limit=1000)
+        assert v.satisfiable
+        coloring = bpt.coloring_from_model(v.model, varmap, 1700)
+        assert bpt.verify_coloring(coloring, 1700) == bpt.VALID
 
 
 # --- reference checker ------------------------------------------------------
@@ -213,8 +289,8 @@ class TestCheckerAgreesWithReference:
             assert self._agree(cnf, lines)
 
     def test_dropped_lines(self):
-        # DPLL certificates are redundant enough that one dropped line often
-        # still checks; a dropped prefix usually does not.
+        # A learned clause is often implied again by the lines after it, so one
+        # dropped line may still check; a dropped prefix usually does not.
         rejected = 0
         for cnf, lines in _unsat_family():
             for i in range(len(lines) - 1):
