@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -209,7 +210,8 @@ _SIGNATURES = {
 
 
 def _parse_axiom_file(text, parser):
-    """Axiom file: optional "signature: NAME" line, then "ID: lhs = rhs"."""
+    """Axiom file: optional "signature: NAME" line, then "ID: lhs = rhs".
+    An ID is one word, used once: it is the first field of a proof line."""
     signature = equational.BOOLEAN_SIG
     axioms = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -225,11 +227,27 @@ def _parse_axiom_file(text, parser):
         if ":" not in line or "=" not in line:
             parser.error(f"line {lineno}: expected 'ID: lhs = rhs'")
         eq_id, _, rest = line.partition(":")
+        eq_id = eq_id.strip()
+        if eq_id.split() != [eq_id]:
+            parser.error(f"line {lineno}: axiom id {eq_id!r} is not one word")
+        if eq_id in axioms:
+            parser.error(f"line {lineno}: axiom id {eq_id!r} repeated")
         lhs, _, rhs = rest.partition("=")
-        axioms[eq_id.strip()] = equational.Equation(
+        axioms[eq_id] = equational.Equation(
             parse_term(lhs.strip(), signature), parse_term(rhs.strip(), signature)
         )
     return axioms, signature
+
+
+def _seconds(text):
+    """A time limit: any float but NaN, which no elapsed time exceeds."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if math.isnan(value):
+        raise argparse.ArgumentTypeError(f"invalid number of seconds: {text!r}")
+    return value
 
 
 def _parse_goal(parser, text, signature):
@@ -425,7 +443,7 @@ def build_parser():
     p.add_argument("--axioms", required=True, help="robbins | boolean | group | FILE")
     p.add_argument("--goal", required=True, help="equation 'lhs = rhs'")
     p.add_argument("--budget", type=int, default=5000)
-    p.add_argument("--max-seconds", type=float, default=None)
+    p.add_argument("--max-seconds", type=_seconds, default=None)
     p.add_argument("--exists", action="store_true",
                    help="treat goal variables as existential; enumerate witnesses")
     p.add_argument("-o", "--output", help="write the proof file here")
@@ -451,6 +469,10 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    for name, value in vars(args).items():
+        # argparse reads "--opt=--" as an empty list, not a value
+        if isinstance(value, list):
+            parser.error(f"argument --{name.replace('_', '-')}: expected one argument")
     try:
         return args.handler(args, parser)
     except (ValueError, OSError) as exc:

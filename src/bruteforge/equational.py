@@ -3,8 +3,8 @@ proof checking, and budgeted proof search.
 
 Ships the Robbins axioms (R1-R3 plus the definitional equations), the
 Boolean-algebra axioms B1-B10, and the free-group axioms.  Proof search is
-a fair dovetailed generate-and-test over equational rewrite steps; found
-proofs are replayable step lists that check_proof validates.
+a fair dovetailed generate-and-test that meets in the middle; found proofs
+are replayable step lists that check_proof validates.
 """
 
 from __future__ import annotations
@@ -564,7 +564,7 @@ class Timeout:
 
 @dataclass(eq=False, slots=True)
 class _Node:
-    """A term reached from the goal's left side, with the node it was reached
+    """A term reached from one side of the goal, with the node it was reached
     from and the step taken; `taken` marks it expanded (see prove)."""
 
     term: Term
@@ -586,23 +586,6 @@ def _ground_pool(goal, extra_terms=(), limit=6):
                 pool.append(sub)
     pool.sort(key=lambda t: (term_size(t), format_term(t)))
     return pool[:limit]
-
-
-def _renamed_axioms(axioms, goal):
-    """Axioms with variables renamed clear of the goal's variables."""
-    offset = (
-        max(
-            [max_var(goal.lhs), max_var(goal.rhs)]
-            + [max(max_var(e.lhs), max_var(e.rhs)) for e in axioms.values()]
-        )
-        + 1
-    )
-    out = {}
-    for eq_id, eq in axioms.items():
-        out[eq_id] = Equation(
-            rename_apart(eq.lhs, offset), rename_apart(eq.rhs, offset)
-        )
-    return out, offset
 
 
 def _orientations(axioms, pool, max_extra_vars=2):
@@ -681,57 +664,62 @@ def _successors(t, orientations, max_size):
                 yield ProofStep(eq_id, pos, sigma, direction), new_term, new_size
 
 
+def _steps_back(node):
+    """The steps from node back to the root of its side, last step first."""
+    while node.step is not None:
+        yield node.step
+        node = node.parent
+
+
 def prove(goal, axioms, max_expansions=5000, max_seconds=None, size_margin=8,
           age_weight_ratio=4):
-    """Budgeted bidirectional-free proof search by fair generate-and-test.
+    """Budgeted bidirectional proof search by fair generate-and-test.
 
-    Explores terms reachable from goal.lhs by equational steps, dovetailing
-    by age and by weight (term size): out of every `age_weight_ratio` + 1
-    selections, one is the oldest frontier node and the rest are the
-    smallest, oldest first among equals.  The frontier is kept twice, in
-    generation order and in a heap on (size, generation), so each selection
-    costs O(log n) in the frontier size n; a node taken through one view is
-    skipped when it comes up in the other.  Proof steps use non-negative
-    argument positions.  Returns an EqProof (always check_proof-valid) or
-    Timeout with counters.
+    Two frontiers grow by equational steps, from goal.lhs and from goal.rhs.
+    They expand in turns, lhs first, and when one is empty the other goes
+    on alone; `max_expansions` and `max_seconds` count both.  Each side
+    dovetails by age and by weight (term size): out of every
+    `age_weight_ratio` + 1 of its selections, one is its oldest frontier
+    node and the rest are its smallest, oldest first among equals.  A
+    frontier is kept twice, in generation order and in a heap on (size,
+    generation), so each selection costs O(log n) in the frontier size n; a
+    node taken through one view is skipped when it comes up in the other.
+
+    The sides meet when one reaches a term the other owns.  The proof is
+    the lhs path, then the rhs path reversed: a reversed step keeps its
+    equation, position and substitution and flips its direction, since the
+    subterm it left is the instance of `to` and the substitution binds
+    every variable of `frm`.  Returns an EqProof (check_proof-valid, with
+    non-negative positions) or Timeout with counters.
     """
-    axioms_r, offset = _renamed_axioms(axioms, goal)
-    orientations = _orientations(axioms_r, _ground_pool(goal))
+    orientations = _orientations(axioms, _ground_pool(goal))
     max_size = max(term_size(goal.lhs), term_size(goal.rhs)) + size_margin
     start = time.monotonic()
 
-    root = _Node(goal.lhs, None, None, term_size(goal.lhs))
-    by_age = deque([root])
-    by_weight = [(root.size, 0, root)]
-    untaken = 1
-    visited = {goal.lhs}
-    generated = 0
-    rewrites = 0
-    expansions = 0
-    tick = 0
-
-    def build_proof(node):
-        # search ran over renamed-apart axioms; translate substitution keys
-        # back to the original axiom variables
-        steps = []
-        while node.step is not None:
-            s = node.step
-            subst = {v - offset: t for v, t in s.subst.items()}
-            steps.append(ProofStep(s.eq_id, s.pos, subst, s.direction))
-            node = node.parent
-        return EqProof(tuple(reversed(steps)))
+    owner = {}  # term -> (side, node) of the frontier that reached it
+    frontiers = []  # per side: nodes in generation order, heap on (size, generation)
+    for side, term in enumerate((goal.lhs, goal.rhs)):
+        root = _Node(term, None, None, term_size(term))
+        owner[term] = (side, root)
+        frontiers.append((deque([root]), [(root.size, 0, root)]))
+    untaken, ticks = [1, 1], [0, 0]
+    # `generated` numbers the generations of both heaps: ties still go by insertion
+    generated = rewrites = expansions = 0
+    side = 1
 
     if goal.lhs == goal.rhs:
         return EqProof(())
 
-    while untaken:
+    while True:
+        if untaken[1 - side]:
+            side = 1 - side
         expansions += 1
-        if expansions > max_expansions:
+        if (not untaken[side] or expansions > max_expansions
+                or max_seconds is not None and time.monotonic() - start > max_seconds):
             return Timeout(generated, rewrites)
-        if max_seconds is not None and time.monotonic() - start > max_seconds:
-            return Timeout(generated, rewrites)
-        tick += 1
-        if tick % (age_weight_ratio + 1) == 0:
+        by_age, by_weight = frontiers[side]
+        ticks[side] += 1
+        if ticks[side] % (age_weight_ratio + 1) == 0:
             node = by_age.popleft()
             while node.taken:
                 node = by_age.popleft()
@@ -740,45 +728,49 @@ def prove(goal, axioms, max_expansions=5000, max_seconds=None, size_margin=8,
             while node.taken:
                 node = heapq.heappop(by_weight)[2]
         node.taken = True
-        untaken -= 1
+        untaken[side] -= 1
         for step, new_term, new_size in _successors(node.term, orientations, max_size):
             rewrites += 1
-            seen = len(visited)
-            visited.add(new_term)  # one hash of new_term, not two
-            if len(visited) == seen:
-                continue
-            generated += 1
-            child = _Node(new_term, node, step, new_size)
-            if new_term == goal.rhs:
-                return build_proof(child)
-            by_age.append(child)
-            heapq.heappush(by_weight, (new_size, generated, child))
-            untaken += 1
-    return Timeout(generated, rewrites)
+            hit = owner.get(new_term)
+            if hit is None:
+                generated += 1
+                child = _Node(new_term, node, step, new_size)
+                owner[new_term] = (side, child)
+                by_age.append(child)
+                heapq.heappush(by_weight, (new_size, generated, child))
+                untaken[side] += 1
+            elif hit[0] != side:
+                here = [step, *_steps_back(node)]
+                there = list(_steps_back(hit[1]))
+                lhs_back, rhs_back = (here, there) if side == 0 else (there, here)
+                return EqProof(tuple(reversed(lhs_back)) + tuple(
+                    ProofStep(s.eq_id, s.pos, s.subst, "rl" if s.direction == "lr" else "lr")
+                    for s in rhs_back))
+
+
+def _size_classes(signature, max_size, variables):
+    """The terms of sizes 1 to max_size over the signature (plus the given
+    Vars), one text-sorted list per size, each built only when asked for."""
+    terms = list(variables) + [App(s) for s, a in signature.items() if a == 0]
+    by_size = {}
+    for size in range(1, max_size + 1):
+        if size > 1:
+            terms = []
+            for sym, arity in sorted(signature.items()):
+                if arity == 1:
+                    terms.extend(App(sym, (t,)) for t in by_size[size - 1])
+                elif arity == 2:
+                    for ls in range(1, size - 1):
+                        for a in by_size[ls]:
+                            for b in by_size[size - 1 - ls]:
+                                terms.append(App(sym, (a, b)))
+        by_size[size] = terms
+        yield sorted(terms, key=format_term)
 
 
 def enumerate_ground_terms(signature, max_size, variables=()):
     """All terms over the signature (plus the given Vars), size-lex order."""
-    consts = [App(s) for s, a in signature.items() if a == 0]
-    by_size = {1: list(variables) + list(consts)}
-    for size in range(2, max_size + 1):
-        terms = []
-        for sym, arity in sorted(signature.items()):
-            if arity == 1:
-                terms.extend(
-                    App(sym, (t,)) for t in by_size.get(size - 1, [])
-                )
-            elif arity == 2:
-                for ls in range(1, size - 1):
-                    rs = size - 1 - ls
-                    for a in by_size.get(ls, []):
-                        for b in by_size.get(rs, []):
-                            terms.append(App(sym, (a, b)))
-        by_size[size] = terms
-    out = []
-    for size in range(1, max_size + 1):
-        out.extend(sorted(by_size.get(size, []), key=format_term))
-    return out
+    return [t for terms in _size_classes(signature, max_size, variables) for t in terms]
 
 
 @dataclass(frozen=True)
@@ -796,8 +788,10 @@ def prove_exists(goal, axioms, signature, max_candidates=200,
 
     Witness terms may share one fresh variable (witnesses need not be
     ground).  At most `max_candidates` instances are tried, serially in
-    enumeration order, and the first one proved wins.  Returns
-    WitnessResult or Timeout with aggregate counters.
+    enumeration order, and the first one proved wins.  The first
+    `max_candidates` assignments use only the first `max_candidates` terms,
+    so terms are built one size at a time until there are that many.
+    Returns WitnessResult or Timeout with aggregate counters.
     """
     gvars = sorted(term_vars(goal.lhs) | term_vars(goal.rhs))
     if not gvars:
@@ -806,11 +800,15 @@ def prove_exists(goal, axioms, signature, max_candidates=200,
             return WitnessResult({}, result)
         return result
     fresh = Var(max(max(gvars), max((max_var(e.lhs) for e in axioms.values()), default=-1)) + 1)
-    terms = enumerate_ground_terms(signature, max_term_size, variables=(fresh,))
-    generated = 0
-    rewrites = 0
-    candidates = itertools.product(terms, repeat=len(gvars))
-    for assignment in itertools.islice(candidates, max(max_candidates, 0)):
+    budget = max(max_candidates, 0)
+    terms = []
+    for size_class in _size_classes(signature, max_term_size, (fresh,)):
+        terms += size_class
+        if len(terms) >= budget:
+            break
+    generated = rewrites = 0
+    candidates = itertools.product(terms[:budget], repeat=len(gvars))
+    for assignment in itertools.islice(candidates, budget):
         sigma = dict(zip(gvars, assignment))
         instance = Equation(apply_subst(goal.lhs, sigma), apply_subst(goal.rhs, sigma))
         result = prove(instance, axioms, max_expansions=per_candidate_expansions)

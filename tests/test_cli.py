@@ -34,6 +34,15 @@ class TestExitCodes:
     def test_no_arguments(self):
         assert run_cli().returncode == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["capset", "greedy", "--n", "2", "--expr=--"],
+        ["eq", "prove", "--axioms", "boolean", "--goal", "x = x", "--budget=--"],
+    ], ids=["text", "number"])
+    def test_double_dash_value_is_usage_error(self, argv, capsys):
+        # argparse reads "--opt=--" as an empty list
+        assert _exit_code(argv) == 2
+        assert "expected one argument" in capsys.readouterr().err
+
 
 class TestSat:
     def test_solve_sat_writes_model(self, tmp_path):
@@ -404,6 +413,40 @@ class TestEq:
                          "--precedence", "i>*>e")
         assert result.returncode == 0
 
+    def test_axiom_file_proof_round_trip(self, tmp_path):
+        axioms = tmp_path / "ax.txt"
+        axioms.write_text("signature: boolean\nComm: x v y = y v x\nAbs-1: x v (x ^ y) = x\n")
+        proof = tmp_path / "p.prf"
+        goal = "(x ^ y) v x = x"
+        result = run_cli("eq", "prove", "--axioms", str(axioms), "--goal", goal,
+                         "-o", str(proof))
+        assert result.returncode == 0
+        check = run_cli("eq", "check", str(proof), "--axioms", str(axioms), "--goal", goal)
+        assert check.returncode == 0
+        assert "proof valid" in check.stdout
+
+    @pytest.mark.parametrize("text, message", [
+        ("A: x v y = y v x\nA: x = x\n", "line 2: axiom id 'A' repeated"),
+        (": x v y = y v x\n", "line 1: axiom id '' is not one word"),
+        ("A B: x v y = y v x\n", "line 1: axiom id 'A B' is not one word"),
+    ], ids=["repeated", "empty", "two-words"])
+    def test_axiom_file_ids_are_one_word_used_once(self, tmp_path, text, message):
+        # a repeated id would overwrite the earlier axiom, and an id that is
+        # not one word writes a proof that `eq check` cannot read back
+        axioms = tmp_path / "ax.txt"
+        axioms.write_text(text)
+        result = run_cli("eq", "prove", "--axioms", str(axioms), "--goal", "x v y = y v x")
+        assert result.returncode == 2
+        assert result.stderr.endswith(f"error: {message}\n")
+
+    @pytest.mark.parametrize("value", ["nan", "NaN", "x"])
+    def test_max_seconds_must_be_a_number(self, value):
+        # `elapsed > nan` is always False, so NaN would switch the limit off
+        result = run_cli("eq", "prove", "--axioms", "boolean", "--goal", "x v x = x",
+                         f"--max-seconds={value}")
+        assert result.returncode == 2
+        assert result.stderr.endswith(f"invalid number of seconds: {value!r}\n")
+
 
     @pytest.mark.parametrize("axioms, precedence, message", [
         ("group", "i>*", "precedence misses symbol(s) 'e' of the axioms"),
@@ -522,6 +565,37 @@ _CAPSET_LINES = st.one_of(
 )
 
 
+_PROOF_LINES = st.tuples(
+    st.sampled_from(["B1", "B2", "B3", "B8", "B10", "Z9", "", "#"]),
+    st.sampled_from([" - ", " 0 ", " 1 ", " 0.1 ", " -1 ", " a ", " 1. ", " "]),
+    st.sampled_from(["-", "x=x", "x=0; y=x v x", "y=x ^ -x", "z=(x", "q=1", "x=", ""]),
+    st.sampled_from([" lr", " rl", " up", ""]),
+    st.sampled_from(["\n", "  # note\n", ""]),
+).map("".join)
+
+
+_TERM_PIECES = ["x", "y", "x1", "x01", "0", "1", "-", " v ", " ^ ", "(", ")", "=", " ",
+                "*", "i(", "e"]
+
+
+_AXIOM_LINES = st.one_of(
+    st.tuples(
+        st.sampled_from(["A", "B", "A B", "", "B2", "signature", "x"]),
+        st.sampled_from([": ", ":", " "]),
+        st.lists(st.sampled_from(_TERM_PIECES), max_size=6).map("".join),
+        st.sampled_from([" = ", "=", ""]),
+        st.lists(st.sampled_from(_TERM_PIECES), max_size=6).map("".join),
+        st.sampled_from(["\n", "  # note\n"]),
+    ).map("".join),
+    st.sampled_from(["signature: boolean\n", "signature: group\n", "signature: nope\n",
+                     "A: x v y = y v x\n", "# c\n", "\n"]),
+)
+
+
+_EXPR_PIECES = ["n", "v", "[", "]", "0", "1", "2", "7", "-", "+", "*", "%", "(", ")", ",",
+                "min", "max", " ", "x"]
+
+
 class TestExitContractFuzz:
     """Arbitrary input exits 0, 1 or 2 and raises nothing else."""
 
@@ -592,3 +666,43 @@ class TestExitContractFuzz:
             with open(path, "w", encoding="utf-8") as handle:
                 handle.write(text)
             assert _exit_code(["capset", "verify", path]) in (0, 1, 2)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.text() | st.lists(_PROOF_LINES, max_size=6).map("".join))
+    def test_eq_check_arbitrary_proof(self, text):
+        with tempfile.TemporaryDirectory() as directory:
+            path = os.path.join(directory, "p.prf")
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(text)
+            argv = ["eq", "check", path, "--axioms", "boolean", "--goal", "x v x = x"]
+            assert _exit_code(argv) in (0, 1, 2)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.text() | st.lists(st.sampled_from(_TERM_PIECES)).map("".join))
+    def test_eq_prove_arbitrary_goal(self, text):
+        argv = ["eq", "prove", "--axioms", "boolean", f"--goal={text}", "--budget", "3"]
+        assert _exit_code(argv) in (0, 1, 2)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.text() | st.lists(_AXIOM_LINES, max_size=6).map("".join))
+    def test_eq_prove_arbitrary_axiom_file(self, text):
+        # a proof that `eq prove` writes, `eq check` reads back and accepts
+        with tempfile.TemporaryDirectory() as directory:
+            axioms = os.path.join(directory, "ax.txt")
+            with open(axioms, "w", encoding="utf-8") as handle:
+                handle.write(text)
+            proof = os.path.join(directory, "p.prf")
+            goal = "--goal=x v y = y v x"
+            code = _exit_code(["eq", "prove", "--axioms", axioms, goal, "--budget", "3",
+                               "-o", proof])
+            assert code in (0, 1, 2)
+            if code == 0:
+                assert _exit_code(["eq", "check", proof, "--axioms", axioms, goal]) == 0
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.text() | st.lists(st.sampled_from(_EXPR_PIECES)).map("".join))
+    def test_capset_greedy_arbitrary_expr(self, text):
+        with tempfile.TemporaryDirectory() as directory:
+            path = os.path.join(directory, "c.txt")
+            argv = ["capset", "greedy", "--n", "2", f"--expr={text}", "-o", path]
+            assert _exit_code(argv) in (0, 1, 2)

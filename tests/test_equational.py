@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import itertools
 import random
@@ -415,7 +416,7 @@ class TestProveExists:
         goal = Equation(_bt("x v y", BOOLEAN_SIG), Var(0))
         result = prove_exists(goal, BOOLEAN_AXIOMS, BOOLEAN_SIG, max_candidates=80)
         assert result.witness == {0: App("0"), 1: App("0")}
-        assert format_proof(result.proof) == "B10 1 x=0 rl\nB3 - x=0; y=-0 lr\n"
+        assert format_proof(result.proof) == "B8 1 x=0; z=0 rl\nB3 - x=0; y=0 v 0 lr\n"
 
     @staticmethod
     def _record_prove(monkeypatch, passes=lambda instance: False):
@@ -461,6 +462,22 @@ class TestProveExists:
         )
         assert len(tried) == 3
         assert result == Timeout(3, 6)
+
+    def test_builds_only_the_sizes_it_can_try(self, monkeypatch):
+        self._record_prove(monkeypatch)
+        built = []
+        size_classes = equational._size_classes
+
+        def recording(*args):
+            for terms in size_classes(*args):
+                built.append(len(terms))
+                yield terms
+
+        monkeypatch.setattr(equational, "_size_classes", recording)
+        goal = Equation(_bt("x v y", BOOLEAN_SIG), Var(0))
+        prove_exists(goal, BOOLEAN_AXIOMS, BOOLEAN_SIG, max_candidates=5)
+        # size 1: 0, 1 and the fresh variable; size 2: their negations
+        assert built == [3, 3]
 
     @pytest.mark.parametrize("budget", [0, -1])
     def test_empty_budget_times_out(self, monkeypatch, budget):
@@ -542,16 +559,16 @@ def _digest(outcomes):
 
 
 def _list_scan_prove(goal, axioms, max_expansions, expanded):
-    """prove with the list-scan frontier it replaced, kept as the reference:
-    the weight pick is min() over the generation-ordered deque followed by
-    deque.remove, and every successor's size is computed from scratch.
-    Appends each expanded term to `expanded`."""
-    axioms_r, offset = equational._renamed_axioms(axioms, goal)
+    """The one-sided search that prove replaced, kept as the reference: one
+    frontier grows from goal.lhs until it reaches goal.rhs.  Its weight pick
+    is min() over the generation-ordered deque followed by deque.remove, and
+    every successor's size is computed from scratch.  Appends each expanded
+    term to `expanded`."""
     pool = equational._ground_pool(goal)
     max_size = max(term_size(goal.lhs), term_size(goal.rhs)) + 8
 
     def successors(t):
-        for eq_id, eq in axioms_r.items():
+        for eq_id, eq in axioms.items():
             for frm, to, direction in ((eq.lhs, eq.rhs, "lr"), (eq.rhs, eq.lhs, "rl")):
                 extra = sorted(term_vars(to) - term_vars(frm))
                 if len(extra) > 2:
@@ -594,23 +611,56 @@ def _list_scan_prove(goal, axioms, max_expansions, expanded):
             if new_term == goal.rhs:
                 steps = []
                 while child[2] is not None:
-                    s = child[2]
-                    subst = {v - offset: t for v, t in s.subst.items()}
-                    steps.append(ProofStep(s.eq_id, s.pos, subst, s.direction))
+                    steps.append(child[2])
                     child = child[1]
                 return EqProof(tuple(reversed(steps)))
             frontier.append(child)
     return Timeout(generated, rewrites)
 
 
+@functools.lru_cache(maxsize=None)
+def _reference_results(name, budget):
+    """The reference's result on each of _golden_goals(name)."""
+    return tuple(_list_scan_prove(goal, AXIOM_SETS[name], budget, [])
+                 for goal in _golden_goals(name))
+
+
+def _exists_outcomes(goals):
+    outcomes = []
+    for text in goals:
+        lhs, _, rhs = text.partition("=")
+        goal = Equation(parse_term(lhs, BOOLEAN_SIG), parse_term(rhs, BOOLEAN_SIG))
+        outcomes.append(_outcome(prove_exists(
+            goal, BOOLEAN_AXIOMS, BOOLEAN_SIG, max_candidates=5,
+            per_candidate_expansions=60)))
+    return outcomes
+
+
+def _taking_turns(lhs, rhs):
+    """The expansion order of two one-sided searches that take turns, lhs
+    first.  Each side is (expanded terms, whether its frontier emptied); a
+    side that emptied drops out, and the order ends where a side whose
+    frontier did not empty has no more terms."""
+    queues = [deque(lhs[0]), deque(rhs[0])]
+    emptied = [lhs[1], rhs[1]]
+    out, side = [], 1
+    while True:
+        if queues[1 - side] or not emptied[1 - side]:
+            side = 1 - side
+        if not queues[side]:
+            return out
+        out.append(queues[side].popleft())
+
+
 class TestProveGolden:
     """Pins the search itself: which proof is found first, and how far a
     failed search got, must not move when the frontier or the successor
-    bookkeeping is reworked."""
+    bookkeeping is reworked.  The one-sided search survives as the
+    reference _list_scan_prove, and its pins stay."""
 
     BUDGETS = (30, 120)
     # SHA-256 of the concatenated outcomes of _golden_goals(name) at each
-    # budget, computed with the list-scan frontier
+    # budget, computed with the one-sided list-scan frontier
     DIGESTS = {
         ("boolean", 30): "3ba3190f261c57fa199c67e8a530ad9843f10411bc5f225c2fc8f54577212c6c",
         ("group", 30): "f8f4ee69138fa72a640cbd74e62423247c8d9778bb7ccbcee2a4a0fa1d87a5a0",
@@ -619,30 +669,51 @@ class TestProveGolden:
         ("group", 120): "ed1dc9adfbc15cedad475675557958fd6c5cf19a5f58a589dff5786ba3290785",
         ("robbins", 120): "9aac8b2e82dc725403b214e15bca16b74bda189410613e146be7ca1642ca5033",
     }
+    # the same, computed with the bidirectional prove
+    BIDIRECTIONAL_DIGESTS = {
+        ("boolean", 30): "ff3e69b198fa5927289a35cf9f333c08a44f994f4e9e3319296147190eb31571",
+        ("group", 30): "d0982fae81b81916a197429d4392a7e997446ec63595e6e9fa73208388c84550",
+        ("robbins", 30): "b854817f2c596a2be8a18ce4832ad0813bfd172d0ff7b77e4adf34cc409a9a3a",
+        ("boolean", 120): "9be0a1a44f9900b29e55de4363307e4ef6b407e3a10f4862276fce0aa798aeb0",
+        ("group", 120): "3cfbb89c0f38c0058dd7d8441b2492d90b6d2444a9269977f2c40ac62e7fabfb",
+        ("robbins", 120): "cd1d7037dd8a3ced71faf4b6fa28e5c4a1c4415a01314001830f73e70a65e3d4",
+    }
     EXISTS_GOALS = ("x v y = x", "x ^ y = x", "x v y = 1", "x ^ y = 0", "x v y = -x")
-    # four witnesses found, and a Timeout after five candidates
+    # the reference finds four witnesses, and times out after five candidates
+    # of the last goal
     EXISTS_DIGEST = "eca26b3952925fe62be09621190c569664197bce2f7fb1208cbfd6daa7cbb1a8"
+    # prove finds all five: x := 0, y := 1 for the last goal
+    BIDIRECTIONAL_EXISTS_DIGEST = "0ea7a83d2c80e21e04d407ac72f1d587e1e24db84cac3aa92697ba2e179ce334"
 
     @pytest.mark.parametrize("name", ["boolean", "group", "robbins"])
     @pytest.mark.parametrize("budget", BUDGETS)
     def test_outcomes_are_pinned(self, name, budget):
+        outcomes = [_outcome(result) for result in _reference_results(name, budget)]
+        assert _digest(outcomes) == self.DIGESTS[name, budget]
+
+    @pytest.mark.parametrize("name", ["boolean", "group", "robbins"])
+    @pytest.mark.parametrize("budget", BUDGETS)
+    def test_bidirectional_outcomes_are_pinned(self, name, budget):
         outcomes = [
             _outcome(prove(goal, AXIOM_SETS[name], max_expansions=budget))
             for goal in _golden_goals(name)
         ]
-        assert _digest(outcomes) == self.DIGESTS[name, budget]
+        assert _digest(outcomes) == self.BIDIRECTIONAL_DIGESTS[name, budget]
 
-    def test_exists_outcomes_are_pinned(self):
-        outcomes = []
-        for text in self.EXISTS_GOALS:
-            lhs, _, rhs = text.partition("=")
-            goal = Equation(parse_term(lhs, BOOLEAN_SIG), parse_term(rhs, BOOLEAN_SIG))
-            outcomes.append(_outcome(prove_exists(
-                goal, BOOLEAN_AXIOMS, BOOLEAN_SIG, max_candidates=5,
-                per_candidate_expansions=60)))
-        assert _digest(outcomes) == self.EXISTS_DIGEST
+    def test_exists_outcomes_are_pinned(self, monkeypatch):
+        def reference_prove(goal, axioms, max_expansions):
+            return _list_scan_prove(goal, axioms, max_expansions, [])
 
-    def test_same_expansion_order_as_list_scan(self, monkeypatch):
+        monkeypatch.setattr(equational, "prove", reference_prove)
+        assert _digest(_exists_outcomes(self.EXISTS_GOALS)) == self.EXISTS_DIGEST
+
+    def test_bidirectional_exists_outcomes_are_pinned(self):
+        outcomes = _exists_outcomes(self.EXISTS_GOALS)
+        assert _digest(outcomes) == self.BIDIRECTIONAL_EXISTS_DIGEST
+
+    def test_each_side_expands_in_reference_order(self, monkeypatch):
+        # the lhs side expands like the reference on the goal, the rhs side
+        # like the reference on the reversed goal, and they take turns
         expanded = []
         successors = equational._successors
 
@@ -653,13 +724,27 @@ class TestProveGolden:
         monkeypatch.setattr(equational, "_successors", recording)
         cases = [(goal, AXIOM_SETS[name]) for name in ("boolean", "group", "robbins")
                  for goal in _golden_goals(name)]
-        # the frontier empties under the size bound before the budget is hit
+        # the frontiers empty under the size bound before the budget is hit
         cases.append((Equation(App("v", (T1, T2)), T1), ROBBINS_AXIOMS))
         cases.append((Equation(_bt("a"), _bt("b")), {}))
         for goal, axioms in cases:
             expanded.clear()
-            result = prove(goal, axioms, max_expansions=30)
-            reference = []
-            expected = _list_scan_prove(goal, axioms, 30, reference)
-            assert _outcome(result) == _outcome(expected), str(goal)
-            assert expanded == reference, str(goal)
+            prove(goal, axioms, max_expansions=30)
+            sides = []
+            for start, end in ((goal.lhs, goal.rhs), (goal.rhs, goal.lhs)):
+                reference = []
+                result = _list_scan_prove(Equation(start, end), axioms, 30, reference)
+                sides.append((reference, isinstance(result, Timeout) and len(reference) < 30))
+            assert expanded == _taking_turns(*sides)[:len(expanded)], str(goal)
+
+    @pytest.mark.parametrize("budget", BUDGETS)
+    def test_proves_what_the_reference_proves(self, budget):
+        # with twice the budget the lhs side alone gets the reference's
+        for name in ("boolean", "group", "robbins"):
+            axioms = AXIOM_SETS[name]
+            for goal, expected in zip(_golden_goals(name), _reference_results(name, budget)):
+                result = prove(goal, axioms, max_expansions=2 * budget)
+                if isinstance(expected, EqProof):
+                    assert isinstance(result, EqProof), str(goal)
+                if isinstance(result, EqProof):
+                    assert check_proof(result, axioms, goal), str(goal)
