@@ -294,7 +294,8 @@ def _cmd_eq_prove(args, parser):
     goal = _parse_goal(parser, args.goal, signature)
     if args.exists:
         result = equational.prove_exists(
-            goal, axioms, signature, max_candidates=args.budget
+            goal, axioms, signature, max_candidates=args.budget,
+            max_seconds=args.max_seconds,
         )
         if isinstance(result, equational.WitnessResult):
             sigma = result.witness

@@ -4,7 +4,9 @@ proof checking, and budgeted proof search.
 Ships the Robbins axioms (R1-R3 plus the definitional equations), the
 Boolean-algebra axioms B1-B10, and the free-group axioms.  Proof search is
 a fair dovetailed generate-and-test that meets in the middle; found proofs
-are replayable step lists that check_proof validates.
+are replayable step lists that check_proof validates.  The witness search
+prove_exists skips every candidate instance that is false in a two-element
+model of the axioms, since no proof of it exists.
 """
 
 from __future__ import annotations
@@ -781,8 +783,62 @@ class WitnessResult:
     proof: EqProof
 
 
+# --- the two-element countermodel -------------------------------------------
+
+# symbol -> (arity, operation on {0, 1}): the Boolean algebra for 0, 1, -, v
+# and ^, and Z/2 for the group symbols e, i and *.  Every shipped axiom set
+# holds in it.
+_TWO = {
+    "0": (0, lambda: 0),
+    "1": (0, lambda: 1),
+    "-": (1, lambda a: 1 - a),
+    "v": (2, lambda a, b: a | b),
+    "^": (2, lambda a, b: a & b),
+    "e": (0, lambda: 0),
+    "i": (1, lambda a: a),
+    "*": (2, lambda a, b: a ^ b),
+}
+
+# an axiom with more variables than this is not checked against _TWO, which
+# would take 2^k evaluations; the model is then not used at all
+_MAX_MODEL_VARS = 10
+
+
+def _value(t, values):
+    """The value in _TWO of t, with values[id] for each of its variables."""
+    if isinstance(t, Var):
+        return values[t.id]
+    return _TWO[t.symbol][1](*[_value(a, values) for a in t.args])
+
+
+def _holds_in_two(eq):
+    """Whether eq is true in _TWO under every assignment of its variables."""
+    vs = sorted(term_vars(eq.lhs) | term_vars(eq.rhs))
+    for bits in itertools.product((0, 1), repeat=len(vs)):
+        values = dict(zip(vs, bits))
+        if _value(eq.lhs, values) != _value(eq.rhs, values):
+            return False
+    return True
+
+
+def _two_is_a_model(goal, axioms, signature):
+    """Whether _TWO interprets every symbol of the signature, the goal and
+    the axioms with its arity, and every axiom holds in it.  Then an
+    equation false in _TWO has no proof from the axioms, since equational
+    steps preserve truth in every model of them."""
+    arities = set(signature.items())
+    for eq in (goal, *axioms.values()):
+        for side in (eq.lhs, eq.rhs):
+            arities.update((sub.symbol, len(sub.args))
+                           for _, sub in positions(side) if isinstance(sub, App))
+    if any(s not in _TWO or _TWO[s][0] != arity for s, arity in arities):
+        return False
+    return all(len(term_vars(eq.lhs) | term_vars(eq.rhs)) <= _MAX_MODEL_VARS
+               and _holds_in_two(eq) for eq in axioms.values())
+
+
 def prove_exists(goal, axioms, signature, max_candidates=200,
-                 per_candidate_expansions=300, max_term_size=7):
+                 per_candidate_expansions=300, max_term_size=7, max_seconds=None):
     """Treat the goal's variables as existential: enumerate witness terms in
     size-lexicographic order and try to prove each ground instance.
 
@@ -791,11 +847,30 @@ def prove_exists(goal, axioms, signature, max_candidates=200,
     enumeration order, and the first one proved wins.  The first
     `max_candidates` assignments use only the first `max_candidates` terms,
     so terms are built one size at a time until there are that many.
-    Returns WitnessResult or Timeout with aggregate counters.
+
+    When the two-element structure _TWO is a model of the axioms (see
+    _two_is_a_model), an instance false in it under some assignment of its
+    variables cannot be proved: prove is not called on it, it adds nothing
+    to the Timeout counters, and it still counts as one of the
+    `max_candidates`.  Witnesses and proofs are those prove would find
+    without the skip.
+
+    `max_seconds` bounds the whole call: each prove gets the time left, and
+    no candidate starts after it runs out.  Returns WitnessResult or
+    Timeout with the counters of the prove calls made.
     """
+    deadline = None if max_seconds is None else time.monotonic() + max_seconds
+
+    def time_left():
+        return None if deadline is None else deadline - time.monotonic()
+
+    use_model = _two_is_a_model(goal, axioms, signature)
     gvars = sorted(term_vars(goal.lhs) | term_vars(goal.rhs))
     if not gvars:
-        result = prove(goal, axioms, max_expansions=per_candidate_expansions)
+        if use_model and not _holds_in_two(goal):
+            return Timeout(0, 0)
+        result = prove(goal, axioms, max_expansions=per_candidate_expansions,
+                       max_seconds=time_left())
         if isinstance(result, EqProof):
             return WitnessResult({}, result)
         return result
@@ -811,7 +886,13 @@ def prove_exists(goal, axioms, signature, max_candidates=200,
     for assignment in itertools.islice(candidates, budget):
         sigma = dict(zip(gvars, assignment))
         instance = Equation(apply_subst(goal.lhs, sigma), apply_subst(goal.rhs, sigma))
-        result = prove(instance, axioms, max_expansions=per_candidate_expansions)
+        if use_model and not _holds_in_two(instance):
+            continue
+        remaining = time_left()
+        if remaining is not None and remaining <= 0:
+            break
+        result = prove(instance, axioms, max_expansions=per_candidate_expansions,
+                       max_seconds=remaining)
         if isinstance(result, EqProof):
             return WitnessResult(sigma, result)
         generated += result.equations_generated

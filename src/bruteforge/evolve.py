@@ -28,6 +28,7 @@ import random
 import select
 import shlex
 import subprocess
+import tempfile
 import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -164,6 +165,10 @@ def propose(parents, seed):
 # --- external generator protocol ------------------------------------------
 
 
+# how much of the child's last stderr line a GeneratorError quotes
+_STDERR_LINE = 200
+
+
 class ExternalGenerator:
     """Child-process generator: one JSON request line, one JSON reply line.
 
@@ -173,7 +178,9 @@ class ExternalGenerator:
     the evolve loop logs and skips them, never aborts.  A reply line must
     be complete within `timeout` seconds of the request.  A child that
     times out is stopped and a fresh one serves the next request, so a
-    late reply is never taken as the answer to a later request.
+    late reply is never taken as the answer to a later request.  The
+    child's stderr goes to a temporary file, never to ours; the error for
+    a closed stream or a malformed reply quotes its last line.
     """
 
     def __init__(self, command, timeout=10.0):
@@ -182,12 +189,31 @@ class ExternalGenerator:
         self._start()
 
     def _start(self):
-        self.proc = subprocess.Popen(
-            shlex.split(self.command),
-            stdin=subprocess.PIPE,
-            stdout=subprocess.PIPE,
-        )
+        stderr = tempfile.TemporaryFile()
+        try:
+            self.proc = subprocess.Popen(
+                shlex.split(self.command),
+                stdin=subprocess.PIPE,
+                stdout=subprocess.PIPE,
+                stderr=stderr,
+            )
+        except OSError:
+            stderr.close()
+            raise
+        self._stderr = stderr
         self._pending = b""  # bytes read past the last reply line
+
+    def _error(self, detail):
+        """GeneratorError(detail), plus the last line of the child's stderr
+        cut to _STDERR_LINE characters, if it wrote any."""
+        # pread leaves the file offset, which the child shares, alone
+        fd = self._stderr.fileno()
+        size = os.fstat(fd).st_size
+        start = max(size - 4 * _STDERR_LINE, 0)
+        tail = os.pread(fd, size - start, start).decode(errors="replace").strip()
+        if tail:
+            detail += f" (stderr: {tail.splitlines()[-1].strip()[:_STDERR_LINE]!r})"
+        return GeneratorError(detail)
 
     def _read_line(self):
         """One reply line, read from the raw pipe against a deadline."""
@@ -201,7 +227,7 @@ class ExternalGenerator:
                 raise GeneratorError(f"generator timed out after {self.timeout}s")
             chunk = os.read(fd, 65536)
             if not chunk:
-                raise GeneratorError("generator closed its output stream")
+                raise self._error("generator closed its output stream")
             self._pending += chunk
         line, _, self._pending = self._pending.partition(b"\n")
         return line
@@ -225,7 +251,7 @@ class ExternalGenerator:
             reply = json.loads(line)
             return parse_expr(reply["expr"])
         except (ValueError, KeyError, TypeError) as exc:
-            raise GeneratorError(f"malformed generator reply {line!r}: {exc}")
+            raise self._error(f"malformed generator reply {line!r}: {exc}")
 
     def close(self):
         """Stop the child and close its pipes; a later request starts a fresh one."""
@@ -239,6 +265,7 @@ class ExternalGenerator:
             proc.kill()
         with contextlib.suppress(BrokenPipeError), proc:
             pass  # leaving the block closes the pipes and reaps the child
+        self._stderr.close()
 
 
 class GeneratorError(RuntimeError):

@@ -405,6 +405,12 @@ class TestEq:
         assert result.returncode == 0
         assert "witness found" in result.stdout
 
+    def test_prove_exists_keeps_the_time_limit(self):
+        result = run_cli("eq", "prove", "--axioms", "boolean", "--goal", "x v y = x",
+                         "--exists", "--budget", "80", "--max-seconds", "0")
+        assert result.returncode == 1
+        assert result.stdout == "timeout: 0 equations generated, 0 rewrites attempted\n"
+
     def test_axiom_file_roundtrip(self, tmp_path):
         axioms = tmp_path / "ax.txt"
         axioms.write_text("signature: group\nA1: (x * y) * z = x * (y * z)\n"

@@ -68,6 +68,33 @@ def _bt(text, sig=BOOL_A):
     return parse_term(text, sig)
 
 
+# the two-element model, written apart from equational._TWO: the Boolean
+# algebra on {0, 1} and Z/2 for the group symbols
+_TWO_OPS = {
+    "0": lambda: 0, "1": lambda: 1, "-": lambda a: 1 - a, "v": max, "^": min,
+    "e": lambda: 0, "i": lambda a: a, "*": lambda a, b: (a + b) % 2,
+}
+
+
+def _true_in_two(eq):
+    """Whether eq holds in the two-element model for every value of its
+    variables."""
+    def value(t, env):
+        if isinstance(t, Var):
+            return env[t.id]
+        return _TWO_OPS[t.symbol](*(value(a, env) for a in t.args))
+
+    vs = sorted(term_vars(eq.lhs) | term_vars(eq.rhs))
+    return all(value(eq.lhs, dict(zip(vs, bits))) == value(eq.rhs, dict(zip(vs, bits)))
+               for bits in itertools.product((0, 1), repeat=len(vs)))
+
+
+def _model_off(monkeypatch):
+    """Make prove_exists treat the two-element model as unusable, so that
+    every candidate reaches prove."""
+    monkeypatch.setattr(equational, "_two_is_a_model", lambda *args: False)
+
+
 class TestUnification:
     def test_renaming_unifier(self):
         sig = {"eq": 2, "a": 0}
@@ -419,12 +446,15 @@ class TestProveExists:
         assert format_proof(result.proof) == "B8 1 x=0; z=0 rl\nB3 - x=0; y=0 v 0 lr\n"
 
     @staticmethod
-    def _record_prove(monkeypatch, passes=lambda instance: False):
-        """Replace prove by a stub that logs each instance it is given."""
+    def _record_prove(monkeypatch, passes=lambda instance: False, limits=None):
+        """Replace prove by a stub that logs each instance it is given, and
+        each max_seconds into `limits`."""
         tried = []
 
-        def fake_prove(goal, axioms, max_expansions):
+        def fake_prove(goal, axioms, max_expansions, max_seconds=None):
             tried.append(goal)
+            if limits is not None:
+                limits.append(max_seconds)
             return EqProof(()) if passes(goal) else Timeout(1, 2)
 
         monkeypatch.setattr(equational, "prove", fake_prove)
@@ -433,6 +463,7 @@ class TestProveExists:
     def test_first_passing_witness_in_enumeration_order(self, monkeypatch):
         # instances pass once the witness for y has size 2, so later
         # candidates pass too; the first in enumeration order must win
+        _model_off(monkeypatch)
         tried = self._record_prove(monkeypatch, lambda g: term_size(g.lhs.args[1]) == 2)
         goal = Equation(_bt("x v y", BOOLEAN_SIG), Var(0))
         result = prove_exists(goal, BOOLEAN_AXIOMS, BOOLEAN_SIG, max_candidates=200)
@@ -446,14 +477,38 @@ class TestProveExists:
             itertools.islice(itertools.product(terms, repeat=2), len(tried))
         )
 
+    def test_first_passing_witness_with_the_model(self, monkeypatch):
+        # the same, but prove sees only the instances true in {0, 1}: the
+        # first candidate with y of size 2 is 0 v -0 = 0, which is false
+        tried = self._record_prove(monkeypatch, lambda g: term_size(g.lhs.args[1]) == 2)
+        goal = Equation(_bt("x v y", BOOLEAN_SIG), Var(0))
+        result = prove_exists(goal, BOOLEAN_AXIOMS, BOOLEAN_SIG, max_candidates=200)
+        terms = enumerate_ground_terms(BOOLEAN_SIG, 7, variables=(Var(3),))
+        true_pairs = [(a, b) for a, b in itertools.islice(itertools.product(terms, repeat=2), 200)
+                      if _true_in_two(Equation(App("v", (a, b)), a))]
+        expected = next((a, b) for a, b in true_pairs if term_size(b) == 2)
+        assert (result.witness[0], result.witness[1]) == expected == (App("0"), _bt("-1"))
+        assert [g.lhs.args for g in tried] == true_pairs[:true_pairs.index(expected) + 1]
+
     def test_tries_exactly_max_candidates(self, monkeypatch):
+        _model_off(monkeypatch)
         tried = self._record_prove(monkeypatch)
         goal = Equation(_bt("x v y", BOOLEAN_SIG), Var(0))
         result = prove_exists(goal, BOOLEAN_AXIOMS, BOOLEAN_SIG, max_candidates=7)
         assert len(tried) == 7
         assert result == Timeout(7, 14)
 
+    def test_skipped_candidates_count_toward_max_candidates(self, monkeypatch):
+        tried = self._record_prove(monkeypatch)
+        goal = Equation(_bt("x v y", BOOLEAN_SIG), Var(0))
+        result = prove_exists(goal, BOOLEAN_AXIOMS, BOOLEAN_SIG, max_candidates=7)
+        # the first 7 candidates fix x := 0; only y := 0, -1 and --0 make
+        # 0 v y = 0 true
+        assert [g.lhs.args[1] for g in tried] == [App("0"), _bt("-1"), _bt("--0")]
+        assert result == Timeout(3, 6)
+
     def test_finite_term_stream_exhausts_before_the_budget(self, monkeypatch):
+        _model_off(monkeypatch)
         tried = self._record_prove(monkeypatch)
         goal = Equation(_bt("-x", BOOLEAN_SIG), _bt("x", BOOLEAN_SIG))
         # size-1 witnesses: the constants 0 and 1 and one fresh variable
@@ -462,6 +517,69 @@ class TestProveExists:
         )
         assert len(tried) == 3
         assert result == Timeout(3, 6)
+
+    def test_model_refutes_every_instance_of_a_false_goal(self, monkeypatch):
+        tried = self._record_prove(monkeypatch)
+        goal = Equation(_bt("-x", BOOLEAN_SIG), _bt("x", BOOLEAN_SIG))
+        # -x = x is false in {0, 1} for 0, 1 and the fresh variable alike
+        result = prove_exists(
+            goal, BOOLEAN_AXIOMS, BOOLEAN_SIG, max_candidates=200, max_term_size=1
+        )
+        assert tried == []
+        assert result == Timeout(0, 0)
+
+    @pytest.mark.parametrize("text, reaches_prove", [("0 v 1 = 1", True), ("0 v 0 = 1", False)])
+    def test_ground_goal_false_in_the_model_is_not_searched(self, monkeypatch, text,
+                                                            reaches_prove):
+        tried = self._record_prove(monkeypatch)
+        lhs, _, rhs = text.partition("=")
+        goal = Equation(_bt(lhs, BOOLEAN_SIG), _bt(rhs, BOOLEAN_SIG))
+        result = prove_exists(goal, BOOLEAN_AXIOMS, BOOLEAN_SIG)
+        assert tried == ([goal] if reaches_prove else [])
+        assert result == (Timeout(1, 2) if reaches_prove else Timeout(0, 0))
+
+    def test_axiom_false_in_the_model_skips_nothing(self, monkeypatch):
+        tried = self._record_prove(monkeypatch)
+        axioms = {**BOOLEAN_AXIOMS, "Bad": Equation(_bt("x v y", BOOLEAN_SIG), Var(0))}
+        goal = Equation(_bt("-x", BOOLEAN_SIG), _bt("x", BOOLEAN_SIG))
+        result = prove_exists(goal, axioms, BOOLEAN_SIG, max_candidates=200, max_term_size=1)
+        assert len(tried) == 3
+        assert result == Timeout(3, 6)
+
+    def test_symbol_outside_the_model_skips_nothing(self, monkeypatch):
+        tried = self._record_prove(monkeypatch)
+        # x * x = x is false in Z/2 for the fresh variable; `a` has no value
+        goal = Equation(_bt("x * x", GROUP_A), Var(0))
+        result = prove_exists(goal, GROUP_AXIOMS, GROUP_A, max_candidates=200, max_term_size=1)
+        assert [g.rhs for g in tried] == [App("a"), App("e"), Var(3)]
+        assert result == Timeout(3, 6)
+
+    def test_shipped_axiom_sets_hold_in_the_model(self):
+        for name, axioms in AXIOM_SETS.items():
+            assert all(_true_in_two(eq) for eq in axioms.values()), name
+            goal = Equation(Var(0), Var(0))
+            assert equational._two_is_a_model(goal, axioms, AXIOM_SIGNATURES[name]), name
+        goal = Equation(Var(0), Var(0))
+        assert equational._two_is_a_model(goal, ROBBINS_AXIOMS, ROBBINS_SIG)
+
+    def test_zero_time_limit_tries_nothing(self, monkeypatch):
+        tried = self._record_prove(monkeypatch)
+        goal = Equation(_bt("x v y", BOOLEAN_SIG), Var(0))
+        result = prove_exists(goal, BOOLEAN_AXIOMS, BOOLEAN_SIG, max_seconds=0)
+        assert tried == []
+        assert result == Timeout(0, 0)
+
+    def test_each_prove_gets_the_time_left(self, monkeypatch):
+        limits = []
+        self._record_prove(monkeypatch, limits=limits)
+        goal = Equation(_bt("x v y", BOOLEAN_SIG), Var(0))
+        prove_exists(goal, BOOLEAN_AXIOMS, BOOLEAN_SIG, max_candidates=20, max_seconds=60)
+        assert len(limits) > 1
+        assert all(0 < t <= 60 for t in limits)
+        assert limits == sorted(limits, reverse=True)
+        limits.clear()
+        prove_exists(goal, BOOLEAN_AXIOMS, BOOLEAN_SIG, max_candidates=20)
+        assert limits and set(limits) == {None}
 
     def test_builds_only_the_sizes_it_can_try(self, monkeypatch):
         self._record_prove(monkeypatch)
@@ -636,6 +754,18 @@ def _exists_outcomes(goals):
     return outcomes
 
 
+def _seeded_exists_goals(name, count=6):
+    """Seeded goals with at least one variable, for prove_exists."""
+    rng = random.Random(f"exists-{name}")
+    terms = enumerate_ground_terms(AXIOM_SIGNATURES[name], 3, variables=(Var(0), Var(1)))
+    goals = []
+    while len(goals) < count:
+        goal = Equation(*rng.sample(terms, 2))
+        if term_vars(goal.lhs) | term_vars(goal.rhs):
+            goals.append(goal)
+    return goals
+
+
 def _taking_turns(lhs, rhs):
     """The expansion order of two one-sided searches that take turns, lhs
     first.  Each side is (expanded terms, whether its frontier emptied); a
@@ -684,6 +814,9 @@ class TestProveGolden:
     EXISTS_DIGEST = "eca26b3952925fe62be09621190c569664197bce2f7fb1208cbfd6daa7cbb1a8"
     # prove finds all five: x := 0, y := 1 for the last goal
     BIDIRECTIONAL_EXISTS_DIGEST = "0ea7a83d2c80e21e04d407ac72f1d587e1e24db84cac3aa92697ba2e179ce334"
+    # the reference with the two-element model: the same four witnesses,
+    # and smaller counters for the last goal
+    EXISTS_MODEL_DIGEST = "a5b4e490fce1c5f9d29eb8ee3630db58684824ac31a16eedcba8bbdd222b8815"
 
     @pytest.mark.parametrize("name", ["boolean", "group", "robbins"])
     @pytest.mark.parametrize("budget", BUDGETS)
@@ -700,16 +833,63 @@ class TestProveGolden:
         ]
         assert _digest(outcomes) == self.BIDIRECTIONAL_DIGESTS[name, budget]
 
-    def test_exists_outcomes_are_pinned(self, monkeypatch):
-        def reference_prove(goal, axioms, max_expansions):
+    @staticmethod
+    def _reference_prove(monkeypatch):
+        def reference_prove(goal, axioms, max_expansions, max_seconds=None):
             return _list_scan_prove(goal, axioms, max_expansions, [])
 
         monkeypatch.setattr(equational, "prove", reference_prove)
+
+    def test_exists_outcomes_are_pinned(self, monkeypatch):
+        _model_off(monkeypatch)
+        self._reference_prove(monkeypatch)
         assert _digest(_exists_outcomes(self.EXISTS_GOALS)) == self.EXISTS_DIGEST
+
+    def test_exists_outcomes_with_the_model_are_pinned(self, monkeypatch):
+        self._reference_prove(monkeypatch)
+        assert _digest(_exists_outcomes(self.EXISTS_GOALS)) == self.EXISTS_MODEL_DIGEST
 
     def test_bidirectional_exists_outcomes_are_pinned(self):
         outcomes = _exists_outcomes(self.EXISTS_GOALS)
         assert _digest(outcomes) == self.BIDIRECTIONAL_EXISTS_DIGEST
+
+    def test_model_changes_no_witness_or_proof(self, monkeypatch):
+        cases = [(Equation(*(parse_term(side, BOOLEAN_SIG) for side in text.split("="))),
+                  "boolean") for text in self.EXISTS_GOALS]
+        cases += [(goal, name) for name in ("boolean", "group", "robbins")
+                  for goal in _seeded_exists_goals(name)]
+
+        def results():
+            return [prove_exists(goal, AXIOM_SETS[name], AXIOM_SIGNATURES[name],
+                                 max_candidates=5, per_candidate_expansions=60)
+                    for goal, name in cases]
+
+        with_model = results()
+        _model_off(monkeypatch)
+        without_model = results()
+        for (goal, _), on, off in zip(cases, with_model, without_model):
+            if isinstance(off, WitnessResult):
+                assert _outcome(on) == _outcome(off), str(goal)
+            else:
+                assert isinstance(on, Timeout), str(goal)
+                assert on.equations_generated <= off.equations_generated, str(goal)
+                assert on.rewrites_attempted <= off.rewrites_attempted, str(goal)
+        witnesses = sum(isinstance(r, WitnessResult) for r in without_model[len(self.EXISTS_GOALS):])
+        assert witnesses >= 3
+        assert with_model != without_model
+
+    @pytest.mark.parametrize("name", ["boolean", "group", "robbins"])
+    def test_model_refutes_no_goal_the_reference_proves(self, name):
+        axioms, signature = AXIOM_SETS[name], AXIOM_SIGNATURES[name]
+        refuted = 0
+        for goal, result in zip(_golden_goals(name), _reference_results(name, 120)):
+            assert equational._two_is_a_model(goal, axioms, signature)
+            holds = equational._holds_in_two(goal)
+            assert holds == _true_in_two(goal), str(goal)
+            if not holds:
+                refuted += 1
+                assert not isinstance(result, EqProof), str(goal)
+        assert refuted
 
     def test_each_side_expands_in_reference_order(self, monkeypatch):
         # the lhs side expands like the reference on the goal, the rhs side

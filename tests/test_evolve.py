@@ -151,6 +151,21 @@ PARTIAL_LINE_GENERATOR = textwrap.dedent(
 )
 
 
+# writes to stderr, then answers the first request with a malformed reply
+# and exits at the second; its last stderr line is 500 characters long
+STDERR_GENERATOR = textwrap.dedent(
+    """
+    import sys
+    sys.stdin.readline()
+    sys.stderr.write("loading\\nbad reply ahead\\n")
+    sys.stderr.flush()
+    print("not json", flush=True)
+    sys.stdin.readline()
+    sys.exit("crashed: " + "x" * 491)
+    """
+)
+
+
 # slow only on the first request it ever serves: the first child leaves a
 # marker file, so later children answer at once; each reply names its seed
 SLOW_FIRST_GENERATOR = textwrap.dedent(
@@ -189,6 +204,19 @@ class TestExternalGenerator:
                 gen([_cand("0", 1)], 0)
         finally:
             gen.close()
+
+    def test_child_stderr_is_quoted_not_passed_through(self, tmp_path, capfd):
+        gen = ExternalGenerator(self._command(tmp_path, STDERR_GENERATOR, "stderr.py"))
+        try:
+            with pytest.raises(GeneratorError, match="malformed") as malformed:
+                gen([_cand("0", 1)], 0)
+            assert str(malformed.value).endswith(" (stderr: 'bad reply ahead')")
+            with pytest.raises(GeneratorError, match="closed its output stream") as closed:
+                gen([_cand("0", 1)], 1)
+            assert str(closed.value).endswith(f" (stderr: {'crashed: ' + 'x' * 191!r})")
+        finally:
+            gen.close()
+        assert capfd.readouterr().err == ""
 
     def test_partial_reply_line_times_out(self, tmp_path):
         gen = ExternalGenerator(
