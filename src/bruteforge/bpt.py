@@ -43,9 +43,6 @@ class Coloring:
     m: int
     colors: dict  # member -> 0 | 1
 
-    def __hash__(self):
-        return hash((self.m, tuple(sorted(self.colors.items()))))
-
 
 def triples(m):
     """All Pythagorean triples (a, b, c) with a < b < c <= m, sorted by (c, a).
@@ -148,37 +145,41 @@ class AllSatisfiable:
     colorings: dict  # m -> Coloring for each tested m
 
 
-def _solve_m(m, step_limit):
+def solve(m):
+    """A Coloring of [m] that verify_coloring accepts, or a Certificate that
+    sat.check_certificate accepts for encode(m): encode, solve, then check
+    the verdict.  A verdict that does not check raises VerificationError."""
     cnf, varmap = encode(m)
-    verdict = sat.solve(cnf, step_limit=step_limit)
-    return cnf, varmap, verdict
+    verdict = sat.solve(cnf)
+    if verdict.satisfiable:
+        coloring = coloring_from_model(verdict.model, varmap, m)
+        witness = verify_coloring(coloring, m)
+        if witness != VALID:
+            raise VerificationError(f"m={m}: coloring has monochromatic triple {witness}")
+        return coloring
+    if not sat.check_certificate(cnf, verdict.certificate):
+        raise VerificationError(f"m={m}: certificate does not check")
+    return verdict.certificate
 
 
-def find_threshold(max_m, step=100, step_limit=None):
+def find_threshold(max_m, step=100):
     """First m <= max_m whose encoding is unsatisfiable, or AllSatisfiable.
 
     Steps m by `step`, then bisects between the last satisfiable and the
-    first unsatisfiable probe (unsatisfiability is monotone in m).  Every
-    returned coloring and certificate is verified before being reported.
+    first unsatisfiable probe (unsatisfiability is monotone in m).  Each
+    probe goes through `solve`, so every returned coloring and certificate
+    has been checked.
     """
     if max_m < 1 or step < 1:
         raise ValueError("max_m and step must be positive")
     colorings = {}
 
     def probe(m):
-        cnf, varmap, verdict = _solve_m(m, step_limit)
-        if verdict.satisfiable:
-            coloring = coloring_from_model(verdict.model, varmap, m)
-            witness = verify_coloring(coloring, m)
-            if witness != VALID:
-                raise VerificationError(
-                    f"m={m}: coloring has monochromatic triple {witness}"
-                )
-            colorings[m] = coloring
+        result = solve(m)
+        if isinstance(result, Coloring):
+            colorings[m] = result
             return None
-        if not sat.check_certificate(cnf, verdict.certificate):
-            raise VerificationError(f"m={m}: certificate does not check")
-        return verdict.certificate
+        return result
 
     last_sat = 0
     first_unsat = None

@@ -16,7 +16,7 @@ external generator iff one of the three sets a command.
 from __future__ import annotations
 
 import argparse
-import json
+import dataclasses
 import math
 import os
 import sys
@@ -46,9 +46,12 @@ def _atomic_write(path, text):
         raise
 
 
-def _require_file(parser, path):
+def _read(parser, path):
+    """The text of the file at path; a missing file is a usage error."""
     if not os.path.isfile(path):
         parser.error(f"no such file: {path}")
+    with open(path) as handle:
+        return handle.read()
 
 
 def _env_jobs():
@@ -62,9 +65,7 @@ def _env_jobs():
 
 
 def _cmd_sat_solve(args, parser):
-    _require_file(parser, args.cnf)
-    with open(args.cnf) as handle:
-        cnf = parse_dimacs(handle.read())
+    cnf = parse_dimacs(_read(parser, args.cnf))
     verdict = sat.solve(cnf)
     if verdict.satisfiable:
         if not sat.verify_model(cnf, verdict.model):
@@ -99,22 +100,15 @@ def _cmd_bpt_encode(args, parser):
 
 
 def _cmd_bpt_solve(args, parser):
-    cnf, varmap = bpt.encode(args.m)
-    verdict = sat.solve(cnf)
-    if verdict.satisfiable:
-        coloring = bpt.coloring_from_model(verdict.model, varmap, args.m)
-        witness = bpt.verify_coloring(coloring, args.m)
-        if witness != bpt.VALID:
-            raise VerificationError(f"coloring has monochromatic triple {witness}")
+    result = bpt.solve(args.m)
+    if isinstance(result, bpt.Coloring):
         print(f"SATISFIABLE: valid 2-coloring for m={args.m}")
         if args.coloring:
-            _atomic_write(args.coloring, _format_coloring(coloring))
+            _atomic_write(args.coloring, _format_coloring(result))
         return EXIT_OK
-    if not sat.check_certificate(cnf, verdict.certificate):
-        raise VerificationError("certificate does not check")
     print(f"UNSATISFIABLE: every 2-coloring has a monochromatic triple at m={args.m}")
     if args.cert:
-        _atomic_write(args.cert, verdict.certificate.to_text())
+        _atomic_write(args.cert, result.to_text())
     return EXIT_NEGATIVE
 
 
@@ -133,9 +127,7 @@ def _cmd_bpt_scan(args, parser):
 
 
 def _cmd_capset_verify(args, parser):
-    _require_file(parser, args.file)
-    with open(args.file) as handle:
-        vectors = capset.parse_capset_file(handle.read())
+    vectors = capset.parse_capset_file(_read(parser, args.file))
     if capset.is_cap(vectors):
         print(f"cap: {len(vectors)} vectors")
         return EXIT_OK
@@ -164,21 +156,21 @@ def _cmd_capset_exact(args, parser):
 
 def _cmd_capset_evolve(args, parser):
     if args.config:
-        _require_file(parser, args.config)
-        with open(args.config) as handle:
-            config = evolve.parse_config_file(handle.read(), n=args.n)
+        config = evolve.parse_config_file(_read(parser, args.config), n=args.n)
     else:
         config = evolve.EvolveConfig(n=args.n)
-    config.seed = args.seed if args.seed is not None else config.seed
-    if args.evals is not None:
-        config.eval_budget = args.evals
-    # --jobs, then BRUTEFORGE_JOBS, then the config file; the log does not
-    # depend on the worker count, so clamping it changes no artifact
     jobs = args.jobs if args.jobs is not None else _env_jobs()
-    config.jobs = max(1, min(config.jobs if jobs is None else jobs, os.cpu_count() or 1))
-    # --generator-command, then CAPSET_GENERATOR, then the config file
-    config.generator_command = (
-        args.generator_command or os.environ.get("CAPSET_GENERATOR") or config.generator_command
+    # replace() re-runs EvolveConfig's checks on the flag values
+    config = dataclasses.replace(
+        config,
+        seed=config.seed if args.seed is None else args.seed,
+        eval_budget=config.eval_budget if args.evals is None else args.evals,
+        # --jobs, then BRUTEFORGE_JOBS, then the config file; the log does not
+        # depend on the worker count, so clamping it changes no artifact
+        jobs=max(1, min(config.jobs if jobs is None else jobs, os.cpu_count() or 1)),
+        # --generator-command, then CAPSET_GENERATOR, then the config file
+        generator_command=(args.generator_command or os.environ.get("CAPSET_GENERATOR")
+                           or config.generator_command),
     )
     best, records = evolve.evolve(config)
     if priority.score(best.expr, config.n) != best.score:
@@ -197,9 +189,7 @@ def _cmd_capset_evolve(args, parser):
 def _load_axioms(parser, name):
     if name in equational.AXIOM_SETS:
         return equational.AXIOM_SETS[name], equational.AXIOM_SIGNATURES[name]
-    _require_file(parser, name)
-    with open(name) as handle:
-        return _parse_axiom_file(handle.read(), parser)
+    return _parse_axiom_file(_read(parser, name), parser)
 
 
 _SIGNATURES = {
@@ -333,11 +323,10 @@ def _cmd_eq_prove(args, parser):
 
 
 def _cmd_eq_check(args, parser):
-    _require_file(parser, args.proof)
+    text = _read(parser, args.proof)
     axioms, signature = _load_axioms(parser, args.axioms)
     goal = _parse_goal(parser, args.goal, signature)
-    with open(args.proof) as handle:
-        proof = equational.parse_proof(handle.read(), signature)
+    proof = equational.parse_proof(text, signature)
     diagnostics = []
     if equational.check_proof(proof, axioms, goal, diagnostics):
         print(f"proof valid: {len(proof.steps)} steps")
@@ -371,9 +360,7 @@ def _cmd_eq_complete(args, parser):
 
 
 def _cmd_classify(args, parser):
-    _require_file(parser, args.file)
-    with open(args.file) as handle:
-        formula = hierarchy.parse_formula(handle.read().strip())
+    formula = hierarchy.parse_formula(_read(parser, args.file).strip())
     print(hierarchy.classify(formula))
     return EXIT_OK
 

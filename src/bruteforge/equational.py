@@ -32,7 +32,6 @@ from .logic import (
     term_vars,
     var_id,
     var_name,
-    with_constants,
 )
 
 FAIL = None  # mgu failure sentinel
@@ -185,18 +184,23 @@ def lpo_gt(t1, t2, precedence):
 
 
 def rewrite_at_root(t, rules):
-    for idx, rule in enumerate(rules):
+    """t rewritten at the root by the first rule that matches, or None."""
+    for rule in rules:
         sigma = match(rule.lhs, t)
         if sigma is not None:
-            return apply_subst(rule.rhs, sigma), idx
+            return apply_subst(rule.rhs, sigma)
     return None
 
 
-def rewrite(t, rules, max_steps=100000):
+# a tripwire against mis-oriented rule sets, which need not terminate
+MAX_REWRITE_STEPS = 100000
+
+
+def rewrite(t, rules):
     """Normal form under leftmost-innermost rewriting.
 
-    Terminates for LPO-oriented rule sets; max_steps is a tripwire against
-    mis-oriented inputs.
+    Terminates for LPO-oriented rule sets; more than MAX_REWRITE_STEPS
+    steps raise RuntimeError.
     """
     steps = 0
 
@@ -209,9 +213,9 @@ def rewrite(t, rules, max_steps=100000):
             if hit is None:
                 return u
             steps += 1
-            if steps > max_steps:
+            if steps > MAX_REWRITE_STEPS:
                 raise RuntimeError("rewrite step bound exceeded; rules not terminating?")
-            u = hit[0]
+            u = hit
 
     return norm(t)
 
@@ -268,17 +272,8 @@ def superpose(r1, r2):
     """All critical pairs of two oriented rules (both overlap directions)."""
     offset = max_var(r1.lhs) + max_var(r1.rhs) + 2
     r2r = RewriteRule(rename_apart(r2.lhs, offset), rename_apart(r2.rhs, offset))
-    pairs = _overlaps(r1, r2r)
-    pairs += _overlaps(r2r, r1)
-    # dedupe syntactically
-    seen = set()
-    unique = []
-    for eq in pairs:
-        key = (eq.lhs, eq.rhs)
-        if key not in seen:
-            seen.add(key)
-            unique.append(eq)
-    return unique
+    # syntactic duplicates go, first occurrence kept
+    return list(dict.fromkeys(_overlaps(r1, r2r) + _overlaps(r2r, r1)))
 
 
 def orient(eq, precedence):
@@ -377,12 +372,11 @@ BOOLEAN_AXIOMS = dict(
     )
 )
 
-_ROBBINS_CORE_SIG = with_constants(ROBBINS_SIG)
 ROBBINS_AXIOMS = dict(
     zip(
         ["R1", "R2", "R3"],
         _eqs(
-            _ROBBINS_CORE_SIG,
+            ROBBINS_SIG,
             [
                 ("x v (y v z)", "(x v y) v z"),
                 ("x v y", "y v x"),
@@ -447,9 +441,6 @@ class ProofStep:
     pos: tuple
     subst: dict
     direction: str  # "lr" | "rl"
-
-    def __hash__(self):
-        return hash((self.eq_id, self.pos, tuple(sorted(self.subst.items())), self.direction))
 
 
 @dataclass(frozen=True)
@@ -576,21 +567,28 @@ class _Node:
     taken: bool = False
 
 
-def _ground_pool(goal, extra_terms=(), limit=6):
-    """Small ground-instantiation pool: goal subterms plus supplied terms,
-    size-lexicographic order."""
+# prove's search parameters (see its docstring)
+GROUND_POOL_SIZE = 6  # goal subterms that fill a step's extra variables
+MAX_EXTRA_VARS = 2  # an orientation that needs more fills is left out
+SIZE_MARGIN = 8  # terms grow at most this much past the goal's larger side
+AGE_WEIGHT_RATIO = 4  # smallest-node selections per oldest-node selection
+
+
+def _ground_pool(goal):
+    """The GROUND_POOL_SIZE smallest subterms of the goal, size-lexicographic
+    order."""
     pool = []
     seen = set()
-    for t in (goal.lhs, goal.rhs, *extra_terms):
+    for t in (goal.lhs, goal.rhs):
         for _, sub in positions(t):
             if sub not in seen:
                 seen.add(sub)
                 pool.append(sub)
     pool.sort(key=lambda t: (term_size(t), format_term(t)))
-    return pool[:limit]
+    return pool[:GROUND_POOL_SIZE]
 
 
-def _orientations(axioms, pool, max_extra_vars=2):
+def _orientations(axioms, pool):
     """The rewrites prove tries, as (eq_id, frm, to, direction, to_size,
     shared, fills) for each axiom in both directions, in axiom order, lr
     before rl.
@@ -599,14 +597,14 @@ def _orientations(axioms, pool, max_extra_vars=2):
     matching `frm` binds.  The other variables of `to` are filled from the
     ground pool: fills lists each such binding as ((var, term) pairs in
     sorted variable order, size it adds to the instance of `to`).
-    Orientations that would need more than max_extra_vars fills are left out.
+    Orientations that would need more than MAX_EXTRA_VARS fills are left out.
     """
     out = []
     for eq_id, eq in axioms.items():
         for frm, to, direction in ((eq.lhs, eq.rhs, "lr"), (eq.rhs, eq.lhs, "rl")):
             frm_vars = term_vars(frm)
             extra = sorted(term_vars(to) - frm_vars)
-            if len(extra) > max_extra_vars:
+            if len(extra) > MAX_EXTRA_VARS:
                 continue
             occurrences = {}
             for _, sub in positions(to):
@@ -673,19 +671,21 @@ def _steps_back(node):
         node = node.parent
 
 
-def prove(goal, axioms, max_expansions=5000, max_seconds=None, size_margin=8,
-          age_weight_ratio=4):
+def prove(goal, axioms, max_expansions=5000, max_seconds=None):
     """Budgeted bidirectional proof search by fair generate-and-test.
 
     Two frontiers grow by equational steps, from goal.lhs and from goal.rhs.
     They expand in turns, lhs first, and when one is empty the other goes
-    on alone; `max_expansions` and `max_seconds` count both.  Each side
-    dovetails by age and by weight (term size): out of every
-    `age_weight_ratio` + 1 of its selections, one is its oldest frontier
-    node and the rest are its smallest, oldest first among equals.  A
-    frontier is kept twice, in generation order and in a heap on (size,
-    generation), so each selection costs O(log n) in the frontier size n; a
-    node taken through one view is skipped when it comes up in the other.
+    on alone; `max_expansions` and `max_seconds` count both.  A step may
+    fill up to MAX_EXTRA_VARS variables of its new side from the
+    GROUND_POOL_SIZE smallest subterms of the goal, and no term larger than
+    the goal's larger side plus SIZE_MARGIN is kept.  Each side dovetails by
+    age and by weight (term size): out of every AGE_WEIGHT_RATIO + 1 of its
+    selections, one is its oldest frontier node and the rest are its
+    smallest, oldest first among equals.  A frontier is kept twice, in
+    generation order and in a heap on (size, generation), so each selection
+    costs O(log n) in the frontier size n; a node taken through one view is
+    skipped when it comes up in the other.
 
     The sides meet when one reaches a term the other owns.  The proof is
     the lhs path, then the rhs path reversed: a reversed step keeps its
@@ -695,7 +695,7 @@ def prove(goal, axioms, max_expansions=5000, max_seconds=None, size_margin=8,
     non-negative positions) or Timeout with counters.
     """
     orientations = _orientations(axioms, _ground_pool(goal))
-    max_size = max(term_size(goal.lhs), term_size(goal.rhs)) + size_margin
+    max_size = max(term_size(goal.lhs), term_size(goal.rhs)) + SIZE_MARGIN
     start = time.monotonic()
 
     owner = {}  # term -> (side, node) of the frontier that reached it
@@ -721,7 +721,7 @@ def prove(goal, axioms, max_expansions=5000, max_seconds=None, size_margin=8,
             return Timeout(generated, rewrites)
         by_age, by_weight = frontiers[side]
         ticks[side] += 1
-        if ticks[side] % (age_weight_ratio + 1) == 0:
+        if ticks[side] % (AGE_WEIGHT_RATIO + 1) == 0:
             node = by_age.popleft()
             while node.taken:
                 node = by_age.popleft()
@@ -846,7 +846,10 @@ def prove_exists(goal, axioms, signature, max_candidates=200,
     ground).  At most `max_candidates` instances are tried, serially in
     enumeration order, and the first one proved wins.  The first
     `max_candidates` assignments use only the first `max_candidates` terms,
-    so terms are built one size at a time until there are that many.
+    so terms are built one size at a time until there are that many.  A
+    goal without variables is its own one instance, with the empty
+    witness; it builds no terms, and it is tried under the same rules, so
+    not at all when `max_candidates` is below 1 or no time is left.
 
     When the two-element structure _TWO is a model of the axioms (see
     _two_is_a_model), an instance false in it under some assignment of its
@@ -866,18 +869,12 @@ def prove_exists(goal, axioms, signature, max_candidates=200,
 
     use_model = _two_is_a_model(goal, axioms, signature)
     gvars = sorted(term_vars(goal.lhs) | term_vars(goal.rhs))
-    if not gvars:
-        if use_model and not _holds_in_two(goal):
-            return Timeout(0, 0)
-        result = prove(goal, axioms, max_expansions=per_candidate_expansions,
-                       max_seconds=time_left())
-        if isinstance(result, EqProof):
-            return WitnessResult({}, result)
-        return result
-    fresh = Var(max(max(gvars), max((max_var(e.lhs) for e in axioms.values()), default=-1)) + 1)
+    fresh = Var(max([*gvars, *(max_var(e.lhs) for e in axioms.values())], default=-1) + 1)
     budget = max(max_candidates, 0)
     terms = []
-    for size_class in _size_classes(signature, max_term_size, (fresh,)):
+    # a goal without variables has one candidate, the empty assignment,
+    # which product(..., repeat=0) yields without any term
+    for size_class in _size_classes(signature, max_term_size, (fresh,)) if gvars else ():
         terms += size_class
         if len(terms) >= budget:
             break

@@ -292,8 +292,9 @@ class EvolveConfig:
 
     def __post_init__(self):
         # a zero batch never spends the budget; an empty population or
-        # tournament has no member to select
-        for key in ("capacity", "batch", "tournament"):
+        # tournament has no member to select; a run scores at least one
+        # seed expression
+        for key in ("capacity", "eval_budget", "batch", "tournament"):
             if getattr(self, key) < 1:
                 raise ValueError(f"{key} must be positive, got {getattr(self, key)}")
         # the reply wait goes to select(), which overflows past TIMEOUT_MAX;
@@ -366,7 +367,7 @@ def evolve(config, log_sink=None):
     evals = 0
     best = None
     generation = 0
-    seed_texts = SEED_EXPRS[: max(1, config.eval_budget)]
+    seed_texts = SEED_EXPRS[: config.eval_budget]
     proposals = [(slot, config.seed, parse_expr(t)) for slot, t in enumerate(seed_texts)]
     try:
         while True:

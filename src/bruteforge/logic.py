@@ -392,10 +392,14 @@ def parse_dimacs(text):
     return Cnf(tuple(clauses), num_vars)
 
 
+def clause_line(clause):
+    """A clause as one DIMACS line: literals by variable, the positive one
+    first, then the terminating 0."""
+    lits = sorted(clause.lits, key=lambda l: (abs(l), l < 0))
+    return " ".join([*map(str, lits), "0"])
+
+
 def write_dimacs(cnf):
     """Serialize a Cnf; round-trips through parse_dimacs exactly."""
-    lines = [f"p cnf {cnf.num_vars} {len(cnf.clauses)}"]
-    for c in cnf.clauses:
-        lits = sorted(c.lits, key=lambda l: (abs(l), l < 0))
-        lines.append(" ".join(str(l) for l in lits) + " 0" if lits else "0")
+    lines = [f"p cnf {cnf.num_vars} {len(cnf.clauses)}", *map(clause_line, cnf.clauses)]
     return "\n".join(lines) + "\n"

@@ -22,7 +22,7 @@ import heapq
 import math
 from dataclasses import dataclass
 
-from .logic import Assignment, Clause, Cnf
+from .logic import Assignment, Clause, clause_line
 
 CONFLICT = "conflict"
 STABLE = "stable"
@@ -51,11 +51,7 @@ class Certificate:
     lines: tuple
 
     def to_text(self):
-        out = []
-        for c in self.lines:
-            lits = sorted(c.lits, key=lambda l: (abs(l), l < 0))
-            out.append(" ".join(str(l) for l in lits) + (" 0" if lits else "0"))
-        return "\n".join(out) + "\n"
+        return "\n".join(map(clause_line, self.lines)) + "\n"
 
     @staticmethod
     def from_text(text):

@@ -20,7 +20,7 @@ from bruteforge.bpt import (
     triples,
     verify_coloring,
 )
-from bruteforge.logic import Assignment, write_dimacs
+from bruteforge.logic import Assignment, Clause, Cnf, VerificationError, write_dimacs
 
 
 def _brute_triples(m):
@@ -191,6 +191,39 @@ class TestSolvePipeline:
             find_threshold(0)
         with pytest.raises(ValueError):
             find_threshold(10, step=0)
+
+
+class TestCheckedSolve:
+    """bpt.solve returns only a verdict that its check accepts."""
+
+    def test_every_small_bound_gives_a_valid_coloring(self):
+        for m in range(1, 61):
+            coloring = bpt.solve(m)
+            assert isinstance(coloring, Coloring)
+            assert verify_coloring(coloring, m) == VALID
+
+    @pytest.fixture
+    def unsatisfiable(self, monkeypatch):
+        # x1 and not x1 in place of the encoding
+        cnf = Cnf((Clause(frozenset({1})), Clause(frozenset({-1}))), 1)
+        monkeypatch.setattr(bpt, "encode", lambda m: (cnf, {}))
+        return cnf
+
+    def test_unsatisfiable_encoding_gives_a_checked_certificate(self, unsatisfiable):
+        cert = bpt.solve(5)
+        assert isinstance(cert, sat.Certificate)
+        assert sat.check_certificate(unsatisfiable, cert)
+
+    def test_certificate_that_does_not_check_raises(self, unsatisfiable, monkeypatch):
+        monkeypatch.setattr(sat, "check_certificate", lambda cnf, cert: False)
+        with pytest.raises(VerificationError, match="certificate does not check"):
+            bpt.solve(5)
+
+    def test_cli_writes_the_checked_certificate(self, unsatisfiable, tmp_path):
+        path = tmp_path / "c.txt"
+        assert cli.main(["bpt", "solve", "5", "--cert", str(path)]) == 1
+        assert path.read_text() == bpt.solve(5).to_text()
+        assert sat.check_certificate(unsatisfiable, sat.Certificate.from_text(path.read_text()))
 
 
 class TestTriplesComputedOnce:

@@ -165,14 +165,17 @@ class TestVerificationFailure:
          ["capset", "evolve", "--n", "2", "--evals", "20", "--log", "{out}"]),
         ("equational.critical_pairs_join = lambda rules: False",
          ["eq", "complete", "--axioms", "group"]),
-    ], ids=["sat-model", "sat-cert", "capset-greedy", "capset-evolve", "eq-complete"])
+        ("bpt.verify_coloring = lambda coloring, m: (3, 4, 5)",
+         ["bpt", "solve", "20", "--coloring", "{out}"]),
+    ], ids=["sat-model", "sat-cert", "capset-greedy", "capset-evolve", "eq-complete",
+            "bpt-solve"])
     def test_every_verdict_is_rechecked_under_optimize(self, tmp_path, fault, argv):
         (tmp_path / "sat.cnf").write_text("p cnf 2 2\n1 2 0\n-1 2 0\n")
         (tmp_path / "unsat.cnf").write_text("p cnf 1 2\n1 0\n-1 0\n")
         out = tmp_path / "out"
         argv = [a.format(sat=tmp_path / "sat.cnf", unsat=tmp_path / "unsat.cnf", out=out)
                 for a in argv]
-        script = ("import sys\nfrom bruteforge import capset, cli, equational, priority, sat\n"
+        script = ("import sys\nfrom bruteforge import bpt, capset, cli, equational, priority, sat\n"
                   f"{fault}\nsys.exit(cli.main(sys.argv[1:]))\n")
         result = subprocess.run([sys.executable, "-O", "-c", script, *argv],
                                 capture_output=True, text=True, timeout=300)
@@ -246,6 +249,23 @@ class TestCapset:
         argv = ["capset", "evolve", "--n", "2", "--config", str(config), "--evals", "20"]
         assert cli.main(argv) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("line, flags, value", [
+        ("", ["--evals", "0"], 0), ("", ["--evals", "-4"], -4), ("eval_budget = 0", [], 0),
+    ], ids=["flag-zero", "flag-negative", "config-zero"])
+    def test_evolve_eval_budget_below_one_is_usage_error(self, tmp_path, capsys, line, flags,
+                                                          value):
+        # flag values go through the same checks as config values; a budget
+        # below 1 used to run one evaluation and exit 0
+        config = tmp_path / "c.cfg"
+        config.write_text(line + "\n")
+        log = tmp_path / "r.jsonl"
+        argv = ["capset", "evolve", "--n", "2", "--config", str(config), "--log", str(log),
+                *flags]
+        assert cli.main(argv) == 2
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", f"error: eval_budget must be positive, got {value}\n")
+        assert not log.exists()
 
     @pytest.mark.parametrize("value", ["inf", "1e300", "nan", "0", "-1"])
     def test_evolve_bad_generator_timeout_is_usage_error(self, tmp_path, capsys,

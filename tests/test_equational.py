@@ -596,6 +596,26 @@ class TestProveExists:
         prove_exists(goal, BOOLEAN_AXIOMS, BOOLEAN_SIG, max_candidates=5)
         # size 1: 0, 1 and the fresh variable; size 2: their negations
         assert built == [3, 3]
+        built.clear()
+        # a goal without variables needs no witness term
+        ground = Equation(_bt("0 v 1", BOOLEAN_SIG), App("1"))
+        prove_exists(ground, BOOLEAN_AXIOMS, BOOLEAN_SIG, max_candidates=5)
+        assert built == []
+
+    @pytest.mark.parametrize("limit", [{"max_candidates": 0}, {"max_candidates": -1},
+                                       {"max_seconds": 0}], ids=["zero", "negative", "no-time"])
+    def test_ground_goal_obeys_the_budget_and_the_time_limit(self, monkeypatch, limit):
+        # the one candidate of a goal without variables counts like any other
+        tried = self._record_prove(monkeypatch)
+        goal = Equation(_bt("0 v 1", BOOLEAN_SIG), App("1"))
+        assert prove_exists(goal, BOOLEAN_AXIOMS, BOOLEAN_SIG, **limit) == Timeout(0, 0)
+        assert tried == []
+
+    def test_ground_goal_without_axioms(self):
+        trivial = Equation(App("1"), App("1"))
+        assert prove_exists(trivial, {}, BOOLEAN_SIG) == WitnessResult({}, EqProof(()))
+        goal = Equation(_bt("0 v 1", BOOLEAN_SIG), App("1"))
+        assert prove_exists(goal, {}, BOOLEAN_SIG) == Timeout(0, 0)
 
     @pytest.mark.parametrize("budget", [0, -1])
     def test_empty_budget_times_out(self, monkeypatch, budget):

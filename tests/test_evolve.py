@@ -287,7 +287,7 @@ class TestConfigFile:
             with pytest.raises(ValueError, match="unknown config key"):
                 parse_config_file(f"n = 2\n{line}\n")
 
-    @pytest.mark.parametrize("key", ["batch", "capacity", "tournament"])
+    @pytest.mark.parametrize("key", ["batch", "capacity", "tournament", "eval_budget"])
     @pytest.mark.parametrize("value", [0, -1])
     def test_non_positive_sizes_are_rejected(self, key, value):
         with pytest.raises(ValueError, match=f"^{key} must be positive"):
