@@ -4,7 +4,9 @@ Enumerates Pythagorean triples up to a bound m from Euclid's formula, in
 O(#triples) plus a sort, builds the CNF whose unsatisfiability is
 equivalent to every 2-coloring of [m] containing a monochromatic triple
 (one (x_a|x_b|x_c) & (~x_a|~x_b|~x_c) block per triple), extracts and
-verifies colorings, and drives the threshold scan.
+verifies colorings, and drives the threshold scan.  `triples` keeps the
+set of its latest bound, so encoding m and verifying a coloring of m share
+one enumeration.
 
 Reference-only facts, not desk-reproducible: the true threshold is 7825;
 the published encodings had 3730 and 3745 variables after symmetry
@@ -15,6 +17,7 @@ exactly the number of distinct triple members.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -44,13 +47,15 @@ class Coloring:
     colors: dict  # member -> 0 | 1
 
 
+@functools.lru_cache(maxsize=1, typed=True)
 def triples(m):
     """All Pythagorean triples (a, b, c) with a < b < c <= m, sorted by (c, a).
 
     Euclid's formula: every primitive triple is (u^2 - v^2, 2uv, u^2 + v^2)
     with u > v >= 1, gcd(u, v) = 1 and u - v odd, and every triple is k
     times exactly one primitive triple.  The work is one gcd per (u, v)
-    with u^2 + v^2 <= m plus one tuple per triple, then the sort.
+    with u^2 + v^2 <= m plus one tuple per triple, then the sort.  The
+    latest bound's set is kept, so encode(m) and verify_coloring(c, m) share it.
     """
     if m < 1:
         raise ValueError("m must be positive")

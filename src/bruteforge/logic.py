@@ -72,6 +72,13 @@ class Var(Term):
 class App(Term):
     symbol: str
     args: tuple = ()
+    _hash: int = field(init=False, compare=False, repr=False)  # hashed once, not per lookup
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.symbol, self.args)))
+
+    def __hash__(self):
+        return self._hash
 
 
 # Signatures are symbol -> arity maps.
@@ -307,12 +314,15 @@ class Cnf:
     num_vars: int
 
     def __post_init__(self):
-        for c in self.clauses:
-            for l in c.lits:
-                if l == 0:
-                    raise ValueError("literal 0 is reserved as terminator")
-                if abs(l) > self.num_vars:
-                    raise ValueError(f"literal {l} exceeds num_vars={self.num_vars}")
+        # one C-level union checks every literal; the loop only names the first bad one
+        lits = frozenset().union(*(c.lits for c in self.clauses))
+        if lits and (0 in lits or max(map(abs, lits)) > self.num_vars):
+            for c in self.clauses:
+                for l in c.lits:
+                    if l == 0:
+                        raise ValueError("literal 0 is reserved as terminator")
+                    if abs(l) > self.num_vars:
+                        raise ValueError(f"literal {l} exceeds num_vars={self.num_vars}")
 
     @staticmethod
     def of(clauses, num_vars=None):

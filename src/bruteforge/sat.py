@@ -8,7 +8,9 @@ clause is added, and the search jumps back to the level where that clause
 becomes unit.  Branching follows EVSIDS activity with ties to the lowest
 variable and saved phases that start true, and the search restarts on
 Luby's sequence.  A search with no conflict therefore branches on the
-lowest unassigned variable, true first.  Learned clauses are never
+lowest unassigned variable, true first.  Tautologies are watched, not
+dropped: once x is assigned, x or -x is true, so they never become unit
+or false and leave the search as it is.  Learned clauses are never
 deleted: in order, followed by the empty clause, they form a
 reverse-unit-propagation (RUP) refutation.  Models and certificates are
 deterministic for a given input.
@@ -222,10 +224,10 @@ class _Core:
     `true`, `watches`, `reason` and `level` are indexed by literal: +v is
     slot v and -v is slot 2n+1-v, reached through Python's negative
     indexing.  `reason[l]` and `level[l]` are read only while l is true.
-    Tautologies are dropped; unit clauses and the empty clause are kept
-    aside and asserted at the root of the search.  A longer clause watches
-    its first two literals, which propagation keeps non-false while the
-    clause is open.  `lim[k]` is the trail length when level k+1 began.
+    Unit clauses and the empty clause are kept aside and asserted at the
+    root of the search.  Every longer clause, a tautology too, watches its
+    first two literals, which propagation keeps non-false while the clause
+    is open.  `lim[k]` is the trail length when level k+1 began.
     """
 
     def __init__(self, cnf):
@@ -245,8 +247,6 @@ class _Core:
         self.phase = [True] * (n + 1)
         self.heap = None  # (-activity, variable), built at the first conflict
         for c in cnf.clauses:
-            if c.is_tautological:
-                continue
             lits = list(c.lits)
             if len(lits) >= 2:
                 self.watches[lits[0]].append(lits)

@@ -249,3 +249,49 @@ class TestTriplesComputedOnce:
         del calls[:]
         assert verify_coloring(coloring, 100) == VALID
         assert calls == [100]
+
+
+class TestTriplesCache:
+    """triples keeps only its latest bound, keyed by value and type."""
+
+    def test_interleaved_bounds_match_the_reference(self):
+        before = triples.cache_info().misses
+        for m in (50, 300, 50, 1000, 300, 300):
+            ts = triples(m)
+            assert ts.m == m
+            assert ts.triples == _scan_triples(m)
+        # only the repeated 300 is a hit: an earlier bound is enumerated again
+        assert triples.cache_info().misses - before == 5
+
+    def test_encode_then_verify_enumerates_once(self):
+        triples(7)  # some other bound is the latest
+        before = triples.cache_info()
+        cnf, varmap = encode(400)
+        coloring = coloring_from_model(sat.solve(cnf).model, varmap, 400)
+        assert verify_coloring(coloring, 400) == VALID
+        after = triples.cache_info()
+        assert (after.misses - before.misses, after.hits - before.hits) == (1, 1)
+
+    def test_recolored_triple_is_found_after_encode(self):
+        cnf, varmap = encode(300)
+        colors = dict(coloring_from_model(sat.solve(cnf).model, varmap, 300).colors)
+        encode(300)
+        for a, b, c in ((3, 4, 5), (60, 91, 109), (180, 240, 300)):
+            recolored = {**colors, a: colors[c], b: colors[c]}
+            first = next(t for t in _scan_triples(300)
+                         if recolored[t[0]] == recolored[t[1]] == recolored[t[2]])
+            assert verify_coloring(Coloring(300, recolored), 300) == first
+        assert verify_coloring(Coloring(300, colors), 300) == VALID
+
+    def test_non_positive_bound_raises_every_time(self):
+        for m in (0, 0, 20, 0, -3):
+            if m < 1:
+                with pytest.raises(ValueError):
+                    triples(m)
+            else:
+                assert len(triples(m).triples) == 6
+
+    def test_float_bound_is_not_served_from_the_int_entry(self):
+        triples(1000)
+        with pytest.raises(TypeError):
+            triples(1000.0)

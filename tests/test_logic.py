@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -186,6 +188,33 @@ class TestTermFormatting:
         assert all(v >= 0 for v in term_vars(t))
 
 
+class TestTermHash:
+    """App computes its hash once; equality and repr see only symbol and args."""
+
+    @given(_terms(BOOLEAN_SIG))
+    def test_parsed_and_rebuilt_terms_share_a_key(self, t):
+        parsed = parse_term(format_term(t), BOOLEAN_SIG)
+        index = {t: "built"}
+        index[parsed] = "parsed"
+        assert index == {t: "parsed"}
+        assert hash(parsed) == hash(t)
+        if isinstance(t, App):
+            assert hash(t) == hash((t.symbol, t.args))
+
+    def test_different_constructions_share_a_key(self):
+        x = Var(0)
+        built = App("v", (App("-", (x,)), App("^", (x, App("1")))))
+        parsed = parse_term("-x v (x ^ 1)", BOOLEAN_SIG)
+        keyword = App(symbol="v", args=tuple([parsed.args[0], App("^", (Var(0), App("1", ())))]))
+        assert len({built: 0, parsed: 1, keyword: 2}) == 1
+        assert built != App("v", (App("-", (x,)), App("^", (App("1"), x))))
+
+    def test_repr_shows_only_symbol_and_args(self):
+        assert repr(App("v", (Var(0), App("1")))) == (
+            "App(symbol='v', args=(Var(id=0), App(symbol='1', args=())))"
+        )
+
+
 class TestClauses:
     def test_of_rejects_zero(self):
         with pytest.raises(ValueError):
@@ -202,6 +231,61 @@ class TestClauses:
     def test_cnf_rejects_out_of_range_literal(self):
         with pytest.raises(ValueError):
             Cnf((Clause.of(3),), 2)
+
+
+def _reference_validate(clauses, num_vars):
+    """The error a per-literal check raises first, or None."""
+    for c in clauses:
+        for l in c.lits:
+            if l == 0:
+                return "literal 0 is reserved as terminator"
+            if abs(l) > num_vars:
+                return f"literal {l} exceeds num_vars={num_vars}"
+    return None
+
+
+class TestCnfValidation:
+    def test_literal_zero(self):
+        with pytest.raises(ValueError, match="^literal 0 is reserved as terminator"):
+            Cnf((Clause.of(1, 2), Clause(frozenset({0, -1}))), 2)
+
+    def test_literal_beyond_num_vars(self):
+        for bad in (3, -3, 40):
+            with pytest.raises(ValueError, match=f"^literal {bad} exceeds num_vars=2"):
+                Cnf((Clause.of(1, -2), Clause.of(bad, 1)), 2)
+
+    def test_empty_cnf_and_empty_clauses(self):
+        assert Cnf((), 0).clauses == ()
+        assert Cnf((), 5).num_vars == 5
+        assert Cnf((Clause(frozenset()),), 0).num_vars == 0
+
+    def test_of_infers_num_vars(self):
+        assert Cnf.of([]).num_vars == 0
+        assert Cnf.of([Clause.of(1, -7), Clause.of(3)]).num_vars == 7
+        assert Cnf.of([Clause(frozenset())]).num_vars == 0
+
+    def test_agrees_with_per_literal_check(self):
+        rng = random.Random(2016)
+        outcomes = set()
+        for _ in range(3000):
+            n = rng.randint(0, 8)
+            clauses = []
+            for _ in range(rng.randint(0, 6)):
+                width = rng.randint(0, 4)
+                top = n if rng.random() < 0.9 else n + 3
+                lits = {rng.randint(-top, top) for _ in range(width)}
+                if rng.random() < 0.8:
+                    lits.discard(0)
+                clauses.append(Clause(frozenset(lits)))
+            expected = _reference_validate(clauses, n)
+            try:
+                Cnf(tuple(clauses), n)
+                got = None
+            except ValueError as exc:
+                got = str(exc)
+            assert got == expected
+            outcomes.add(expected and ("zero" if "reserved" in expected else "range"))
+        assert outcomes == {None, "zero", "range"}
 
 
 class TestAssignment:

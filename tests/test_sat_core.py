@@ -229,6 +229,58 @@ class TestCdcl:
         assert bpt.verify_coloring(coloring, 1700) == bpt.VALID
 
 
+# --- tautologies ------------------------------------------------------------
+
+
+def _with_tautologies(rng, cnf):
+    """cnf with 1-6 clauses holding some x and -x inserted at random places."""
+    n = cnf.num_vars
+    clauses = list(cnf.clauses)
+    for _ in range(rng.randint(1, 6)):
+        v = rng.randint(1, n)
+        extra = {rng.choice((1, -1)) * rng.randint(1, n) for _ in range(rng.randint(0, 2))}
+        clauses.insert(rng.randint(0, len(clauses)), Clause(frozenset({v, -v} | extra)))
+    return Cnf(tuple(clauses), n)
+
+
+def _tautology_family():
+    rng = random.Random(1515)
+    plain = [_random_3cnf(rng, rng.randint(8, 16)) for _ in range(40)]
+    plain += [_php(4, 3), _php(5, 4)]
+    return [(cnf, _with_tautologies(rng, cnf)) for cnf in plain]
+
+
+class TestTautologiesAreInert:
+    """The core watches tautologies; they never become unit or false, so the
+    search, its artifacts and propagation are those of the formula without them."""
+
+    def test_same_model_or_certificate(self):
+        verdicts = set()
+        for plain, padded in _tautology_family():
+            assert any(c.is_tautological for c in padded.clauses)
+            v = solve(padded)
+            assert _artifact(padded, v) == _artifact(plain, solve(plain))
+            verdicts.add(v.satisfiable)
+        assert verdicts == {True, False}
+
+    def test_same_propagation_fixpoint(self):
+        rng = random.Random(16)
+        conflicts = 0
+        for plain, padded in _tautology_family():
+            for _ in range(5):
+                lits = rng.sample(range(1, plain.num_vars + 1), 3)
+                start = Assignment({v: rng.random() < 0.5 for v in lits})
+                a, status = unit_propagate(padded, start)
+                b, expected = unit_propagate(plain, start)
+                assert (list(a.values.items()), status) == (list(b.values.items()), expected)
+                conflicts += status != STABLE
+        assert conflicts > 0
+
+    def test_same_truth_table_verdict(self):
+        for plain, padded in _tautology_family():
+            assert truth_table_satisfiable(padded) == truth_table_satisfiable(plain)
+
+
 # --- reference checker ------------------------------------------------------
 
 
