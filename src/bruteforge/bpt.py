@@ -4,9 +4,10 @@ Enumerates Pythagorean triples up to a bound m from Euclid's formula, in
 O(#triples) plus a sort, builds the CNF whose unsatisfiability is
 equivalent to every 2-coloring of [m] containing a monochromatic triple
 (one (x_a|x_b|x_c) & (~x_a|~x_b|~x_c) block per triple), extracts and
-verifies colorings, and drives the threshold scan.  `triples` keeps the
-set of its latest bound, so encoding m and verifying a coloring of m share
-one enumeration.
+verifies colorings, and drives the threshold scan.  `triples` and
+`members` keep the tuple and the frozenset of their latest bound, so
+encoding m and verifying a coloring of m share one enumeration and one
+member set.
 
 Reference-only facts, not desk-reproducible: the true threshold is 7825;
 the published encodings had 3730 and 3745 variables after symmetry
@@ -22,7 +23,7 @@ import math
 from dataclasses import dataclass
 
 from . import sat
-from .logic import Assignment, Clause, Cnf, VerificationError
+from .logic import Assignment, Cnf, VerificationError
 
 REFERENCE_THRESHOLD = 7825  # not desk-verified; recorded for documentation
 
@@ -33,12 +34,6 @@ class DomainGapError(ValueError):
 
 class MissingVariableError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class TripleSet:
-    m: int
-    triples: tuple  # (a, b, c) with a < b < c <= m, sorted
 
 
 @dataclass(frozen=True)
@@ -54,8 +49,7 @@ def triples(m):
     Euclid's formula: every primitive triple is (u^2 - v^2, 2uv, u^2 + v^2)
     with u > v >= 1, gcd(u, v) = 1 and u - v odd, and every triple is k
     times exactly one primitive triple.  The work is one gcd per (u, v)
-    with u^2 + v^2 <= m plus one tuple per triple, then the sort.  The
-    latest bound's set is kept, so encode(m) and verify_coloring(c, m) share it.
+    with u^2 + v^2 <= m plus one tuple per triple, then the sort.
     """
     if m < 1:
         raise ValueError("m must be positive")
@@ -71,19 +65,13 @@ def triples(m):
                 out.extend(zip(range(a, k * a + 1, a), range(b, k * b + 1, b),
                                range(c, k * c + 1, c)))
     out.sort(key=lambda t: (t[2], t[0]))
-    return TripleSet(m, tuple(out))
+    return tuple(out)
 
 
-def _members_of(ts):
-    out = set()
-    for t in ts.triples:
-        out.update(t)
-    return out
-
-
+@functools.lru_cache(maxsize=1, typed=True)
 def members(m):
     """Distinct numbers appearing in some triple up to m."""
-    return _members_of(triples(m))
+    return frozenset().union(*triples(m))
 
 
 def encode(m):
@@ -93,15 +81,12 @@ def encode(m):
     propositional variable id.  Numbers outside every triple get no
     variable.  num_vars = |members(m)|; clauses = 2 * |triples(m)|.
     """
-    ts = triples(m)
-    varmap = {}
-    for i, member in enumerate(sorted(_members_of(ts)), 1):
-        varmap[member] = i
+    varmap = {member: i for i, member in enumerate(sorted(members(m)), 1)}
     clauses = []
-    for a, b, c in ts.triples:
+    for a, b, c in triples(m):
         xa, xb, xc = varmap[a], varmap[b], varmap[c]
-        clauses.append(Clause(frozenset((xa, xb, xc))))
-        clauses.append(Clause(frozenset((-xa, -xb, -xc))))
+        clauses.append(frozenset((xa, xb, xc)))
+        clauses.append(frozenset((-xa, -xb, -xc)))
     return Cnf(tuple(clauses), len(varmap)), varmap
 
 
@@ -128,11 +113,10 @@ VALID = "valid"
 
 def verify_coloring(coloring, m):
     """VALID, or the first monochromatic triple as a witness."""
-    ts = triples(m)
-    missing = _members_of(ts) - set(coloring.colors)
+    missing = members(m).difference(coloring.colors)
     if missing:
         raise DomainGapError(f"coloring misses triple members {sorted(missing)}")
-    for a, b, c in ts.triples:
+    for a, b, c in triples(m):
         if coloring.colors[a] == coloring.colors[b] == coloring.colors[c]:
             return (a, b, c)
     return VALID

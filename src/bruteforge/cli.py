@@ -24,7 +24,8 @@ import tempfile
 
 from . import bpt, capset, equational, evolve, hierarchy, priority, sat
 from .logic import (
-    App, VerificationError, format_term, parse_dimacs, parse_term, var_name, write_dimacs,
+    App, VerificationError, clause_line, format_term, parse_dimacs, parse_term, var_name,
+    write_dimacs,
 )
 
 EXIT_OK = 0
@@ -72,8 +73,8 @@ def _cmd_sat_solve(args, parser):
             raise VerificationError("model does not satisfy every clause")
         print("SATISFIABLE")
         if args.model:
-            lits = [v if verdict.model.values[v] else -v for v in range(1, cnf.num_vars + 1)]
-            _atomic_write(args.model, " ".join(str(l) for l in lits) + " 0\n")
+            lits = [v if value else -v for v, value in verdict.model.values.items()]
+            _atomic_write(args.model, clause_line(lits) + "\n")
         return EXIT_OK
     if not sat.check_certificate(cnf, verdict.certificate):
         raise VerificationError("certificate does not check")

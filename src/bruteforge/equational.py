@@ -770,11 +770,6 @@ def _size_classes(signature, max_size, variables):
         yield sorted(terms, key=format_term)
 
 
-def enumerate_ground_terms(signature, max_size, variables=()):
-    """All terms over the signature (plus the given Vars), size-lex order."""
-    return [t for terms in _size_classes(signature, max_size, variables) for t in terms]
-
-
 @dataclass(frozen=True)
 class WitnessResult:
     """A witness substitution for the goal's variables, plus its proof."""

@@ -1,6 +1,9 @@
 """Shared syntax layer: first-order terms, propositional clauses/CNF, parsers,
 and the error raised when a verdict fails its independent re-check.
 
+A clause is a frozenset of nonzero DIMACS-style ints (-v is the negation of
+variable v), and a Cnf is a tuple of clauses with its variable count.
+
 Term grammar (EBNF, ASCII rendering of the usual connectives):
 
     term    := disj
@@ -85,14 +88,6 @@ class App(Term):
 BOOLEAN_SIG = {"v": 2, "^": 2, "-": 1, "0": 0, "1": 0}
 ROBBINS_SIG = {"v": 2, "-": 1}
 GROUP_SIG = {"*": 2, "i": 1, "e": 0}
-
-
-def with_constants(signature, *names):
-    """Extend a signature with fresh nullary symbols (e.g. ground witnesses)."""
-    sig = dict(signature)
-    for name in names:
-        sig[name] = 0
-    return sig
 
 
 _VAR_RE = re.compile(r"^(x|y|z|x(0|[1-9][0-9]*))$")
@@ -292,33 +287,16 @@ class DimacsError(ValueError):
 
 
 @dataclass(frozen=True)
-class Clause:
-    """A disjunction of literals; literals are nonzero DIMACS-style ints."""
-
-    lits: frozenset
-
-    @staticmethod
-    def of(*lits):
-        if any(l == 0 for l in lits):
-            raise ValueError("literal 0 is reserved as terminator")
-        return Clause(frozenset(lits))
-
-    @property
-    def is_tautological(self):
-        return any(-l in self.lits for l in self.lits)
-
-
-@dataclass(frozen=True)
 class Cnf:
     clauses: tuple
     num_vars: int
 
     def __post_init__(self):
         # one C-level union checks every literal; the loop only names the first bad one
-        lits = frozenset().union(*(c.lits for c in self.clauses))
+        lits = frozenset().union(*self.clauses)
         if lits and (0 in lits or max(map(abs, lits)) > self.num_vars):
             for c in self.clauses:
-                for l in c.lits:
+                for l in c:
                     if l == 0:
                         raise ValueError("literal 0 is reserved as terminator")
                     if abs(l) > self.num_vars:
@@ -326,9 +304,10 @@ class Cnf:
 
     @staticmethod
     def of(clauses, num_vars=None):
-        clauses = tuple(clauses)
+        """Freezes each clause; num_vars defaults to the largest variable."""
+        clauses = tuple(map(frozenset, clauses))
         if num_vars is None:
-            num_vars = max((abs(l) for c in clauses for l in c.lits), default=0)
+            num_vars = max((abs(l) for c in clauses for l in c), default=0)
         return Cnf(clauses, num_vars)
 
 
@@ -382,7 +361,7 @@ def parse_dimacs(text):
             except ValueError:
                 raise DimacsError(f"line {lineno}: bad literal {tok!r}")
             if lit == 0:
-                clauses.append(Clause(frozenset(pending)))
+                clauses.append(frozenset(pending))
                 pending = []
             else:
                 if abs(lit) > header[0]:
@@ -405,7 +384,7 @@ def parse_dimacs(text):
 def clause_line(clause):
     """A clause as one DIMACS line: literals by variable, the positive one
     first, then the terminating 0."""
-    lits = sorted(clause.lits, key=lambda l: (abs(l), l < 0))
+    lits = sorted(clause, key=lambda l: (abs(l), l < 0))
     return " ".join([*map(str, lits), "0"])
 
 

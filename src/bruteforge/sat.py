@@ -24,7 +24,7 @@ import heapq
 import math
 from dataclasses import dataclass
 
-from .logic import Assignment, Clause, clause_line
+from .logic import Assignment, clause_line
 
 CONFLICT = "conflict"
 STABLE = "stable"
@@ -57,15 +57,21 @@ class Certificate:
 
     @staticmethod
     def from_text(text):
+        """Parse one 0-terminated clause per nonblank line; the error for a
+        malformed line names it, counting from 1."""
         lines = []
-        for raw in text.splitlines():
-            raw = raw.strip()
-            if not raw:
+        for lineno, raw in enumerate(text.splitlines(), 1):
+            if not raw.strip():
                 continue
-            toks = [int(t) for t in raw.split()]
-            if toks[-1] != 0:
-                raise MalformedCertificateError(f"line not 0-terminated: {raw!r}")
-            lines.append(Clause(frozenset(toks[:-1])))
+            try:
+                *lits, end = map(int, raw.split())
+            except ValueError:
+                raise MalformedCertificateError(f"line {lineno}: non-integer token in {raw!r}")
+            if end != 0:
+                raise MalformedCertificateError(f"line {lineno}: not 0-terminated: {raw!r}")
+            if 0 in lits:
+                raise MalformedCertificateError(f"line {lineno}: 0 before the end: {raw!r}")
+            lines.append(frozenset(lits))
         return Certificate(tuple(lines))
 
 
@@ -95,18 +101,18 @@ def unit_propagate(cnf, assignment):
 
 def resolve(c1, c2, pivot):
     """Resolution rule: from (phi | p) and (~p | psi) derive (phi | psi)."""
-    if pivot not in c1.lits:
+    if pivot not in c1:
         raise PivotAbsentError(f"pivot {pivot} does not occur positively in c1")
-    if -pivot not in c2.lits:
+    if -pivot not in c2:
         raise PivotAbsentError(f"pivot {pivot} does not occur negatively in c2")
-    return Clause((c1.lits - {pivot}) | (c2.lits - {-pivot}))
+    return (c1 - {pivot}) | (c2 - {-pivot})
 
 
 def verify_model(cnf, assignment):
     """Independent model check: every clause has a true literal."""
     if not assignment.is_total(cnf.num_vars):
         raise PartialAssignmentError("model must assign every variable")
-    return all(any(assignment.value(l) for l in c.lits) for c in cnf.clauses)
+    return all(any(assignment.value(l) for l in c) for c in cnf.clauses)
 
 
 class _RupChecker:
@@ -186,23 +192,23 @@ class _RupChecker:
 
 def check_certificate(cnf, cert):
     """True iff every line is RUP from cnf plus earlier lines, last line empty."""
-    if not cert.lines or cert.lines[-1].lits:
+    if not cert.lines or cert.lines[-1]:
         return False
     n = cnf.num_vars
     checker = _RupChecker(n)
     for c in cnf.clauses:
-        checker.add(c.lits)
+        checker.add(c)
     for i, line in enumerate(cert.lines):
-        for lit in line.lits:
+        for lit in line:
             if lit == 0 or abs(lit) > n:
                 raise MalformedCertificateError(f"bad literal {lit} in line {i}")
-        if not checker.refutes(line.lits):
+        if not checker.refutes(line):
             return False
-        checker.add(line.lits)
+        checker.add(line)
     return True
 
 
-EMPTY = Clause(frozenset())
+EMPTY = frozenset()
 RESTART_UNIT = 100  # conflicts per unit of Luby's restart sequence
 DECAY = 0.95  # EVSIDS: the bump grows by 1/DECAY after each conflict
 
@@ -247,7 +253,7 @@ class _Core:
         self.phase = [True] * (n + 1)
         self.heap = None  # (-activity, variable), built at the first conflict
         for c in cnf.clauses:
-            lits = list(c.lits)
+            lits = list(c)
             if len(lits) >= 2:
                 self.watches[lits[0]].append(lits)
                 self.watches[lits[1]].append(lits)
@@ -399,7 +405,7 @@ class _Core:
                     lines.append(EMPTY)
                     return None, lines
                 learnt, depth = self._analyze(clause)
-                lines.append(Clause(frozenset(learnt)))
+                lines.append(frozenset(learnt))
                 self._backjump(depth)
                 self._assign(learnt[0], learnt)
                 if len(learnt) > 1:
@@ -488,7 +494,7 @@ def truth_table_satisfiable(cnf):
         for c in cnf.clauses:
             m = 0
             satisfied = False
-            for lit in c.lits:
+            for lit in c:
                 v = abs(lit)
                 if v > low:
                     if values[v] == (lit > 0):

@@ -11,7 +11,7 @@ import random
 import time
 
 from bruteforge import bpt, capset, equational, evolve, hierarchy, priority, sat
-from bruteforge.logic import App, Assignment, BOOLEAN_SIG, Clause, Cnf, Var
+from bruteforge.logic import App, Assignment, BOOLEAN_SIG, Cnf, Var
 
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -33,7 +33,7 @@ def test_criterion_1_sat_oracle_equivalence():
         for _ in range(rng.randint(1, 90)):
             width = rng.randint(1, 3)
             lits = {rng.choice([1, -1]) * rng.randint(1, n) for _ in range(width)}
-            clauses.append(Clause(frozenset(lits)))
+            clauses.append(lits)
         cnf = Cnf.of(clauses, n)
         verdict = sat.solve(cnf)
         assert verdict.satisfiable == sat.truth_table_satisfiable(cnf)
@@ -49,9 +49,7 @@ def test_criterion_1_sat_oracle_equivalence():
 def test_criterion_2_unit_propagation_chain():
     """(p|q) & (~p|r) & (~r|s) & p propagates to p, r, s true; q open."""
     p, q, r, s = 1, 2, 3, 4
-    cnf = Cnf.of(
-        [Clause.of(p, q), Clause.of(-p, r), Clause.of(-r, s), Clause.of(p)], 4
-    )
+    cnf = Cnf.of([[p, q], [-p, r], [-r, s], [p]], 4)
     start = time.monotonic()
     result, status = sat.unit_propagate(cnf, Assignment())
     elapsed = time.monotonic() - start
@@ -66,7 +64,7 @@ def test_criterion_2_unit_propagation_chain():
 
 def test_criterion_3_bpt_structure():
     """Triple counts at 20 and encoding-size identities for all m <= 500."""
-    assert len(bpt.triples(20).triples) == 6
+    assert len(bpt.triples(20)) == 6
     assert len(bpt.members(20)) == 13
     # independent cubic-scan oracle at the anchor point
     brute = [
@@ -80,7 +78,7 @@ def test_criterion_3_bpt_structure():
     for m in range(1, 501):
         cnf, varmap = bpt.encode(m)
         assert cnf.num_vars == len(bpt.members(m))
-        assert len(cnf.clauses) == 2 * len(bpt.triples(m).triples)
+        assert len(cnf.clauses) == 2 * len(bpt.triples(m))
     _report(3)
 
 

@@ -20,7 +20,7 @@ from bruteforge.bpt import (
     triples,
     verify_coloring,
 )
-from bruteforge.logic import Assignment, Clause, Cnf, VerificationError, write_dimacs
+from bruteforge.logic import Assignment, Cnf, VerificationError, write_dimacs
 
 
 def _brute_triples(m):
@@ -53,10 +53,10 @@ def _scan_triples(m):
 class TestTriples:
     def test_against_cubic_scan(self):
         for m in (1, 5, 13, 20, 60, 100):
-            assert list(triples(m).triples) == _brute_triples(m)
+            assert list(triples(m)) == _brute_triples(m)
 
     def test_twenty(self):
-        assert triples(20).triples == (
+        assert triples(20) == (
             (3, 4, 5),
             (6, 8, 10),
             (5, 12, 13),
@@ -69,12 +69,18 @@ class TestTriples:
         assert len(members(20)) == 13
 
     def test_no_triples_below_five(self):
-        assert triples(4).triples == ()
+        assert triples(4) == ()
         assert members(4) == set()
 
     def test_invalid_bound(self):
         with pytest.raises(ValueError):
             triples(0)
+
+    def test_members_is_the_union_of_the_triples(self):
+        for m in (5, 20, 100, 1000):
+            ms = members(m)
+            assert type(ms) is frozenset
+            assert ms == {x for t in triples(m) for x in t}
 
 
 class TestEuclidEnumeration:
@@ -82,16 +88,16 @@ class TestEuclidEnumeration:
 
     def test_equals_scan_for_every_small_bound(self):
         for m in range(1, 601):
-            assert triples(m) == bpt.TripleSet(m, _scan_triples(m)), m
+            assert triples(m) == _scan_triples(m), m
 
     @pytest.mark.parametrize("m", [1000, 1700, 2000, 3000])
     def test_equals_scan_at_large_bounds(self, m):
-        assert triples(m).triples == _scan_triples(m)
+        assert triples(m) == _scan_triples(m)
 
     @settings(deadline=None)
     @given(st.integers(1, 5000))
     def test_triples_are_pythagorean_sorted_and_distinct(self, m):
-        ts = triples(m).triples
+        ts = triples(m)
         for a, b, c in ts:
             assert a * a + b * b == c * c
             assert 0 < a < b < c <= m
@@ -105,6 +111,15 @@ class TestEuclidEnumeration:
         assert hashlib.sha256(text.encode()).hexdigest() == (
             "cbb3e63889cdc42bcef535b2ae245737a86c6ad55bb1412b0be9cdc5cdb4e6af"
         )
+
+    @pytest.mark.parametrize("m", [100, 7825])
+    def test_encode_dimacs_is_pinned(self, m):
+        # m = 1000 is pinned above; 7825 is the reference threshold
+        text = write_dimacs(encode(m)[0])
+        assert hashlib.sha256(text.encode()).hexdigest() == {
+            100: "27511de71e79f06d4ee42abe909b2db7aeda2852925adeaa851b798c0522fe63",
+            7825: "ce144b4755100b7f0adc3d41852817198ac79d01d807efb33b6157a2d03b34e5",
+        }[m]
 
     def test_solve_1000_coloring_is_pinned(self, tmp_path):
         # SHA-256 computed with the scan enumeration
@@ -134,13 +149,13 @@ class TestEncode:
         cnf, varmap = encode(5)
         pos = frozenset(varmap.values())
         neg = frozenset(-v for v in varmap.values())
-        assert {c.lits for c in cnf.clauses} == {pos, neg}
+        assert set(cnf.clauses) == {pos, neg}
 
     def test_counts_track_structure(self):
         for m in (5, 20, 50, 120):
             cnf, varmap = encode(m)
             assert cnf.num_vars == len(members(m))
-            assert len(cnf.clauses) == 2 * len(triples(m).triples)
+            assert len(cnf.clauses) == 2 * len(triples(m))
             assert set(varmap) == members(m)
 
 
@@ -205,7 +220,7 @@ class TestCheckedSolve:
     @pytest.fixture
     def unsatisfiable(self, monkeypatch):
         # x1 and not x1 in place of the encoding
-        cnf = Cnf((Clause(frozenset({1})), Clause(frozenset({-1}))), 1)
+        cnf = Cnf((frozenset({1}), frozenset({-1})), 1)
         monkeypatch.setattr(bpt, "encode", lambda m: (cnf, {}))
         return cnf
 
@@ -240,8 +255,10 @@ class TestTriplesComputedOnce:
         return counter
 
     def test_encode(self, calls):
+        members.cache_clear()
         encode(100)
-        assert calls == [100]
+        # members(100) reads the tuple to build its set, then encode iterates it
+        assert calls == [100, 100]
 
     def test_verify_coloring(self, calls):
         cnf, varmap = encode(100)
@@ -257,20 +274,22 @@ class TestTriplesCache:
     def test_interleaved_bounds_match_the_reference(self):
         before = triples.cache_info().misses
         for m in (50, 300, 50, 1000, 300, 300):
-            ts = triples(m)
-            assert ts.m == m
-            assert ts.triples == _scan_triples(m)
+            assert triples(m) == _scan_triples(m)
         # only the repeated 300 is a hit: an earlier bound is enumerated again
         assert triples.cache_info().misses - before == 5
 
     def test_encode_then_verify_enumerates_once(self):
-        triples(7)  # some other bound is the latest
-        before = triples.cache_info()
+        triples(7)  # some other bound is the latest of both caches
+        members(7)
+        before = triples.cache_info(), members.cache_info()
         cnf, varmap = encode(400)
         coloring = coloring_from_model(sat.solve(cnf).model, varmap, 400)
         assert verify_coloring(coloring, 400) == VALID
-        after = triples.cache_info()
-        assert (after.misses - before.misses, after.hits - before.hits) == (1, 1)
+        after = triples.cache_info(), members.cache_info()
+        # members(400) misses once and reads triples(400), its one miss;
+        # encode and verify_coloring each read both caches once more
+        assert [(a.misses - b.misses, a.hits - b.hits) for a, b in zip(after, before)] == [
+            (1, 2), (1, 1)]
 
     def test_recolored_triple_is_found_after_encode(self):
         cnf, varmap = encode(300)
@@ -289,7 +308,7 @@ class TestTriplesCache:
                 with pytest.raises(ValueError):
                     triples(m)
             else:
-                assert len(triples(m).triples) == 6
+                assert len(triples(m)) == 6
 
     def test_float_bound_is_not_served_from_the_int_entry(self):
         triples(1000)

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bruteforge import bpt, cli, evolve, priority, sat
-from bruteforge.logic import MAX_PARSE_DEPTH, VerificationError
+from bruteforge.logic import MAX_PARSE_DEPTH, Cnf, VerificationError, parse_dimacs, write_dimacs
 
 BIN = [sys.executable, "-m", "bruteforge.cli"]
 
@@ -53,6 +54,27 @@ class TestSat:
         assert result.returncode == 0
         assert "SATISFIABLE" in result.stdout
         assert model.read_text().strip().endswith("0")
+
+    def test_model_file_is_one_dimacs_line(self, tmp_path, capsys):
+        cnf, model = tmp_path / "f.cnf", tmp_path / "f.model"
+        cnf.write_text("p cnf 0 0\n")
+        assert cli.main(["sat", "solve", str(cnf), "--model", str(model)]) == 0
+        assert model.read_text() == "0\n"
+        # with a variable, the line is the signed variables in order, then 0
+        rng = random.Random(16)
+        written = 0
+        for _ in range(30):
+            n = rng.randint(1, 12)
+            clauses = [[rng.choice((1, -1)) * rng.randint(1, n) for _ in range(3)]
+                       for _ in range(rng.randint(0, 3 * n))]
+            cnf.write_text(write_dimacs(Cnf.of(clauses, n)))
+            if cli.main(["sat", "solve", str(cnf), "--model", str(model)]) != 0:
+                continue
+            values = sat.solve(parse_dimacs(cnf.read_text())).model.values
+            lits = [v if values[v] else -v for v in range(1, n + 1)]
+            assert model.read_text() == " ".join(map(str, lits)) + " 0\n"
+            written += 1
+        assert written > 10
 
     def test_solve_unsat_writes_certificate(self, tmp_path):
         cnf = tmp_path / "f.cnf"

@@ -16,7 +16,6 @@ from bruteforge.logic import (
     parse_term,
     term_size,
     term_vars,
-    with_constants,
 )
 from bruteforge import equational
 from bruteforge.equational import (
@@ -44,7 +43,6 @@ from bruteforge.equational import (
     check_proof,
     compose,
     critical_pairs_join,
-    enumerate_ground_terms,
     format_proof,
     kb_complete,
     lpo_gt,
@@ -59,6 +57,18 @@ from bruteforge.equational import (
     subterm_at,
     superpose,
 )
+
+
+def with_constants(signature, *names):
+    """Extend a signature with fresh nullary symbols (e.g. ground witnesses)."""
+    return {**signature, **dict.fromkeys(names, 0)}
+
+
+def enumerate_ground_terms(signature, max_size, variables=()):
+    """All terms over the signature (plus the given Vars), size-lex order."""
+    return [t for terms in equational._size_classes(signature, max_size, variables)
+            for t in terms]
+
 
 BOOL_A = with_constants(BOOLEAN_SIG, "a", "b")
 GROUP_A = with_constants(GROUP_SIG, "a")

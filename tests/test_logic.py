@@ -8,7 +8,6 @@ from bruteforge.logic import (
     App,
     Assignment,
     BOOLEAN_SIG,
-    Clause,
     Cnf,
     DimacsError,
     GROUP_SIG,
@@ -25,7 +24,6 @@ from bruteforge.logic import (
     term_vars,
     var_id,
     var_name,
-    with_constants,
     write_dimacs,
 )
 from bruteforge.priority import ExprSyntaxError, parse_expr
@@ -78,7 +76,7 @@ class TestTermParsing:
             parse_term("i(x, y)", GROUP_SIG)
 
     def test_with_constants(self):
-        sig = with_constants(ROBBINS_SIG, "a", "b")
+        sig = {**ROBBINS_SIG, "a": 0, "b": 0}
         assert parse_term("a v b", sig) == App("v", (App("a"), App("b")))
 
     def test_var_naming_bijection(self):
@@ -217,26 +215,26 @@ class TestTermHash:
 
 class TestClauses:
     def test_of_rejects_zero(self):
-        with pytest.raises(ValueError):
-            Clause.of(1, 0)
+        with pytest.raises(ValueError, match="^literal 0 is reserved"):
+            Cnf.of([[1, 0]])
 
     def test_tautology_flagged_not_dropped(self):
-        c = Clause.of(1, -1, 2)
-        assert c.is_tautological
-        assert c.lits == frozenset({1, -1, 2})
+        (c,) = Cnf.of([[1, -1, 2]]).clauses
+        assert any(-l in c for l in c)
+        assert c == frozenset({1, -1, 2})
 
     def test_duplicate_literals_collapse(self):
-        assert Clause.of(1, 1, 2).lits == frozenset({1, 2})
+        assert Cnf.of([[1, 1, 2]]).clauses == (frozenset({1, 2}),)
 
     def test_cnf_rejects_out_of_range_literal(self):
         with pytest.raises(ValueError):
-            Cnf((Clause.of(3),), 2)
+            Cnf((frozenset({3}),), 2)
 
 
 def _reference_validate(clauses, num_vars):
     """The error a per-literal check raises first, or None."""
     for c in clauses:
-        for l in c.lits:
+        for l in c:
             if l == 0:
                 return "literal 0 is reserved as terminator"
             if abs(l) > num_vars:
@@ -247,22 +245,22 @@ def _reference_validate(clauses, num_vars):
 class TestCnfValidation:
     def test_literal_zero(self):
         with pytest.raises(ValueError, match="^literal 0 is reserved as terminator"):
-            Cnf((Clause.of(1, 2), Clause(frozenset({0, -1}))), 2)
+            Cnf((frozenset({1, 2}), frozenset({0, -1})), 2)
 
     def test_literal_beyond_num_vars(self):
         for bad in (3, -3, 40):
             with pytest.raises(ValueError, match=f"^literal {bad} exceeds num_vars=2"):
-                Cnf((Clause.of(1, -2), Clause.of(bad, 1)), 2)
+                Cnf((frozenset({1, -2}), frozenset({bad, 1})), 2)
 
     def test_empty_cnf_and_empty_clauses(self):
         assert Cnf((), 0).clauses == ()
         assert Cnf((), 5).num_vars == 5
-        assert Cnf((Clause(frozenset()),), 0).num_vars == 0
+        assert Cnf((frozenset(),), 0).num_vars == 0
 
     def test_of_infers_num_vars(self):
         assert Cnf.of([]).num_vars == 0
-        assert Cnf.of([Clause.of(1, -7), Clause.of(3)]).num_vars == 7
-        assert Cnf.of([Clause(frozenset())]).num_vars == 0
+        assert Cnf.of([[1, -7], [3]]).num_vars == 7
+        assert Cnf.of([[]]).num_vars == 0
 
     def test_agrees_with_per_literal_check(self):
         rng = random.Random(2016)
@@ -276,7 +274,7 @@ class TestCnfValidation:
                 lits = {rng.randint(-top, top) for _ in range(width)}
                 if rng.random() < 0.8:
                     lits.discard(0)
-                clauses.append(Clause(frozenset(lits)))
+                clauses.append(frozenset(lits))
             expected = _reference_validate(clauses, n)
             try:
                 Cnf(tuple(clauses), n)
@@ -303,7 +301,7 @@ class TestAssignment:
 
 class TestDimacs:
     def test_roundtrip(self):
-        cnf = Cnf.of([Clause.of(1, -2), Clause.of(2, 3), Clause.of(-1)], 3)
+        cnf = Cnf.of([[1, -2], [2, 3], [-1]], 3)
         assert parse_dimacs(write_dimacs(cnf)) == cnf
 
     def test_empty_formula(self):
@@ -313,7 +311,7 @@ class TestDimacs:
 
     def test_comments_and_blank_lines_ignored(self):
         text = "c a comment\n\np cnf 2 1\nc another\n1 -2 0\n"
-        assert parse_dimacs(text) == Cnf.of([Clause.of(1, -2)], 2)
+        assert parse_dimacs(text) == Cnf.of([[1, -2]], 2)
 
     def test_clause_count_mismatch(self):
         with pytest.raises(DimacsError):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bruteforge import sat
-from bruteforge.logic import Assignment, Clause, Cnf
+from bruteforge.logic import Assignment, Cnf
 from bruteforge.sat import (
     BudgetExhausted,
     CONFLICT,
@@ -28,16 +28,14 @@ def _random_cnf(rng, max_vars=8, max_clauses=25):
     for _ in range(rng.randint(1, max_clauses)):
         width = rng.randint(1, 3)
         lits = {rng.choice([1, -1]) * rng.randint(1, n) for _ in range(width)}
-        clauses.append(Clause(frozenset(lits)))
+        clauses.append(lits)
     return Cnf.of(clauses, n)
 
 
 class TestUnitPropagation:
     def test_propagation_chain(self):
         # (p|q) & (~p|r) & (~r|s) & p  with p=1, q=2, r=3, s=4
-        cnf = Cnf.of(
-            [Clause.of(1, 2), Clause.of(-1, 3), Clause.of(-3, 4), Clause.of(1)], 4
-        )
+        cnf = Cnf.of([[1, 2], [-1, 3], [-3, 4], [1]], 4)
         a, status = unit_propagate(cnf, Assignment())
         assert status == STABLE
         assert a.values[1] is True
@@ -46,18 +44,18 @@ class TestUnitPropagation:
         assert 2 not in a.values  # q stays unconstrained
 
     def test_conflict_detected(self):
-        cnf = Cnf.of([Clause.of(1), Clause.of(-1)], 1)
+        cnf = Cnf.of([[1], [-1]], 1)
         _, status = unit_propagate(cnf, Assignment())
         assert status == CONFLICT
 
     def test_no_units_is_fixpoint(self):
-        cnf = Cnf.of([Clause.of(1, 2)], 2)
+        cnf = Cnf.of([[1, 2]], 2)
         a, status = unit_propagate(cnf, Assignment())
         assert status == STABLE
         assert a.values == {}
 
     def test_does_not_mutate_input(self):
-        cnf = Cnf.of([Clause.of(1)], 1)
+        cnf = Cnf.of([[1]], 1)
         start = Assignment()
         unit_propagate(cnf, start)
         assert start.values == {}
@@ -65,55 +63,53 @@ class TestUnitPropagation:
 
 class TestResolve:
     def test_textbook_resolution(self):
-        c = resolve(Clause.of(1, 2), Clause.of(-1, 3), 1)
-        assert c.lits == frozenset({2, 3})
+        c = resolve(frozenset({1, 2}), frozenset({-1, 3}), 1)
+        assert c == frozenset({2, 3})
 
     def test_pivot_absent(self):
         with pytest.raises(PivotAbsentError):
-            resolve(Clause.of(2), Clause.of(-1), 1)
+            resolve(frozenset({2}), frozenset({-1}), 1)
         with pytest.raises(PivotAbsentError):
-            resolve(Clause.of(1), Clause.of(3), 1)
+            resolve(frozenset({1}), frozenset({3}), 1)
 
     def test_empty_clause_from_units(self):
-        assert resolve(Clause.of(1), Clause.of(-1), 1).lits == frozenset()
+        assert resolve(frozenset({1}), frozenset({-1}), 1) == frozenset()
 
 
 class TestVerifyModel:
     def test_accepts_model(self):
-        cnf = Cnf.of([Clause.of(1, -2)], 2)
+        cnf = Cnf.of([[1, -2]], 2)
         assert verify_model(cnf, Assignment({1: True, 2: True}))
 
     def test_rejects_non_model(self):
-        cnf = Cnf.of([Clause.of(1)], 1)
+        cnf = Cnf.of([[1]], 1)
         assert not verify_model(cnf, Assignment({1: False}))
 
     def test_partial_assignment_rejected(self):
-        cnf = Cnf.of([Clause.of(1, 2)], 2)
+        cnf = Cnf.of([[1, 2]], 2)
         with pytest.raises(PartialAssignmentError):
             verify_model(cnf, Assignment({1: True}))
 
 
 class TestSolve:
     def test_sat_with_model(self):
-        cnf = Cnf.of([Clause.of(1, 2), Clause.of(-1, 2)], 2)
+        cnf = Cnf.of([[1, 2], [-1, 2]], 2)
         v = solve(cnf)
         assert v.satisfiable
         assert verify_model(cnf, v.model)
 
     def test_unsat_with_certificate(self):
-        cnf = Cnf.of(
-            [Clause.of(1, 2), Clause.of(1, -2), Clause.of(-1, 2), Clause.of(-1, -2)], 2
-        )
+        cnf = Cnf.of([[1, 2], [1, -2], [-1, 2], [-1, -2]], 2)
         v = solve(cnf)
         assert not v.satisfiable
-        assert v.certificate.lines[-1].lits == frozenset()
+        assert v.certificate.lines[-1] == frozenset()
         assert check_certificate(cnf, v.certificate)
 
     def test_empty_formula_is_satisfiable(self):
         assert solve(Cnf.of([], 0)).satisfiable
 
     def test_empty_clause_is_unsatisfiable(self):
-        cnf = Cnf.of([Clause(frozenset())], 0)
+        cnf = Cnf.of([[]], 0)
         v = solve(cnf)
         assert not v.satisfiable
         assert check_certificate(cnf, v.certificate)
@@ -144,32 +140,40 @@ class TestSolve:
 
 class TestCertificates:
     def test_text_roundtrip(self):
-        cert = Certificate((Clause.of(1, -2), Clause.of(-1), Clause(frozenset())))
+        cert = Certificate((frozenset({1, -2}), frozenset({-1}), frozenset()))
         assert Certificate.from_text(cert.to_text()) == cert
 
     def test_malformed_line_rejected(self):
         with pytest.raises(MalformedCertificateError):
             Certificate.from_text("1 2\n")
 
+    def test_non_integer_token_names_its_line(self):
+        with pytest.raises(MalformedCertificateError, match="^line 3: non-integer"):
+            Certificate.from_text("-1 2 0\n\n1 x 0\n0\n")
+
+    def test_inner_zero_names_its_line(self):
+        with pytest.raises(MalformedCertificateError, match="^line 2: 0 before the end"):
+            Certificate.from_text("2 0\n1 0 2 0\n0\n")
+
     def test_rejects_non_rup_line(self):
-        cnf = Cnf.of([Clause.of(1, 2)], 2)
-        bogus = Certificate((Clause.of(1), Clause(frozenset())))
+        cnf = Cnf.of([[1, 2]], 2)
+        bogus = Certificate((frozenset({1}), frozenset()))
         assert not check_certificate(cnf, bogus)
 
     def test_rejects_missing_empty_clause(self):
-        cnf = Cnf.of([Clause.of(1), Clause.of(-1)], 1)
-        assert not check_certificate(cnf, Certificate((Clause.of(1),)))
+        cnf = Cnf.of([[1], [-1]], 1)
+        assert not check_certificate(cnf, Certificate((frozenset({1}),)))
 
     def test_literal_out_of_range(self):
-        cnf = Cnf.of([Clause.of(1)], 1)
+        cnf = Cnf.of([[1]], 1)
         with pytest.raises(MalformedCertificateError):
-            check_certificate(cnf, Certificate((Clause.of(5), Clause(frozenset()))))
+            check_certificate(cnf, Certificate((frozenset({5}), frozenset())))
 
 
 class TestTruthTableOracle:
     def test_known_small_cases(self):
-        assert truth_table_satisfiable(Cnf.of([Clause.of(1)], 1))
-        assert not truth_table_satisfiable(Cnf.of([Clause.of(1), Clause.of(-1)], 1))
+        assert truth_table_satisfiable(Cnf.of([[1]], 1))
+        assert not truth_table_satisfiable(Cnf.of([[1], [-1]], 1))
 
     def test_chunked_region_agrees_with_solver(self):
         # more variables than the bitmask chunk width exercises the

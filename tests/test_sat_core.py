@@ -15,7 +15,7 @@ import sys
 import pytest
 
 from bruteforge import bpt
-from bruteforge.logic import Assignment, Clause, Cnf
+from bruteforge.logic import Assignment, Cnf
 from bruteforge.sat import (
     RESTART_UNIT,
     STABLE,
@@ -31,14 +31,18 @@ from bruteforge.sat import (
     verify_model,
 )
 
-EMPTY = Clause(frozenset())
+EMPTY = frozenset()
+
+
+def _tautological(clause):
+    return any(-l in clause for l in clause)
 
 
 def _random_3cnf(rng, n):
     clauses = []
     for _ in range(round(4.26 * n)):
         vs = rng.sample(range(1, n + 1), 3)
-        clauses.append(Clause(frozenset(v if rng.random() < 0.5 else -v for v in vs)))
+        clauses.append(frozenset(v if rng.random() < 0.5 else -v for v in vs))
     return Cnf.of(clauses, n)
 
 
@@ -46,11 +50,11 @@ def _php(pigeons, holes):
     def var(p, h):
         return p * holes + h + 1
 
-    clauses = [Clause(frozenset(var(p, h) for h in range(holes))) for p in range(pigeons)]
+    clauses = [[var(p, h) for h in range(holes)] for p in range(pigeons)]
     for h in range(holes):
         for p in range(pigeons):
             for q in range(p + 1, pigeons):
-                clauses.append(Clause.of(-var(p, h), -var(q, h)))
+                clauses.append([-var(p, h), -var(q, h)])
     return Cnf.of(clauses, pigeons * holes)
 
 
@@ -136,7 +140,7 @@ def _fuzz_cnf(rng, max_vars=14):
             if rng.random() < 0.1:
                 v = rng.randint(1, n)
                 lits |= {v, -v}
-        clauses.append(Clause(frozenset(lits)))
+        clauses.append(frozenset(lits))
     return Cnf.of(clauses, n)
 
 
@@ -153,8 +157,8 @@ def test_fuzz_against_truth_table():
             assert check_certificate(cnf, v.certificate)
             assert _reference_check(cnf, v.certificate)
         for c in cnf.clauses:
-            kinds.add("empty" if not c.lits else "unit" if len(c.lits) == 1
-                      else "taut" if c.is_tautological else "wide")
+            kinds.add("empty" if not c else "unit" if len(c) == 1
+                      else "taut" if _tautological(c) else "wide")
         kinds.add("sat" if v.satisfiable else "unsat")
     assert kinds == {"empty", "unit", "taut", "wide", "sat", "unsat"}
 
@@ -216,8 +220,8 @@ class TestCdcl:
             v = solve(cnf)
             if not v.satisfiable:
                 lines = v.certificate.lines
-                assert not lines[-1].lits
-                assert all(c.lits for c in lines[:-1])
+                assert not lines[-1]
+                assert all(lines[:-1])
                 refuted += 1
         assert refuted > 20
 
@@ -239,7 +243,7 @@ def _with_tautologies(rng, cnf):
     for _ in range(rng.randint(1, 6)):
         v = rng.randint(1, n)
         extra = {rng.choice((1, -1)) * rng.randint(1, n) for _ in range(rng.randint(0, 2))}
-        clauses.insert(rng.randint(0, len(clauses)), Clause(frozenset({v, -v} | extra)))
+        clauses.insert(rng.randint(0, len(clauses)), frozenset({v, -v} | extra))
     return Cnf(tuple(clauses), n)
 
 
@@ -257,7 +261,7 @@ class TestTautologiesAreInert:
     def test_same_model_or_certificate(self):
         verdicts = set()
         for plain, padded in _tautology_family():
-            assert any(c.is_tautological for c in padded.clauses)
+            assert any(map(_tautological, padded.clauses))
             v = solve(padded)
             assert _artifact(padded, v) == _artifact(plain, solve(plain))
             verdicts.add(v.satisfiable)
@@ -307,13 +311,13 @@ def _rup(db, lits):
 
 
 def _reference_check(cnf, cert):
-    if not cert.lines or cert.lines[-1].lits:
+    if not cert.lines or cert.lines[-1]:
         return False
-    db = [c.lits for c in cnf.clauses]
+    db = list(cnf.clauses)
     for line in cert.lines:
-        if not _rup(db, line.lits):
+        if not _rup(db, line):
             return False
-        db.append(line.lits)
+        db.append(line)
     return True
 
 
@@ -354,10 +358,10 @@ class TestCheckerAgreesWithReference:
         rng = random.Random(3)
         rejected = 0
         for cnf, lines in _unsat_family():
-            candidates = [i for i, c in enumerate(lines) if c.lits]
+            candidates = [i for i, c in enumerate(lines) if c]
             for i in candidates[:5]:
-                lit = rng.choice(sorted(lines[i].lits))
-                flipped = Clause((lines[i].lits - {lit}) | {-lit})
+                lit = rng.choice(sorted(lines[i]))
+                flipped = (lines[i] - {lit}) | {-lit}
                 rejected += not self._agree(cnf, lines[:i] + [flipped] + lines[i + 1:])
         assert rejected > 0
 
@@ -372,26 +376,26 @@ class TestCheckerAgreesWithReference:
 class TestLiteralRange:
     def test_certificate_literal_beyond_num_vars_does_not_alias(self):
         # With n=5, literal 6 would share -5's slot and make -6 look like 5.
-        cnf = Cnf.of([Clause.of(-5)], 5)
+        cnf = Cnf.of([[-5]], 5)
         for bad in (6, -6, 11):
             with pytest.raises(MalformedCertificateError):
-                check_certificate(cnf, Certificate((Clause.of(bad), EMPTY)))
+                check_certificate(cnf, Certificate((frozenset({bad}), EMPTY)))
 
     def test_certificate_literal_zero(self):
-        cnf = Cnf.of([Clause.of(1)], 1)
+        cnf = Cnf.of([[1]], 1)
         with pytest.raises(MalformedCertificateError):
-            check_certificate(cnf, Certificate((Clause(frozenset({0})), EMPTY)))
+            check_certificate(cnf, Certificate((frozenset({0}), EMPTY)))
 
     def test_solve_rejects_literal_zero(self):
         with pytest.raises(ValueError):
-            solve(Cnf.of([Clause(frozenset({0, 1}))], 1))
+            solve(Cnf.of([[0, 1]], 1))
 
     def test_solve_rejects_literal_beyond_num_vars(self):
         with pytest.raises(ValueError):
-            solve(Cnf.of([Clause.of(6)], 5))
+            solve(Cnf.of([[6]], 5))
 
     def test_assignment_beyond_num_vars_is_carried_not_aliased(self):
-        cnf = Cnf.of([Clause.of(5, 1)], 5)
+        cnf = Cnf.of([[5, 1]], 5)
         a, status = unit_propagate(cnf, Assignment({6: True}))
         assert status == STABLE
         assert a.values == {6: True}
