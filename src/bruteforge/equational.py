@@ -11,6 +11,7 @@ model of the axioms, since no proof of it exists.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import re
@@ -79,7 +80,7 @@ def apply_subst(t, sigma):
         return sigma.get(t.id, t)
     if not t.args:
         return t
-    return App(t.symbol, tuple(apply_subst(a, sigma) for a in t.args))
+    return App(t.symbol, tuple([apply_subst(a, sigma) for a in t.args]))
 
 
 def compose(sigma, tau):
@@ -103,8 +104,8 @@ def mgu(t1, t2):
     stack = [(t1, t2)]
     while stack:
         a, b = stack.pop()
-        a = apply_subst(a, sigma)
-        b = apply_subst(b, sigma)
+        if sigma:
+            a, b = apply_subst(a, sigma), apply_subst(b, sigma)
         if a == b:
             continue
         if isinstance(a, Var):
@@ -125,6 +126,8 @@ def mgu(t1, t2):
 
 def match(pattern, t):
     """One-way matching: sigma with pattern*sigma == t, or None."""
+    if isinstance(pattern, App) and (isinstance(t, Var) or pattern.symbol != t.symbol):
+        return None  # a root clash, before anything is allocated
     sigma = {}
     stack = [(pattern, t)]
     while stack:
@@ -208,7 +211,9 @@ def rewrite(t, rules):
         nonlocal steps
         while True:
             if isinstance(u, App) and u.args:
-                u = App(u.symbol, tuple(norm(a) for a in u.args))
+                args = tuple([norm(a) for a in u.args])
+                if args != u.args:
+                    u = App(u.symbol, args)
             hit = rewrite_at_root(u, rules)
             if hit is None:
                 return u
@@ -290,18 +295,25 @@ def kb_complete(axioms, precedence, budget=2000):
 
     Standard loop with interreduction: new rules collapse existing rules
     (reducible left-hand sides go back to the pending queue) and compose
-    their right-hand sides.
+    their right-hand sides.  Pending equations wait in a heap keyed by size
+    (both sides), then arrival, so the smallest goes first and the oldest
+    among equals (fairness + small proofs); each size is computed once.
     """
-    pending = deque(axioms)
+    pending = []
+    arrivals = itertools.count()
+
+    def push(eqs):
+        for e in eqs:
+            heapq.heappush(pending, (term_size(e.lhs) + term_size(e.rhs), next(arrivals), e))
+
+    push(axioms)
     rules = []
     steps = 0
     while pending:
         steps += 1
         if steps > budget:
             raise CompletionBudgetExhausted(list(rules))
-        # pick the smallest pending equation (fairness + small proofs)
-        eq = min(pending, key=lambda e: term_size(e.lhs) + term_size(e.rhs))
-        pending.remove(eq)
+        eq = heapq.heappop(pending)[2]
         lhs = rewrite(eq.lhs, rules)
         rhs = rewrite(eq.rhs, rules)
         if lhs == rhs:
@@ -311,7 +323,7 @@ def kb_complete(axioms, precedence, budget=2000):
         kept = []
         for r in rules:
             if _reducible(r.lhs, new_rule):
-                pending.append(Equation(r.lhs, r.rhs))
+                push([Equation(r.lhs, r.rhs)])
             else:
                 kept.append(r)
         rules = kept
@@ -321,8 +333,8 @@ def kb_complete(axioms, precedence, budget=2000):
         for r in rules:
             if r == new_rule:
                 continue
-            pending.extend(superpose(new_rule, r))
-        pending.extend(superpose(new_rule, new_rule))
+            push(superpose(new_rule, r))
+        push(superpose(new_rule, new_rule))
     return rules
 
 
@@ -588,6 +600,30 @@ def _ground_pool(goal):
     return pool[:GROUND_POOL_SIZE]
 
 
+@functools.lru_cache(maxsize=16)
+def _axiom_orientations(axiom_items):
+    """The part of _orientations that does not depend on the pool, cached
+    per axiom set (Equation and terms are frozen, so the items hash), as
+    tuples so that no caller can change it: (eq_id, frm, to, direction,
+    to_size, shared, extra), where extra lists (var, occurrences in to) for
+    the variables of `to` that must be filled, in sorted variable order."""
+    out = []
+    for eq_id, eq in axiom_items:
+        for frm, to, direction in ((eq.lhs, eq.rhs, "lr"), (eq.rhs, eq.lhs, "rl")):
+            frm_vars = term_vars(frm)
+            extra = sorted(term_vars(to) - frm_vars)
+            if len(extra) > MAX_EXTRA_VARS:
+                continue
+            occurrences = {}
+            for _, sub in positions(to):
+                if isinstance(sub, Var):
+                    occurrences[sub.id] = occurrences.get(sub.id, 0) + 1
+            shared = tuple((v, n) for v, n in occurrences.items() if v in frm_vars)
+            out.append((eq_id, frm, to, direction, term_size(to), shared,
+                        tuple((v, occurrences[v]) for v in extra)))
+    return tuple(out)
+
+
 def _orientations(axioms, pool):
     """The rewrites prove tries, as (eq_id, frm, to, direction, to_size,
     shared, fills) for each axiom in both directions, in axiom order, lr
@@ -598,27 +634,18 @@ def _orientations(axioms, pool):
     ground pool: fills lists each such binding as ((var, term) pairs in
     sorted variable order, size it adds to the instance of `to`).
     Orientations that would need more than MAX_EXTRA_VARS fills are left out.
+    All but the fills come from _axiom_orientations, once per axiom set.
     """
+    sized = [(u, term_size(u) - 1) for u in pool]
     out = []
-    for eq_id, eq in axioms.items():
-        for frm, to, direction in ((eq.lhs, eq.rhs, "lr"), (eq.rhs, eq.lhs, "rl")):
-            frm_vars = term_vars(frm)
-            extra = sorted(term_vars(to) - frm_vars)
-            if len(extra) > MAX_EXTRA_VARS:
-                continue
-            occurrences = {}
-            for _, sub in positions(to):
-                if isinstance(sub, Var):
-                    occurrences[sub.id] = occurrences.get(sub.id, 0) + 1
-            shared = [(v, n) for v, n in occurrences.items() if v in frm_vars]
-            fills = [
-                (
-                    tuple(zip(extra, fill)),
-                    sum(occurrences[v] * (term_size(u) - 1) for v, u in zip(extra, fill)),
-                )
-                for fill in itertools.product(pool, repeat=len(extra))
-            ]
-            out.append((eq_id, frm, to, direction, term_size(to), shared, fills))
+    for eq_id, frm, to, direction, to_size, shared, extra in _axiom_orientations(
+            tuple(axioms.items())):
+        fills = [
+            (tuple((v, u) for (v, _), (u, _) in zip(extra, fill)),
+             sum(n * grown for (_, n), (_, grown) in zip(extra, fill)))
+            for fill in itertools.product(sized, repeat=len(extra))
+        ]
+        out.append((eq_id, frm, to, direction, to_size, shared, fills))
     return out
 
 
@@ -694,6 +721,8 @@ def prove(goal, axioms, max_expansions=5000, max_seconds=None):
     every variable of `frm`.  Returns an EqProof (check_proof-valid, with
     non-negative positions) or Timeout with counters.
     """
+    if goal.lhs == goal.rhs:
+        return EqProof(())
     orientations = _orientations(axioms, _ground_pool(goal))
     max_size = max(term_size(goal.lhs), term_size(goal.rhs)) + SIZE_MARGIN
     start = time.monotonic()
@@ -708,9 +737,6 @@ def prove(goal, axioms, max_expansions=5000, max_seconds=None):
     # `generated` numbers the generations of both heaps: ties still go by insertion
     generated = rewrites = expansions = 0
     side = 1
-
-    if goal.lhs == goal.rhs:
-        return EqProof(())
 
     while True:
         if untaken[1 - side]:

@@ -201,7 +201,7 @@ def check_certificate(cnf, cert):
     for i, line in enumerate(cert.lines):
         for lit in line:
             if lit == 0 or abs(lit) > n:
-                raise MalformedCertificateError(f"bad literal {lit} in line {i}")
+                raise MalformedCertificateError(f"bad literal {lit} in certificate clause {i + 1}")
         if not checker.refutes(line):
             return False
         checker.add(line)

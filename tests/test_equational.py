@@ -291,6 +291,14 @@ class TestCompletion:
             kb_complete(list(GROUP_AXIOMS.values()), GROUP_PRECEDENCE, budget=2)
         assert isinstance(err.value.partial_rules, list)
 
+    def test_group_completion_is_pinned(self):
+        # SHA-256 of the rule text `eq complete --axioms group` prints, less
+        # its final newline, computed before the pending queue became a heap
+        rules = kb_complete(list(GROUP_AXIOMS.values()), GROUP_PRECEDENCE)
+        text = "\n".join(map(str, rules))
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "339a49ee01b0b56a0dcd705a1bffff1807615d58e0f144293e55840dd4a1a84e")
+
 
 class TestAxiomSets:
     def test_boolean_has_ten(self):
@@ -415,7 +423,9 @@ class TestProve:
         assert isinstance(proof, EqProof)
         assert check_proof(proof, BOOLEAN_AXIOMS, goal)
 
-    def test_trivial_goal(self):
+    def test_trivial_goal(self, monkeypatch):
+        # answered before any orientation is built
+        monkeypatch.setattr(equational, "_orientations", None)
         goal = Equation(_bt("a"), _bt("a"))
         assert prove(goal, BOOLEAN_AXIOMS) == EqProof(())
 
@@ -958,3 +968,208 @@ class TestProveGolden:
                     assert isinstance(result, EqProof), str(goal)
                 if isinstance(result, EqProof):
                     assert check_proof(result, axioms, goal), str(goal)
+
+
+# --- references for the fast paths -------------------------------------------
+
+
+def _reference_match(pattern, t):
+    """match as it was before its root-clash exit."""
+    sigma = {}
+    stack = [(pattern, t)]
+    while stack:
+        p, s = stack.pop()
+        if isinstance(p, Var):
+            bound = sigma.get(p.id)
+            if bound is None:
+                sigma[p.id] = s
+            elif bound != s:
+                return None
+            continue
+        if isinstance(s, Var) or p.symbol != s.symbol or len(p.args) != len(s.args):
+            return None
+        stack.extend(zip(p.args, s.args))
+    return sigma
+
+
+def _reference_mgu(t1, t2):
+    """mgu as it was when every popped pair went through sigma, empty or not."""
+    sigma = {}
+    stack = [(t1, t2)]
+    while stack:
+        a, b = stack.pop()
+        a = apply_subst(a, sigma)
+        b = apply_subst(b, sigma)
+        if a == b:
+            continue
+        if isinstance(a, Var):
+            if equational.occurs(a.id, b):
+                return FAIL
+            sigma = compose(sigma, {a.id: b})
+            continue
+        if isinstance(b, Var):
+            if equational.occurs(b.id, a):
+                return FAIL
+            sigma = compose(sigma, {b.id: a})
+            continue
+        if a.symbol != b.symbol or len(a.args) != len(b.args):
+            return FAIL
+        stack.extend(zip(a.args, b.args))
+    return sigma
+
+
+def _min_scan_complete(axioms, precedence, budget=2000):
+    """kb_complete as it was before its queue became a heap: every pick scans
+    the pending deque with min() and takes the pick out with remove()."""
+    pending = deque(axioms)
+    rules = []
+    steps = 0
+    while pending:
+        steps += 1
+        if steps > budget:
+            raise CompletionBudgetExhausted(list(rules))
+        eq = min(pending, key=lambda e: term_size(e.lhs) + term_size(e.rhs))
+        pending.remove(eq)
+        lhs = rewrite(eq.lhs, rules)
+        rhs = rewrite(eq.rhs, rules)
+        if lhs == rhs:
+            continue
+        new_rule = equational.orient(Equation(lhs, rhs), precedence)
+        kept = []
+        for r in rules:
+            if equational._reducible(r.lhs, new_rule):
+                pending.append(Equation(r.lhs, r.rhs))
+            else:
+                kept.append(r)
+        rules = kept
+        rules.append(new_rule)
+        rules = [RewriteRule(r.lhs, rewrite(r.rhs, rules)) for r in rules]
+        for r in rules:
+            if r == new_rule:
+                continue
+            pending.extend(superpose(new_rule, r))
+        pending.extend(superpose(new_rule, new_rule))
+    return rules
+
+
+def _uncached_orientations(axioms, pool):
+    """_orientations as it was before its pool-free part was cached."""
+    out = []
+    for eq_id, eq in axioms.items():
+        for frm, to, direction in ((eq.lhs, eq.rhs, "lr"), (eq.rhs, eq.lhs, "rl")):
+            frm_vars = term_vars(frm)
+            extra = sorted(term_vars(to) - frm_vars)
+            if len(extra) > equational.MAX_EXTRA_VARS:
+                continue
+            occurrences = {}
+            for _, sub in positions(to):
+                if isinstance(sub, Var):
+                    occurrences[sub.id] = occurrences.get(sub.id, 0) + 1
+            shared = [(v, n) for v, n in occurrences.items() if v in frm_vars]
+            fills = [
+                (
+                    tuple(zip(extra, fill)),
+                    sum(occurrences[v] * (term_size(u) - 1) for v, u in zip(extra, fill)),
+                )
+                for fill in itertools.product(pool, repeat=len(extra))
+            ]
+            out.append((eq_id, frm, to, direction, term_size(to), shared, fills))
+    return out
+
+
+def _completion_outcome(complete, axioms, budget):
+    """The rule list, or the exception type with what it carries."""
+    try:
+        return complete(axioms, GROUP_PRECEDENCE, budget)
+    except CompletionBudgetExhausted as exc:
+        return CompletionBudgetExhausted, exc.partial_rules
+    except OrientationError as exc:
+        return OrientationError, exc.equation
+
+
+def _as_tuples(orientations):
+    return [(*head, tuple(shared), tuple(fills)) for *head, shared, fills in orientations]
+
+
+class TestFastPathsAgreeWithReferences:
+    """Each fast path against the code it replaced, kept above as a reference."""
+
+    def test_match_and_mgu(self):
+        rng = random.Random("match-mgu")
+        x, y = Var(0), Var(1)
+        terms = enumerate_ground_terms(GROUP_SIG, 5, variables=(x, y, Var(2)))
+        pairs = [
+            (_bt("x * y", GROUP_SIG), Var(0)),  # a Var subject
+            (_bt("i(x)", GROUP_SIG), _bt("e", GROUP_SIG)),  # a root clash
+            (_bt("x * x", GROUP_SIG), _bt("e * e", GROUP_SIG)),  # non-linear, matches
+            (_bt("x * x", GROUP_SIG), _bt("e * i(e)", GROUP_SIG)),  # non-linear, fails
+            (x, _bt("i(x)", GROUP_SIG)),  # occurs check
+            (_bt("x * y", GROUP_SIG), _bt("y * i(x)", GROUP_SIG)),  # occurs check, deeper
+            (x, y), (x, x),
+        ]
+        for _ in range(3000):
+            pattern = rng.choice(terms)
+            if rng.random() < 0.5:
+                subject = apply_subst(pattern, {v: rng.choice(terms[:40]) for v in range(3)})
+            else:
+                subject = rng.choice(terms)
+            pairs.append((pattern, subject))
+        outcomes = set()
+        for pattern, subject in pairs:
+            expected = _reference_match(pattern, subject)
+            assert match(pattern, subject) == expected, (pattern, subject)
+            unifier = _reference_mgu(pattern, subject)
+            assert mgu(pattern, subject) == unifier, (pattern, subject)
+            outcomes.add((expected is None, unifier is FAIL))
+        assert {(False, False), (True, False), (True, True)} <= outcomes
+
+    @pytest.mark.parametrize("budget", (2, 10, 200, 2000))
+    def test_completion_of_group_axioms_and_their_pairs(self, budget):
+        axioms = list(GROUP_AXIOMS.values())
+        diverging = [GROUP_AXIOMS["G1"], GROUP_AXIOMS["G3"]]
+        for subset in [axioms, *itertools.combinations(axioms, 2)]:
+            subset = list(subset)
+            if subset == diverging and budget > 200:
+                continue  # spends the budget: about a minute at 2000 steps
+            assert (_completion_outcome(kb_complete, subset, budget)
+                    == _completion_outcome(_min_scan_complete, subset, budget)), subset
+
+    def test_completion_of_random_axiom_sets(self):
+        # some group axioms plus random equations, half of them a term = one
+        # of its subterms, which orients
+        rng = random.Random("completion")
+        terms = enumerate_ground_terms(GROUP_SIG, 5, variables=(Var(0), Var(1), Var(2)))
+        seen = set()
+        for _ in range(40):
+            axioms = rng.sample(list(GROUP_AXIOMS.values()), rng.randrange(3))
+            for _ in range(rng.randrange(1, 3)):
+                lhs = rng.choice(terms)
+                if rng.random() < 0.5:
+                    rhs = rng.choice([sub for _, sub in positions(lhs)])
+                else:
+                    rhs = rng.choice(terms)
+                axioms.append(Equation(lhs, rhs))
+            expected = _completion_outcome(_min_scan_complete, axioms, 25)
+            assert _completion_outcome(kb_complete, axioms, 25) == expected, axioms
+            seen.add(expected[0] if isinstance(expected, tuple) else list)
+        assert seen == {list, CompletionBudgetExhausted, OrientationError}
+
+    def test_cached_orientations(self):
+        rng = random.Random("orientations")
+        for name, axioms in AXIOM_SETS.items():
+            sig = AXIOM_SIGNATURES[name]
+            terms = enumerate_ground_terms(sig, 4, variables=(Var(0),))
+            # equal to the axioms, but no object shared with them
+            copy = {k: Equation(parse_term(format_term(e.lhs), sig),
+                                parse_term(format_term(e.rhs), sig))
+                    for k, e in axioms.items()}
+            assert all(copy[k].lhs is not e.lhs for k, e in axioms.items())
+            for size in range(equational.GROUND_POOL_SIZE + 1):
+                pool = rng.sample(terms, size)
+                expected = _as_tuples(_uncached_orientations(axioms, pool))
+                first = equational._orientations(axioms, pool)
+                assert _as_tuples(first) == expected
+                first[0][6].clear()
+                first.clear()
+                assert _as_tuples(equational._orientations(copy, pool)) == expected
+                assert _as_tuples(equational._orientations(axioms, pool)) == expected

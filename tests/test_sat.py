@@ -169,6 +169,13 @@ class TestCertificates:
         with pytest.raises(MalformedCertificateError):
             check_certificate(cnf, Certificate((frozenset({5}), frozenset())))
 
+    def test_bad_literal_names_its_clause_counting_from_one(self):
+        # the blank file line is no clause: literal 5 is in the second clause
+        cert = Certificate.from_text("1 0\n\n5 0\n0\n")
+        with pytest.raises(MalformedCertificateError,
+                           match="^bad literal 5 in certificate clause 2$"):
+            check_certificate(Cnf.of([[1]], 1), cert)
+
 
 class TestTruthTableOracle:
     def test_known_small_cases(self):
