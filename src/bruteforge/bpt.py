@@ -90,16 +90,15 @@ def encode(m):
     return Cnf(tuple(clauses), len(varmap)), varmap
 
 
-def coloring_from_model(model, varmap, m=None):
-    """Member i gets color 1 iff its variable is true in the model."""
+def coloring_from_model(model, varmap, m):
+    """The Coloring for bound m in which member i gets color 1 iff its
+    variable is true in the model."""
     colors = {}
     for member, var in varmap.items():
         value = model.values.get(var)
         if value is None:
             raise MissingVariableError(f"model does not assign variable {var}")
         colors[member] = 1 if value else 0
-    if m is None:
-        m = max(colors, default=1)
     return Coloring(m, colors)
 
 

@@ -4,13 +4,8 @@ Exit codes: 0 success; 1 negative answer (unsatisfiable where a model was
 sought, proof search timeout, not-a-cap); 2 usage error; 3 internal
 self-check failed (a bug, not an input fault).  All output files
 are written atomically (temp file + rename).  Machine logs are JSON lines;
-human summaries go to standard output.
-
-Environment: BRUTEFORGE_JOBS sets the evolve worker count when --jobs is
-not given, over a config file's `jobs` key.  CAPSET_GENERATOR supplies the
-external generator command of `capset evolve` when --generator-command is
-not given, over a config file's `generator_command` key; the run uses the
-external generator iff one of the three sets a command.
+human summaries go to standard output.  Settings come from flags and files
+only; `capset evolve` picks its worker pool from n (see `evolve.POOL_MIN_N`).
 """
 
 from __future__ import annotations
@@ -53,13 +48,6 @@ def _read(parser, path):
         parser.error(f"no such file: {path}")
     with open(path) as handle:
         return handle.read()
-
-
-def _env_jobs():
-    try:
-        return int(os.environ["BRUTEFORGE_JOBS"])
-    except (KeyError, ValueError):
-        return None
 
 
 # --- sat -------------------------------------------------------------------
@@ -160,18 +148,12 @@ def _cmd_capset_evolve(args, parser):
         config = evolve.parse_config_file(_read(parser, args.config), n=args.n)
     else:
         config = evolve.EvolveConfig(n=args.n)
-    jobs = args.jobs if args.jobs is not None else _env_jobs()
     # replace() re-runs EvolveConfig's checks on the flag values
     config = dataclasses.replace(
         config,
         seed=config.seed if args.seed is None else args.seed,
         eval_budget=config.eval_budget if args.evals is None else args.evals,
-        # --jobs, then BRUTEFORGE_JOBS, then the config file; the log does not
-        # depend on the worker count, so clamping it changes no artifact
-        jobs=max(1, min(config.jobs if jobs is None else jobs, os.cpu_count() or 1)),
-        # --generator-command, then CAPSET_GENERATOR, then the config file
-        generator_command=(args.generator_command or os.environ.get("CAPSET_GENERATOR")
-                           or config.generator_command),
+        generator_command=args.generator_command or config.generator_command,
     )
     best, records = evolve.evolve(config)
     if priority.score(best.expr, config.n) != best.score:
@@ -422,8 +404,7 @@ def build_parser():
     p.add_argument("--log", help="write the JSON-lines run log here")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--evals", type=int, default=None, help="evaluation budget")
-    p.add_argument("--jobs", type=int, help="worker processes (or BRUTEFORGE_JOBS)")
-    p.add_argument("--generator-command", help="external generator (or CAPSET_GENERATOR)")
+    p.add_argument("--generator-command", help="external generator command")
     p.set_defaults(handler=_cmd_capset_evolve)
 
     p_eq = sub.add_parser("eq", help="equational reasoning")

@@ -148,16 +148,17 @@ def test_criterion_6_greedy_and_golden_log():
     _report(6, "golden log best = 9")
 
 
-def test_criterion_7_evolution_reproducibility():
-    """Fixed-seed runs with 1 and 4 worker jobs give byte-identical logs."""
-    cfg1 = evolve.EvolveConfig(n=3, seed=0, eval_budget=200, jobs=1)
-    cfg4 = evolve.EvolveConfig(n=3, seed=0, eval_budget=200, jobs=4)
-    _, records1 = evolve.evolve(cfg1)
-    _, records4 = evolve.evolve(cfg4)
-    log1 = "".join(evolve.record_to_json(r) + "\n" for r in records1).encode()
-    log4 = "".join(evolve.record_to_json(r) + "\n" for r in records4).encode()
-    assert log1 == log4
-    _report(7, f"{len(records1)} records byte-identical")
+def test_criterion_7_evolution_reproducibility(monkeypatch):
+    """Fixed-seed runs, serial and in a 4-worker pool, give byte-identical logs."""
+    cfg = evolve.EvolveConfig(n=3, seed=0, eval_budget=200)
+    _, serial = evolve.evolve(cfg)
+    monkeypatch.setattr(evolve, "POOL_MIN_N", 3)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    _, pooled = evolve.evolve(cfg)
+    log_serial = "".join(evolve.record_to_json(r) + "\n" for r in serial).encode()
+    log_pooled = "".join(evolve.record_to_json(r) + "\n" for r in pooled).encode()
+    assert log_serial == log_pooled
+    _report(7, f"{len(serial)} records byte-identical")
 
 
 def test_criterion_8_equational_suite():

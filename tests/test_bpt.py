@@ -181,7 +181,7 @@ class TestColorings:
     def test_missing_variable(self):
         _, varmap = encode(5)
         with pytest.raises(MissingVariableError):
-            coloring_from_model(Assignment({}), varmap)
+            coloring_from_model(Assignment({}), varmap, 5)
 
 
 class TestSolvePipeline:

@@ -8,7 +8,7 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bruteforge import bpt, cli, evolve, priority, sat
+from bruteforge import bpt, cli, evolve, sat
 from bruteforge.logic import MAX_PARSE_DEPTH, Cnf, VerificationError, parse_dimacs, write_dimacs
 
 BIN = [sys.executable, "-m", "bruteforge.cli"]
@@ -264,6 +264,7 @@ class TestCapset:
         ("capacity = 0", "capacity must be positive, got 0"),
         ("tournament = 0", "tournament must be positive, got 0"),
         ("generator = baseline", "unknown config key 'generator'"),
+        ("jobs = 2", "unknown config key 'jobs'"),
     ])
     def test_evolve_bad_config_is_usage_error(self, tmp_path, capsys, line, message):
         config = tmp_path / "c.cfg"
@@ -305,8 +306,7 @@ class TestCapset:
         assert err.count("\n") == 1
         assert started == []
 
-    def test_evolve_config_file_command_selects_external(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("CAPSET_GENERATOR", raising=False)
+    def test_evolve_config_file_command_selects_external(self, tmp_path):
         child = tmp_path / "broken.py"
         child.write_text("import sys\nfor line in sys.stdin:\n    print('no', flush=True)\n")
         config = tmp_path / "c.cfg"
@@ -318,61 +318,31 @@ class TestCapset:
         records = [json.loads(line) for line in log.read_text().splitlines()]
         assert sum(r.get("event") == "generator_error" for r in records) == 8
 
-    def test_evolve_jobs_env_var(self, tmp_path):
-        log1 = tmp_path / "j1.jsonl"
-        log4 = tmp_path / "j4.jsonl"
-        r1 = run_cli("capset", "evolve", "--n", "2", "--seed", "3", "--evals", "40",
-                     "--log", str(log1), "--jobs", "1")
-        r4 = run_cli("capset", "evolve", "--n", "2", "--seed", "3", "--evals", "40",
-                     "--log", str(log4), env={"BRUTEFORGE_JOBS": "4"})
-        assert r1.returncode == 0 and r4.returncode == 0
-        assert log1.read_bytes() == log4.read_bytes()
+    def _evolve_log(self, tmp_path, name, env=None):
+        log = tmp_path / name
+        result = run_cli("capset", "evolve", "--n", "2", "--seed", "3", "--evals", "40",
+                         "--log", str(log), env=env)
+        assert result.returncode == 0
+        return log.read_bytes()
 
-
-class TestEvolveJobs:
-    """--jobs, then BRUTEFORGE_JOBS, then the config file's `jobs`, clamped to
-    the CPU count; `evolve` is a spy, so no worker process starts."""
-
-    @pytest.fixture
-    def jobs_seen(self, monkeypatch, tmp_path):
-        seen = []
-
-        def spy(config):
-            seen.append(config.jobs)
-            expr = priority.parse_expr("0")
-            return evolve.Candidate(expr, priority.score(expr, config.n)), []
-
-        monkeypatch.setattr(evolve, "evolve", spy)
-        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    def test_evolve_jobs_env_var(self, tmp_path, monkeypatch):
+        # BRUTEFORGE_JOBS is not read: the pool follows n and the CPU count
         monkeypatch.delenv("BRUTEFORGE_JOBS", raising=False)
-        config = tmp_path / "evolve.cfg"
-        config.write_text("n = 2\njobs = 2\n")
+        assert (self._evolve_log(tmp_path, "a.jsonl", {"BRUTEFORGE_JOBS": "4"})
+                == self._evolve_log(tmp_path, "b.jsonl"))
 
-        def run(*flags, env=None):
-            if env is not None:
-                monkeypatch.setenv("BRUTEFORGE_JOBS", env)
-            assert cli.main(["capset", "evolve", "--n", "2", "--config", str(config),
-                             *flags]) == 0
-            return seen.pop()
+    def test_evolve_generator_env_var(self, tmp_path, monkeypatch):
+        # CAPSET_GENERATOR is not read; this generator fails every proposal
+        child = tmp_path / "broken.py"
+        child.write_text("import sys\nfor line in sys.stdin:\n    print('no', flush=True)\n")
+        monkeypatch.delenv("CAPSET_GENERATOR", raising=False)
+        env = {"CAPSET_GENERATOR": f"{sys.executable} {child}"}
+        assert (self._evolve_log(tmp_path, "a.jsonl", env)
+                == self._evolve_log(tmp_path, "b.jsonl"))
 
-        return run
-
-    def test_config_file_jobs_takes_effect(self, jobs_seen):
-        assert jobs_seen() == 2
-
-    def test_environment_overrides_config_file(self, jobs_seen):
-        assert jobs_seen(env="3") == 3
-        assert jobs_seen(env="not a number") == 2
-
-    def test_flag_overrides_environment(self, jobs_seen):
-        assert jobs_seen("--jobs", "1", env="3") == 1
-
-    @pytest.mark.parametrize("flags, env, expected", [
-        (["--jobs", "1000"], None, 4), ([], "1000", 4), (["--jobs", "0"], None, 1),
-        (["--jobs", "-3"], None, 1),
-    ])
-    def test_worker_count_is_clamped(self, jobs_seen, flags, env, expected):
-        assert jobs_seen(*flags, env=env) == expected
+    def test_evolve_jobs_flag_is_usage_error(self, capsys):
+        assert _exit_code(["capset", "evolve", "--n", "2", "--jobs", "2"]) == 2
+        assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
 
 
 class TestEq:
@@ -593,7 +563,7 @@ _FORMULA_PIECES = ["all ", "ex ", "x", "y", "n", "A", "(", ")", ",", "<", ".",
 
 _CONFIG_LINES = st.tuples(
     st.sampled_from(["n", "capacity", "seed", "eval_budget", "batch", "tournament",
-                     "jobs", "generator_timeout", "generator", "bogus", "", " "]),
+                     "generator_timeout", "generator", "bogus", "", " "]),
     st.sampled_from(["=", " = ", "", "=="]),
     st.integers(-3, 40).map(str) | st.sampled_from(["", "x", "1.5", '"2"', "# c", "="]),
     st.sampled_from(["\n", "  # note\n", ""]),
@@ -660,7 +630,7 @@ class TestExitContractFuzz:
     @given(st.text() | st.lists(_CONFIG_LINES).map("".join))
     def test_evolve_arbitrary_config(self, text):
         # `generator_command` is left out so that no child process starts;
-        # --jobs and --evals keep each run serial and small
+        # --n 2 keeps each run serial and --evals keeps it small
         try:
             evolve.parse_config_file(text, n=2)
         except ValueError:
@@ -669,8 +639,7 @@ class TestExitContractFuzz:
             path = os.path.join(directory, "c.cfg")
             with open(path, "w", encoding="utf-8") as handle:
                 handle.write(text)
-            argv = ["capset", "evolve", "--n", "2", "--config", path, "--evals", "12",
-                    "--jobs", "1"]
+            argv = ["capset", "evolve", "--n", "2", "--config", path, "--evals", "12"]
             assert _exit_code(argv) in (0, 1, 2)
 
     @settings(max_examples=200, deadline=None)

@@ -7,6 +7,7 @@ import time
 
 import pytest
 
+from bruteforge import evolve as evolve_mod
 from bruteforge.capset import is_cap
 from bruteforge.evolve import (
     Candidate,
@@ -94,10 +95,40 @@ class TestEvolveLoop:
         _, r2 = evolve(cfg)
         assert [record_to_json(a) for a in r1] == [record_to_json(b) for b in r2]
 
-    def test_jobs_do_not_change_the_log(self):
-        _, r1 = evolve(EvolveConfig(n=2, seed=3, eval_budget=60, jobs=1))
-        _, r2 = evolve(EvolveConfig(n=2, seed=3, eval_budget=60, jobs=2))
-        assert [record_to_json(a) for a in r1] == [record_to_json(b) for b in r2]
+    def test_jobs_do_not_change_the_log(self, monkeypatch):
+        # serial, then in a 2-worker pool
+        _, serial = evolve(EvolveConfig(n=2, seed=3, eval_budget=60))
+        monkeypatch.setattr(evolve_mod, "POOL_MIN_N", 2)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        _, pooled = evolve(EvolveConfig(n=2, seed=3, eval_budget=60))
+        assert [record_to_json(a) for a in serial] == [record_to_json(b) for b in pooled]
+
+    @pytest.mark.parametrize("n, cpus, batch, workers", [
+        (2, 4, 10, None),  # n below POOL_MIN_N
+        (3, 1, 10, None),  # one CPU
+        (3, None, 10, None),  # CPU count unknown
+        (3, 4, 1, None),  # one proposal per generation
+        (3, 4, 10, 4),
+        (4, 4, 3, 3),
+    ])
+    def test_pool_iff_n_reaches_threshold_and_several_workers(self, monkeypatch, n, cpus,
+                                                              batch, workers):
+        built = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                built.append(max_workers)
+
+            map = staticmethod(map)
+
+            def shutdown(self):
+                pass
+
+        monkeypatch.setattr(evolve_mod, "POOL_MIN_N", 3)
+        monkeypatch.setattr(evolve_mod, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        evolve(EvolveConfig(n=n, seed=0, eval_budget=6, batch=batch))
+        assert built == ([] if workers is None else [workers])
 
     def test_eval_budget_respected(self):
         _, records = evolve(EvolveConfig(n=2, seed=0, eval_budget=17))
@@ -190,7 +221,9 @@ class TestExternalGenerator:
         return f"{sys.executable} {path}"
 
     def test_echo_generator(self, tmp_path):
-        gen = ExternalGenerator(self._command(tmp_path, ECHO_GENERATOR, "echo.py"))
+        gen = ExternalGenerator(
+            self._command(tmp_path, ECHO_GENERATOR, "echo.py"), timeout=5.0
+        )
         try:
             child = gen([_cand("v[0] + 1", 3)], 7)
             assert child == parse_expr("v[0] + 1")
@@ -198,7 +231,9 @@ class TestExternalGenerator:
             gen.close()
 
     def test_malformed_reply_raises(self, tmp_path):
-        gen = ExternalGenerator(self._command(tmp_path, BROKEN_GENERATOR, "broken.py"))
+        gen = ExternalGenerator(
+            self._command(tmp_path, BROKEN_GENERATOR, "broken.py"), timeout=5.0
+        )
         try:
             with pytest.raises(GeneratorError):
                 gen([_cand("0", 1)], 0)
@@ -206,7 +241,9 @@ class TestExternalGenerator:
             gen.close()
 
     def test_child_stderr_is_quoted_not_passed_through(self, tmp_path, capfd):
-        gen = ExternalGenerator(self._command(tmp_path, STDERR_GENERATOR, "stderr.py"))
+        gen = ExternalGenerator(
+            self._command(tmp_path, STDERR_GENERATOR, "stderr.py"), timeout=5.0
+        )
         try:
             with pytest.raises(GeneratorError, match="malformed") as malformed:
                 gen([_cand("0", 1)], 0)
@@ -254,6 +291,29 @@ class TestExternalGenerator:
                 assert gen([_cand("0", 1)], seed) == Const(seed)
         finally:
             gen.close()
+
+    def test_generator_is_closed_when_the_pool_fails_to_start(self, tmp_path, monkeypatch):
+        made = []
+
+        class Recorded(ExternalGenerator):
+            def __init__(self, *args):
+                super().__init__(*args)
+                made.append(self)
+
+        def no_pool(max_workers):
+            raise OSError("no worker processes")
+
+        monkeypatch.setattr(evolve_mod, "ExternalGenerator", Recorded)
+        monkeypatch.setattr(evolve_mod, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        cfg = EvolveConfig(
+            n=evolve_mod.POOL_MIN_N,
+            generator_command=self._command(tmp_path, ECHO_GENERATOR, "echo.py"),
+        )
+        with pytest.raises(OSError, match="no worker processes"):
+            evolve(cfg)
+        [gen] = made
+        assert gen.proc is None  # close() ran
 
     def test_evolve_logs_and_skips_generator_errors(self, tmp_path):
         cfg = EvolveConfig(
