@@ -325,9 +325,13 @@ def _cmd_eq_complete(args, parser):
     axioms = list(axioms.values())
     precedence = _parse_precedence(parser, args.precedence, signature, axioms)
     try:
-        rules = equational.kb_complete(axioms, precedence, budget=args.budget)
+        rules = equational.kb_complete(axioms, precedence, budget=args.budget,
+                                       max_seconds=args.max_seconds)
     except equational.OrientationError as exc:
         print(f"orientation failure: {exc.equation}")
+        return EXIT_NEGATIVE
+    except equational.CompletionTimeout as exc:
+        print(f"time limit reached with {len(exc.partial_rules)} partial rules")
         return EXIT_NEGATIVE
     except equational.CompletionBudgetExhausted as exc:
         print(f"budget exhausted with {len(exc.partial_rules)} partial rules")
@@ -427,6 +431,7 @@ def build_parser():
     p.add_argument("--axioms", required=True)
     p.add_argument("--precedence", help="e.g. 'i>*>e'")
     p.add_argument("--budget", type=int, default=2000)
+    p.add_argument("--max-seconds", type=_seconds, default=None)
     p.set_defaults(handler=_cmd_eq_complete)
 
     p = sub.add_parser("classify", help="quantifier-alternation class of a formula file")

@@ -14,6 +14,7 @@ from __future__ import annotations
 import functools
 import heapq
 import itertools
+import operator
 import re
 import time
 from collections import deque
@@ -67,9 +68,17 @@ class OrientationError(ValueError):
 
 
 class CompletionBudgetExhausted(RuntimeError):
+    message = "completion budget exhausted"
+
     def __init__(self, partial_rules):
-        super().__init__("completion budget exhausted")
+        super().__init__(self.message)
         self.partial_rules = partial_rules
+
+
+class CompletionTimeout(CompletionBudgetExhausted):
+    """kb_complete's time limit ran out; carries the partial rules."""
+
+    message = "completion time limit reached"
 
 
 # --- substitutions and unification ----------------------------------------
@@ -246,9 +255,8 @@ def replace_at(t, pos, sub):
         return sub
     if isinstance(t, Var) or not 0 <= pos[0] < len(t.args):
         raise IndexError(f"no subterm at position {pos}")
-    args = list(t.args)
-    args[pos[0]] = replace_at(args[pos[0]], pos[1:], sub)
-    return App(t.symbol, tuple(args))
+    i = pos[0]
+    return App(t.symbol, t.args[:i] + (replace_at(t.args[i], pos[1:], sub),) + t.args[i + 1:])
 
 
 # --- critical pairs and completion ----------------------------------------
@@ -289,9 +297,13 @@ def orient(eq, precedence):
     raise OrientationError(eq)
 
 
-def kb_complete(axioms, precedence, budget=2000):
+def kb_complete(axioms, precedence, budget=2000, max_seconds=None):
     """Knuth-Bendix completion; returns a locally confluent, terminating
     rule list or raises OrientationError / CompletionBudgetExhausted.
+
+    `budget` counts picks.  With `max_seconds` set, the clock is read
+    before each pick, and once that many seconds have passed it raises
+    CompletionTimeout, a CompletionBudgetExhausted, so 0 makes no pick.
 
     Standard loop with interreduction: new rules collapse existing rules
     (reducible left-hand sides go back to the pending queue) and compose
@@ -306,6 +318,7 @@ def kb_complete(axioms, precedence, budget=2000):
         for e in eqs:
             heapq.heappush(pending, (term_size(e.lhs) + term_size(e.rhs), next(arrivals), e))
 
+    deadline = None if max_seconds is None else time.monotonic() + max_seconds
     push(axioms)
     rules = []
     steps = 0
@@ -313,6 +326,8 @@ def kb_complete(axioms, precedence, budget=2000):
         steps += 1
         if steps > budget:
             raise CompletionBudgetExhausted(list(rules))
+        if deadline is not None and time.monotonic() >= deadline:
+            raise CompletionTimeout(list(rules))
         eq = heapq.heappop(pending)[2]
         lhs = rewrite(eq.lhs, rules)
         rhs = rewrite(eq.rhs, rules)
@@ -570,11 +585,12 @@ class Timeout:
 @dataclass(eq=False, slots=True)
 class _Node:
     """A term reached from one side of the goal, with the node it was reached
-    from and the step taken; `taken` marks it expanded (see prove)."""
+    from and the step taken, as the (eq_id, pos, subst, direction) tuple
+    _successors yields; `taken` marks it expanded (see prove)."""
 
     term: Term
     parent: object
-    step: ProofStep | None
+    step: tuple | None
     size: int
     taken: bool = False
 
@@ -600,13 +616,78 @@ def _ground_pool(goal):
     return pool[:GROUND_POOL_SIZE]
 
 
+def _compile_match(frm):
+    """A function equal to `lambda t: match(frm, t)`: it walks frm through
+    one closure per node instead of a stack, and it checks t's root symbol
+    and arity before it allocates the substitution."""
+    if isinstance(frm, Var):
+        v = frm.id
+        return lambda t: {v: t}
+    symbol, arity, check = frm.symbol, len(frm.args), _compile_check(frm)
+
+    def matcher(t):
+        if isinstance(t, Var) or t.symbol != symbol or len(t.args) != arity:
+            return None
+        sigma = {}
+        return sigma if check(t, sigma) else None
+
+    return matcher
+
+
+def _compile_check(p):
+    """A function check(s, sigma): whether s is an instance of p under sigma,
+    which it extends by each variable of p bound for the first time."""
+    if isinstance(p, Var):
+        v = p.id
+
+        def bind(s, sigma):
+            bound = sigma.setdefault(v, s)
+            return bound is s or bound == s
+
+        return bind
+    if not term_vars(p):
+        return lambda s, sigma: s == p
+    symbol, arity = p.symbol, len(p.args)
+    checks = tuple(_compile_check(a) for a in p.args)
+
+    def check(s, sigma):
+        if isinstance(s, Var) or s.symbol != symbol or len(s.args) != arity:
+            return False
+        for c, a in zip(checks, s.args):
+            if not c(a, sigma):
+                return False
+        return True
+
+    return check
+
+
+def _compile_instance(to):
+    """A function equal to `lambda sigma: apply_subst(to, sigma)` for every
+    sigma that binds each variable of `to`; ground subterms are shared."""
+    if isinstance(to, Var):
+        return operator.itemgetter(to.id)
+    if not term_vars(to):
+        return lambda sigma: to
+    symbol = to.symbol
+    parts = tuple(_compile_instance(a) for a in to.args)
+    if len(parts) == 1:
+        (f,) = parts
+        return lambda sigma: App(symbol, (f(sigma),))
+    if len(parts) == 2:
+        f, g = parts
+        return lambda sigma: App(symbol, (f(sigma), g(sigma)))
+    return lambda sigma: App(symbol, tuple([f(sigma) for f in parts]))
+
+
 @functools.lru_cache(maxsize=16)
 def _axiom_orientations(axiom_items):
     """The part of _orientations that does not depend on the pool, cached
     per axiom set (Equation and terms are frozen, so the items hash), as
     tuples so that no caller can change it: (eq_id, frm, to, direction,
-    to_size, shared, extra), where extra lists (var, occurrences in to) for
-    the variables of `to` that must be filled, in sorted variable order."""
+    to_size, shared, extra, match_frm, build_to), where extra lists (var,
+    occurrences in to) for the variables of `to` that must be filled, in
+    sorted variable order, and match_frm and build_to are `frm`'s matcher
+    and `to`'s instantiator, each compiled here once per axiom set."""
     out = []
     for eq_id, eq in axiom_items:
         for frm, to, direction in ((eq.lhs, eq.rhs, "lr"), (eq.rhs, eq.lhs, "rl")):
@@ -620,42 +701,47 @@ def _axiom_orientations(axiom_items):
                     occurrences[sub.id] = occurrences.get(sub.id, 0) + 1
             shared = tuple((v, n) for v, n in occurrences.items() if v in frm_vars)
             out.append((eq_id, frm, to, direction, term_size(to), shared,
-                        tuple((v, occurrences[v]) for v in extra)))
+                        tuple((v, occurrences[v]) for v in extra),
+                        _compile_match(frm), _compile_instance(to)))
     return tuple(out)
 
 
 def _orientations(axioms, pool):
     """The rewrites prove tries, as (eq_id, frm, to, direction, to_size,
-    shared, fills) for each axiom in both directions, in axiom order, lr
-    before rl.
+    shared, fills, match_frm, build_to) for each axiom in both directions,
+    in axiom order, lr before rl.
 
     shared lists (var, occurrences in to) for the variables of `to` that
     matching `frm` binds.  The other variables of `to` are filled from the
     ground pool: fills lists each such binding as ((var, term) pairs in
     sorted variable order, size it adds to the instance of `to`).
-    Orientations that would need more than MAX_EXTRA_VARS fills are left out.
-    All but the fills come from _axiom_orientations, once per axiom set.
+    Orientations that would need more than MAX_EXTRA_VARS fills are left out;
+    one without extra variables has the one empty fill ((), 0).  All but
+    the fills come from _axiom_orientations, once per axiom set.
     """
     sized = [(u, term_size(u) - 1) for u in pool]
     out = []
-    for eq_id, frm, to, direction, to_size, shared, extra in _axiom_orientations(
-            tuple(axioms.items())):
+    for eq_id, frm, to, direction, to_size, shared, extra, match_frm, build_to in (
+            _axiom_orientations(tuple(axioms.items()))):
         fills = [
             (tuple((v, u) for (v, _), (u, _) in zip(extra, fill)),
              sum(n * grown for (_, n), (_, grown) in zip(extra, fill)))
             for fill in itertools.product(sized, repeat=len(extra))
-        ]
-        out.append((eq_id, frm, to, direction, to_size, shared, fills))
+        ] if extra else [((), 0)]
+        out.append((eq_id, frm, to, direction, to_size, shared, fills, match_frm, build_to))
     return out
 
 
 def _successors(t, orientations, max_size):
     """(step, term, size) for every one-step rewrite of t no larger than
-    max_size, one yield per rewrite attempted.
+    max_size, one yield per rewrite attempted; the step is the tuple
+    (eq_id, pos, subst, direction), the fields of its ProofStep.
 
-    A successor's size is t's, minus the replaced subterm's, plus that of
-    the instance of `to`; the instance's size comes from the sizes of the
-    bindings, so only the successors that fit are built.
+    Each orientation's compiled matcher and instantiator stand in for
+    match(frm, sub) and apply_subst(to, sigma).  A successor's size is
+    t's, minus the replaced subterm's, plus that of the instance of `to`;
+    the instance's size comes from the sizes of the bindings, so only the
+    successors that fit are built.
     """
     subterms = []  # (pos, subterm, size), preorder like positions(t)
     size_of = {}  # id of each subterm object of t -> its size
@@ -672,12 +758,12 @@ def _successors(t, orientations, max_size):
         return size
 
     size = walk(t, ())
-    for eq_id, frm, to, direction, to_size, shared, fills in orientations:
+    for eq_id, _, _, direction, to_size, shared, fills, match_frm, build_to in orientations:
         for pos, sub, sub_size in subterms:
-            sigma0 = match(frm, sub)
+            sigma0 = match_frm(sub)
             if sigma0 is None:
                 continue
-            # match binds variables to subterm objects of t itself
+            # the matcher binds variables to subterm objects of t itself
             base = size - sub_size + to_size
             for v, n in shared:
                 base += n * (size_of[id(sigma0[v])] - 1)
@@ -685,10 +771,12 @@ def _successors(t, orientations, max_size):
                 new_size = base + fill_size
                 if new_size > max_size:
                     continue
-                sigma = dict(sigma0)
-                sigma.update(fill)
-                new_term = replace_at(t, pos, apply_subst(to, sigma))
-                yield ProofStep(eq_id, pos, sigma, direction), new_term, new_size
+                if fill:
+                    sigma = dict(sigma0)
+                    sigma.update(fill)
+                else:
+                    sigma = sigma0  # no fill: the one step that uses sigma0
+                yield (eq_id, pos, sigma, direction), replace_at(t, pos, build_to(sigma)), new_size
 
 
 def _steps_back(node):
@@ -713,6 +801,11 @@ def prove(goal, axioms, max_expansions=5000, max_seconds=None):
     generation order and in a heap on (size, generation), so each selection
     costs O(log n) in the frontier size n; a node taken through one view is
     skipped when it comes up in the other.
+
+    The rewrites come from _successors, which matches and instantiates
+    through each orientation's matcher and instantiator, compiled once per
+    axiom set by _axiom_orientations.  A node keeps its step as a plain
+    tuple, and ProofSteps are built only for the proof returned.
 
     The sides meet when one reaches a term the other owns.  The proof is
     the lhs path, then the rhs path reversed: a reversed step keeps its
@@ -771,9 +864,9 @@ def prove(goal, axioms, max_expansions=5000, max_seconds=None):
                 here = [step, *_steps_back(node)]
                 there = list(_steps_back(hit[1]))
                 lhs_back, rhs_back = (here, there) if side == 0 else (there, here)
-                return EqProof(tuple(reversed(lhs_back)) + tuple(
-                    ProofStep(s.eq_id, s.pos, s.subst, "rl" if s.direction == "lr" else "lr")
-                    for s in rhs_back))
+                return EqProof(tuple(ProofStep(*s) for s in reversed(lhs_back)) + tuple(
+                    ProofStep(eq_id, pos, subst, "rl" if direction == "lr" else "lr")
+                    for eq_id, pos, subst, direction in rhs_back))
 
 
 def _size_classes(signature, max_size, variables):

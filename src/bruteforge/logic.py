@@ -62,16 +62,21 @@ class Term:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Var(Term):
     id: int
+    _hash: int = field(init=False, compare=False, repr=False)  # hashed once, not per lookup
 
     def __post_init__(self):
         if self.id < 0:
             raise ValueError("variable ids are nonnegative")
+        object.__setattr__(self, "_hash", hash((self.id,)))
+
+    def __hash__(self):
+        return self._hash
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class App(Term):
     symbol: str
     args: tuple = ()

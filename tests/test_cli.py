@@ -465,6 +465,26 @@ class TestEq:
         assert result.returncode == 2
         assert result.stderr.endswith(f"invalid number of seconds: {value!r}\n")
 
+    def test_complete_max_seconds_must_be_a_number(self):
+        result = run_cli("eq", "complete", "--axioms", "group", "--max-seconds=nan")
+        assert result.returncode == 2
+        assert result.stderr.endswith("invalid number of seconds: 'nan'\n")
+
+    @pytest.mark.parametrize("seconds", ["0", "0.5"])
+    def test_complete_time_limit(self, tmp_path, seconds):
+        # associativity and left inverse alone: the default budget of 2000
+        # picks takes about a minute to run out
+        axioms = tmp_path / "ax.txt"
+        axioms.write_text("signature: group\nG1: (x * y) * z = x * (y * z)\n"
+                          "G3: i(x) * x = e\n")
+        result = run_cli("eq", "complete", "--axioms", str(axioms), "--max-seconds", seconds)
+        assert result.returncode == 1
+        if seconds == "0":
+            assert result.stdout == "time limit reached with 0 partial rules\n"
+        else:
+            assert result.stdout.startswith("time limit reached with ")
+            assert result.stdout.endswith(" partial rules\n")
+
 
     @pytest.mark.parametrize("axioms, precedence, message", [
         ("group", "i>*", "precedence misses symbol(s) 'e' of the axioms"),

@@ -1,7 +1,9 @@
+import dataclasses
 import functools
 import hashlib
 import itertools
 import random
+import time
 from collections import deque
 
 import pytest
@@ -23,6 +25,7 @@ from bruteforge.equational import (
     AXIOM_SIGNATURES,
     BOOLEAN_AXIOMS,
     CompletionBudgetExhausted,
+    CompletionTimeout,
     EqProof,
     Equation,
     FAIL,
@@ -290,6 +293,31 @@ class TestCompletion:
         with pytest.raises(CompletionBudgetExhausted) as err:
             kb_complete(list(GROUP_AXIOMS.values()), GROUP_PRECEDENCE, budget=2)
         assert isinstance(err.value.partial_rules, list)
+
+    def test_time_limit_stops_a_diverging_completion(self):
+        # associativity plus left inverse alone spends about a minute before
+        # the default budget of 2000 picks runs out
+        start = time.monotonic()
+        with pytest.raises(CompletionTimeout) as err:
+            kb_complete([GROUP_AXIOMS["G1"], GROUP_AXIOMS["G3"]], GROUP_PRECEDENCE,
+                        max_seconds=0.5)
+        assert time.monotonic() - start < 2
+        assert isinstance(err.value, CompletionBudgetExhausted)
+        assert err.value.partial_rules
+        assert str(err.value) == "completion time limit reached"
+
+    def test_zero_time_limit_makes_no_pick(self, monkeypatch):
+        normalised = []
+        monkeypatch.setattr(equational, "rewrite", lambda t, rules: normalised.append(t) or t)
+        with pytest.raises(CompletionTimeout) as err:
+            kb_complete(list(GROUP_AXIOMS.values()), GROUP_PRECEDENCE, max_seconds=0)
+        assert err.value.partial_rules == []
+        assert normalised == []
+
+    def test_time_limit_changes_no_completed_system(self):
+        axioms = list(GROUP_AXIOMS.values())
+        assert (kb_complete(axioms, GROUP_PRECEDENCE, max_seconds=60)
+                == kb_complete(axioms, GROUP_PRECEDENCE))
 
     def test_group_completion_is_pinned(self):
         # SHA-256 of the rule text `eq complete --axioms group` prints, less
@@ -1077,6 +1105,43 @@ def _uncached_orientations(axioms, pool):
     return out
 
 
+def _reference_successors(t, orientations, max_size):
+    """_successors as it was before orientations were compiled: it matches
+    with match, instantiates with apply_subst, copies every substitution
+    and yields a ProofStep for every rewrite."""
+    subterms = []
+    size_of = {}
+
+    def walk(u, pos):
+        i = len(subterms)
+        subterms.append(None)
+        size = 1
+        if isinstance(u, App):
+            for k, a in enumerate(u.args):
+                size += walk(a, pos + (k,))
+        subterms[i] = (pos, u, size)
+        size_of[id(u)] = size
+        return size
+
+    size = walk(t, ())
+    for eq_id, frm, to, direction, to_size, shared, fills, *_ in orientations:
+        for pos, sub, sub_size in subterms:
+            sigma0 = match(frm, sub)
+            if sigma0 is None:
+                continue
+            base = size - sub_size + to_size
+            for v, n in shared:
+                base += n * (size_of[id(sigma0[v])] - 1)
+            for fill, fill_size in fills:
+                new_size = base + fill_size
+                if new_size > max_size:
+                    continue
+                sigma = dict(sigma0)
+                sigma.update(fill)
+                new_term = replace_at(t, pos, apply_subst(to, sigma))
+                yield ProofStep(eq_id, pos, sigma, direction), new_term, new_size
+
+
 def _completion_outcome(complete, axioms, budget):
     """The rule list, or the exception type with what it carries."""
     try:
@@ -1088,34 +1153,43 @@ def _completion_outcome(complete, axioms, budget):
 
 
 def _as_tuples(orientations):
-    return [(*head, tuple(shared), tuple(fills)) for *head, shared, fills in orientations]
+    """The orientations as tuples, without the compiled matcher and
+    instantiator that _orientations appends."""
+    return [(*head, tuple(shared), tuple(fills))
+            for *head, shared, fills in (o[:7] for o in orientations)]
+
+
+def _match_pairs():
+    """(pattern, subject) pairs: hand-built edge cases, then 3000 seeded
+    pairs over the group signature, half of them instances of the pattern."""
+    rng = random.Random("match-mgu")
+    x, y = Var(0), Var(1)
+    terms = enumerate_ground_terms(GROUP_SIG, 5, variables=(x, y, Var(2)))
+    pairs = [
+        (_bt("x * y", GROUP_SIG), Var(0)),  # a Var subject
+        (_bt("i(x)", GROUP_SIG), _bt("e", GROUP_SIG)),  # a root clash
+        (_bt("x * x", GROUP_SIG), _bt("e * e", GROUP_SIG)),  # non-linear, matches
+        (_bt("x * x", GROUP_SIG), _bt("e * i(e)", GROUP_SIG)),  # non-linear, fails
+        (x, _bt("i(x)", GROUP_SIG)),  # occurs check
+        (_bt("x * y", GROUP_SIG), _bt("y * i(x)", GROUP_SIG)),  # occurs check, deeper
+        (x, y), (x, x),
+    ]
+    for _ in range(3000):
+        pattern = rng.choice(terms)
+        if rng.random() < 0.5:
+            subject = apply_subst(pattern, {v: rng.choice(terms[:40]) for v in range(3)})
+        else:
+            subject = rng.choice(terms)
+        pairs.append((pattern, subject))
+    return pairs
 
 
 class TestFastPathsAgreeWithReferences:
     """Each fast path against the code it replaced, kept above as a reference."""
 
     def test_match_and_mgu(self):
-        rng = random.Random("match-mgu")
-        x, y = Var(0), Var(1)
-        terms = enumerate_ground_terms(GROUP_SIG, 5, variables=(x, y, Var(2)))
-        pairs = [
-            (_bt("x * y", GROUP_SIG), Var(0)),  # a Var subject
-            (_bt("i(x)", GROUP_SIG), _bt("e", GROUP_SIG)),  # a root clash
-            (_bt("x * x", GROUP_SIG), _bt("e * e", GROUP_SIG)),  # non-linear, matches
-            (_bt("x * x", GROUP_SIG), _bt("e * i(e)", GROUP_SIG)),  # non-linear, fails
-            (x, _bt("i(x)", GROUP_SIG)),  # occurs check
-            (_bt("x * y", GROUP_SIG), _bt("y * i(x)", GROUP_SIG)),  # occurs check, deeper
-            (x, y), (x, x),
-        ]
-        for _ in range(3000):
-            pattern = rng.choice(terms)
-            if rng.random() < 0.5:
-                subject = apply_subst(pattern, {v: rng.choice(terms[:40]) for v in range(3)})
-            else:
-                subject = rng.choice(terms)
-            pairs.append((pattern, subject))
         outcomes = set()
-        for pattern, subject in pairs:
+        for pattern, subject in _match_pairs():
             expected = _reference_match(pattern, subject)
             assert match(pattern, subject) == expected, (pattern, subject)
             unifier = _reference_mgu(pattern, subject)
@@ -1154,6 +1228,82 @@ class TestFastPathsAgreeWithReferences:
             seen.add(expected[0] if isinstance(expected, tuple) else list)
         assert seen == {list, CompletionBudgetExhausted, OrientationError}
 
+    def test_compiled_matcher(self):
+        g = functools.partial(_bt, sig=GROUP_SIG)
+        e, x = g("e"), Var(0)
+        pairs = _match_pairs() + [
+            # the root symbol of the pattern, with another arity
+            (g("x * y"), App("*", (e,))),
+            (g("x * y"), App("*", (e, e, e))),
+            (g("i(x)"), App("i", ())),
+            (g("i(x) * y"), App("*", (App("i", (e, e)), e))),
+            (g("e * x"), App("*", (App("e", (e,)), e))),
+            # Var subjects, at the root and below it
+            (g("i(x)"), Var(1)), (g("x * e"), Var(0)), (g("i(x) * y"), g("x * y")),
+            (g("e * x"), g("x * e")),
+            # non-linear patterns, with equal bindings that are distinct objects
+            (g("x * x"), App("*", (g("i(e)"), g("i(e)")))),
+            (g("x * (x * y)"), g("i(e) * (i(e) * e)")),
+            (g("x * (x * y)"), g("i(e) * (e * e)")),
+            (g("(x * y) * (y * x)"), g("(e * i(e)) * (i(e) * e)")),
+            (g("(x * y) * (y * x)"), g("(e * i(e)) * (e * i(e))")),
+            (x, e), (x, x),
+        ]
+        outcomes = set()
+        for pattern, subject in pairs:
+            expected = match(pattern, subject)
+            assert equational._compile_match(pattern)(subject) == expected, (pattern, subject)
+            outcomes.add(expected is None)
+        assert outcomes == {False, True}
+
+    def test_compiled_instantiator(self):
+        rng = random.Random("instantiator")
+        built = 0
+        for name, axioms in AXIOM_SETS.items():
+            terms = enumerate_ground_terms(AXIOM_SIGNATURES[name], 4, variables=(Var(0), Var(1)))
+            for orientation in equational._axiom_orientations(tuple(axioms.items())):
+                to, build_to = orientation[2], orientation[8]
+                for _ in range(50):
+                    # every variable of `to` bound, and a few others too
+                    sigma = {v: rng.choice(terms) for v in term_vars(to) | {rng.randrange(6)}}
+                    assert build_to(sigma) == apply_subst(to, sigma), (to, sigma)
+                    built += 1
+        assert built == 50 * sum(2 for axioms in AXIOM_SETS.values() for _ in axioms)
+
+    @pytest.mark.parametrize("name", ["boolean", "group", "robbins"])
+    def test_successors(self, name):
+        rng = random.Random(f"successors-{name}")
+        axioms, sig = AXIOM_SETS[name], AXIOM_SIGNATURES[name]
+        terms = enumerate_ground_terms(sig, 6, variables=(Var(0), Var(1)))
+        yields = 0
+        for _ in range(60):
+            goal = Equation(*rng.sample(terms, 2))
+            orientations = equational._orientations(axioms, equational._ground_pool(goal))
+            t = goal.lhs
+            max_size = term_size(t) + rng.randrange(0, 9)
+            expected = list(_reference_successors(t, orientations, max_size))
+            got = [(ProofStep(*step), new_term, new_size)
+                   for step, new_term, new_size in equational._successors(
+                       t, orientations, max_size)]
+            assert got == expected, str(goal)
+            yields += len(got)
+        assert yields > 300
+
+    def test_slotted_terms(self):
+        x, t = Var(3), parse_term("x3 v -(x3 ^ 1)", BOOLEAN_SIG)
+        for term, field in ((x, "id"), (t, "symbol"), (t, "args"), (t, "_hash")):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(term, field, None)
+        assert not hasattr(x, "__dict__") and not hasattr(t, "__dict__")
+        again = parse_term("x3 v -(x3 ^ 1)", BOOLEAN_SIG)
+        assert again == t and again is not t and hash(again) == hash(t)
+        assert Var(3) == x and hash(Var(3)) == hash(x)
+        # the hashes a generated dataclass __hash__ gave, so that hashed
+        # containers of terms keep their iteration order
+        assert hash(x) == hash((3,))
+        assert hash(t) == hash(("v", t.args))
+        assert repr(x) == "Var(id=3)"
+
     def test_cached_orientations(self):
         rng = random.Random("orientations")
         for name, axioms in AXIOM_SETS.items():
@@ -1169,7 +1319,12 @@ class TestFastPathsAgreeWithReferences:
                 expected = _as_tuples(_uncached_orientations(axioms, pool))
                 first = equational._orientations(axioms, pool)
                 assert _as_tuples(first) == expected
+                compiled = [o[7:] for o in first]
                 first[0][6].clear()
                 first.clear()
                 assert _as_tuples(equational._orientations(copy, pool)) == expected
-                assert _as_tuples(equational._orientations(axioms, pool)) == expected
+                again = equational._orientations(axioms, pool)
+                assert _as_tuples(again) == expected
+                # compiled once per axiom set, not once per call
+                assert all(a is b for o, pair in zip(again, compiled)
+                           for a, b in zip(o[7:], pair))
