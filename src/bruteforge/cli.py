@@ -1,7 +1,8 @@
 """Single command-line entry point.
 
 Exit codes: 0 success; 1 negative answer (unsatisfiable where a model was
-sought, proof search timeout, not-a-cap); 2 usage error; 3 internal
+sought, proof search timeout, not-a-cap, an artifact that does not check);
+2 usage error, a missing or malformed input file among them; 3 internal
 self-check failed (a bug, not an input fault).  All output files
 are written atomically (temp file + rename).  Machine logs are JSON lines;
 human summaries go to standard output.  Settings come from flags and files
@@ -19,8 +20,8 @@ import tempfile
 
 from . import bpt, capset, equational, evolve, hierarchy, priority, sat
 from .logic import (
-    App, VerificationError, clause_line, format_term, parse_dimacs, parse_term, var_name,
-    write_dimacs,
+    App, Assignment, VerificationError, clause_line, format_term, parse_dimacs, parse_term,
+    var_name, write_dimacs,
 )
 
 EXIT_OK = 0
@@ -70,6 +71,25 @@ def _cmd_sat_solve(args, parser):
     if args.cert:
         _atomic_write(args.cert, verdict.certificate.to_text())
     return EXIT_NEGATIVE
+
+
+def _cmd_sat_check(args, parser):
+    cnf = parse_dimacs(_read(parser, args.cnf))
+    if args.cert is not None:
+        cert = sat.Certificate.from_text(_read(parser, args.cert))
+        valid = sat.check_certificate(cnf, cert)
+        print(f"certificate valid: {len(cert.lines)} lines" if valid else "certificate invalid")
+        return EXIT_OK if valid else EXIT_NEGATIVE
+    # a model as _cmd_sat_solve writes it: each variable once, signed, then 0
+    try:
+        *lits, end = map(int, _read(parser, args.model).split())
+    except ValueError:
+        lits, end = (), None
+    if end != 0 or sorted(map(abs, lits)) != list(range(1, cnf.num_vars + 1)):
+        raise ValueError(f"model: expected each variable from 1 to {cnf.num_vars} once, then 0")
+    valid = sat.verify_model(cnf, Assignment({abs(lit): lit > 0 for lit in lits}))
+    print("model valid" if valid else "model invalid")
+    return EXIT_OK if valid else EXIT_NEGATIVE
 
 
 # --- bpt -------------------------------------------------------------------
@@ -367,9 +387,15 @@ def build_parser():
     sat_sub = p_sat.add_subparsers(dest="subcommand", required=True)
     p = sat_sub.add_parser("solve", help="solve a DIMACS CNF file")
     p.add_argument("cnf")
-    p.add_argument("--cert", help="write the refutation certificate here")
+    p.add_argument("--cert", help="write the LRAT refutation certificate here")
     p.add_argument("--model", help="write the satisfying assignment here")
     p.set_defaults(handler=_cmd_sat_solve)
+    p = sat_sub.add_parser("check", help="check a certificate or a model for a DIMACS CNF file")
+    p.add_argument("cnf")
+    artifact = p.add_mutually_exclusive_group(required=True)
+    artifact.add_argument("--cert", help="LRAT refutation certificate, as sat solve writes it")
+    artifact.add_argument("--model", help="satisfying assignment, as sat solve writes it")
+    p.set_defaults(handler=_cmd_sat_check)
 
     p_bpt = sub.add_parser("bpt", help="Pythagorean-triple colorings")
     bpt_sub = p_bpt.add_subparsers(dest="subcommand", required=True)
@@ -380,12 +406,12 @@ def build_parser():
     p = bpt_sub.add_parser("solve", help="solve the encoding for bound M")
     p.add_argument("m", type=int)
     p.add_argument("--coloring", help="write the 2-coloring here")
-    p.add_argument("--cert", help="write the refutation certificate here")
+    p.add_argument("--cert", help="write the LRAT refutation certificate here")
     p.set_defaults(handler=_cmd_bpt_solve)
     p = bpt_sub.add_parser("scan", help="scan for the first unsatisfiable bound")
     p.add_argument("--max", type=int, required=True)
     p.add_argument("--step", type=int, default=100)
-    p.add_argument("--cert", help="write the threshold certificate here")
+    p.add_argument("--cert", help="write the threshold's LRAT refutation certificate here")
     p.set_defaults(handler=_cmd_bpt_scan)
 
     p_cap = sub.add_parser("capset", help="cap sets in (Z/3)^n")

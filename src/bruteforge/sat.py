@@ -11,12 +11,10 @@ Luby's sequence.  A search with no conflict therefore branches on the
 lowest unassigned variable, true first.  Tautologies are watched, not
 dropped: once x is assigned, x or -x is true, so they never become unit
 or false and leave the search as it is.  Learned clauses are never
-deleted: in order, followed by the empty clause, they form a
-reverse-unit-propagation (RUP) refutation.  Models and certificates are
-deterministic for a given input.
-
-check_certificate replays it in one pass with its own small watched-literal
-propagator, independent of the solver's, as in DRAT-trim."""
+deleted: in order, followed by the empty clause, they form an LRAT
+refutation (Cruz-Filipe et al., CADE 2017), whose hints check_certificate
+walks with no watches and no code of the solver's.  Models and
+certificates are deterministic for a given input."""
 
 from __future__ import annotations
 
@@ -48,31 +46,40 @@ class MalformedCertificateError(ValueError):
 
 @dataclass(frozen=True)
 class Certificate:
-    """Ordered RUP clause list; the last line is the empty clause."""
+    """LRAT refutation without deletions: clause `lines[i]` has id `ids[i]`
+    and follows by unit propagation from the clauses `hints[i]` names, in
+    order.  Input clause k (from 1) has id k; the last line is empty."""
 
     lines: tuple
+    ids: tuple
+    hints: tuple
 
     def to_text(self):
-        return "\n".join(map(clause_line, self.lines)) + "\n"
+        """One line per clause: `<id> <literals> 0 <hint ids> 0`."""
+        return "".join(
+            " ".join([str(k), clause_line(c), *map(str, h), "0"]) + "\n"
+            for k, c, h in zip(self.ids, self.lines, self.hints)
+        )
 
     @staticmethod
     def from_text(text):
-        """Parse one 0-terminated clause per nonblank line; the error for a
-        malformed line names it, counting from 1."""
-        lines = []
+        """Parse one `<id> <literals> 0 <hint ids> 0` line per nonblank line;
+        the error for a malformed line names it, counting from 1."""
+        lines, ids, hints = [], [], []
         for lineno, raw in enumerate(text.splitlines(), 1):
             if not raw.strip():
                 continue
             try:
-                *lits, end = map(int, raw.split())
+                k, *rest = map(int, raw.split())
             except ValueError:
                 raise MalformedCertificateError(f"line {lineno}: non-integer token in {raw!r}")
-            if end != 0:
-                raise MalformedCertificateError(f"line {lineno}: not 0-terminated: {raw!r}")
-            if 0 in lits:
-                raise MalformedCertificateError(f"line {lineno}: 0 before the end: {raw!r}")
-            lines.append(frozenset(lits))
-        return Certificate(tuple(lines))
+            if rest.count(0) != 2 or rest[-1] != 0:
+                raise MalformedCertificateError(f"line {lineno}: not 'id lits 0 hints 0': {raw!r}")
+            end = rest.index(0)
+            ids.append(k)
+            lines.append(frozenset(rest[:end]))
+            hints.append(tuple(rest[end + 1:-1]))
+        return Certificate(tuple(lines), tuple(ids), tuple(hints))
 
 
 @dataclass(frozen=True)
@@ -96,7 +103,7 @@ def unit_propagate(cnf, assignment):
     a = assignment.copy()
     for lit in core.trail:
         a.values[abs(lit)] = lit > 0
-    return a, CONFLICT if conflict else STABLE
+    return a, STABLE if conflict is None else CONFLICT
 
 
 def resolve(c1, c2, pivot):
@@ -115,96 +122,38 @@ def verify_model(cnf, assignment):
     return all(any(assignment.value(l) for l in c) for c in cnf.clauses)
 
 
-class _RupChecker:
-    """Clause database for check_certificate, with its own watched propagation.
-
-    Deliberately independent of _Core, so that it can be trusted by reading
-    it alone.  Nothing stays assigned between calls to `refutes`, so any two
-    literals of a clause are valid watches when it is added.
-    """
-
-    def __init__(self, num_vars):
-        self.true = [False] * (2 * num_vars + 1)  # indexed by literal
-        self.watches = [[] for _ in range(2 * num_vars + 1)]
-        self.units = []
-        self.has_empty = False
-
-    def add(self, lits):
-        if any(-l in lits for l in lits):
-            return  # a tautology can never become unit or falsified
-        if len(lits) >= 2:
-            clause = list(lits)
-            self.watches[clause[0]].append(clause)
-            self.watches[clause[1]].append(clause)
-        elif lits:
-            self.units.extend(lits)
-        else:
-            self.has_empty = True
-
-    def refutes(self, lits):
-        """True iff asserting the negation of `lits` propagates to a conflict.
-
-        The negation of a tautology is itself contradictory, so it is refuted.
-        """
-        if self.has_empty:
-            return True
-        true, watches = self.true, self.watches
-        trail = []
-        conflict = False
-        for lit in [-l for l in lits] + self.units:
-            if true[-lit]:
-                conflict = True
-                break
-            if not true[lit]:
-                true[lit] = True
-                trail.append(lit)
-        i = 0
-        while not conflict and i < len(trail):
-            false = -trail[i]
-            i += 1
-            watching = watches[false]
-            watches[false] = kept = []
-            for pos, clause in enumerate(watching):
-                if clause[0] == false:
-                    clause[0], clause[1] = clause[1], false
-                other = clause[0]
-                if true[other]:
-                    kept.append(clause)
-                    continue
-                for k in range(2, len(clause)):
-                    lit = clause[k]
-                    if not true[-lit]:
-                        clause[1], clause[k] = lit, false
-                        watches[lit].append(clause)
-                        break
-                else:
-                    kept.append(clause)
-                    if true[-other]:
-                        conflict = True
-                        kept.extend(watching[pos + 1:])
-                        break
-                    true[other] = True
-                    trail.append(other)
-        for lit in trail:
-            true[lit] = False
-        return conflict
-
-
 def check_certificate(cnf, cert):
-    """True iff every line is RUP from cnf plus earlier lines, last line empty."""
+    """True iff each line follows from earlier clauses by the unit propagation
+    its hints spell out, and the last line is empty.
+
+    Line i (from 1) must have id len(cnf.clauses) + i.  From the negation of
+    its clause, each hint must name an earlier clause with no true literal
+    and at most one not false: a unit adds its literal, and an all-false
+    clause accepts the line.  Independent of _Core, to be trusted by reading.
+    """
     if not cert.lines or cert.lines[-1]:
         return False
     n = cnf.num_vars
-    checker = _RupChecker(n)
-    for c in cnf.clauses:
-        checker.add(c)
-    for i, line in enumerate(cert.lines):
+    db = list(cnf.clauses)  # clause id k is db[k - 1]
+    for i, (k, line, hints) in enumerate(zip(cert.ids, cert.lines, cert.hints, strict=True), 1):
         for lit in line:
             if lit == 0 or abs(lit) > n:
-                raise MalformedCertificateError(f"bad literal {lit} in certificate clause {i + 1}")
-        if not checker.refutes(line):
+                raise MalformedCertificateError(f"bad literal {lit} in certificate clause {i}")
+        if k != len(db) + 1:
             return False
-        checker.add(line)
+        true = {-lit for lit in line}
+        for h in hints:
+            if not 0 < h < k:
+                return False
+            unfalsified = [lit for lit in db[h - 1] if -lit not in true]
+            if not unfalsified:
+                break
+            if len(unfalsified) > 1 or unfalsified[0] in true:
+                return False
+            true.add(unfalsified[0])
+        else:
+            return False
+        db.append(line)
     return True
 
 
@@ -230,10 +179,11 @@ class _Core:
     `true`, `watches`, `reason` and `level` are indexed by literal: +v is
     slot v and -v is slot 2n+1-v, reached through Python's negative
     indexing.  `reason[l]` and `level[l]` are read only while l is true.
-    Unit clauses and the empty clause are kept aside and asserted at the
-    root of the search.  Every longer clause, a tautology too, watches its
-    first two literals, which propagation keeps non-false while the clause
-    is open.  `lim[k]` is the trail length when level k+1 began.
+    Unit and empty clauses are kept aside and asserted at the root of the
+    search.  Every longer clause, a tautology too, watches its first two
+    literals, which propagation keeps non-false while the clause is open.
+    `lim[k]` is the trail length when level k+1 began.  `clauses` holds
+    every input clause, in input order, for the certificate's ids.
     """
 
     def __init__(self, cnf):
@@ -243,8 +193,9 @@ class _Core:
         self.watches = [[] for _ in range(2 * n + 1)]
         self.reason = [None] * (2 * n + 1)
         self.level = [0] * (2 * n + 1)
-        self.units = []
-        self.has_empty = False
+        self.units = []  # unit and empty clauses
+        self.clauses = [list(c) for c in cnf.clauses]
+        self.derived = []  # (learned clause, clauses resolved, level-0 literals dropped)
         self.trail = []
         self.lim = []
         self.head = 0  # trail[:head] has been propagated
@@ -252,36 +203,25 @@ class _Core:
         self.inc = 1.0
         self.phase = [True] * (n + 1)
         self.heap = None  # (-activity, variable), built at the first conflict
-        for c in cnf.clauses:
-            lits = list(c)
+        for lits in self.clauses:
             if len(lits) >= 2:
                 self.watches[lits[0]].append(lits)
                 self.watches[lits[1]].append(lits)
-            elif lits:
-                self.units.append(lits[0])
             else:
-                self.has_empty = True
-
-    def _set(self, lit):
-        """Make `lit` true; False iff it is already false."""
-        if self.true[-lit]:
-            return False
-        if not self.true[lit]:
-            self.true[lit] = True
-            self.trail.append(lit)
-        return True
+                self.units.append(lits)
 
     def assume(self, lits):
-        """Assert `lits` and the unit clauses, then propagate; True iff conflict."""
-        if self.has_empty:
-            return True
+        """Assert `lits`, of distinct variables, then the unit clauses, and
+        propagate; the clause found false, or None."""
         for lit in lits:
-            if not self._set(lit):
-                return True
-        for lit in self.units:
-            if not self._set(lit):
-                return True
-        return self.propagate() is not None
+            self._assign(lit, None)
+        true = self.true
+        for c in self.units:
+            if not c or true[-c[0]]:
+                return c
+            if not true[c[0]]:
+                self._assign(c[0], c)
+        return self.propagate()
 
     def propagate(self):
         """Propagate the trail to fixpoint; the falsified clause, or None."""
@@ -327,19 +267,26 @@ class _Core:
         Resolves the conflict clause with the reasons of the current level's
         literals, latest first, until one literal of that level is left.
         Literals of level 0 are dropped: the root's units imply them false.
-        The second literal is one of the highest remaining level.
+        The second literal is one of the highest remaining level.  The
+        clause, the clauses resolved (the conflict first, then the reasons)
+        and the dropped literals are appended to `derived`.
         """
         trail, level, act = self.trail, self.level, self.act
         depth = len(self.lim)
         seen = set()
         learnt = [0]
+        resolved, dropped = [], []
         pending = 0  # seen variables of the current level not yet resolved
         i = len(trail)
         while True:
+            resolved.append(clause)
             for q in clause:
                 v = abs(q)
-                if v not in seen and level[-q]:
+                if v not in seen:
                     seen.add(v)
+                    if not level[-q]:
+                        dropped.append(q)
+                        continue
                     act[v] += self.inc
                     if level[-q] == depth:
                         pending += 1
@@ -353,6 +300,7 @@ class _Core:
                 break
             clause = self.reason[trail[i]]
         learnt[0] = -trail[i]
+        self.derived.append((learnt, resolved, dropped))
         if len(learnt) == 1:
             return learnt, 0
         k = max(range(1, len(learnt)), key=lambda k: level[-learnt[k]])
@@ -380,21 +328,20 @@ class _Core:
         self.head = mark
 
     def search(self, step_limit=None):
-        """CDCL from the root: (model or None, learned clauses).
+        """CDCL from the root: the Verdict.
 
         Until the first conflict every activity is 0, so the pick is a scan
         for the lowest unassigned variable; the activity heap is built at
         that conflict.  The root and each decision count one step against
-        `step_limit`.  With no model, the learned clauses and a final empty
-        clause are the RUP refutation.
+        `step_limit`.
         """
         true, trail, lim, n = self.true, self.trail, self.lim, self.num_vars
         limit = math.inf if step_limit is None else step_limit
         if limit < 1:
             raise BudgetExhausted(f"step limit {step_limit} exhausted")
-        if self.assume(()):
-            return None, [EMPTY]
-        lines = []
+        clause = self.assume(())
+        if clause is not None:
+            return Verdict(False, certificate=self._refutation(clause))
         steps = 1
         scan = 1  # before the first conflict: every variable below is assigned
         conflicts, restarts, restart_at = 0, 0, RESTART_UNIT
@@ -402,10 +349,8 @@ class _Core:
             clause = self.propagate()
             if clause is not None:
                 if not lim:
-                    lines.append(EMPTY)
-                    return None, lines
+                    return Verdict(False, certificate=self._refutation(clause))
                 learnt, depth = self._analyze(clause)
-                lines.append(frozenset(learnt))
                 self._backjump(depth)
                 self._assign(learnt[0], learnt)
                 if len(learnt) > 1:
@@ -436,26 +381,52 @@ class _Core:
                     heapq.heappop(heap)
                 v = heapq.heappop(heap)[1] if heap else n + 1
             if v > n:
-                return Assignment({u: true[u] for u in range(1, n + 1)}), lines
+                return Verdict(True, model=Assignment({u: true[u] for u in range(1, n + 1)}))
             steps += 1
             if steps > limit:
                 raise BudgetExhausted(f"step limit {step_limit} exhausted")
             lim.append(len(trail))
             self._assign(v if self.phase[v] else -v, None)
 
+    def _refutation(self, clause):
+        """The certificate once `clause` is false at the root.
+
+        Input clause k has id k, and the j-th learned clause len(clauses) + j.
+        A line's hints are the root reasons that make its dropped literals
+        false, transitively and in trail order, then the clauses it
+        resolved, earliest on the trail first: the conflict comes last.
+        """
+        reason = self.reason
+        pos = {lit: p for p, lit in enumerate(self.trail)}  # the trail is the root's
+        ids = {id(c): k for k, c in enumerate(self.clauses, 1)}
+        first = len(self.clauses) + 1
+        lines, hints = [], []
+        for k, (learnt, resolved, dropped) in enumerate(
+                self.derived + [(EMPTY, [clause], clause)], first):
+            ids[id(learnt)] = k
+            lines.append(frozenset(learnt))
+            need = {-q for q in dropped}
+            roots = list(need)
+            for lit in roots:
+                for q in reason[lit]:
+                    if q != lit and -q not in need:
+                        need.add(-q)
+                        roots.append(-q)
+            roots.sort(key=pos.__getitem__)
+            hints.append(tuple([ids[id(reason[lit])] for lit in roots]
+                               + [ids[id(c)] for c in reversed(resolved)]))
+        return Certificate(tuple(lines), tuple(range(first, first + len(lines))), tuple(hints))
+
 
 def solve(cnf, step_limit=None):
     """Decide satisfiability.  Total, sound, complete, deterministic.
 
-    SAT verdicts carry a total model; UNSAT verdicts carry an RUP
+    SAT verdicts carry a total model; UNSAT verdicts carry an LRAT
     certificate of learned clauses.  `step_limit` bounds the number of
     decisions, the root counted as one, and raises BudgetExhausted when
     hit (default: unbudgeted).
     """
-    model, lines = _Core(cnf).search(step_limit)
-    if model is not None:
-        return Verdict(True, model=model)
-    return Verdict(False, certificate=Certificate(tuple(lines)))
+    return _Core(cnf).search(step_limit)
 
 
 _TABLE_CHUNK_VARS = 18

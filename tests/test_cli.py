@@ -83,7 +83,56 @@ class TestSat:
         result = run_cli("sat", "solve", str(cnf), "--cert", str(cert))
         assert result.returncode == 1
         assert "UNSATISFIABLE" in result.stdout
-        assert cert.read_text().splitlines()[-1] == "0"
+        # the last line is the empty clause: its id, then no literal before the 0
+        assert cert.read_text().splitlines()[-1].split()[1] == "0"
+        result = run_cli("sat", "check", str(cnf), "--cert", str(cert))
+        assert (result.returncode, result.stdout) == (0, "certificate valid: 1 lines\n")
+
+    def test_check_what_solve_writes(self, tmp_path, capsys):
+        cnf, out = tmp_path / "f.cnf", tmp_path / "out"
+        rng = random.Random(20)
+        checked = set()
+        for _ in range(40):
+            n = rng.randint(1, 10)
+            clauses = [[rng.choice((1, -1)) * rng.randint(1, n) for _ in range(3)]
+                       for _ in range(rng.randint(0, 6 * n))]
+            cnf.write_text(write_dimacs(Cnf.of(clauses, n)))
+            flag = "--model" if cli.main(["sat", "solve", str(cnf), "--model", str(out),
+                                          "--cert", str(out)]) == 0 else "--cert"
+            assert cli.main(["sat", "check", str(cnf), flag, str(out)]) == 0
+            checked.add(flag)
+        assert checked == {"--model", "--cert"}
+
+    @pytest.mark.parametrize("flag, text, code", [
+        ("--cert", "5 -1 0 3 4 0\n6 0 5 1 2 0\n", 0),
+        ("--cert", "5 -1 0 3 0\n6 0 5 1 2 0\n", 1),  # hints run out
+        ("--cert", "5 -1 0 3 4 0\n", 1),  # no empty clause
+        ("--cert", "", 1),
+        ("--cert", "5 -1 0 3 4\n", 2),  # no final 0
+        ("--cert", "5 -3 0 3 4 0\n6 0 5 1 2 0\n", 2),  # no variable 3
+        ("--cert", "5 d 1 0\n", 2),  # deletion lines are not read
+        ("--model", "1 -2 0\n", 1),
+        ("--model", "-1 2 0\n", 1),
+        ("--model", "1 0\n", 2),  # partial
+        ("--model", "1 -1 2 0\n", 2),
+        ("--model", "1 2 3 0\n", 2),
+        ("--model", "1 2\n", 2),
+        ("--model", "1 0 2 0\n", 2),
+        ("--model", "", 2),
+    ])
+    def test_check_exit_codes(self, tmp_path, capsys, flag, text, code):
+        # every clause over x1, x2: unsatisfiable
+        cnf, artifact = tmp_path / "f.cnf", tmp_path / "artifact"
+        cnf.write_text("p cnf 2 4\n1 2 0\n1 -2 0\n-1 2 0\n-1 -2 0\n")
+        artifact.write_text(text)
+        assert cli.main(["sat", "check", str(cnf), flag, str(artifact)]) == code
+
+    def test_check_missing_file_is_usage_error(self, tmp_path, capsys):
+        cnf = tmp_path / "f.cnf"
+        cnf.write_text("p cnf 1 1\n1 0\n")
+        for flag in ("--cert", "--model"):
+            assert _exit_code(["sat", "check", str(cnf), flag, str(tmp_path / "nothing")]) == 2
+        assert _exit_code(["sat", "check", str(cnf)]) == 2
 
     @pytest.mark.parametrize("text", ["p cnf -1 0\n", "p cnf -5 1\n0\n"])
     def test_negative_header_count_is_usage_error(self, tmp_path, capsys, text):
@@ -597,6 +646,10 @@ _DIMACS_LINES = st.one_of(
 )
 
 
+_CERT_LINES = st.lists(st.integers(-8, 8), max_size=8).map(
+    lambda nums: " ".join(map(str, nums)) + "\n")
+
+
 _CAPSET_LINES = st.one_of(
     st.text(alphabet="012", max_size=5).map(lambda digits: digits + "\n"),
     st.sampled_from(["# c\n", "\n", " 01 \n", "0 1\n", "3\n", "x\n", "012\r\n", "-1\n"]),
@@ -676,6 +729,18 @@ class TestExitContractFuzz:
             with open(path, "w", encoding="utf-8") as handle:
                 handle.write(text)
             assert _exit_code(["sat", "solve", path]) in (0, 1, 2)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.text() | st.lists(_CERT_LINES, max_size=8).map("".join),
+           st.sampled_from(["--cert", "--model"]))
+    def test_sat_check_arbitrary_certificate_and_model(self, text, flag):
+        with tempfile.TemporaryDirectory() as directory:
+            cnf, path = os.path.join(directory, "f.cnf"), os.path.join(directory, "a.txt")
+            with open(cnf, "w", encoding="utf-8") as handle:
+                handle.write("p cnf 2 4\n1 2 0\n1 -2 0\n-1 2 0\n-1 -2 0\n")
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(text)
+            assert _exit_code(["sat", "check", cnf, flag, path]) in (0, 1, 2)
 
     @settings(deadline=None)
     @given(st.integers(-5, 60))

@@ -140,38 +140,50 @@ class TestSolve:
 
 class TestCertificates:
     def test_text_roundtrip(self):
-        cert = Certificate((frozenset({1, -2}), frozenset({-1}), frozenset()))
-        assert Certificate.from_text(cert.to_text()) == cert
+        cert = Certificate((frozenset({1, -2}), frozenset({-1}), frozenset()),
+                           (4, 5, 6), ((1, 2), (3, 4), (5, 1, 2)))
+        text = cert.to_text()
+        assert text == "4 1 -2 0 1 2 0\n5 -1 0 3 4 0\n6 0 5 1 2 0\n"
+        assert Certificate.from_text(text) == cert
 
     def test_malformed_line_rejected(self):
         with pytest.raises(MalformedCertificateError):
-            Certificate.from_text("1 2\n")
+            Certificate.from_text("5 1 2 0 1 2\n")
 
     def test_non_integer_token_names_its_line(self):
         with pytest.raises(MalformedCertificateError, match="^line 3: non-integer"):
-            Certificate.from_text("-1 2 0\n\n1 x 0\n0\n")
+            Certificate.from_text("2 -1 2 0 1 0\n\n3 1 x 0 2 0\n4 0 3 0\n")
 
     def test_inner_zero_names_its_line(self):
-        with pytest.raises(MalformedCertificateError, match="^line 2: 0 before the end"):
-            Certificate.from_text("2 0\n1 0 2 0\n0\n")
+        # a third 0 leaves the line without one reading as id, clause, hints
+        with pytest.raises(MalformedCertificateError, match="^line 2: not 'id lits 0 hints 0'"):
+            Certificate.from_text("2 2 0 1 0\n3 1 0 2 0 1 0\n4 0 3 0\n")
+
+    def test_missing_terminator_names_its_line(self):
+        for text in ("2 2 0 1 0\n3 1 0 2\n", "2 2 0 1 0\n3 1 0\n", "2 2 0 1 0\n3\n"):
+            with pytest.raises(MalformedCertificateError, match="^line 2: not 'id lits 0 hints 0'"):
+                Certificate.from_text(text)
 
     def test_rejects_non_rup_line(self):
+        # under -1, clause 1 leaves 2 open: no conflict
         cnf = Cnf.of([[1, 2]], 2)
-        bogus = Certificate((frozenset({1}), frozenset()))
+        bogus = Certificate((frozenset({1}), frozenset()), (2, 3), ((1,), (2, 1)))
         assert not check_certificate(cnf, bogus)
 
     def test_rejects_missing_empty_clause(self):
         cnf = Cnf.of([[1], [-1]], 1)
-        assert not check_certificate(cnf, Certificate((frozenset({1}),)))
+        assert not check_certificate(cnf, Certificate((frozenset({1}),), (3,), ((2,),)))
+        assert check_certificate(cnf, Certificate((frozenset(),), (3,), ((1, 2),)))
 
     def test_literal_out_of_range(self):
         cnf = Cnf.of([[1]], 1)
         with pytest.raises(MalformedCertificateError):
-            check_certificate(cnf, Certificate((frozenset({5}), frozenset())))
+            check_certificate(cnf, Certificate((frozenset({5}), frozenset()), (2, 3),
+                                               ((1,), (1,))))
 
     def test_bad_literal_names_its_clause_counting_from_one(self):
         # the blank file line is no clause: literal 5 is in the second clause
-        cert = Certificate.from_text("1 0\n\n5 0\n0\n")
+        cert = Certificate.from_text("2 1 0 1 0\n\n3 5 0 1 0\n4 0 1 0\n")
         with pytest.raises(MalformedCertificateError,
                            match="^bad literal 5 in certificate clause 2$"):
             check_certificate(Cnf.of([[1]], 1), cert)

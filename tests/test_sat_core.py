@@ -1,11 +1,12 @@
 """Golden, differential and edge tests for the CDCL SAT core.
 
 The random-family and pigeonhole digests and their step boundaries pin the
-conflict-driven search: models, learned-clause certificates and decision
-counts.  The BPT encodings hit no conflict, so their digests and the bpt-200
-boundary are the ones the earlier chronological DPLL produced: a search
-without conflicts still branches on the lowest unassigned variable, true
-first.
+conflict-driven search: models, learned-clause certificates with their
+hints, and decision counts.  The RUP digests pin the clause parts alone, in
+the format certificates had before they carried hints.  The BPT encodings
+hit no conflict, so their digests and the bpt-200 boundary are the ones the
+earlier chronological DPLL produced: a search without conflicts still
+branches on the lowest unassigned variable, true first.
 """
 
 import hashlib
@@ -15,7 +16,7 @@ import sys
 import pytest
 
 from bruteforge import bpt
-from bruteforge.logic import Assignment, Cnf
+from bruteforge.logic import Assignment, Cnf, clause_line
 from bruteforge.sat import (
     RESTART_UNIT,
     STABLE,
@@ -78,14 +79,27 @@ def _digest(text):
 # --- pinned artifacts -------------------------------------------------------
 
 RANDOM_VERDICTS = "usussusuussussuusususussssususssusssussussssssusussussssusss"
-RANDOM_DIGEST = "fdb166e0065744c81f62330dd3bbdcd0bfa404807d5a97d9929be54b917851b8"
+RANDOM_DIGEST = "d37601223eb35fdafdb9c990e806fbed1abef4211c3ebb414906d5b1937dca7a"
 NAMED_DIGESTS = {
-    "php-4-3": "07cb7721a5e3014a5dc042bf722ae86faac189cc858078aa7ac962f969728af0",
-    "php-5-4": "6ca3c717c7de444547ac110ad46a9dfe95ceaece139c12460c3f7a3dec294877",
+    "php-4-3": "cc4e1964eda081713a2c2ebe6f84999d19c7e86c364ec041d7a0ed55474afeb6",
+    "php-5-4": "d939f9a783f01fc328530ca27524ceae2ecd9793d80b3874b0f92f3f39f67953",
     "bpt-200": "d697859a1bb297c337ed0e4f44d13757df3ea8dca4a0e2410f9ec445e8868393",
     "bpt-500": "b8fd8b21519601952cebbeeea61dc565287826bd8f8eef210128bbe2a4909781",
     "bpt-1000": "28792ef7bbfb8be332de42c690ced474741cf0cb53f814e1f35d7c87662acf8b",
 }
+
+RUP_DIGESTS = {
+    "random": "fdb166e0065744c81f62330dd3bbdcd0bfa404807d5a97d9929be54b917851b8",
+    "php-4-3": "07cb7721a5e3014a5dc042bf722ae86faac189cc858078aa7ac962f969728af0",
+    "php-5-4": "6ca3c717c7de444547ac110ad46a9dfe95ceaece139c12460c3f7a3dec294877",
+}
+
+
+def _rup_artifact(cnf, verdict):
+    """`_artifact` with a certificate written as one clause_line per line."""
+    if verdict.satisfiable:
+        return _artifact(cnf, verdict)
+    return "u\n" + "\n".join(map(clause_line, verdict.certificate.lines)) + "\n"
 
 
 def _named(name):
@@ -112,6 +126,17 @@ class TestGolden:
     def test_named_artifacts(self, name):
         cnf = _named(name)
         assert _digest(_artifact(cnf, solve(cnf))) == NAMED_DIGESTS[name]
+
+    def test_clause_parts_match_the_rup_pins(self):
+        # models, learned clauses and their order are those pinned before
+        # certificates carried hints
+        whole = hashlib.sha256()
+        for cnf in _random_family():
+            whole.update(_digest(_rup_artifact(cnf, solve(cnf))).encode())
+        assert whole.hexdigest() == RUP_DIGESTS["random"]
+        for name in ("php-4-3", "php-5-4"):
+            cnf = _named(name)
+            assert _digest(_rup_artifact(cnf, solve(cnf))) == RUP_DIGESTS[name]
 
     @pytest.mark.parametrize(
         "name, nodes",
@@ -205,13 +230,13 @@ class TestCdcl:
         for cnf, verdict in cases:
             core = _Core(cnf)
             core.inc = 0.99e100  # the first conflict crosses the 1e100 rescale
-            model, lines = core.search()
-            if model is None:
-                assert check_certificate(cnf, Certificate(tuple(lines)))
-                rescaled += len(lines) > 1 and core.inc < 1e99
+            v = core.search()
+            if v.satisfiable:
+                assert verify_model(cnf, v.model)
             else:
-                assert verify_model(cnf, model)
-            assert ("s" if model else "u") == verdict
+                assert check_certificate(cnf, v.certificate)
+                rescaled += len(v.certificate.lines) > 1 and core.inc < 1e99
+            assert ("s" if v.satisfiable else "u") == verdict
         assert rescaled > 5
 
     def test_only_the_last_line_is_empty(self):
@@ -254,6 +279,12 @@ def _tautology_family():
     return [(cnf, _with_tautologies(rng, cnf)) for cnf in plain]
 
 
+def _hinted_clauses(cnf, cert):
+    """Each line's hints as the clauses they name."""
+    db = cnf.clauses + cert.lines
+    return [[db[h - 1] for h in hints] for hints in cert.hints]
+
+
 class TestTautologiesAreInert:
     """The core watches tautologies; they never become unit or false, so the
     search, its artifacts and propagation are those of the formula without them."""
@@ -262,8 +293,12 @@ class TestTautologiesAreInert:
         verdicts = set()
         for plain, padded in _tautology_family():
             assert any(map(_tautological, padded.clauses))
-            v = solve(padded)
-            assert _artifact(padded, v) == _artifact(plain, solve(plain))
+            v, w = solve(padded), solve(plain)
+            assert _rup_artifact(padded, v) == _rup_artifact(plain, w)
+            if not v.satisfiable:
+                # the inserted tautologies shift ids, not the clauses named
+                assert (_hinted_clauses(padded, v.certificate)
+                        == _hinted_clauses(plain, w.certificate))
             verdicts.add(v.satisfiable)
         assert verdicts == {True, False}
 
@@ -329,45 +364,137 @@ def _unsat_family():
         cnf = _random_3cnf(rng, n) if rng.random() < 0.7 else _fuzz_cnf(rng)
         v = solve(cnf)
         if not v.satisfiable:
-            out.append((cnf, list(v.certificate.lines)))
+            out.append((cnf, v.certificate))
     return out
 
 
+def _without(cert, dropped):
+    """cert without the lines at the indexes in `dropped`: the later ids
+    close up, and hints to a dropped line are removed."""
+    gone = {cert.ids[i] for i in dropped}
+    kept = [i for i in range(len(cert.lines)) if i not in dropped]
+    first = cert.ids[0]
+    return Certificate(
+        tuple(cert.lines[i] for i in kept),
+        tuple(range(first, first + len(kept))),
+        tuple(tuple(h - sum(g < h for g in gone) for h in cert.hints[i] if h not in gone)
+              for i in kept),
+    )
+
+
+def _replace(cert, i, line=None, k=None, hints=None):
+    """cert with line i's clause, id or hints replaced."""
+    def at(values, new):
+        return values if new is None else values[:i] + (new,) + values[i + 1:]
+    return Certificate(at(cert.lines, line), at(cert.ids, k), at(cert.hints, hints))
+
+
 class TestCheckerAgreesWithReference:
-    def _agree(self, cnf, lines):
-        cert = Certificate(tuple(lines))
-        expected = _reference_check(cnf, cert)
-        assert check_certificate(cnf, cert) == expected
-        return expected
+    """One way: every certificate that check_certificate accepts also passes
+    the full-scan RUP reference, and every solver certificate passes both.
+    The converse does not hold: a valid RUP list with wrong hints is
+    rejected."""
+
+    def _accepted(self, cnf, cert):
+        accepted = check_certificate(cnf, cert)
+        if accepted:
+            assert _reference_check(cnf, cert)
+        return accepted
 
     def test_valid_certificates(self):
-        for cnf, lines in _unsat_family():
-            assert self._agree(cnf, lines)
+        for cnf, cert in _unsat_family():
+            assert check_certificate(cnf, cert)
+            assert _reference_check(cnf, cert)
 
     def test_dropped_lines(self):
         # A learned clause is often implied again by the lines after it, so one
         # dropped line may still check; a dropped prefix usually does not.
         rejected = 0
-        for cnf, lines in _unsat_family():
-            for i in range(len(lines) - 1):
-                self._agree(cnf, lines[:i] + lines[i + 1:])
-                rejected += not self._agree(cnf, lines[i + 1:])
+        for cnf, cert in _unsat_family():
+            for i in range(len(cert.lines) - 1):
+                self._accepted(cnf, _without(cert, {i}))
+                rejected += not self._accepted(cnf, _without(cert, set(range(i + 1))))
         assert rejected > 0
 
     def test_flipped_literal(self):
         rng = random.Random(3)
         rejected = 0
-        for cnf, lines in _unsat_family():
-            candidates = [i for i, c in enumerate(lines) if c]
+        for cnf, cert in _unsat_family():
+            candidates = [i for i, c in enumerate(cert.lines) if c]
             for i in candidates[:5]:
-                lit = rng.choice(sorted(lines[i]))
-                flipped = (lines[i] - {lit}) | {-lit}
-                rejected += not self._agree(cnf, lines[:i] + [flipped] + lines[i + 1:])
+                lit = rng.choice(sorted(cert.lines[i]))
+                flipped = (cert.lines[i] - {lit}) | {-lit}
+                rejected += not self._accepted(cnf, _replace(cert, i, line=flipped))
         assert rejected > 0
 
+    def test_perturbed_hints(self):
+        # a hint dropped, two swapped, or one renamed to another earlier
+        # clause: the lines stay RUP, so the reference accepts every one
+        rng = random.Random(4)
+        rejected = perturbed = 0
+        for cnf, cert in _unsat_family():
+            for i, hints in enumerate(cert.hints):
+                hints = list(hints)
+                j, k = rng.randrange(len(hints)), rng.randrange(len(hints))
+                kind = rng.choice(("drop", "swap", "rename"))
+                if kind == "drop":
+                    del hints[j]
+                elif kind == "swap":
+                    hints[j], hints[k] = hints[k], hints[j]
+                else:
+                    hints[j] = rng.randrange(1, cert.ids[i])
+                rejected += not self._accepted(cnf, _replace(cert, i, hints=tuple(hints)))
+                perturbed += 1
+        assert rejected > perturbed / 2
+
     def test_missing_final_empty_clause(self):
-        for cnf, lines in _unsat_family():
-            assert not self._agree(cnf, lines[:-1])
+        for cnf, cert in _unsat_family():
+            assert not self._accepted(cnf, _without(cert, {len(cert.lines) - 1}))
+
+
+# Every clause over x1, x2, with ids 1-4.  The solver derives -1 (id 5)
+# from 3 and 4, then the empty clause (id 6) from 5, 1 and 2.
+_SQUARE = Cnf.of([[1, 2], [1, -2], [-1, 2], [-1, -2]], 2)
+_SQUARE_CERT = Certificate((frozenset({-1}), EMPTY), (5, 6), ((3, 4), (5, 1, 2)))
+
+
+class TestHintRejections:
+    def test_the_solver_certificate_checks(self):
+        assert solve(_SQUARE).certificate == _SQUARE_CERT
+        assert check_certificate(_SQUARE, _SQUARE_CERT)
+
+    @pytest.mark.parametrize("i, hints", [
+        (0, (0, 3, 4)),  # id 0 names no clause
+        (0, (3, 6)),  # line 6 comes after line 5
+        (0, (3, 5)),  # line 5 itself
+        (0, (-3, 4)),
+        (0, (3, 2, 4)),  # 3 makes 2 true; clause 2 = {1, -2} is true through 1
+        (0, (3, 3, 4)),  # clause 3 again: its 2 is already true
+        (0, (1, 3, 4)),  # clause 1 = {1, 2} is true and leaves 2 open
+        (1, (1, 5, 2)),  # with nothing assigned, clause 1 leaves 1 and 2 open
+        (0, (3,)),  # 3 makes 2 true, then the hints run out
+        (1, (5, 1)),
+        (0, ()),
+    ], ids=["zero", "forward", "itself", "negative", "satisfied", "repeated",
+            "satisfied-and-open", "two-open",
+            "run-out", "run-out-empty-line", "none"])
+    def test_bad_hint(self, i, hints):
+        assert not check_certificate(_SQUARE, _replace(_SQUARE_CERT, i, hints=hints))
+
+    def test_id_gap(self):
+        assert not check_certificate(_SQUARE, _replace(_SQUARE_CERT, 1, k=7))
+
+    @pytest.mark.parametrize("first", [1, 4, 6])
+    def test_first_id_other_than_one_past_the_input(self, first):
+        cert = Certificate(_SQUARE_CERT.lines, (first, first + 1), ((3, 4), (first, 1, 2)))
+        assert not check_certificate(_SQUARE, cert)
+
+    def test_lines_ids_and_hints_of_different_lengths(self):
+        for cert in (Certificate(_SQUARE_CERT.lines, (5, 6), ((3, 4),)),
+                     Certificate(_SQUARE_CERT.lines, (5,), _SQUARE_CERT.hints),
+                     Certificate(_SQUARE_CERT.lines, (5, 6), _SQUARE_CERT.hints + ((1,),))):
+            with pytest.raises(ValueError):
+                check_certificate(_SQUARE, cert)
 
 
 # --- literal range ----------------------------------------------------------
@@ -379,12 +506,13 @@ class TestLiteralRange:
         cnf = Cnf.of([[-5]], 5)
         for bad in (6, -6, 11):
             with pytest.raises(MalformedCertificateError):
-                check_certificate(cnf, Certificate((frozenset({bad}), EMPTY)))
+                check_certificate(cnf, Certificate((frozenset({bad}), EMPTY),
+                                                   (2, 3), ((1,), (1,))))
 
     def test_certificate_literal_zero(self):
         cnf = Cnf.of([[1]], 1)
         with pytest.raises(MalformedCertificateError):
-            check_certificate(cnf, Certificate((frozenset({0}), EMPTY)))
+            check_certificate(cnf, Certificate((frozenset({0}), EMPTY), (2, 3), ((1,), (1,))))
 
     def test_solve_rejects_literal_zero(self):
         with pytest.raises(ValueError):
