@@ -26,6 +26,15 @@ class DimensionBudgetError(ValueError):
 MAX_GREEDY_DIMENSION = 12  # 3^12 = 531441 vectors; above this, refuse
 
 
+def check_dimension(n):
+    """Raise unless 1 <= n <= MAX_GREEDY_DIMENSION, the range every search
+    over all 3^n vectors accepts."""
+    if n < 1:
+        raise ValueError("n must be positive")
+    if n > MAX_GREEDY_DIMENSION:
+        raise DimensionBudgetError(f"dimension {n} above limit {MAX_GREEDY_DIMENSION}")
+
+
 def all_vectors(n):
     """All 3^n vectors of dimension n in lexicographic order."""
     return [tuple(v) for v in itertools.product((0, 1, 2), repeat=n)]
@@ -180,12 +189,7 @@ def exact_cap(n, budget=None):
     cap (canonical-first pruning).  `budget` bounds search nodes; on
     exhaustion the best lower bound found is returned flagged inexact.
     """
-    if n < 1:
-        raise ValueError("n must be positive")
-    if n > MAX_GREEDY_DIMENSION:
-        raise DimensionBudgetError(
-            f"dimension {n} above search limit {MAX_GREEDY_DIMENSION}"
-        )
+    check_dimension(n)
     total = 3**n
     s, table = _split(n)
     halves = [(0, 0)]  # (high * s, low * s) of each chosen code

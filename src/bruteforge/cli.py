@@ -5,14 +5,13 @@ sought, proof search timeout, not-a-cap, an artifact that does not check);
 2 usage error, a missing or malformed input file among them; 3 internal
 self-check failed (a bug, not an input fault).  All output files
 are written atomically (temp file + rename).  Machine logs are JSON lines;
-human summaries go to standard output.  Settings come from flags and files
-only; `capset evolve` picks its worker pool from n (see `evolve.POOL_MIN_N`).
+human summaries go to standard output.  Settings come from flags only;
+`capset evolve` picks its worker pool from n (see `evolve.POOL_MIN_N`).
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import math
 import os
 import sys
@@ -164,17 +163,7 @@ def _cmd_capset_exact(args, parser):
 
 
 def _cmd_capset_evolve(args, parser):
-    if args.config:
-        config = evolve.parse_config_file(_read(parser, args.config), n=args.n)
-    else:
-        config = evolve.EvolveConfig(n=args.n)
-    # replace() re-runs EvolveConfig's checks on the flag values
-    config = dataclasses.replace(
-        config,
-        seed=config.seed if args.seed is None else args.seed,
-        eval_budget=config.eval_budget if args.evals is None else args.evals,
-        generator_command=args.generator_command or config.generator_command,
-    )
+    config = evolve.EvolveConfig(args.n, args.seed, args.evals, args.generator_command)
     best, records = evolve.evolve(config)
     if priority.score(best.expr, config.n) != best.score:
         raise VerificationError(f"best expression does not re-score to {best.score}")
@@ -430,10 +419,10 @@ def build_parser():
     p.set_defaults(handler=_cmd_capset_exact)
     p = cap_sub.add_parser("evolve", help="evolve priority expressions")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--config", help="key=value config file")
     p.add_argument("--log", help="write the JSON-lines run log here")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--evals", type=int, default=None, help="evaluation budget")
+    p.add_argument("--seed", type=int, default=evolve.EvolveConfig.seed)
+    p.add_argument("--evals", type=int, default=evolve.EvolveConfig.eval_budget,
+                   help="evaluation budget")
     p.add_argument("--generator-command", help="external generator command")
     p.set_defaults(handler=_cmd_capset_evolve)
 

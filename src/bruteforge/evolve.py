@@ -16,6 +16,11 @@ seed, generation, slot), and parents are drawn from the population
 snapshot at the start of the generation, so serial and worker-pool runs
 produce identical logs.  Within a run each distinct expression text is
 scored once.
+
+A run's settings are the four fields of EvolveConfig (n, seed, budget
+and generator command).  Population size, batch, tournament size and
+generator timeout are the constants CAPACITY, BATCH, TOURNAMENT and
+GENERATOR_TIMEOUT.
 """
 
 from __future__ import annotations
@@ -29,12 +34,12 @@ import select
 import shlex
 import subprocess
 import tempfile
-import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import repeat
 
+from .capset import check_dimension
 from .priority import (
     BinOp,
     Const,
@@ -47,6 +52,16 @@ from .priority import (
 )
 
 
+# the population keeps this many best members
+CAPACITY = 24
+# proposals per generation after the seed generation
+BATCH = 10
+# members drawn per tournament when a parent is selected
+TOURNAMENT = 3
+# seconds the external generator has to complete each reply line
+GENERATOR_TIMEOUT = 10.0
+
+
 @dataclass(frozen=True)
 class Candidate:
     expr: Expr
@@ -55,24 +70,20 @@ class Candidate:
 
 @dataclass
 class Population:
-    capacity: int
     candidates: list = field(default_factory=list)
     _arrivals: int = 0
 
     def add(self, candidate):
         self.candidates.append((self._arrivals, candidate))
         self._arrivals += 1
-        if len(self.candidates) > self.capacity:
-            # keep the best `capacity` members; earliest arrival wins ties,
+        if len(self.candidates) > CAPACITY:
+            # keep the best CAPACITY members; earliest arrival wins ties,
             # so the best-score member is never evicted
             self.candidates.sort(key=lambda ac: (-ac[1].score, ac[0]))
-            del self.candidates[self.capacity :]
+            del self.candidates[CAPACITY:]
 
     def members(self):
         return [c for _, c in self.candidates]
-
-    def best(self):
-        return min(self.candidates, key=lambda ac: (-ac[1].score, ac[0]))[1]
 
 
 def derive_seed(run_seed, generation, slot):
@@ -282,28 +293,16 @@ class EvolveConfig:
     `generator_command` is set."""
 
     n: int
-    capacity: int = 24
     seed: int = 0
     eval_budget: int = 500
-    batch: int = 10
-    tournament: int = 3
     generator_command: str | None = None
-    generator_timeout: float = 10.0
 
     def __post_init__(self):
-        # a zero batch never spends the budget; an empty population or
-        # tournament has no member to select; a run scores at least one
-        # seed expression
-        for key in ("capacity", "eval_budget", "batch", "tournament"):
-            if getattr(self, key) < 1:
-                raise ValueError(f"{key} must be positive, got {getattr(self, key)}")
-        # the reply wait goes to select(), which overflows past TIMEOUT_MAX;
-        # the chained comparison is also false for NaN
-        if not 0 < self.generator_timeout <= threading.TIMEOUT_MAX:
-            raise ValueError(
-                f"generator_timeout must be in (0, {threading.TIMEOUT_MAX}], "
-                f"got {self.generator_timeout}"
-            )
+        # checked here, so a bad n fails before a generator child or a
+        # worker pool starts; a run scores at least one seed expression
+        check_dimension(self.n)
+        if self.eval_budget < 1:
+            raise ValueError(f"eval_budget must be positive, got {self.eval_budget}")
 
 
 SEED_EXPRS = ("0", "v[0]", "n", "v[0] + v[1]")
@@ -348,7 +347,7 @@ def evolve(config, log_sink=None):
     Every log record is {"generation", "slot", "seed", "expr", "score",
     "best"} or a generator_error event.  With the baseline generator,
     `propose`, the full log is byte-reproducible given the seed, serial
-    or in the pool.  The pool has min(CPU count, batch) workers and is
+    or in the pool.  The pool has min(CPU count, BATCH) workers and is
     used iff n >= POOL_MIN_N and that count is above one.
     """
     records = []
@@ -361,7 +360,7 @@ def evolve(config, log_sink=None):
     generate = propose
     pool = None
     memo = {}  # score by formatted expression text, for this run only
-    population = Population(config.capacity)
+    population = Population()
     evals = 0
     best = None
     generation = 0
@@ -369,8 +368,8 @@ def evolve(config, log_sink=None):
     proposals = [(slot, config.seed, parse_expr(t)) for slot, t in enumerate(seed_texts)]
     try:
         if config.generator_command:
-            generate = ExternalGenerator(config.generator_command, config.generator_timeout)
-        workers = min(os.cpu_count() or 1, config.batch)
+            generate = ExternalGenerator(config.generator_command, GENERATOR_TIMEOUT)
+        workers = min(os.cpu_count() or 1, BATCH)
         if config.n >= POOL_MIN_N and workers > 1:
             pool = ProcessPoolExecutor(workers)
         while True:
@@ -388,10 +387,10 @@ def evolve(config, log_sink=None):
             generation += 1
             snapshot = population.members()
             proposals = []
-            for slot in range(min(config.batch, config.eval_budget - evals)):
+            for slot in range(min(BATCH, config.eval_budget - evals)):
                 slot_seed = derive_seed(config.seed, generation, slot)
                 rng = random.Random(slot_seed)
-                parents = _select_parents(rng, snapshot, config.tournament)
+                parents = _select_parents(rng, snapshot, TOURNAMENT)
                 try:
                     proposals.append((slot, slot_seed, generate(parents, slot_seed)))
                 except GeneratorError as exc:
@@ -411,32 +410,3 @@ def evolve(config, log_sink=None):
 def record_to_json(record):
     return json.dumps(record, sort_keys=True, separators=(",", ":"))
 
-
-# each config key with the type of its value
-_CONFIG_KEYS = dict.fromkeys(
-    ("n", "capacity", "seed", "eval_budget", "batch", "tournament"), int
-)
-_CONFIG_KEYS.update(generator_timeout=float, generator_command=str)
-
-
-def parse_config_file(text, n=None):
-    """TOML-like key=value config lines; '#' starts a comment."""
-    values = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"config line {lineno}: expected key = value")
-        key, _, value = line.partition("=")
-        values[key.strip()] = value.strip().strip('"')
-    kwargs = {}
-    for key, value in values.items():
-        if key not in _CONFIG_KEYS:
-            raise ValueError(f"unknown config key {key!r}")
-        kwargs[key] = _CONFIG_KEYS[key](value)
-    if n is not None:
-        kwargs["n"] = n
-    if "n" not in kwargs:
-        raise ValueError("config must set n")
-    return EvolveConfig(**kwargs)

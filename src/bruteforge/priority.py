@@ -33,13 +33,7 @@ import re
 from dataclasses import dataclass
 from itertools import repeat
 
-from .capset import (
-    MAX_GREEDY_DIMENSION,
-    DimensionBudgetError,
-    code_vector,
-    digit_columns,
-    greedy_cap,
-)
+from .capset import check_dimension, code_vector, digit_columns, greedy_cap
 from .logic import ParseError, Tokens
 
 _U64 = 1 << 64
@@ -235,12 +229,7 @@ def parse_expr(text):
 
 
 def _greedy_codes(expr, n):
-    if n < 1:
-        raise ValueError("n must be positive")
-    if n > MAX_GREEDY_DIMENSION:
-        raise DimensionBudgetError(
-            f"dimension {n} above greedy limit {MAX_GREEDY_DIMENSION}"
-        )
+    check_dimension(n)
     keys = compile_priority(expr, n)(digit_columns(n))
     # the sort is stable under reverse=True, so equal priorities keep
     # ascending code order: (priority descending, lexicographic ascending)

@@ -2,8 +2,8 @@ import json
 import os
 import sys
 import textwrap
-import threading
 import time
+from dataclasses import fields
 
 import pytest
 
@@ -17,7 +17,6 @@ from bruteforge.evolve import (
     Population,
     derive_seed,
     evolve,
-    parse_config_file,
     propose,
     record_to_json,
 )
@@ -31,25 +30,28 @@ def _cand(expr_text, sc):
 
 
 class TestPopulation:
-    def test_capacity_enforced(self):
-        p = Population(2)
+    def test_capacity_enforced(self, monkeypatch):
+        monkeypatch.setattr(evolve_mod, "CAPACITY", 2)
+        p = Population()
         for i, sc in enumerate([3, 1, 2]):
             p.add(_cand(str(i), sc))
         assert len(p.members()) == 2
         assert {c.score for c in p.members()} == {3, 2}
 
-    def test_best_member_never_evicted(self):
-        p = Population(3)
+    def test_best_member_never_evicted(self, monkeypatch):
+        monkeypatch.setattr(evolve_mod, "CAPACITY", 3)
+        p = Population()
         p.add(_cand("9", 9))
         for i in range(20):
             p.add(_cand(str(i), i % 5))
-        assert p.best().score == 9
+        assert [c.score for c in p.members()] == [9, 4, 4]
 
-    def test_tie_break_prefers_earlier_arrival(self):
-        p = Population(5)
+    def test_tie_break_prefers_earlier_arrival(self, monkeypatch):
+        monkeypatch.setattr(evolve_mod, "CAPACITY", 1)
+        p = Population()
         p.add(_cand("0", 4))
         p.add(_cand("1", 4))
-        assert format_expr(p.best().expr) == "0"
+        assert [format_expr(c.expr) for c in p.members()] == ["0"]
 
 
 class TestSeeds:
@@ -127,7 +129,8 @@ class TestEvolveLoop:
         monkeypatch.setattr(evolve_mod, "POOL_MIN_N", 3)
         monkeypatch.setattr(evolve_mod, "ProcessPoolExecutor", InlinePool)
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        evolve(EvolveConfig(n=n, seed=0, eval_budget=6, batch=batch))
+        monkeypatch.setattr(evolve_mod, "BATCH", batch)
+        evolve(EvolveConfig(n=n, seed=0, eval_budget=6))
         assert built == ([] if workers is None else [workers])
 
     def test_eval_budget_respected(self):
@@ -315,14 +318,13 @@ class TestExternalGenerator:
         [gen] = made
         assert gen.proc is None  # close() ran
 
-    def test_evolve_logs_and_skips_generator_errors(self, tmp_path):
+    def test_evolve_logs_and_skips_generator_errors(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(evolve_mod, "BATCH", 2)
         cfg = EvolveConfig(
             n=2,
             seed=0,
             eval_budget=8,
-            batch=2,
             generator_command=self._command(tmp_path, BROKEN_GENERATOR, "broken.py"),
-            generator_timeout=5.0,
         )
         best, records = evolve(cfg)
         errors = [r for r in records if r.get("event") == "generator_error"]
@@ -330,35 +332,12 @@ class TestExternalGenerator:
         assert best.score >= 1
 
 
-class TestConfigFile:
-    def test_parse(self):
-        cfg = parse_config_file(
-            "n = 3\nseed = 7  # comment\neval_budget = 100\ngenerator_timeout = 2.5\n"
-        )
-        assert cfg == EvolveConfig(n=3, seed=7, eval_budget=100, generator_timeout=2.5)
+class TestEvolveConfig:
+    def test_fields(self):
+        assert [f.name for f in fields(EvolveConfig)] == [
+            "n", "seed", "eval_budget", "generator_command"]
 
-    def test_n_override(self):
-        cfg = parse_config_file("n = 3\n", n=2)
-        assert cfg.n == 2
-
-    def test_unknown_key(self):
-        # `generator` is unknown: the command alone selects the generator
-        for line in ("bogus = 1", "generator = external"):
-            with pytest.raises(ValueError, match="unknown config key"):
-                parse_config_file(f"n = 2\n{line}\n")
-
-    @pytest.mark.parametrize("key", ["batch", "capacity", "tournament", "eval_budget"])
     @pytest.mark.parametrize("value", [0, -1])
-    def test_non_positive_sizes_are_rejected(self, key, value):
-        with pytest.raises(ValueError, match=f"^{key} must be positive"):
-            parse_config_file(f"n = 2\n{key} = {value}\n")
-        with pytest.raises(ValueError, match=f"^{key} must be positive"):
-            EvolveConfig(n=2, **{key: value})
-
-    def test_generator_timeout_upper_limit_is_accepted(self):
-        cfg = parse_config_file(f"n = 2\ngenerator_timeout = {threading.TIMEOUT_MAX}\n")
-        assert cfg.generator_timeout == threading.TIMEOUT_MAX
-
-    def test_missing_n(self):
-        with pytest.raises(ValueError):
-            parse_config_file("seed = 1\n")
+    def test_non_positive_eval_budget_is_rejected(self, value):
+        with pytest.raises(ValueError, match="^eval_budget must be positive"):
+            EvolveConfig(n=2, eval_budget=value)
