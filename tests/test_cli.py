@@ -300,16 +300,22 @@ class TestCapset:
 
     @pytest.mark.parametrize("flags, value", [
         (["--evals", "0"], 0), (["--evals", "-4"], -4),
-    ], ids=["flag-zero", "flag-negative"])
-    def test_evolve_eval_budget_below_one_is_usage_error(self, tmp_path, capsys, flags,
-                                                          value):
-        # a budget below 1 used to run one evaluation and exit 0
+        (["--seed", "0", "--evals", "0", "--generator-command", "python3 g.py"], 0),
+    ], ids=["flag-zero", "flag-negative", "config-zero"])
+    def test_evolve_eval_budget_below_one_is_usage_error(self, tmp_path, capsys, monkeypatch,
+                                                          flags, value):
+        # a budget below 1 used to run one evaluation and exit 0; config-zero
+        # gives every setting the old config file carried, as flags, and the
+        # budget must still be rejected before a generator child starts
+        started = []
+        monkeypatch.setattr(evolve.subprocess, "Popen", lambda *a, **k: started.append(a))
         log = tmp_path / "r.jsonl"
         argv = ["capset", "evolve", "--n", "2", "--log", str(log), *flags]
         assert cli.main(argv) == 2
         out, err = capsys.readouterr()
         assert (out, err) == ("", f"error: eval_budget must be positive, got {value}\n")
         assert not log.exists()
+        assert started == []
 
     @pytest.mark.parametrize("n, message", [
         ("0", "n must be positive"), ("13", "dimension 13 above limit 12"),
@@ -361,12 +367,26 @@ class TestCapset:
         assert _exit_code(["capset", "evolve", "--n", "2", "--jobs", "2"]) == 2
         assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
 
-    def test_evolve_config_flag_is_usage_error(self, tmp_path, capsys):
-        # settings come from flags alone; there is no config file
+    @pytest.mark.parametrize("line, message", [
+        ("capacity = 0", "capacity must be positive, got 0"),
+        ("tournament = 0", "tournament must be positive, got 0"),
+        ("generator = baseline", "unknown config key 'generator'"),
+        ("jobs = 2", "unknown config key 'jobs'"),
+    ])
+    def test_evolve_bad_config_is_usage_error(self, tmp_path, capsys, line, message):
+        # settings come from flags alone: a config file is refused unread, so
+        # the error its line once raised is not the one reported
         config = tmp_path / "c.cfg"
-        config.write_text("n = 2\n")
-        assert _exit_code(["capset", "evolve", "--n", "2", "--config", str(config)]) == 2
-        assert f"unrecognized arguments: --config {config}" in capsys.readouterr().err
+        config.write_text(line + "\n")
+        log = tmp_path / "r.jsonl"
+        argv = ["capset", "evolve", "--n", "2", "--config", str(config), "--evals", "20",
+                "--log", str(log)]
+        assert _exit_code(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.endswith(f"error: unrecognized arguments: --config {config}\n")
+        assert message not in err
+        assert not log.exists()
 
 
 class TestEq:
