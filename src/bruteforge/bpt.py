@@ -4,7 +4,8 @@ Enumerates Pythagorean triples up to a bound m from Euclid's formula, in
 O(#triples) plus a sort, builds the CNF whose unsatisfiability is
 equivalent to every 2-coloring of [m] containing a monochromatic triple
 (one (x_a|x_b|x_c) & (~x_a|~x_b|~x_c) block per triple), extracts and
-verifies colorings, and drives the threshold scan.  `triples` and
+verifies colorings, and finds the threshold: one solve at the bound, and
+bisection below it only when the bound is unsatisfiable.  `triples` and
 `members` keep the tuple and the frozenset of their latest bound, so
 encoding m and verifying a coloring of m share one enumeration and one
 member set.
@@ -127,12 +128,6 @@ class Threshold:
     certificate: sat.Certificate
 
 
-@dataclass(frozen=True)
-class AllSatisfiable:
-    max_m: int
-    colorings: dict  # m -> Coloring for each tested m
-
-
 def solve(m):
     """A Coloring of [m] that verify_coloring accepts, or a Certificate that
     sat.check_certificate accepts for encode(m): encode, solve, then check
@@ -150,47 +145,25 @@ def solve(m):
     return verdict.certificate
 
 
-def find_threshold(max_m, step=100):
-    """First m <= max_m whose encoding is unsatisfiable, or AllSatisfiable.
+def find_threshold(max_m):
+    """solve(max_m) if that is a Coloring, else the Threshold: the least
+    unsatisfiable m, with solve(m)'s certificate.
 
-    Steps m by `step`, then bisects between the last satisfiable and the
-    first unsatisfiable probe (unsatisfiability is monotone in m).  Each
-    probe goes through `solve`, so every returned coloring and certificate
-    has been checked.
+    Unsatisfiability is monotone in m, so bisection keeps lo satisfiable
+    (0 has no triples) and hi unsatisfiable: at most ceil(log2 max_m) + 1
+    solves in all, each of them checked.  max_m < 1 raises ValueError.
     """
-    if max_m < 1 or step < 1:
-        raise ValueError("max_m and step must be positive")
-    colorings = {}
-
-    def probe(m):
-        result = solve(m)
-        if isinstance(result, Coloring):
-            colorings[m] = result
-            return None
+    result = solve(max_m)
+    if isinstance(result, Coloring):
         return result
-
-    last_sat = 0
-    first_unsat = None
-    m = min(step, max_m)
-    while True:
-        cert = probe(m)
-        if cert is not None:
-            first_unsat = (m, cert)
-            break
-        last_sat = m
-        if m == max_m:
-            break
-        m = min(m + step, max_m)
-    if first_unsat is None:
-        return AllSatisfiable(max_m, colorings)
-    lo, (hi, cert) = last_sat, first_unsat
+    lo, hi, cert = 0, max_m, result
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        c = probe(mid)
-        if c is None:
+        probe = solve(mid)
+        if isinstance(probe, Coloring):
             lo = mid
         else:
-            hi, cert = mid, c
+            hi, cert = mid, probe
     return Threshold(hi, cert)
 
 

@@ -121,13 +121,13 @@ def _cmd_bpt_solve(args, parser):
 
 
 def _cmd_bpt_scan(args, parser):
-    result = bpt.find_threshold(args.max, step=args.step)
+    result = bpt.find_threshold(args.max)
     if isinstance(result, bpt.Threshold):
         print(f"threshold: first unsatisfiable m = {result.m}")
         if args.cert:
             _atomic_write(args.cert, result.certificate.to_text())
         return EXIT_OK
-    print(f"all satisfiable up to m = {result.max_m}")
+    print(f"all satisfiable up to m = {result.m}")
     return EXIT_NEGATIVE
 
 
@@ -193,14 +193,19 @@ _SIGNATURES = {
 
 def _parse_axiom_file(text, parser):
     """Axiom file: optional "signature: NAME" line, then "ID: lhs = rhs".
-    An ID is one word, used once: it is the first field of a proof line."""
+    An ID is one word, used once: it is the first field of a proof line.
+    One signature line at most, before every axiom, so all share it."""
     signature = equational.BOOLEAN_SIG
     axioms = {}
+    seen_signature = False
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if line.startswith("signature:"):
+            if seen_signature or axioms:
+                parser.error(f"line {lineno}: signature line must come once, before every axiom")
+            seen_signature = True
             name = line.split(":", 1)[1].strip()
             if name not in _SIGNATURES:
                 parser.error(f"line {lineno}: unknown signature {name!r}")
@@ -399,7 +404,6 @@ def build_parser():
     p.set_defaults(handler=_cmd_bpt_solve)
     p = bpt_sub.add_parser("scan", help="scan for the first unsatisfiable bound")
     p.add_argument("--max", type=int, required=True)
-    p.add_argument("--step", type=int, default=100)
     p.add_argument("--cert", help="write the threshold's LRAT refutation certificate here")
     p.set_defaults(handler=_cmd_bpt_scan)
 

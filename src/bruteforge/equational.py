@@ -951,19 +951,24 @@ def _two_is_a_model(goal, axioms, signature):
                and _holds_in_two(eq) for eq in axioms.values())
 
 
-def prove_exists(goal, axioms, signature, max_candidates=200,
-                 per_candidate_expansions=300, max_term_size=7, max_seconds=None):
+EXISTS_EXPANSIONS = 300  # prove's max_expansions for each witness candidate
+EXISTS_TERM_SIZE = 7  # largest witness term prove_exists builds
+
+
+def prove_exists(goal, axioms, signature, max_candidates=200, max_seconds=None):
     """Treat the goal's variables as existential: enumerate witness terms in
     size-lexicographic order and try to prove each ground instance.
 
-    Witness terms may share one fresh variable (witnesses need not be
-    ground).  At most `max_candidates` instances are tried, serially in
-    enumeration order, and the first one proved wins.  The first
-    `max_candidates` assignments use only the first `max_candidates` terms,
-    so terms are built one size at a time until there are that many.  A
-    goal without variables is its own one instance, with the empty
-    witness; it builds no terms, and it is tried under the same rules, so
-    not at all when `max_candidates` is below 1 or no time is left.
+    Witness terms have size at most EXISTS_TERM_SIZE and may share one
+    fresh variable (witnesses need not be ground), and each instance gets
+    EXISTS_EXPANSIONS expansions of prove.  At most `max_candidates`
+    instances are tried, serially in enumeration order, and the first one
+    proved wins.  The first `max_candidates` assignments use only the first
+    `max_candidates` terms, so terms are built one size at a time until
+    there are that many.  A goal without variables is its own one
+    instance, with the empty witness; it builds no terms, and it is tried
+    under the same rules, so not at all when `max_candidates` is below 1 or
+    no time is left.
 
     When the two-element structure _TWO is a model of the axioms (see
     _two_is_a_model), an instance false in it under some assignment of its
@@ -988,7 +993,7 @@ def prove_exists(goal, axioms, signature, max_candidates=200,
     terms = []
     # a goal without variables has one candidate, the empty assignment,
     # which product(..., repeat=0) yields without any term
-    for size_class in _size_classes(signature, max_term_size, (fresh,)) if gvars else ():
+    for size_class in _size_classes(signature, EXISTS_TERM_SIZE, (fresh,)) if gvars else ():
         terms += size_class
         if len(terms) >= budget:
             break
@@ -1002,7 +1007,7 @@ def prove_exists(goal, axioms, signature, max_candidates=200,
         remaining = time_left()
         if remaining is not None and remaining <= 0:
             break
-        result = prove(instance, axioms, max_expansions=per_candidate_expansions,
+        result = prove(instance, axioms, max_expansions=EXISTS_EXPANSIONS,
                        max_seconds=remaining)
         if isinstance(result, EqProof):
             return WitnessResult(sigma, result)

@@ -6,10 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from bruteforge import bpt, cli, sat
 from bruteforge.bpt import (
-    AllSatisfiable,
     Coloring,
     DomainGapError,
     MissingVariableError,
+    Threshold,
     VALID,
     coloring_from_model,
     coloring_to_model,
@@ -195,17 +195,63 @@ class TestSolvePipeline:
                 assert verify_coloring(coloring, m) == VALID
 
     def test_scan_all_satisfiable(self):
-        result = find_threshold(60, step=20)
-        assert isinstance(result, AllSatisfiable)
-        assert result.max_m == 60
-        for m, coloring in result.colorings.items():
-            assert verify_coloring(coloring, m) == VALID
+        result = find_threshold(60)
+        assert result == bpt.solve(60)
+        assert result.m == 60
+        assert verify_coloring(result, 60) == VALID
 
     def test_scan_rejects_bad_arguments(self):
-        with pytest.raises(ValueError):
-            find_threshold(0)
-        with pytest.raises(ValueError):
-            find_threshold(10, step=0)
+        for max_m in (0, -3):
+            with pytest.raises(ValueError):
+                find_threshold(max_m)
+
+
+class TestFindThreshold:
+    """find_threshold against a fake bpt.solve whose bounds are
+    unsatisfiable from T on: a real certificate, a fresh object per call."""
+
+    CNF = Cnf((frozenset({1}), frozenset({-1})), 1)  # x1 and not x1
+
+    @pytest.fixture
+    def fake_solve(self, monkeypatch):
+        cert = sat.solve(self.CNF).certificate
+        state = {"T": None, "probes": [], "certs": {}}
+
+        def solve(m):
+            state["probes"].append(m)
+            if m < state["T"]:
+                return Coloring(m, {})
+            state["certs"][m] = sat.Certificate(cert.lines, cert.ids, cert.hints)
+            return state["certs"][m]
+
+        monkeypatch.setattr(bpt, "solve", solve)
+        return state
+
+    def test_least_unsatisfiable_bound_within_the_probe_bound(self, fake_solve):
+        for max_m in range(1, 65):
+            for T in range(1, max_m + 2):
+                fake_solve.update(T=T, probes=[], certs={})
+                result = find_threshold(max_m)
+                if T > max_m:
+                    assert result == Coloring(max_m, {})
+                    assert fake_solve["probes"] == [max_m]
+                    continue
+                assert isinstance(result, Threshold)
+                assert result.m == T
+                assert result.certificate is fake_solve["certs"][T]
+                assert sat.check_certificate(self.CNF, result.certificate)
+                # ceil(log2 max_m) + 1
+                assert len(fake_solve["probes"]) <= (max_m - 1).bit_length() + 1
+                assert fake_solve["probes"][0] == max_m
+
+    def test_cli_prints_the_threshold_and_writes_its_certificate(self, fake_solve,
+                                                                 tmp_path, capsys):
+        fake_solve["T"] = 37
+        path = tmp_path / "c.txt"
+        assert cli.main(["bpt", "scan", "--max", "50", "--cert", str(path)]) == 0
+        assert capsys.readouterr().out == "threshold: first unsatisfiable m = 37\n"
+        assert path.read_text() == fake_solve["certs"][37].to_text()
+        assert sat.check_certificate(self.CNF, sat.Certificate.from_text(path.read_text()))
 
 
 class TestCheckedSolve:

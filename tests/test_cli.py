@@ -173,9 +173,14 @@ class TestBpt:
         assert run_cli("sat", "solve", str(cnf)).returncode == 0
 
     def test_scan_all_satisfiable(self):
-        result = run_cli("bpt", "scan", "--max", "40", "--step", "20")
+        result = run_cli("bpt", "scan", "--max", "40")
         assert result.returncode == 1
-        assert "all satisfiable" in result.stdout
+        assert result.stdout == "all satisfiable up to m = 40\n"
+
+    def test_scan_step_flag_is_usage_error(self):
+        result = run_cli("bpt", "scan", "--max", "40", "--step", "10")
+        assert result.returncode == 2
+        assert "unrecognized arguments: --step 10" in result.stderr
 
 
 class TestVerificationFailure:
@@ -185,13 +190,13 @@ class TestVerificationFailure:
         "import sys\n"
         "from bruteforge import bpt, cli\n"
         "bpt.verify_coloring = lambda coloring, m: (3, 4, 5)\n"
-        "sys.exit(cli.main(['bpt', 'scan', '--max', '20', '--step', '10']))\n"
+        "sys.exit(cli.main(['bpt', 'scan', '--max', '20']))\n"
     )
 
     def test_find_threshold_raises(self, monkeypatch):
         monkeypatch.setattr(bpt, "verify_coloring", lambda coloring, m: (3, 4, 5))
         with pytest.raises(VerificationError):
-            bpt.find_threshold(20, step=10)
+            bpt.find_threshold(20)
 
     def test_cli_exit_code_survives_optimize(self):
         result = subprocess.run(
@@ -501,6 +506,21 @@ class TestEq:
         assert result.returncode == 2
         assert result.stderr.endswith(f"error: {message}\n")
 
+    @pytest.mark.parametrize("text", [
+        "A: x v y = y v x\nsignature: group\nG2: e * x = x\n",
+        "signature: group\nsignature: group\nG2: e * x = x\n",
+    ], ids=["after-axiom", "repeated"])
+    def test_axiom_file_signature_line_comes_once_and_first(self, tmp_path, text):
+        # otherwise the axioms would be parsed under two signatures, and
+        # the mixed set would prove e * (e * x) = x
+        axioms = tmp_path / "ax.txt"
+        axioms.write_text(text)
+        result = run_cli("eq", "prove", "--axioms", str(axioms), "--goal", "e * (e * x) = x")
+        assert result.returncode == 2
+        assert result.stderr.endswith(
+            "error: line 2: signature line must come once, before every axiom\n")
+        assert result.stdout == ""
+
     @pytest.mark.parametrize("value", ["nan", "NaN", "x"])
     def test_max_seconds_must_be_a_number(self, value):
         # `elapsed > nan` is always False, so NaN would switch the limit off
@@ -733,10 +753,9 @@ class TestExitContractFuzz:
             assert _exit_code(["bpt", "encode", str(m), "-o", path]) in (0, 1, 2)
 
     @settings(max_examples=60, deadline=None)
-    @given(st.integers(-5, 60), st.integers(-2, 30))
-    def test_bpt_scan_any_bounds(self, max_m, step):
-        argv = ["bpt", "scan", "--max", str(max_m), "--step", str(step)]
-        assert _exit_code(argv) in (0, 1, 2)
+    @given(st.integers(-5, 60))
+    def test_bpt_scan_any_bounds(self, max_m):
+        assert _exit_code(["bpt", "scan", "--max", str(max_m)]) in (0, 1, 2)
 
     @settings(max_examples=200, deadline=None)
     @given(st.text() | st.lists(_CAPSET_LINES, max_size=12).map("".join))

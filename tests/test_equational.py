@@ -480,11 +480,10 @@ class TestProveExists:
         )
         assert check_proof(result.proof, BOOLEAN_AXIOMS, instance)
 
-    def test_exhaustion_times_out(self):
+    def test_exhaustion_times_out(self, monkeypatch):
+        monkeypatch.setattr(equational, "EXISTS_EXPANSIONS", 5)
         goal = Equation(_bt("x", BOOLEAN_SIG), _bt("-x", BOOLEAN_SIG))
-        result = prove_exists(
-            goal, {}, BOOLEAN_SIG, max_candidates=5, per_candidate_expansions=5
-        )
+        result = prove_exists(goal, {}, BOOLEAN_SIG, max_candidates=5)
         assert isinstance(result, Timeout)
 
     def test_absorption_witness_is_pinned(self):
@@ -560,9 +559,8 @@ class TestProveExists:
         tried = self._record_prove(monkeypatch)
         goal = Equation(_bt("-x", BOOLEAN_SIG), _bt("x", BOOLEAN_SIG))
         # size-1 witnesses: the constants 0 and 1 and one fresh variable
-        result = prove_exists(
-            goal, BOOLEAN_AXIOMS, BOOLEAN_SIG, max_candidates=200, max_term_size=1
-        )
+        monkeypatch.setattr(equational, "EXISTS_TERM_SIZE", 1)
+        result = prove_exists(goal, BOOLEAN_AXIOMS, BOOLEAN_SIG, max_candidates=200)
         assert len(tried) == 3
         assert result == Timeout(3, 6)
 
@@ -570,9 +568,8 @@ class TestProveExists:
         tried = self._record_prove(monkeypatch)
         goal = Equation(_bt("-x", BOOLEAN_SIG), _bt("x", BOOLEAN_SIG))
         # -x = x is false in {0, 1} for 0, 1 and the fresh variable alike
-        result = prove_exists(
-            goal, BOOLEAN_AXIOMS, BOOLEAN_SIG, max_candidates=200, max_term_size=1
-        )
+        monkeypatch.setattr(equational, "EXISTS_TERM_SIZE", 1)
+        result = prove_exists(goal, BOOLEAN_AXIOMS, BOOLEAN_SIG, max_candidates=200)
         assert tried == []
         assert result == Timeout(0, 0)
 
@@ -590,7 +587,8 @@ class TestProveExists:
         tried = self._record_prove(monkeypatch)
         axioms = {**BOOLEAN_AXIOMS, "Bad": Equation(_bt("x v y", BOOLEAN_SIG), Var(0))}
         goal = Equation(_bt("-x", BOOLEAN_SIG), _bt("x", BOOLEAN_SIG))
-        result = prove_exists(goal, axioms, BOOLEAN_SIG, max_candidates=200, max_term_size=1)
+        monkeypatch.setattr(equational, "EXISTS_TERM_SIZE", 1)
+        result = prove_exists(goal, axioms, BOOLEAN_SIG, max_candidates=200)
         assert len(tried) == 3
         assert result == Timeout(3, 6)
 
@@ -598,7 +596,8 @@ class TestProveExists:
         tried = self._record_prove(monkeypatch)
         # x * x = x is false in Z/2 for the fresh variable; `a` has no value
         goal = Equation(_bt("x * x", GROUP_A), Var(0))
-        result = prove_exists(goal, GROUP_AXIOMS, GROUP_A, max_candidates=200, max_term_size=1)
+        monkeypatch.setattr(equational, "EXISTS_TERM_SIZE", 1)
+        result = prove_exists(goal, GROUP_AXIOMS, GROUP_A, max_candidates=200)
         assert [g.rhs for g in tried] == [App("a"), App("e"), Var(3)]
         assert result == Timeout(3, 6)
 
@@ -811,14 +810,14 @@ def _reference_results(name, budget):
                  for goal in _golden_goals(name))
 
 
-def _exists_outcomes(goals):
+def _exists_outcomes(goals, monkeypatch):
+    monkeypatch.setattr(equational, "EXISTS_EXPANSIONS", 60)
     outcomes = []
     for text in goals:
         lhs, _, rhs = text.partition("=")
         goal = Equation(parse_term(lhs, BOOLEAN_SIG), parse_term(rhs, BOOLEAN_SIG))
         outcomes.append(_outcome(prove_exists(
-            goal, BOOLEAN_AXIOMS, BOOLEAN_SIG, max_candidates=5,
-            per_candidate_expansions=60)))
+            goal, BOOLEAN_AXIOMS, BOOLEAN_SIG, max_candidates=5)))
     return outcomes
 
 
@@ -911,14 +910,14 @@ class TestProveGolden:
     def test_exists_outcomes_are_pinned(self, monkeypatch):
         _model_off(monkeypatch)
         self._reference_prove(monkeypatch)
-        assert _digest(_exists_outcomes(self.EXISTS_GOALS)) == self.EXISTS_DIGEST
+        assert _digest(_exists_outcomes(self.EXISTS_GOALS, monkeypatch)) == self.EXISTS_DIGEST
 
     def test_exists_outcomes_with_the_model_are_pinned(self, monkeypatch):
         self._reference_prove(monkeypatch)
-        assert _digest(_exists_outcomes(self.EXISTS_GOALS)) == self.EXISTS_MODEL_DIGEST
+        assert _digest(_exists_outcomes(self.EXISTS_GOALS, monkeypatch)) == self.EXISTS_MODEL_DIGEST
 
-    def test_bidirectional_exists_outcomes_are_pinned(self):
-        outcomes = _exists_outcomes(self.EXISTS_GOALS)
+    def test_bidirectional_exists_outcomes_are_pinned(self, monkeypatch):
+        outcomes = _exists_outcomes(self.EXISTS_GOALS, monkeypatch)
         assert _digest(outcomes) == self.BIDIRECTIONAL_EXISTS_DIGEST
 
     def test_model_changes_no_witness_or_proof(self, monkeypatch):
@@ -927,9 +926,11 @@ class TestProveGolden:
         cases += [(goal, name) for name in ("boolean", "group", "robbins")
                   for goal in _seeded_exists_goals(name)]
 
+        monkeypatch.setattr(equational, "EXISTS_EXPANSIONS", 60)
+
         def results():
             return [prove_exists(goal, AXIOM_SETS[name], AXIOM_SIGNATURES[name],
-                                 max_candidates=5, per_candidate_expansions=60)
+                                 max_candidates=5)
                     for goal, name in cases]
 
         with_model = results()
