@@ -102,13 +102,17 @@ def code_vector(code, n):
     return tuple(digits)
 
 
+@functools.lru_cache(maxsize=1)
 def digit_columns(n):
-    """Digit i of every code in [0, 3^n), as n lists in code order."""
+    """Digit i of every code in [0, 3^n), as n tuples in code order.
+
+    Built once for the latest n and shared by every caller, hence tuples.
+    """
     columns = []
     for i in range(n):
         run = 3 ** (n - 1 - i)
-        columns.append(([0] * run + [1] * run + [2] * run) * 3**i)
-    return columns
+        columns.append(((0,) * run + (1,) * run + (2,) * run) * 3**i)
+    return tuple(columns)
 
 
 @functools.lru_cache(maxsize=None)

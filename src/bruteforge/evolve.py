@@ -15,7 +15,8 @@ and logged by the same code.  Per-candidate seeds are derived from (run
 seed, generation, slot), and parents are drawn from the population
 snapshot at the start of the generation, so serial and worker-pool runs
 produce identical logs.  Within a run each distinct expression text is
-scored once.
+scored once, and on the serial path a subtree's column is computed once
+while the run's bounded `ColumnCache` holds it.
 
 A run's settings are the four fields of EvolveConfig (n, seed, budget
 and generator command).  Population size, batch, tournament size and
@@ -42,6 +43,7 @@ from itertools import repeat
 from .capset import check_dimension
 from .priority import (
     BinOp,
+    ColumnCache,
     Const,
     Dim,
     Expr,
@@ -315,19 +317,23 @@ SEED_EXPRS = ("0", "v[0]", "n", "v[0] + v[1]")
 POOL_MIN_N = 7
 
 
-def _score_batch(exprs, n, memo, pool):
+def _score_batch(exprs, n, memo, pool, cache):
     """(texts, scores) of `exprs`; only texts not yet in `memo` are scored.
 
     The memo is keyed by formatted expression text and looked up before
     dispatch, so the serial path and the worker pool score the same
-    expressions and the log does not depend on the path.
+    expressions and the log does not depend on the path.  `cache`, the
+    run's ColumnCache on the serial path and None in the pool, is passed
+    to `score`; a column depends only on its subtree's text and n, so it
+    changes no score.
     """
     texts = [format_expr(e) for e in exprs]
     fresh = {}
     for text, expr in zip(texts, exprs):
         if text not in memo:
             fresh.setdefault(text, expr)
-    memo.update(zip(fresh, (pool.map if pool else map)(score, fresh.values(), repeat(n))))
+    scores = (pool.map if pool else map)(score, fresh.values(), repeat(n), repeat(cache))
+    memo.update(zip(fresh, scores))
     return texts, [memo[t] for t in texts]
 
 
@@ -372,8 +378,11 @@ def evolve(config, log_sink=None):
         workers = min(os.cpu_count() or 1, BATCH)
         if config.n >= POOL_MIN_N and workers > 1:
             pool = ProcessPoolExecutor(workers)
+        # subtree columns for this run; pool workers score without one
+        cache = None if pool else ColumnCache(config.n)
         while True:
-            texts, scores = _score_batch([e for _, _, e in proposals], config.n, memo, pool)
+            texts, scores = _score_batch([e for _, _, e in proposals], config.n, memo, pool,
+                                         cache)
             for (slot, slot_seed, expr), text, sc in zip(proposals, texts, scores):
                 cand = Candidate(expr, sc)
                 population.add(cand)

@@ -1,17 +1,19 @@
 """Differential tests of the integer-coded cap-set kernel.
 
-The kernel (vector codes, blocked-code walks, compiled priorities, the
-bitmask `exact_cap` and the per-run score memo) is checked against slow
-references kept in this file: a tree-walking evaluator, and a greedy walk
-over tuple vectors built on the tuple oracle `extends_cap`.
+The kernel (vector codes, blocked-code walks, column evaluation of
+priorities with and without a subtree cache, the bitmask `exact_cap` and
+the per-run score memo) is checked against slow references kept in this
+file: a tree-walking evaluator, and a greedy walk over tuple vectors built
+on the tuple oracle `extends_cap`.
 """
 
+import os
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bruteforge import capset, evolve as evolve_mod
+from bruteforge import capset, cli, evolve as evolve_mod, priority
 from bruteforge.capset import (
     CapBound,
     all_vectors,
@@ -28,8 +30,8 @@ from bruteforge.priority import (
     BinOp,
     Const,
     Dim,
+    ColumnCache,
     Index,
-    compile_priority,
     eval_priority,
     format_expr,
     greedy,
@@ -120,7 +122,9 @@ class TestCodes:
         for n in range(1, 6):
             vectors = all_vectors(n)
             assert [code_vector(c, n) for c in range(3**n)] == vectors
-            assert capset.digit_columns(n) == [[v[i] for v in vectors] for i in range(n)]
+            columns = capset.digit_columns(n)
+            assert columns == tuple(tuple(v[i] for v in vectors) for i in range(n))
+            assert capset.digit_columns(n) is columns  # built once, immutable
 
     def test_third_points_match_tuple_arithmetic(self):
         # the split-table formula that greedy_cap and exact_cap inline
@@ -148,8 +152,11 @@ class TestCompiledPriority:
     @given(_exprs(), st.integers(min_value=1, max_value=4))
     def test_batch_matches_tree_walk(self, expr, n):
         vectors = all_vectors(n)
-        values = compile_priority(expr, n)(capset.digit_columns(n))
-        assert values == [reference_eval(expr, v, n) for v in vectors]
+        text, values = priority._evaluate(expr, n, capset.digit_columns(n), None)
+        assert text == format_expr(expr)
+        if isinstance(values, int):  # reads no digit
+            values = [values] * len(vectors)
+        assert list(values) == [reference_eval(expr, v, n) for v in vectors]
         assert all(_I64_MIN <= x <= _I64_MAX for x in values)
 
     @settings(max_examples=200, deadline=None)
@@ -228,16 +235,109 @@ class TestExactCap:
         assert exact_cap(3, budget=39928) == CapBound(9, True)
 
 
+def _sharing(exprs):
+    """exprs, then children that share subtrees with them, as evolve's do."""
+    out = list(exprs)
+    for a, b in zip(exprs, exprs[1:] + exprs[:1]):
+        out += [BinOp("+", a, b), Index(a), BinOp("max", BinOp("%", b, a), a)]
+    return out
+
+
+class TestColumnCache:
+    def _check_shared(self, exprs, n):
+        """Score through one cache; each score must equal a fresh one and
+        the reference's, and the cache must stay within its bound."""
+        cache = ColumnCache(n)
+        sizes = []
+        for expr in _sharing(exprs):
+            assert score(expr, n, cache) == score(expr, n) == len(reference_greedy(expr, n))
+            assert len(cache) * 3**n <= priority.CACHE_CELLS
+            sizes.append(len(cache))
+        return sizes
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(_exprs(max_leaves=8), min_size=1, max_size=4),
+           st.integers(min_value=1, max_value=4))
+    def test_shared_cache_matches_fresh_and_reference(self, exprs, n):
+        self._check_shared(exprs, n)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(_exprs(max_leaves=8), min_size=1, max_size=4),
+           st.integers(min_value=1, max_value=4), st.integers(min_value=0, max_value=3))
+    def test_tiny_bound_clears_mid_run(self, exprs, n, columns):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(priority, "CACHE_CELLS", columns * 3**n)
+            self._check_shared(exprs, n)
+
+    def test_full_cache_is_cleared(self, monkeypatch):
+        monkeypatch.setattr(priority, "CACHE_CELLS", 2 * 27)
+        texts = ["v[0] + v[1]", "(v[0] + v[1]) * v[2]", "max(v[0], v[2])", "v[0] + v[1]"]
+        assert self._check_shared([parse_expr(t) for t in texts], 3)[:4] == [1, 2, 1, 2]
+
+    def test_cache_serves_one_dimension(self):
+        cache = ColumnCache(3)
+        expr = parse_expr("v[0] + v[1] * v[2]")
+        score(expr, 3, cache)
+        kept = dict(cache)
+        for n in (2, 4):
+            with pytest.raises(ValueError, match="dimension 3 used at dimension"):
+                score(expr, n, cache)
+        assert cache == kept
+
+    def test_one_cache_per_serial_run_and_none_in_the_pool(self, monkeypatch):
+        caches = []
+        real_score = evolve_mod.score
+
+        def recording_score(expr, n, cache=None):
+            caches.append(cache)
+            return real_score(expr, n, cache)
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                pass
+
+            map = staticmethod(map)
+
+            def shutdown(self):
+                pass
+
+        monkeypatch.setattr(evolve_mod, "score", recording_score)
+        config = EvolveConfig(n=3, seed=0, eval_budget=40)
+        runs = []
+        for _ in range(2):
+            evolve(config)
+            runs.append(caches[:])
+            caches.clear()
+        for run in runs:
+            assert isinstance(run[0], ColumnCache) and run[0].n == 3
+            assert all(cache is run[0] for cache in run)
+        assert runs[0][0] is not runs[1][0]
+        monkeypatch.setattr(evolve_mod, "POOL_MIN_N", 3)
+        monkeypatch.setattr(evolve_mod, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        evolve(config)
+        assert caches and all(cache is None for cache in caches)
+
+    def test_cli_rescores_the_best_without_the_runs_cache(self, monkeypatch, capsys):
+        # a cache that hands back wrong columns must not vouch for itself
+        def reversed_store(self, text, column):
+            self[text] = column[::-1]
+
+        monkeypatch.setattr(ColumnCache, "store", reversed_store)
+        assert cli.main(["capset", "evolve", "--n", "3", "--seed", "2", "--evals", "100"]) == 3
+        assert "does not re-score" in capsys.readouterr().err
+
+
 class TestScoreMemo:
     def test_memo_keeps_the_log_and_saves_calls(self, monkeypatch):
         calls = []
         real_score = evolve_mod.score
 
-        def counted_score(expr, n):
+        def counted_score(expr, n, cache=None):
             calls.append(n)
-            return real_score(expr, n)
+            return real_score(expr, n, cache)
 
-        def no_memo(exprs, n, memo, pool):
+        def no_memo(exprs, n, memo, pool, cache):
             return [format_expr(e) for e in exprs], [counted_score(e, n) for e in exprs]
 
         config = EvolveConfig(n=3, seed=0, eval_budget=300)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import sys
@@ -136,6 +137,18 @@ class TestEvolveLoop:
     def test_eval_budget_respected(self):
         _, records = evolve(EvolveConfig(n=2, seed=0, eval_budget=17))
         assert len([r for r in records if "score" in r]) == 17
+
+    @pytest.mark.parametrize("n, seed, budget, digest", [
+        (4, 1, 1000, "7f576e29d8429a3f6c1f921bfa05152dbca048bff1e2716422a58145523d5e07"),
+        (5, 0, 500, "40f64ddff35822701df79f15ab52a948c7056d7bf3d9bc1bc7bd49922fe7b0fb"),
+    ])
+    def test_serial_log_digest_is_pinned(self, n, seed, budget, digest):
+        # digests of logs written before scoring kept subtree columns; the
+        # n=4 one is checked through the CLI in CI as well
+        assert n < evolve_mod.POOL_MIN_N
+        _, records = evolve(EvolveConfig(n=n, seed=seed, eval_budget=budget))
+        log = "".join(record_to_json(r) + "\n" for r in records)
+        assert hashlib.sha256(log.encode()).hexdigest() == digest
 
     def test_golden_log_replays(self):
         with open(os.path.join(DATA, "evolve_n3_seed0.jsonl")) as handle:

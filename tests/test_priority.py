@@ -62,6 +62,17 @@ class TestEval:
         big = BinOp("*", Const(_I64_MAX), Const(_I64_MAX))
         assert _I64_MIN <= eval_priority(big, (0,)) <= _I64_MAX
 
+    @pytest.mark.parametrize("text, v, n", [
+        ("1", (), None),  # empty vector
+        ("v[0]", (), None),
+        ("v[2]", (0, 1), 3),  # n above len(v)
+        ("v[2]", (0, 1, 2), 2),  # n below len(v)
+        ("n", (0,), 0),
+    ], ids=["const-empty", "index-empty", "n-above-length", "n-below-length", "n-zero"])
+    def test_vector_length_must_be_n(self, text, v, n):
+        with pytest.raises(ValueError, match="vector of length"):
+            eval_priority(parse_expr(text), v, n)
+
     @settings(max_examples=200, deadline=None)
     @given(_exprs(), st.integers(min_value=1, max_value=4), st.integers(0, 10**9))
     def test_total_and_bounded(self, expr, n, seed):
