@@ -16,7 +16,9 @@ seed, generation, slot), and parents are drawn from the population
 snapshot at the start of the generation, so serial and worker-pool runs
 produce identical logs.  Within a run each distinct expression text is
 scored once, and on the serial path a subtree's column is computed once
-while the run's bounded `ColumnCache` holds it.
+while the run's bounded `ColumnCache` holds it.  Mutation and crossover
+pick a node by its preorder index, drawn below the tree's `size`, and
+walk down to it along one path.
 
 A run's settings are the four fields of EvolveConfig (n, seed, budget
 and generator command).  Population size, batch, tournament size and
@@ -48,7 +50,6 @@ from .priority import (
     Dim,
     Expr,
     Index,
-    format_expr,
     parse_expr,
     score,
 )
@@ -111,55 +112,49 @@ def _random_expr(rng, depth):
     return BinOp(op, _random_expr(rng, depth - 1), _random_expr(rng, depth - 1))
 
 
-def _subtrees(e):
-    """(path, node) of every node of e, in preorder."""
-    out = []
-    stack = [((), e)]
-    while stack:
-        path, node = stack.pop()
-        out.append((path, node))
-        if isinstance(node, Index):
-            stack.append((path + (0,), node.index))
-        elif isinstance(node, BinOp):
-            stack.append((path + (1,), node.right))
-            stack.append((path + (0,), node.left))
-    return out
+def _node(e, k):
+    """The k-th node of e in preorder, for 0 <= k < e.size."""
+    while k:
+        k -= 1
+        if isinstance(e, Index):
+            e = e.index
+        elif k < e.left.size:
+            e = e.left
+        else:
+            e, k = e.right, k - e.left.size
+    return e
 
 
-def _replace(e, path, sub):
-    if not path:
+def _replace(e, k, sub):
+    """e with its k-th node in preorder replaced by sub."""
+    if not k:
         return sub
-    head, rest = path[0], path[1:]
+    k -= 1
     if isinstance(e, Index):
-        return Index(_replace(e.index, rest, sub))
-    if isinstance(e, BinOp):
-        if head == 0:
-            return BinOp(e.op, _replace(e.left, rest, sub), e.right)
-        return BinOp(e.op, e.left, _replace(e.right, rest, sub))
-    raise ValueError("path does not exist in expression")
+        return Index(_replace(e.index, k, sub))
+    if k < e.left.size:
+        return BinOp(e.op, _replace(e.left, k, sub), e.right)
+    return BinOp(e.op, e.left, _replace(e.right, k - e.left.size, sub))
 
 
 def _mutate(rng, e):
-    nodes = _subtrees(e)
-    path, node = nodes[rng.randrange(len(nodes))]
+    k = rng.randrange(e.size)
+    node = _node(e, k)
     roll = rng.random()
     if isinstance(node, Const) and roll < 0.4:
-        return _replace(e, path, Const(node.value + rng.choice([-2, -1, 1, 2])))
+        return _replace(e, k, Const(node.value + rng.choice([-2, -1, 1, 2])))
     if roll < 0.75:
-        return _replace(e, path, _random_expr(rng, rng.randint(1, 3)))
+        return _replace(e, k, _random_expr(rng, rng.randint(1, 3)))
     # wrap the node in a fresh binary operation
     op = rng.choice(_OPS)
     other = _random_expr(rng, 2)
     left, right = (node, other) if rng.random() < 0.5 else (other, node)
-    return _replace(e, path, BinOp(op, left, right))
+    return _replace(e, k, BinOp(op, left, right))
 
 
 def _crossover(rng, e1, e2):
-    nodes1 = _subtrees(e1)
-    nodes2 = _subtrees(e2)
-    path, _ = nodes1[rng.randrange(len(nodes1))]
-    _, donor = nodes2[rng.randrange(len(nodes2))]
-    return _replace(e1, path, donor)
+    k = rng.randrange(e1.size)
+    return _replace(e1, k, _node(e2, rng.randrange(e2.size)))
 
 
 def propose(parents, seed):
@@ -249,7 +244,7 @@ class ExternalGenerator:
     def __call__(self, parents, seed):
         request = {
             "parents": [
-                {"expr": format_expr(p.expr), "score": p.score} for p in parents
+                {"expr": p.expr.text, "score": p.score} for p in parents
             ],
             "seed": seed,
         }
@@ -320,14 +315,14 @@ POOL_MIN_N = 7
 def _score_batch(exprs, n, memo, pool, cache):
     """(texts, scores) of `exprs`; only texts not yet in `memo` are scored.
 
-    The memo is keyed by formatted expression text and looked up before
-    dispatch, so the serial path and the worker pool score the same
-    expressions and the log does not depend on the path.  `cache`, the
-    run's ColumnCache on the serial path and None in the pool, is passed
-    to `score`; a column depends only on its subtree's text and n, so it
-    changes no score.
+    The memo is keyed by each expression's `text`, which its nodes carry,
+    and looked up before dispatch, so the serial path and the worker pool
+    score the same expressions and the log does not depend on the path.
+    `cache`, the run's ColumnCache on the serial path and None in the pool,
+    is passed to `score`; a column depends only on its subtree's text and
+    n, so it changes no score.
     """
-    texts = [format_expr(e) for e in exprs]
+    texts = [e.text for e in exprs]
     fresh = {}
     for text, expr in zip(texts, exprs):
         if text not in memo:

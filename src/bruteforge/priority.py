@@ -9,12 +9,15 @@ and all arithmetic is 64-bit signed with wraparound.
 An expression is a tree of `Const`, `Dim`, `Index` and `BinOp` nodes.
 `BinOp.op` is one of `+ - * % min max`, each a column operation in
 `_COLUMN_OPS`; `min` and `max` are written in call form, `min(a, b)`.
+Each node carries its `text` (as `format_expr` writes it) and its node
+count `size`, both built from its children's when it is.
 
 Text and tuple vectors are the boundary: `parse_expr` reads an expression,
 `eval_priority` takes a tuple, `greedy` returns a set of tuples.  Inside,
 one recursive pass evaluates each subtree over the digit columns of all 3^n
-vector codes at once, keyed by its text in an optional `ColumnCache`, and
-the greedy walk runs on those int codes (see `capset`).  The parser
+vector codes at once, and the greedy walk runs on those int codes (see
+`capset`).  With an optional `ColumnCache`, the pass looks a subtree's
+column up by its text before it evaluates the subtree's children.  The parser
 rejects trees and bracket nesting deeper than `logic.MAX_PARSE_DEPTH`.
 
 Expression grammar:
@@ -47,17 +50,32 @@ def _wrap(x):
 
 
 class Expr:
+    """A node.  `text` and `size` are set once, when it is built, and are
+    not dataclass fields: not arguments, and not compared, hashed or shown."""
+
     __slots__ = ()
+    text: str
+    size: int
+
+    def _derive(self, text, size):
+        object.__setattr__(self, "text", text)
+        object.__setattr__(self, "size", size)
 
 
 @dataclass(frozen=True)
 class Const(Expr):
     value: int
 
+    def __post_init__(self):
+        self._derive(str(self.value) if self.value >= 0 else f"({self.value})", 1)
+
 
 @dataclass(frozen=True)
 class Dim(Expr):
     """The dimension n of the run."""
+
+    def __post_init__(self):
+        self._derive("n", 1)
 
 
 @dataclass(frozen=True)
@@ -66,12 +84,20 @@ class Index(Expr):
 
     index: Expr
 
+    def __post_init__(self):
+        self._derive(f"v[{self.index.text}]", 1 + self.index.size)
+
 
 @dataclass(frozen=True)
 class BinOp(Expr):
     op: str  # + - * % min max
     left: Expr
     right: Expr
+
+    def __post_init__(self):
+        a, b = self.left.text, self.right.text
+        text = f"{self.op}({a}, {b})" if self.op in ("min", "max") else f"({a} {self.op} {b})"
+        self._derive(text, 1 + self.left.size + self.right.size)
 
 
 def _wrapping(fn):
@@ -123,46 +149,45 @@ class ColumnCache(dict):
 
 
 def _evaluate(e, n, cols, cache):
-    """(text, value) of e over the digit columns `cols` of dimension n.
+    """Value of e over the digit columns `cols` of dimension n.
 
-    The text is e as `format_expr` writes it, and the key of e's column in
-    `cache`, if given.  The value is an int if e reads no digit, folded by
-    the same column operations, so folding cannot change a value; otherwise
-    it is e's column, which no one mutates: it may be shared.
+    The value is an int if e reads no digit, folded by the same column
+    operations, so folding cannot change a value; otherwise it is e's
+    column, which no one mutates: it may be shared.  With a `cache`, a
+    column is looked up by `e.text` before e's children are evaluated, and
+    stored there once computed.
     """
     if isinstance(e, BinOp):
+        if cache is not None and (column := cache.get(e.text)) is not None:
+            return column
         apply = _COLUMN_OPS.get(e.op)
         if apply is None:
             raise ValueError(f"unknown operator {e.op!r}")
-        a, left = _evaluate(e.left, n, cols, cache)
-        b, right = _evaluate(e.right, n, cols, cache)
-        text = f"{e.op}({a}, {b})" if e.op in ("min", "max") else f"({a} {e.op} {b})"
+        left = _evaluate(e.left, n, cols, cache)
+        right = _evaluate(e.right, n, cols, cache)
         if isinstance(left, int):
             if isinstance(right, int):
-                return text, apply([left], [right])[0]
+                return apply([left], [right])[0]
             left = repeat(left)
         elif isinstance(right, int):
             right = repeat(right)
-        if cache is not None and text in cache:
-            return text, cache[text]
         column = apply(left, right)
     elif isinstance(e, Index):
-        a, index = _evaluate(e.index, n, cols, cache)
-        text = f"v[{a}]"
+        if cache is not None and (column := cache.get(e.text)) is not None:
+            return column
+        index = _evaluate(e.index, n, cols, cache)
         if isinstance(index, int):
-            return text, cols[index % n]
-        if cache is not None and text in cache:
-            return text, cache[text]
+            return cols[index % n]
         column = [cols[i % n][k] for k, i in enumerate(index)]
     elif isinstance(e, Const):
-        return format_expr(e), _wrap(e.value)
+        return _wrap(e.value)
     elif isinstance(e, Dim):
-        return "n", n
+        return n
     else:
         raise TypeError(f"not an expression: {e!r}")
     if cache is not None:
-        cache.store(text, column)
-    return text, column
+        cache.store(e.text, column)
+    return column
 
 
 def eval_priority(expr, v, n=None):
@@ -172,22 +197,12 @@ def eval_priority(expr, v, n=None):
         n = len(v)
     if not 1 <= len(v) == n:
         raise ValueError(f"vector of length {len(v)} for dimension {n}")
-    value = _evaluate(expr, n, [(d,) for d in v], None)[1]
+    value = _evaluate(expr, n, [(d,) for d in v], None)
     return value if isinstance(value, int) else value[0]
 
 
 def format_expr(e):
-    if isinstance(e, Const):
-        return str(e.value) if e.value >= 0 else f"({e.value})"
-    if isinstance(e, Dim):
-        return "n"
-    if isinstance(e, Index):
-        return f"v[{format_expr(e.index)}]"
-    if isinstance(e, BinOp):
-        if e.op in ("min", "max"):
-            return f"{e.op}({format_expr(e.left)}, {format_expr(e.right)})"
-        return f"({format_expr(e.left)} {e.op} {format_expr(e.right)})"
-    raise TypeError(f"not an expression: {e!r}")
+    return e.text
 
 
 class ExprSyntaxError(ParseError):
@@ -258,7 +273,7 @@ def _greedy_codes(expr, n, cache):
     check_dimension(n)
     if cache is not None and cache.n != n:
         raise ValueError(f"cache for dimension {cache.n} used at dimension {n}")
-    keys = _evaluate(expr, n, digit_columns(n), cache)[1]
+    keys = _evaluate(expr, n, digit_columns(n), cache)
     # the sort is stable under reverse=True, so equal priorities keep
     # ascending code order: (priority descending, lexicographic ascending)
     ranking = (range(3**n) if isinstance(keys, int)

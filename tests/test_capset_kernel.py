@@ -1,13 +1,16 @@
 """Differential tests of the integer-coded cap-set kernel.
 
 The kernel (vector codes, blocked-code walks, column evaluation of
-priorities with and without a subtree cache, the bitmask `exact_cap` and
-the per-run score memo) is checked against slow references kept in this
-file: a tree-walking evaluator, and a greedy walk over tuple vectors built
-on the tuple oracle `extends_cap`.
+priorities with and without a subtree cache, the bitmask `exact_cap`, the
+per-run score memo, and the text, size and preorder walk of expression
+nodes) is checked against slow references kept in this file: a
+tree-walking evaluator, a greedy walk over tuple vectors built on the
+tuple oracle `extends_cap`, a recursive formatter, and a walk that lists
+every node with its path from the root.
 """
 
 import os
+import pickle
 import random
 
 import pytest
@@ -25,7 +28,7 @@ from bruteforge.capset import (
     vec_add,
     vec_neg,
 )
-from bruteforge.evolve import EvolveConfig, evolve, record_to_json
+from bruteforge.evolve import Candidate, EvolveConfig, evolve, propose, record_to_json
 from bruteforge.priority import (
     BinOp,
     Const,
@@ -93,6 +96,46 @@ def reference_greedy(expr, n):
     return chosen
 
 
+def reference_format(e):
+    """The recursive formatter, rebuilding every subtree's text."""
+    if isinstance(e, Const):
+        return str(e.value) if e.value >= 0 else f"({e.value})"
+    if isinstance(e, Dim):
+        return "n"
+    if isinstance(e, Index):
+        return f"v[{reference_format(e.index)}]"
+    if e.op in ("min", "max"):
+        return f"{e.op}({reference_format(e.left)}, {reference_format(e.right)})"
+    return f"({reference_format(e.left)} {e.op} {reference_format(e.right)})"
+
+
+def reference_subtrees(e):
+    """(path, node) of every node of e, in preorder."""
+    out = []
+    stack = [((), e)]
+    while stack:
+        path, node = stack.pop()
+        out.append((path, node))
+        if isinstance(node, Index):
+            stack.append((path + (0,), node.index))
+        elif isinstance(node, BinOp):
+            stack.append((path + (1,), node.right))
+            stack.append((path + (0,), node.left))
+    return out
+
+
+def reference_replace(e, path, sub):
+    """e with the node at `path` replaced by sub."""
+    if not path:
+        return sub
+    head, rest = path[0], path[1:]
+    if isinstance(e, Index):
+        return Index(reference_replace(e.index, rest, sub))
+    if head == 0:
+        return BinOp(e.op, reference_replace(e.left, rest, sub), e.right)
+    return BinOp(e.op, e.left, reference_replace(e.right, rest, sub))
+
+
 _BIG = st.sampled_from(
     [_I64_MAX, _I64_MIN, _I64_MAX + 5, -(_U64 + 3), 3074457345618258602, 1 << 70]
 )
@@ -152,8 +195,8 @@ class TestCompiledPriority:
     @given(_exprs(), st.integers(min_value=1, max_value=4))
     def test_batch_matches_tree_walk(self, expr, n):
         vectors = all_vectors(n)
-        text, values = priority._evaluate(expr, n, capset.digit_columns(n), None)
-        assert text == format_expr(expr)
+        values = priority._evaluate(expr, n, capset.digit_columns(n), None)
+        assert expr.text == reference_format(expr)
         if isinstance(values, int):  # reads no digit
             values = [values] * len(vectors)
         assert list(values) == [reference_eval(expr, v, n) for v in vectors]
@@ -181,6 +224,73 @@ class TestCompiledPriority:
             for n in (1, 2, 3):
                 for v in all_vectors(n):
                     assert eval_priority(expr, v, n) == reference_eval(expr, v, n)
+
+
+class TestExprNodes:
+    @settings(max_examples=300, deadline=None)
+    @given(_exprs())
+    def test_text_and_size_match_the_references(self, expr):
+        nodes = reference_subtrees(expr)
+        assert expr.size == len(nodes)
+        for _, node in nodes:
+            assert node.text == format_expr(node) == reference_format(node)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_exprs())
+    def test_pickling_keeps_text_size_and_equality(self, expr):
+        # the worker pool ships expressions this way
+        copy = pickle.loads(pickle.dumps(expr))
+        assert copy == expr and hash(copy) == hash(expr)
+        assert (copy.text, copy.size) == (expr.text, expr.size)
+        assert [n.text for _, n in reference_subtrees(copy)] == \
+            [n.text for _, n in reference_subtrees(expr)]
+
+    def test_parsed_and_built_trees_compare_and_hash_equal(self):
+        built = BinOp("max", BinOp("%", Index(BinOp("*", Index(Const(1)), Const(2))), Dim()),
+                      Const(-3))
+        parsed = parse_expr("max(v[v[1] * 2] % n, -3)")
+        assert parsed == built and hash(parsed) == hash(built)
+        assert {parsed: 1}[built] == 1
+        assert repr(parsed) == repr(built) and "text" not in repr(built)
+        assert parsed != BinOp("min", built.left, built.right)
+
+    def test_a_cached_subtree_is_looked_up_before_its_children(self, monkeypatch):
+        cache = ColumnCache(3)
+        expr = parse_expr("(v[0] + v[1]) * v[2]")
+        assert score(expr, 3, cache) == score(expr, 3)
+        walked = []
+        real_evaluate = priority._evaluate
+
+        def recording_evaluate(e, n, cols, cache):
+            walked.append(e.text)
+            return real_evaluate(e, n, cols, cache)
+
+        monkeypatch.setattr(priority, "_evaluate", recording_evaluate)
+        score(expr, 3, cache)
+        assert walked == [expr.text]
+        walked.clear()
+        score(parse_expr("(v[0] + v[1]) - 1"), 3, cache)
+        assert walked == ["((v[0] + v[1]) - 1)", "(v[0] + v[1])", "1"]
+
+
+class TestPreorderWalk:
+    @settings(max_examples=200, deadline=None)
+    @given(_exprs(), _exprs(max_leaves=3))
+    def test_node_and_replace_match_the_path_references(self, expr, sub):
+        for k, (path, node) in enumerate(reference_subtrees(expr)):
+            assert evolve_mod._node(expr, k) is node
+            assert evolve_mod._replace(expr, k, sub) == reference_replace(expr, path, sub)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_exprs(), _exprs(), st.integers(0, 2**64 - 1))
+    def test_propose_matches_the_path_references(self, e1, e2, seed):
+        parents = [Candidate(e1, 1), Candidate(e2, 2)]
+        children = [propose(parents[:count], seed) for count in (1, 2)]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(evolve_mod, "_node", lambda e, k: reference_subtrees(e)[k][1])
+            mp.setattr(evolve_mod, "_replace", lambda e, k, sub: reference_replace(
+                e, reference_subtrees(e)[k][0], sub))
+            assert [propose(parents[:count], seed) for count in (1, 2)] == children
 
 
 class TestGreedy:

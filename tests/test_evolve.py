@@ -141,10 +141,13 @@ class TestEvolveLoop:
     @pytest.mark.parametrize("n, seed, budget, digest", [
         (4, 1, 1000, "7f576e29d8429a3f6c1f921bfa05152dbca048bff1e2716422a58145523d5e07"),
         (5, 0, 500, "40f64ddff35822701df79f15ab52a948c7056d7bf3d9bc1bc7bd49922fe7b0fb"),
+        (6, 0, 3000, "48be9b604929a68b19ee74e7bdc022454472ad2878c516be8b77a873b91adcff"),
     ])
     def test_serial_log_digest_is_pinned(self, n, seed, budget, digest):
-        # digests of logs written before scoring kept subtree columns; the
-        # n=4 one is checked through the CLI in CI as well
+        # the n=4 and n=5 digests are of logs written before scoring kept
+        # subtree columns, and are checked through the CLI in CI as well;
+        # the n=6 one, of a log written before nodes carried their text,
+        # spans several clears of the run's ColumnCache
         assert n < evolve_mod.POOL_MIN_N
         _, records = evolve(EvolveConfig(n=n, seed=seed, eval_budget=budget))
         log = "".join(record_to_json(r) + "\n" for r in records)
