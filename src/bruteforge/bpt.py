@@ -37,6 +37,10 @@ class MissingVariableError(ValueError):
     pass
 
 
+class InvalidColorError(ValueError):
+    pass
+
+
 @dataclass(frozen=True)
 class Coloring:
     m: int
@@ -112,12 +116,19 @@ VALID = "valid"
 
 
 def verify_coloring(coloring, m):
-    """VALID, or the first monochromatic triple as a witness."""
-    missing = members(m).difference(coloring.colors)
+    """VALID, or the first monochromatic triple as a witness.  Every triple
+    member must have a color, and that color must be 0 or 1."""
+    colors = coloring.colors
+    domain = members(m)
+    missing = domain.difference(colors)
     if missing:
         raise DomainGapError(f"coloring misses triple members {sorted(missing)}")
+    bad = [x for x in domain if colors[x] not in (0, 1)]
+    if bad:
+        x = min(bad)
+        raise InvalidColorError(f"member {x} has color {colors[x]!r}, not 0 or 1")
     for a, b, c in triples(m):
-        if coloring.colors[a] == coloring.colors[b] == coloring.colors[c]:
+        if colors[a] == colors[b] == colors[c]:
             return (a, b, c)
     return VALID
 

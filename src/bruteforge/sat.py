@@ -13,8 +13,9 @@ dropped: once x is assigned, x or -x is true, so they never become unit
 or false and leave the search as it is.  Learned clauses are never
 deleted: in order, followed by the empty clause, they form an LRAT
 refutation (Cruz-Filipe et al., CADE 2017), whose hints check_certificate
-walks with no watches and no code of the solver's.  Models and
-certificates are deterministic for a given input."""
+walks with one set difference per hint, no watches and no code of the
+solver's; verify_model tests each clause against the set of true literals.
+Models and certificates are deterministic for a given input."""
 
 from __future__ import annotations
 
@@ -116,44 +117,46 @@ def resolve(c1, c2, pivot):
 
 
 def verify_model(cnf, assignment):
-    """Independent model check: every clause has a true literal."""
+    """Independent model check: no clause is disjoint from the true literals."""
     if not assignment.is_total(cnf.num_vars):
         raise PartialAssignmentError("model must assign every variable")
-    return all(any(assignment.value(l) for l in c) for c in cnf.clauses)
+    values = assignment.values
+    true = {v if values[v] else -v for v in range(1, cnf.num_vars + 1) if values[v] is not None}
+    return not any(map(true.isdisjoint, cnf.clauses))
 
 
 def check_certificate(cnf, cert):
     """True iff each line follows from earlier clauses by the unit propagation
-    its hints spell out, and the last line is empty.
-
-    Line i (from 1) must have id len(cnf.clauses) + i.  From the negation of
-    its clause, each hint must name an earlier clause with no true literal
-    and at most one not false: a unit adds its literal, and an all-false
-    clause accepts the line.  Independent of _Core, to be trusted by reading.
-    """
+    its hints spell out, and the last line is empty.  Line i (from 1) has id
+    len(cnf.clauses) + i, and `false` starts as its literals: each hint's
+    clause minus `false` must be empty, which accepts the line, or one literal
+    not already true, whose negation joins `false`.  Independent of _Core."""
     if not cert.lines or cert.lines[-1]:
         return False
     n = cnf.num_vars
-    db = list(cnf.clauses)  # clause id k is db[k - 1]
+    db = list(map(frozenset, cnf.clauses))  # clause id k is db[k - 1]
     for i, (k, line, hints) in enumerate(zip(cert.ids, cert.lines, cert.hints, strict=True), 1):
         for lit in line:
             if lit == 0 or abs(lit) > n:
                 raise MalformedCertificateError(f"bad literal {lit} in certificate clause {i}")
         if k != len(db) + 1:
             return False
-        true = {-lit for lit in line}
+        false = set(line)
         for h in hints:
             if not 0 < h < k:
                 return False
-            unfalsified = [lit for lit in db[h - 1] if -lit not in true]
-            if not unfalsified:
+            rest = db[h - 1] - false
+            if not rest:
                 break
-            if len(unfalsified) > 1 or unfalsified[0] in true:
+            if len(rest) > 1:
                 return False
-            true.add(unfalsified[0])
+            (lit,) = rest
+            if -lit in false:
+                return False
+            false.add(-lit)
         else:
             return False
-        db.append(line)
+        db.append(frozenset(line))
     return True
 
 

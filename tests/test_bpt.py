@@ -8,6 +8,7 @@ from bruteforge import bpt, cli, sat
 from bruteforge.bpt import (
     Coloring,
     DomainGapError,
+    InvalidColorError,
     MissingVariableError,
     Threshold,
     VALID,
@@ -171,6 +172,48 @@ class TestColorings:
     def test_domain_gap(self):
         with pytest.raises(DomainGapError):
             verify_coloring(Coloring(5, {3: 1}), 5)
+
+    def test_a_color_per_member_is_no_2_coloring(self):
+        # no triple is monochromatic, so without the color check this was VALID
+        colors = {i: i for i in members(30)}
+        with pytest.raises(InvalidColorError) as raised:
+            verify_coloring(Coloring(30, colors), 30)
+        assert isinstance(raised.value, ValueError)
+        assert str(raised.value) == "member 3 has color 3, not 0 or 1"
+
+    @pytest.mark.parametrize("color", [2, -1, None, "1", 0.5])
+    def test_one_bad_color_is_named(self, color):
+        colors = {i: i % 2 for i in members(30)}
+        colors[25] = color
+        with pytest.raises(InvalidColorError) as raised:
+            verify_coloring(Coloring(30, colors), 30)
+        assert str(raised.value) == f"member 25 has color {color!r}, not 0 or 1"
+
+    def test_bool_colors_are_0_and_1(self):
+        assert verify_coloring(Coloring(5, {3: True, 4: True, 5: False}), 5) == VALID
+        assert verify_coloring(Coloring(5, {3: True, 4: True, 5: True}), 5) == (3, 4, 5)
+
+    def test_colors_are_read_once(self):
+        class CountingColoring:
+            def __init__(self, colors):
+                self._colors, self.reads = colors, 0
+
+            @property
+            def colors(self):
+                self.reads += 1
+                return self._colors
+
+        cnf, varmap = encode(100)
+        colors = coloring_from_model(sat.solve(cnf).model, varmap, 100).colors
+        recolored = {**colors, 3: colors[5], 4: colors[5]}
+        for c, want in ((colors, VALID), (recolored, (3, 4, 5))):
+            coloring = CountingColoring(c)
+            assert verify_coloring(coloring, 100) == want
+            assert coloring.reads == 1
+        coloring = CountingColoring({**colors, 7: 2})
+        with pytest.raises(InvalidColorError):
+            verify_coloring(coloring, 100)
+        assert coloring.reads == 1
 
     def test_model_roundtrip(self):
         _, varmap = encode(20)
