@@ -1,14 +1,14 @@
 """Boolean Pythagorean Triples pipeline.
 
-Enumerates Pythagorean triples up to a bound m from Euclid's formula, in
-O(#triples) plus a sort, builds the CNF whose unsatisfiability is
-equivalent to every 2-coloring of [m] containing a monochromatic triple
-(one (x_a|x_b|x_c) & (~x_a|~x_b|~x_c) block per triple), extracts and
-verifies colorings, and finds the threshold: one solve at the bound, and
-bisection below it only when the bound is unsatisfiable.  `triples` and
-`members` keep the tuple and the frozenset of their latest bound, so
-encoding m and verifying a coloring of m share one enumeration and one
-member set.
+Builds the CNF whose unsatisfiability is equivalent to every 2-coloring
+of [m] containing a monochromatic triple (one (x_a|x_b|x_c) &
+(~x_a|~x_b|~x_c) block per triple of `check.triples`), extracts colorings
+from models, and finds the threshold: one solve at the bound, and
+bisection below it only when the bound is unsatisfiable.  Every verdict
+is re-checked by `check.verify_coloring` or `check.check_certificate`.
+`check.triples` and `check.members` keep the tuple and the frozenset of
+their latest bound, so encoding m and verifying a coloring of m share one
+enumeration and one member set.
 
 Reference-only facts, not desk-reproducible: the true threshold is 7825;
 the published encodings had 3730 and 3745 variables after symmetry
@@ -19,64 +19,17 @@ exactly the number of distinct triple members.
 
 from __future__ import annotations
 
-import functools
-import math
 from dataclasses import dataclass
 
-from . import sat
-from .logic import Assignment, Cnf, VerificationError
+from . import check, sat
+from .check import VALID, Coloring, members, triples, verify_coloring  # perfbench reads these
+from .logic import Cnf, VerificationError
 
 REFERENCE_THRESHOLD = 7825  # not desk-verified; recorded for documentation
 
 
-class DomainGapError(ValueError):
-    pass
-
-
 class MissingVariableError(ValueError):
     pass
-
-
-class InvalidColorError(ValueError):
-    pass
-
-
-@dataclass(frozen=True)
-class Coloring:
-    m: int
-    colors: dict  # member -> 0 | 1
-
-
-@functools.lru_cache(maxsize=1, typed=True)
-def triples(m):
-    """All Pythagorean triples (a, b, c) with a < b < c <= m, sorted by (c, a).
-
-    Euclid's formula: every primitive triple is (u^2 - v^2, 2uv, u^2 + v^2)
-    with u > v >= 1, gcd(u, v) = 1 and u - v odd, and every triple is k
-    times exactly one primitive triple.  The work is one gcd per (u, v)
-    with u^2 + v^2 <= m plus one tuple per triple, then the sort.
-    """
-    if m < 1:
-        raise ValueError("m must be positive")
-    out = []
-    for u in range(2, math.isqrt(m - 1) + 1):
-        for v in range(1 + u % 2, u, 2):  # u - v odd
-            c = u * u + v * v
-            if c > m:
-                break
-            if math.gcd(u, v) == 1:
-                a, b = sorted((u * u - v * v, 2 * u * v))
-                k = m // c
-                out.extend(zip(range(a, k * a + 1, a), range(b, k * b + 1, b),
-                               range(c, k * c + 1, c)))
-    out.sort(key=lambda t: (t[2], t[0]))
-    return tuple(out)
-
-
-@functools.lru_cache(maxsize=1, typed=True)
-def members(m):
-    """Distinct numbers appearing in some triple up to m."""
-    return frozenset().union(*triples(m))
 
 
 def encode(m):
@@ -86,9 +39,9 @@ def encode(m):
     propositional variable id.  Numbers outside every triple get no
     variable.  num_vars = |members(m)|; clauses = 2 * |triples(m)|.
     """
-    varmap = {member: i for i, member in enumerate(sorted(members(m)), 1)}
+    varmap = {member: i for i, member in enumerate(sorted(check.members(m)), 1)}
     clauses = []
-    for a, b, c in triples(m):
+    for a, b, c in check.triples(m):
         xa, xb, xc = varmap[a], varmap[b], varmap[c]
         clauses.append(frozenset((xa, xb, xc)))
         clauses.append(frozenset((-xa, -xb, -xc)))
@@ -104,54 +57,28 @@ def coloring_from_model(model, varmap, m):
         if value is None:
             raise MissingVariableError(f"model does not assign variable {var}")
         colors[member] = 1 if value else 0
-    return Coloring(m, colors)
-
-
-def coloring_to_model(coloring, varmap):
-    """Inverse of coloring_from_model over varmap's domain."""
-    return Assignment({varmap[i]: bool(c) for i, c in coloring.colors.items()})
-
-
-VALID = "valid"
-
-
-def verify_coloring(coloring, m):
-    """VALID, or the first monochromatic triple as a witness.  Every triple
-    member must have a color, and that color must be 0 or 1."""
-    colors = coloring.colors
-    domain = members(m)
-    missing = domain.difference(colors)
-    if missing:
-        raise DomainGapError(f"coloring misses triple members {sorted(missing)}")
-    bad = [x for x in domain if colors[x] not in (0, 1)]
-    if bad:
-        x = min(bad)
-        raise InvalidColorError(f"member {x} has color {colors[x]!r}, not 0 or 1")
-    for a, b, c in triples(m):
-        if colors[a] == colors[b] == colors[c]:
-            return (a, b, c)
-    return VALID
+    return check.Coloring(m, colors)
 
 
 @dataclass(frozen=True)
 class Threshold:
     m: int
-    certificate: sat.Certificate
+    certificate: check.Certificate
 
 
 def solve(m):
     """A Coloring of [m] that verify_coloring accepts, or a Certificate that
-    sat.check_certificate accepts for encode(m): encode, solve, then check
+    check_certificate accepts for encode(m): encode, solve, then check
     the verdict.  A verdict that does not check raises VerificationError."""
     cnf, varmap = encode(m)
     verdict = sat.solve(cnf)
     if verdict.satisfiable:
         coloring = coloring_from_model(verdict.model, varmap, m)
-        witness = verify_coloring(coloring, m)
-        if witness != VALID:
+        witness = check.verify_coloring(coloring, m)
+        if witness != check.VALID:
             raise VerificationError(f"m={m}: coloring has monochromatic triple {witness}")
         return coloring
-    if not sat.check_certificate(cnf, verdict.certificate):
+    if not check.check_certificate(cnf, verdict.certificate):
         raise VerificationError(f"m={m}: certificate does not check")
     return verdict.certificate
 
@@ -165,13 +92,13 @@ def find_threshold(max_m):
     solves in all, each of them checked.  max_m < 1 raises ValueError.
     """
     result = solve(max_m)
-    if isinstance(result, Coloring):
+    if isinstance(result, check.Coloring):
         return result
     lo, hi, cert = 0, max_m, result
     while hi - lo > 1:
         mid = (lo + hi) // 2
         probe = solve(mid)
-        if isinstance(probe, Coloring):
+        if isinstance(probe, check.Coloring):
             lo = mid
         else:
             hi, cert = mid, probe

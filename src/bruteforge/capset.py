@@ -1,10 +1,11 @@
-"""Cap-set laboratory: cap predicate, constructions, exact small-n oracle.
+"""Cap-set laboratory: constructions, the search kernel, exact small-n oracles.
 
 A set is a cap iff no three distinct vectors sum to the zero vector mod 3,
 equivalently iff it contains no 3-term arithmetic progression (affine line).
+The cap predicate `check.is_cap` and the cap-set file format live in `check`.
 
 Vectors are tuples over {0,1,2} at the boundary: in files, on the command
-line and in the oracles (`is_cap`, `is_cap_ap`, `extends_cap`,
+line and in the oracles (`check.is_cap`, `is_cap_ap`, `extends_cap`,
 `exact_cap_enumeration`).  Inside the search kernel a vector of (Z/3)^n is
 its code, the int in [0, 3^n) whose base-3 digits are the coordinates, so
 integer order is lexicographic tuple order.  A walk keeps the codes it has
@@ -17,6 +18,8 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
+
+from .check import format_capset, is_cap, parse_capset_file  # perfbench reads these here
 
 
 class DimensionBudgetError(ValueError):
@@ -50,36 +53,6 @@ def vec_sub(x, y):
 
 def vec_neg(x):
     return tuple((-a) % 3 for a in x)
-
-
-def is_cap(vectors):
-    """No three distinct vectors sum to zero mod 3.
-
-    For distinct x and y the third point -(x+y) differs from both, so the
-    set is a cap iff no pair's third point is in it.  A vector is keyed as
-    K = h << n | l, where bit i of h (of l) is set iff digit i is 2 (is 1),
-    and K' = l << n | h is the key of its negation.  Bitsliced GF(3)
-    addition gives x + y = ((xl|yl) ^ t, (xh|yh) ^ t) with
-    t = (xl|yh) ^ (xh|yl), and (Kx|Ky') ^ (Kx'|Ky) holds t in both halves,
-    so the key of -(x+y) is (Kx|Ky) ^ (Kx|Ky') ^ (Kx'|Ky).
-    """
-    vs = list(vectors)
-    n = len(vs[0]) if vs else 0
-    keys = []
-    for v in vs:
-        if len(v) != n or not set(v) <= {0, 1, 2}:
-            raise ValueError("vectors must share one dimension over {0, 1, 2}")
-        h = l = 0
-        for a in v:
-            h, l = h << 1 | (a == 2), l << 1 | (a == 1)
-        keys.append((h << n | l, l << n | h))
-    keyset = {k for k, _ in keys}
-    if len(keyset) != len(keys):
-        raise ValueError("vectors must be distinct")
-    for i, (kx, nx) in enumerate(keys):
-        if not keyset.isdisjoint({(kx | ky) ^ (kx | ny) ^ (nx | ky) for ky, ny in keys[i + 1:]}):
-            return False
-    return True
 
 
 def is_cap_ap(vectors):
@@ -245,24 +218,3 @@ def exact_cap_enumeration(n):
         if len(subset) > best and is_cap(subset):
             best = len(subset)
     return best
-
-
-def parse_capset_file(text, n=None):
-    """One vector per line, written as base-3 digit strings."""
-    vectors = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if not all(ch in "012" for ch in line):
-            raise ValueError(f"line {lineno}: not a base-3 vector: {line!r}")
-        v = tuple(int(ch) for ch in line)
-        if n is not None and len(v) != n:
-            raise ValueError(f"line {lineno}: expected dimension {n}, got {len(v)}")
-        n = len(v)
-        vectors.append(v)
-    return vectors
-
-
-def format_capset(vectors):
-    return "\n".join("".join(str(d) for d in v) for v in sorted(vectors)) + "\n"

@@ -17,10 +17,10 @@ import os
 import sys
 import tempfile
 
-from . import bpt, capset, equational, evolve, hierarchy, priority, sat
+from . import bpt, capset, check, equational, evolve, hierarchy, priority, sat
 from .logic import (
-    App, Assignment, VerificationError, clause_line, format_term, parse_dimacs, parse_term,
-    var_name, write_dimacs,
+    App, Assignment, VerificationError, apply_subst, clause_line, format_term, parse_dimacs,
+    parse_term, var_name, write_dimacs,
 )
 
 EXIT_OK = 0
@@ -57,14 +57,14 @@ def _cmd_sat_solve(args, parser):
     cnf = parse_dimacs(_read(parser, args.cnf))
     verdict = sat.solve(cnf)
     if verdict.satisfiable:
-        if not sat.verify_model(cnf, verdict.model):
+        if not check.verify_model(cnf, verdict.model):
             raise VerificationError("model does not satisfy every clause")
         print("SATISFIABLE")
         if args.model:
             lits = [v if value else -v for v, value in verdict.model.values.items()]
             _atomic_write(args.model, clause_line(lits) + "\n")
         return EXIT_OK
-    if not sat.check_certificate(cnf, verdict.certificate):
+    if not check.check_certificate(cnf, verdict.certificate):
         raise VerificationError("certificate does not check")
     print("UNSATISFIABLE")
     if args.cert:
@@ -75,8 +75,8 @@ def _cmd_sat_solve(args, parser):
 def _cmd_sat_check(args, parser):
     cnf = parse_dimacs(_read(parser, args.cnf))
     if args.cert is not None:
-        cert = sat.Certificate.from_text(_read(parser, args.cert))
-        valid = sat.check_certificate(cnf, cert)
+        cert = check.Certificate.from_text(_read(parser, args.cert))
+        valid = check.check_certificate(cnf, cert)
         print(f"certificate valid: {len(cert.lines)} lines" if valid else "certificate invalid")
         return EXIT_OK if valid else EXIT_NEGATIVE
     # a model as _cmd_sat_solve writes it: each variable once, signed, then 0
@@ -86,7 +86,7 @@ def _cmd_sat_check(args, parser):
         lits, end = (), None
     if end != 0 or sorted(map(abs, lits)) != list(range(1, cnf.num_vars + 1)):
         raise ValueError(f"model: expected each variable from 1 to {cnf.num_vars} once, then 0")
-    valid = sat.verify_model(cnf, Assignment({abs(lit): lit > 0 for lit in lits}))
+    valid = check.verify_model(cnf, Assignment({abs(lit): lit > 0 for lit in lits}))
     print("model valid" if valid else "model invalid")
     return EXIT_OK if valid else EXIT_NEGATIVE
 
@@ -109,7 +109,7 @@ def _cmd_bpt_encode(args, parser):
 
 def _cmd_bpt_solve(args, parser):
     result = bpt.solve(args.m)
-    if isinstance(result, bpt.Coloring):
+    if isinstance(result, check.Coloring):
         print(f"SATISFIABLE: valid 2-coloring for m={args.m}")
         if args.coloring:
             _atomic_write(args.coloring, _format_coloring(result))
@@ -135,8 +135,8 @@ def _cmd_bpt_scan(args, parser):
 
 
 def _cmd_capset_verify(args, parser):
-    vectors = capset.parse_capset_file(_read(parser, args.file))
-    if capset.is_cap(vectors):
+    vectors = check.parse_capset_file(_read(parser, args.file))
+    if check.is_cap(vectors):
         print(f"cap: {len(vectors)} vectors")
         return EXIT_OK
     print("not a cap")
@@ -146,13 +146,13 @@ def _cmd_capset_verify(args, parser):
 def _cmd_capset_greedy(args, parser):
     expr = priority.parse_expr(args.expr)
     chosen = priority.greedy(expr, args.n)
-    if not capset.is_cap(chosen):
+    if not check.is_cap(chosen):
         raise VerificationError("greedy set is not a cap")
     print(f"greedy cap size {len(chosen)} for n={args.n}")
     if args.output:
-        _atomic_write(args.output, capset.format_capset(chosen))
+        _atomic_write(args.output, check.format_capset(chosen))
     else:
-        sys.stdout.write(capset.format_capset(chosen))
+        sys.stdout.write(check.format_capset(chosen))
     return EXIT_OK
 
 
@@ -272,7 +272,7 @@ def _parse_precedence(parser, text, signature, axioms):
 
 def _check_proof(proof, axioms, goal):
     diagnostics = []
-    if not equational.check_proof(proof, axioms, goal, diagnostics):
+    if not check.check_proof(proof, axioms, goal, diagnostics):
         raise VerificationError("proof does not replay: " + "; ".join(diagnostics))
 
 
@@ -287,8 +287,8 @@ def _cmd_eq_prove(args, parser):
         if isinstance(result, equational.WitnessResult):
             sigma = result.witness
             instance = equational.Equation(
-                equational.apply_subst(goal.lhs, sigma),
-                equational.apply_subst(goal.rhs, sigma),
+                apply_subst(goal.lhs, sigma),
+                apply_subst(goal.rhs, sigma),
             )
             _check_proof(result.proof, axioms, instance)
             witness = ", ".join(
@@ -297,19 +297,19 @@ def _cmd_eq_prove(args, parser):
             )
             print(f"witness found: {witness or '(trivial)'}")
             if args.output:
-                _atomic_write(args.output, equational.format_proof(result.proof))
+                _atomic_write(args.output, check.format_proof(result.proof))
             return EXIT_OK
     else:
         result = equational.prove(
             goal, axioms, max_expansions=args.budget, max_seconds=args.max_seconds
         )
-        if isinstance(result, equational.EqProof):
+        if isinstance(result, check.EqProof):
             _check_proof(result, axioms, goal)
             print(f"proof found: {len(result.steps)} steps")
             if args.output:
-                _atomic_write(args.output, equational.format_proof(result))
+                _atomic_write(args.output, check.format_proof(result))
             else:
-                sys.stdout.write(equational.format_proof(result))
+                sys.stdout.write(check.format_proof(result))
             return EXIT_OK
     print(
         "timeout: "
@@ -323,9 +323,9 @@ def _cmd_eq_check(args, parser):
     text = _read(parser, args.proof)
     axioms, signature = _load_axioms(parser, args.axioms)
     goal = _parse_goal(parser, args.goal, signature)
-    proof = equational.parse_proof(text, signature)
+    proof = check.parse_proof(text, signature)
     diagnostics = []
-    if equational.check_proof(proof, axioms, goal, diagnostics):
+    if check.check_proof(proof, axioms, goal, diagnostics):
         print(f"proof valid: {len(proof.steps)} steps")
         return EXIT_OK
     for line in diagnostics:

@@ -1,12 +1,12 @@
 """Unit-equational reasoning: unification, rewriting, LPO, completion,
-proof checking, and budgeted proof search.
+and budgeted proof search.
 
 Ships the Robbins axioms (R1-R3 plus the definitional equations), the
 Boolean-algebra axioms B1-B10, and the free-group axioms.  Proof search is
 a fair dovetailed generate-and-test that meets in the middle; found proofs
-are replayable step lists that check_proof validates.  The witness search
-prove_exists skips every candidate instance that is false in a two-element
-model of the axioms, since no proof of it exists.
+are `check.EqProof` step lists that `check.check_proof` replays.  The
+witness search prove_exists skips every candidate instance that is false
+in a two-element model of the axioms, since no proof of it exists.
 """
 
 from __future__ import annotations
@@ -15,25 +15,16 @@ import functools
 import heapq
 import itertools
 import operator
-import re
 import time
 from collections import deque
 from dataclasses import dataclass
 
+from .check import (  # perfbench reads these here
+    EqProof, ProofStep, apply_step, check_proof, format_proof, parse_proof,
+)
 from .logic import (
-    App,
-    BOOLEAN_SIG,
-    GROUP_SIG,
-    ROBBINS_SIG,
-    Term,
-    Var,
-    _VAR_RE,
-    format_term,
-    parse_term,
-    term_size,
-    term_vars,
-    var_id,
-    var_name,
+    App, BOOLEAN_SIG, GROUP_SIG, ROBBINS_SIG, Term, Var, apply_subst, format_term, parse_term,
+    replace_at, term_size, term_vars,
 )
 
 FAIL = None  # mgu failure sentinel
@@ -82,14 +73,6 @@ class CompletionTimeout(CompletionBudgetExhausted):
 
 
 # --- substitutions and unification ----------------------------------------
-
-
-def apply_subst(t, sigma):
-    if isinstance(t, Var):
-        return sigma.get(t.id, t)
-    if not t.args:
-        return t
-    return App(t.symbol, tuple([apply_subst(a, sigma) for a in t.args]))
 
 
 def compose(sigma, tau):
@@ -240,23 +223,6 @@ def positions(t, prefix=()):
     if isinstance(t, App):
         for i, a in enumerate(t.args):
             yield from positions(a, prefix + (i,))
-
-
-def subterm_at(t, pos):
-    for i in pos:
-        if isinstance(t, Var) or not 0 <= i < len(t.args):
-            raise IndexError(f"no subterm at position {pos}")
-        t = t.args[i]
-    return t
-
-
-def replace_at(t, pos, sub):
-    if not pos:
-        return sub
-    if isinstance(t, Var) or not 0 <= pos[0] < len(t.args):
-        raise IndexError(f"no subterm at position {pos}")
-    i = pos[0]
-    return App(t.symbol, t.args[:i] + (replace_at(t.args[i], pos[1:], sub),) + t.args[i + 1:])
 
 
 # --- critical pairs and completion ----------------------------------------
@@ -457,118 +423,6 @@ AXIOM_SIGNATURES = {
     "robbins": BOOLEAN_SIG,
     "group": GROUP_SIG,
 }
-
-
-# --- proofs ----------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ProofStep:
-    eq_id: str
-    pos: tuple
-    subst: dict
-    direction: str  # "lr" | "rl"
-
-
-@dataclass(frozen=True)
-class EqProof:
-    steps: tuple
-
-
-class ProofStepError(ValueError):
-    pass
-
-
-def apply_step(t, step, axioms):
-    if step.eq_id not in axioms:
-        raise ProofStepError(f"unknown equation id {step.eq_id!r}")
-    eq = axioms[step.eq_id]
-    frm, to = (eq.lhs, eq.rhs) if step.direction == "lr" else (eq.rhs, eq.lhs)
-    try:
-        sub = subterm_at(t, step.pos)
-    except IndexError as exc:
-        raise ProofStepError(f"bad position {step.pos}: {exc}")
-    if apply_subst(frm, step.subst) != sub:
-        raise ProofStepError(
-            f"instance mismatch at {step.pos}: {format_term(apply_subst(frm, step.subst))}"
-            f" != {format_term(sub)}"
-        )
-    return replace_at(t, step.pos, apply_subst(to, step.subst))
-
-
-def check_proof(proof, axioms, goal, diagnostics=None):
-    """Replay every step; True iff the steps transform goal.lhs into goal.rhs."""
-    t = goal.lhs
-    for i, step in enumerate(proof.steps):
-        try:
-            t = apply_step(t, step, axioms)
-        except ProofStepError as exc:
-            if diagnostics is not None:
-                diagnostics.append(f"step {i}: {exc}")
-            return False
-    if t != goal.rhs:
-        if diagnostics is not None:
-            diagnostics.append(
-                f"final term {format_term(t)} differs from goal {format_term(goal.rhs)}"
-            )
-        return False
-    return True
-
-
-# proof file format: one step per line, "eqId position substitution direction"
-# position: dot-separated child indices, "-" for the root
-# substitution: semicolon-separated var=term bindings, "-" when empty
-# (terms may contain spaces and commas, so the substitution field is
-# delimited by its neighbours: the first two and the last whitespace fields)
-
-
-def format_proof(proof):
-    lines = []
-    for s in proof.steps:
-        pos = ".".join(str(i) for i in s.pos) if s.pos else "-"
-        if s.subst:
-            sub = "; ".join(
-                f"{var_name(v)}={format_term(t)}" for v, t in sorted(s.subst.items())
-            )
-        else:
-            sub = "-"
-        lines.append(f"{s.eq_id} {pos} {sub} {s.direction}")
-    return "\n".join(lines) + "\n"
-
-
-# a negative index parses, so that replaying the step reports it
-_POSITION_RE = re.compile(r"-?[0-9]+(\.-?[0-9]+)*")
-
-
-def parse_proof(text, signature):
-    steps = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) < 4:
-            raise ProofStepError(f"line {lineno}: expected 4 fields")
-        eq_id, pos_text, direction = parts[0], parts[1], parts[-1]
-        sub_text = " ".join(parts[2:-1])
-        if direction not in ("lr", "rl"):
-            raise ProofStepError(f"line {lineno}: bad direction {direction!r}")
-        if pos_text == "-":
-            pos = ()
-        elif _POSITION_RE.fullmatch(pos_text):
-            pos = tuple(int(p) for p in pos_text.split("."))
-        else:
-            raise ProofStepError(f"line {lineno}: bad position {pos_text!r}")
-        subst = {}
-        if sub_text != "-":
-            for binding in sub_text.split(";"):
-                name, _, term_text = binding.partition("=")
-                name = name.strip()
-                if not _VAR_RE.match(name):
-                    raise ProofStepError(f"line {lineno}: bad variable name {name!r}")
-                subst[var_id(name)] = parse_term(term_text, signature)
-        steps.append(ProofStep(eq_id, pos, subst, direction))
-    return EqProof(tuple(steps))
 
 
 # --- proof search ----------------------------------------------------------

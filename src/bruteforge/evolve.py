@@ -306,9 +306,8 @@ SEED_EXPRS = ("0", "v[0]", "n", "v[0] + v[1]")
 
 # the smallest n whose batches are scored in a worker pool.  Medians of 5
 # runs of evolve(EvolveConfig(n, eval_budget=300)) on a 2-core x86_64 box,
-# serial against a 2-worker pool: 0.06 / 0.15 s at n=4, 0.11 / 0.21 s at
-# n=5, a tie within the run spread near 0.33 s at n=6, 0.94 / 0.68 s at
-# n=7 and 3.43 / 2.06 s at n=8.
+# serial against a 2-worker pool: 0.05 / 0.16 s at n=4, 0.10 / 0.20 s at
+# n=5, 0.28 / 0.34 s at n=6, 0.91 / 0.65 s at n=7 and 2.65 / 1.80 s at n=8.
 POOL_MIN_N = 7
 
 

@@ -284,6 +284,32 @@ def term_vars(t):
     return out
 
 
+def apply_subst(t, sigma):
+    if isinstance(t, Var):
+        return sigma.get(t.id, t)
+    if not t.args:
+        return t
+    return App(t.symbol, tuple([apply_subst(a, sigma) for a in t.args]))
+
+
+def subterm_at(t, pos):
+    for i in pos:
+        if isinstance(t, Var) or not 0 <= i < len(t.args):
+            raise IndexError(f"no subterm at position {pos}")
+        t = t.args[i]
+    return t
+
+
+def replace_at(t, pos, sub):
+    if not pos:
+        return sub
+    if isinstance(t, Var) or not 0 <= pos[0] < len(t.args):
+        raise IndexError(f"no subterm at position {pos}")
+    i = pos[0]
+    return App(t.symbol, t.args[:i] + (replace_at(t.args[i], pos[1:], sub),) + t.args[i + 1:])
+
+
+
 # --- propositional machinery ---------------------------------------------
 
 

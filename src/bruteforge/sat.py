@@ -12,10 +12,10 @@ lowest unassigned variable, true first.  Tautologies are watched, not
 dropped: once x is assigned, x or -x is true, so they never become unit
 or false and leave the search as it is.  Learned clauses are never
 deleted: in order, followed by the empty clause, they form an LRAT
-refutation (Cruz-Filipe et al., CADE 2017), whose hints check_certificate
-walks with one set difference per hint, no watches and no code of the
-solver's; verify_model tests each clause against the set of true literals.
-Models and certificates are deterministic for a given input."""
+refutation (Cruz-Filipe et al., CADE 2017), a `check.Certificate`.
+`check.check_certificate` and `check.verify_model` re-check the verdicts
+with no code of the solver's.  Models and certificates are deterministic
+for a given input."""
 
 from __future__ import annotations
 
@@ -23,7 +23,8 @@ import heapq
 import math
 from dataclasses import dataclass
 
-from .logic import Assignment, clause_line
+from .check import Certificate, check_certificate, verify_model  # perfbench reads these here
+from .logic import Assignment
 
 CONFLICT = "conflict"
 STABLE = "stable"
@@ -33,54 +34,8 @@ class BudgetExhausted(RuntimeError):
     """Raised when an optional step limit is configured and hit."""
 
 
-class PartialAssignmentError(ValueError):
-    pass
-
-
 class PivotAbsentError(ValueError):
     pass
-
-
-class MalformedCertificateError(ValueError):
-    pass
-
-
-@dataclass(frozen=True)
-class Certificate:
-    """LRAT refutation without deletions: clause `lines[i]` has id `ids[i]`
-    and follows by unit propagation from the clauses `hints[i]` names, in
-    order.  Input clause k (from 1) has id k; the last line is empty."""
-
-    lines: tuple
-    ids: tuple
-    hints: tuple
-
-    def to_text(self):
-        """One line per clause: `<id> <literals> 0 <hint ids> 0`."""
-        return "".join(
-            " ".join([str(k), clause_line(c), *map(str, h), "0"]) + "\n"
-            for k, c, h in zip(self.ids, self.lines, self.hints)
-        )
-
-    @staticmethod
-    def from_text(text):
-        """Parse one `<id> <literals> 0 <hint ids> 0` line per nonblank line;
-        the error for a malformed line names it, counting from 1."""
-        lines, ids, hints = [], [], []
-        for lineno, raw in enumerate(text.splitlines(), 1):
-            if not raw.strip():
-                continue
-            try:
-                k, *rest = map(int, raw.split())
-            except ValueError:
-                raise MalformedCertificateError(f"line {lineno}: non-integer token in {raw!r}")
-            if rest.count(0) != 2 or rest[-1] != 0:
-                raise MalformedCertificateError(f"line {lineno}: not 'id lits 0 hints 0': {raw!r}")
-            end = rest.index(0)
-            ids.append(k)
-            lines.append(frozenset(rest[:end]))
-            hints.append(tuple(rest[end + 1:-1]))
-        return Certificate(tuple(lines), tuple(ids), tuple(hints))
 
 
 @dataclass(frozen=True)
@@ -114,50 +69,6 @@ def resolve(c1, c2, pivot):
     if -pivot not in c2:
         raise PivotAbsentError(f"pivot {pivot} does not occur negatively in c2")
     return (c1 - {pivot}) | (c2 - {-pivot})
-
-
-def verify_model(cnf, assignment):
-    """Independent model check: no clause is disjoint from the true literals."""
-    if not assignment.is_total(cnf.num_vars):
-        raise PartialAssignmentError("model must assign every variable")
-    values = assignment.values
-    true = {v if values[v] else -v for v in range(1, cnf.num_vars + 1) if values[v] is not None}
-    return not any(map(true.isdisjoint, cnf.clauses))
-
-
-def check_certificate(cnf, cert):
-    """True iff each line follows from earlier clauses by the unit propagation
-    its hints spell out, and the last line is empty.  Line i (from 1) has id
-    len(cnf.clauses) + i, and `false` starts as its literals: each hint's
-    clause minus `false` must be empty, which accepts the line, or one literal
-    not already true, whose negation joins `false`.  Independent of _Core."""
-    if not cert.lines or cert.lines[-1]:
-        return False
-    n = cnf.num_vars
-    db = list(map(frozenset, cnf.clauses))  # clause id k is db[k - 1]
-    for i, (k, line, hints) in enumerate(zip(cert.ids, cert.lines, cert.hints, strict=True), 1):
-        for lit in line:
-            if lit == 0 or abs(lit) > n:
-                raise MalformedCertificateError(f"bad literal {lit} in certificate clause {i}")
-        if k != len(db) + 1:
-            return False
-        false = set(line)
-        for h in hints:
-            if not 0 < h < k:
-                return False
-            rest = db[h - 1] - false
-            if not rest:
-                break
-            if len(rest) > 1:
-                return False
-            (lit,) = rest
-            if -lit in false:
-                return False
-            false.add(-lit)
-        else:
-            return False
-        db.append(frozenset(line))
-    return True
 
 
 EMPTY = frozenset()

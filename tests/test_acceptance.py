@@ -10,7 +10,7 @@ import os
 import random
 import time
 
-from bruteforge import bpt, capset, equational, evolve, hierarchy, priority, sat
+from bruteforge import bpt, capset, check, equational, evolve, hierarchy, priority, sat
 from bruteforge.logic import App, Assignment, BOOLEAN_SIG, Cnf, Var
 
 
@@ -38,9 +38,9 @@ def test_criterion_1_sat_oracle_equivalence():
         verdict = sat.solve(cnf)
         assert verdict.satisfiable == sat.truth_table_satisfiable(cnf)
         if verdict.satisfiable:
-            assert sat.verify_model(cnf, verdict.model)
+            assert check.verify_model(cnf, verdict.model)
         else:
-            assert sat.check_certificate(cnf, verdict.certificate)
+            assert check.check_certificate(cnf, verdict.certificate)
     elapsed = time.monotonic() - start
     assert elapsed < 60.0
     _report(1, f"500/500 in {elapsed:.1f}s")
@@ -64,8 +64,8 @@ def test_criterion_2_unit_propagation_chain():
 
 def test_criterion_3_bpt_structure():
     """Triple counts at 20 and encoding-size identities for all m <= 500."""
-    assert len(bpt.triples(20)) == 6
-    assert len(bpt.members(20)) == 13
+    assert len(check.triples(20)) == 6
+    assert len(check.members(20)) == 13
     # independent cubic-scan oracle at the anchor point
     brute = [
         (a, b, c)
@@ -77,8 +77,8 @@ def test_criterion_3_bpt_structure():
     assert len(brute) == 6
     for m in range(1, 501):
         cnf, varmap = bpt.encode(m)
-        assert cnf.num_vars == len(bpt.members(m))
-        assert len(cnf.clauses) == 2 * len(bpt.triples(m))
+        assert cnf.num_vars == len(check.members(m))
+        assert len(cnf.clauses) == 2 * len(check.triples(m))
     _report(3)
 
 
@@ -92,7 +92,7 @@ def test_criterion_4_bpt_small_scale_equivalence():
         assert verdict.satisfiable == bpt.exhaustive_satisfiable(m)
         if verdict.satisfiable and varmap:
             coloring = bpt.coloring_from_model(verdict.model, varmap, m)
-            assert bpt.verify_coloring(coloring, m) == bpt.VALID
+            assert check.verify_coloring(coloring, m) == check.VALID
     elapsed = time.monotonic() - start
     assert elapsed < 300.0
     _report(4, f"m<=40 in {elapsed:.1f}s")
@@ -115,7 +115,7 @@ def test_criterion_5_capset_oracle():
         for _ in range(10000):
             size = rng.randint(0, min(6, len(vectors)))
             vs = rng.sample(vectors, size)
-            assert capset.is_cap(vs) == capset.is_cap_ap(vs)
+            assert check.is_cap(vs) == capset.is_cap_ap(vs)
     _report(5, f"n=3 exact in {n3_elapsed:.1f}s")
 
 
@@ -126,7 +126,7 @@ def test_criterion_6_greedy_and_golden_log():
     for n in range(1, 11):
         b = capset.binary_cap(n)
         assert len(b) == 2**n
-        assert capset.is_cap(b)
+        assert check.is_cap(b)
     exact = {1: 2, 2: 4, 3: 9}
     sample_exprs = ["0", "v[0]", "n - v[0]", "v[0] * v[1]",
                     "0 - ((v[0]*v[0] + v[1]*v[1] - v[2]) % 3)"]
@@ -141,7 +141,7 @@ def test_criterion_6_greedy_and_golden_log():
     for record in records:
         rescored = priority.score(priority.parse_expr(record["expr"]), 3)
         assert rescored == record["score"]
-        assert capset.is_cap(priority.greedy(priority.parse_expr(record["expr"]), 3))
+        assert check.is_cap(priority.greedy(priority.parse_expr(record["expr"]), 3))
         best = max(best, record["score"])
         assert record["best"] == best  # best-so-far is monotone
     assert best == 9
@@ -188,17 +188,17 @@ def test_criterion_8_equational_suite():
     start = time.monotonic()
     proof = equational.prove(goal, equational.BOOLEAN_AXIOMS)
     elapsed = time.monotonic() - start
-    assert isinstance(proof, equational.EqProof)
-    assert equational.check_proof(proof, equational.BOOLEAN_AXIOMS, goal)
+    assert isinstance(proof, check.EqProof)
+    assert check.check_proof(proof, equational.BOOLEAN_AXIOMS, goal)
     assert elapsed < 10.0
 
     hard_goal = equational.Equation(
         App("v", (equational.T1, equational.T2)), equational.T1
     )
     result = equational.prove(hard_goal, equational.ROBBINS_AXIOMS, max_expansions=2000)
-    if isinstance(result, equational.EqProof):
+    if isinstance(result, check.EqProof):
         # a found proof would be a surprise, but it must still check
-        assert equational.check_proof(result, equational.ROBBINS_AXIOMS, hard_goal)
+        assert check.check_proof(result, equational.ROBBINS_AXIOMS, hard_goal)
         detail = f"hard goal proved in {len(result.steps)} steps"
     else:
         assert isinstance(result, equational.Timeout)

@@ -4,19 +4,20 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bruteforge import bpt, cli, sat
+from bruteforge import bpt, check, cli, sat
 from bruteforge.bpt import (
-    Coloring,
-    DomainGapError,
-    InvalidColorError,
     MissingVariableError,
     Threshold,
-    VALID,
     coloring_from_model,
-    coloring_to_model,
     encode,
     exhaustive_satisfiable,
     find_threshold,
+)
+from bruteforge.check import (
+    Coloring,
+    DomainGapError,
+    InvalidColorError,
+    VALID,
     members,
     triples,
     verify_coloring,
@@ -49,6 +50,12 @@ def _scan_triples(m):
                 out.append((a, b, c))
     out.sort(key=lambda t: (t[2], t[0]))
     return tuple(out)
+
+
+def coloring_to_model(coloring, varmap):
+    """Inverse of coloring_from_model over varmap's domain, for 0/1 colorings:
+    any truthy color maps to True, so it is no check of the colors."""
+    return Assignment({varmap[i]: bool(c) for i, c in coloring.colors.items()})
 
 
 class TestTriples:
@@ -264,7 +271,7 @@ class TestFindThreshold:
             state["probes"].append(m)
             if m < state["T"]:
                 return Coloring(m, {})
-            state["certs"][m] = sat.Certificate(cert.lines, cert.ids, cert.hints)
+            state["certs"][m] = check.Certificate(cert.lines, cert.ids, cert.hints)
             return state["certs"][m]
 
         monkeypatch.setattr(bpt, "solve", solve)
@@ -282,7 +289,7 @@ class TestFindThreshold:
                 assert isinstance(result, Threshold)
                 assert result.m == T
                 assert result.certificate is fake_solve["certs"][T]
-                assert sat.check_certificate(self.CNF, result.certificate)
+                assert check.check_certificate(self.CNF, result.certificate)
                 # ceil(log2 max_m) + 1
                 assert len(fake_solve["probes"]) <= (max_m - 1).bit_length() + 1
                 assert fake_solve["probes"][0] == max_m
@@ -294,7 +301,7 @@ class TestFindThreshold:
         assert cli.main(["bpt", "scan", "--max", "50", "--cert", str(path)]) == 0
         assert capsys.readouterr().out == "threshold: first unsatisfiable m = 37\n"
         assert path.read_text() == fake_solve["certs"][37].to_text()
-        assert sat.check_certificate(self.CNF, sat.Certificate.from_text(path.read_text()))
+        assert check.check_certificate(self.CNF, check.Certificate.from_text(path.read_text()))
 
 
 class TestCheckedSolve:
@@ -315,11 +322,11 @@ class TestCheckedSolve:
 
     def test_unsatisfiable_encoding_gives_a_checked_certificate(self, unsatisfiable):
         cert = bpt.solve(5)
-        assert isinstance(cert, sat.Certificate)
-        assert sat.check_certificate(unsatisfiable, cert)
+        assert isinstance(cert, check.Certificate)
+        assert check.check_certificate(unsatisfiable, cert)
 
     def test_certificate_that_does_not_check_raises(self, unsatisfiable, monkeypatch):
-        monkeypatch.setattr(sat, "check_certificate", lambda cnf, cert: False)
+        monkeypatch.setattr(check, "check_certificate", lambda cnf, cert: False)
         with pytest.raises(VerificationError, match="certificate does not check"):
             bpt.solve(5)
 
@@ -327,20 +334,20 @@ class TestCheckedSolve:
         path = tmp_path / "c.txt"
         assert cli.main(["bpt", "solve", "5", "--cert", str(path)]) == 1
         assert path.read_text() == bpt.solve(5).to_text()
-        assert sat.check_certificate(unsatisfiable, sat.Certificate.from_text(path.read_text()))
+        assert check.check_certificate(unsatisfiable, check.Certificate.from_text(path.read_text()))
 
 
 class TestTriplesComputedOnce:
     @pytest.fixture
     def calls(self, monkeypatch):
         counter = []
-        real = bpt.triples
+        real = check.triples
 
         def counting(m):
             counter.append(m)
             return real(m)
 
-        monkeypatch.setattr(bpt, "triples", counting)
+        monkeypatch.setattr(check, "triples", counting)
         return counter
 
     def test_encode(self, calls):

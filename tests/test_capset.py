@@ -12,14 +12,12 @@ from bruteforge.capset import (
     exact_cap,
     exact_cap_enumeration,
     extends_cap,
-    format_capset,
-    is_cap,
     is_cap_ap,
-    parse_capset_file,
     vec_add,
     vec_neg,
     vec_sub,
 )
+from bruteforge.check import format_capset, is_cap, parse_capset_file
 
 
 class TestVectors:

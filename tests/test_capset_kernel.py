@@ -24,10 +24,10 @@ from bruteforge.capset import (
     exact_cap,
     extends_cap,
     greedy_cap,
-    is_cap,
     vec_add,
     vec_neg,
 )
+from bruteforge.check import is_cap
 from bruteforge.evolve import Candidate, EvolveConfig, evolve, propose, record_to_json
 from bruteforge.priority import (
     BinOp,

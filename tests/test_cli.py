@@ -8,7 +8,7 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bruteforge import bpt, cli, evolve, sat
+from bruteforge import bpt, check, cli, evolve, sat
 from bruteforge.logic import MAX_PARSE_DEPTH, Cnf, VerificationError, parse_dimacs, write_dimacs
 
 BIN = [sys.executable, "-m", "bruteforge.cli"]
@@ -188,13 +188,13 @@ class TestVerificationFailure:
 
     BROKEN_CHECK = (
         "import sys\n"
-        "from bruteforge import bpt, cli\n"
-        "bpt.verify_coloring = lambda coloring, m: (3, 4, 5)\n"
+        "from bruteforge import check, cli\n"
+        "check.verify_coloring = lambda coloring, m: (3, 4, 5)\n"
         "sys.exit(cli.main(['bpt', 'scan', '--max', '20']))\n"
     )
 
     def test_find_threshold_raises(self, monkeypatch):
-        monkeypatch.setattr(bpt, "verify_coloring", lambda coloring, m: (3, 4, 5))
+        monkeypatch.setattr(check, "verify_coloring", lambda coloring, m: (3, 4, 5))
         with pytest.raises(VerificationError):
             bpt.find_threshold(20)
 
@@ -209,11 +209,11 @@ class TestVerificationFailure:
 
     BROKEN_PROOF_CHECK = (
         "import sys\n"
-        "from bruteforge import cli, equational\n"
+        "from bruteforge import check, cli\n"
         "def reject(proof, axioms, goal, diagnostics=None):\n"
         "    diagnostics.append('rejected')\n"
         "    return False\n"
-        "equational.check_proof = reject\n"
+        "check.check_proof = reject\n"
         "sys.exit(cli.main(sys.argv[1:]))\n"
     )
 
@@ -231,17 +231,17 @@ class TestVerificationFailure:
         assert not proof.exists()
 
     @pytest.mark.parametrize("fault, argv", [
-        ("sat.verify_model = lambda cnf, model: False",
+        ("check.verify_model = lambda cnf, model: False",
          ["sat", "solve", "{sat}", "--model", "{out}"]),
-        ("sat.check_certificate = lambda cnf, cert: False",
+        ("check.check_certificate = lambda cnf, cert: False",
          ["sat", "solve", "{unsat}", "--cert", "{out}"]),
-        ("capset.is_cap = lambda vectors: False",
+        ("check.is_cap = lambda vectors: False",
          ["capset", "greedy", "--n", "2", "--expr", "v[0]", "-o", "{out}"]),
         ("priority.score = lambda expr, n: -1",
          ["capset", "evolve", "--n", "2", "--evals", "20", "--log", "{out}"]),
         ("equational.critical_pairs_join = lambda rules: False",
          ["eq", "complete", "--axioms", "group"]),
-        ("bpt.verify_coloring = lambda coloring, m: (3, 4, 5)",
+        ("check.verify_coloring = lambda coloring, m: (3, 4, 5)",
          ["bpt", "solve", "20", "--coloring", "{out}"]),
     ], ids=["sat-model", "sat-cert", "capset-greedy", "capset-evolve", "eq-complete",
             "bpt-solve"])
@@ -251,7 +251,7 @@ class TestVerificationFailure:
         out = tmp_path / "out"
         argv = [a.format(sat=tmp_path / "sat.cnf", unsat=tmp_path / "unsat.cnf", out=out)
                 for a in argv]
-        script = ("import sys\nfrom bruteforge import bpt, capset, cli, equational, priority, sat\n"
+        script = ("import sys\nfrom bruteforge import check, cli, equational, priority\n"
                   f"{fault}\nsys.exit(cli.main(sys.argv[1:]))\n")
         result = subprocess.run([sys.executable, "-O", "-c", script, *argv],
                                 capture_output=True, text=True, timeout=300)

@@ -14,26 +14,35 @@ from bruteforge.logic import (
     GROUP_SIG,
     ROBBINS_SIG,
     Var,
+    apply_subst,
     format_term,
     parse_term,
+    replace_at,
+    subterm_at,
     term_size,
     term_vars,
 )
 from bruteforge import equational
+from bruteforge.check import (
+    EqProof,
+    ProofStep,
+    ProofStepError,
+    apply_step,
+    check_proof,
+    format_proof,
+    parse_proof,
+)
 from bruteforge.equational import (
     AXIOM_SETS,
     AXIOM_SIGNATURES,
     BOOLEAN_AXIOMS,
     CompletionBudgetExhausted,
     CompletionTimeout,
-    EqProof,
     Equation,
     FAIL,
     GROUP_AXIOMS,
     GROUP_PRECEDENCE,
     OrientationError,
-    ProofStep,
-    ProofStepError,
     ROBBINS_AXIOMS,
     ROBBINS_DEFS,
     RewriteRule,
@@ -41,23 +50,16 @@ from bruteforge.equational import (
     T2,
     Timeout,
     WitnessResult,
-    apply_step,
-    apply_subst,
-    check_proof,
     compose,
     critical_pairs_join,
-    format_proof,
     kb_complete,
     lpo_gt,
     match,
     mgu,
-    parse_proof,
     positions,
     prove,
     prove_exists,
-    replace_at,
     rewrite,
-    subterm_at,
     superpose,
 )
 

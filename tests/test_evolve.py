@@ -9,7 +9,7 @@ from dataclasses import fields
 import pytest
 
 from bruteforge import evolve as evolve_mod
-from bruteforge.capset import is_cap
+from bruteforge.check import is_cap
 from bruteforge.evolve import (
     Candidate,
     EvolveConfig,

@@ -3,7 +3,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bruteforge.capset import DimensionBudgetError, is_cap
+from bruteforge.capset import DimensionBudgetError
+from bruteforge.check import is_cap
 from bruteforge.logic import MAX_PARSE_DEPTH
 from bruteforge.priority import (
     BinOp,

@@ -4,21 +4,23 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bruteforge import sat
+from bruteforge.check import (
+    Certificate,
+    MalformedCertificateError,
+    PartialAssignmentError,
+    check_certificate,
+    verify_model,
+)
 from bruteforge.logic import Assignment, Cnf
 from bruteforge.sat import (
     BudgetExhausted,
     CONFLICT,
-    Certificate,
-    MalformedCertificateError,
-    PartialAssignmentError,
     PivotAbsentError,
     STABLE,
-    check_certificate,
     resolve,
     solve,
     truth_table_satisfiable,
     unit_propagate,
-    verify_model,
 )
 
 

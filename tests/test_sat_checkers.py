@@ -2,29 +2,33 @@
 loops they replaced.
 
 `_loop_verify_model` and `_loop_check_certificate` are the earlier versions
-of `sat.verify_model` and `sat.check_certificate`, kept here as oracles.
+of `check.verify_model` and `check.check_certificate`, kept here as oracles.
 The checkers must return the same bool as their oracle, or raise an
 exception of the same type with the same message, on Hypothesis CNFs and
 assignments, on solver certificates of random 3-CNFs, pigeonhole formulas
 and CNFs with tautologies, and on those certificates after one edit.
 """
 
+import ast
+import builtins
+import dis
+import inspect
 import random
 import types
 from functools import lru_cache
 
 from hypothesis import given, settings, strategies as st
 
-from bruteforge import sat
-from bruteforge.logic import Assignment, Cnf
-from bruteforge.sat import (
+from bruteforge import check, logic
+from bruteforge.check import (
     Certificate,
     MalformedCertificateError,
     PartialAssignmentError,
     check_certificate,
-    solve,
     verify_model,
 )
+from bruteforge.logic import Assignment, Cnf
+from bruteforge.sat import solve
 
 
 def _loop_verify_model(cnf, assignment):
@@ -293,16 +297,42 @@ class TestCheckCertificateAgrees:
 
 
 def _global_names(code):
-    """Names a code object and the comprehensions inside it look up."""
-    names = set(code.co_names)
+    """Global names a code object and the code nested in it (comprehensions,
+    generator expressions) look up."""
+    names = {i.argval for i in dis.get_instructions(code) if i.opname == "LOAD_GLOBAL"}
     for const in code.co_consts:
         if isinstance(const, types.CodeType):
             names |= _global_names(const)
     return names
 
 
+def _check_functions():
+    """(name, function) for every function and method defined in check.py,
+    found from its def in the source and unwrapped from its decorators."""
+    for node in ast.parse(inspect.getsource(check)).body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, inspect.unwrap(getattr(check, node.name))
+        elif isinstance(node, ast.ClassDef):
+            cls = getattr(check, node.name)
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    method = inspect.getattr_static(cls, item.name)
+                    yield f"{node.name}.{item.name}", getattr(method, "__func__", method)
+
+
 def test_checkers_reach_no_solver_code():
-    # only the two exception classes are taken from the sat module
-    for checker in (verify_model, check_certificate):
-        used = _global_names(checker.__code__) & set(vars(sat))
-        assert used <= {"MalformedCertificateError", "PartialAssignmentError"}, used
+    # every global that a function or method of check looks up is a builtin,
+    # or comes from check, logic or outside the package
+    functions = dict(_check_functions())
+    assert {"Certificate.from_text", "check_certificate", "verify_model", "triples",
+            "verify_coloring", "is_cap", "parse_capset_file", "apply_step",
+            "check_proof", "parse_proof"} <= set(functions)
+    trusted = {check.__name__, logic.__name__}
+    for name, function in functions.items():
+        for g in _global_names(function.__code__):
+            if g not in vars(check):
+                assert hasattr(builtins, g), (name, g)
+                continue
+            obj = vars(check)[g]
+            origin = obj.__name__ if inspect.ismodule(obj) else getattr(obj, "__module__", None)
+            assert origin in trusted or not (origin or "").startswith("bruteforge"), (name, g, origin)

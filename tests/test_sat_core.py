@@ -15,21 +15,18 @@ import sys
 
 import pytest
 
-from bruteforge import bpt
+from bruteforge import bpt, check
+from bruteforge.check import Certificate, MalformedCertificateError, check_certificate, verify_model
 from bruteforge.logic import Assignment, Cnf, clause_line
 from bruteforge.sat import (
     RESTART_UNIT,
     STABLE,
     BudgetExhausted,
-    Certificate,
-    MalformedCertificateError,
-    check_certificate,
     solve,
     _Core,
     _luby,
     truth_table_satisfiable,
     unit_propagate,
-    verify_model,
 )
 
 EMPTY = frozenset()
@@ -255,7 +252,7 @@ class TestCdcl:
         v = solve(cnf, step_limit=1000)
         assert v.satisfiable
         coloring = bpt.coloring_from_model(v.model, varmap, 1700)
-        assert bpt.verify_coloring(coloring, 1700) == bpt.VALID
+        assert check.verify_coloring(coloring, 1700) == check.VALID
 
 
 # --- tautologies ------------------------------------------------------------
