@@ -165,6 +165,8 @@ def exact_cap(n, budget=None):
     Translation symmetry lets us assume the zero vector is in some maximum
     cap (canonical-first pruning).  `budget` bounds search nodes; on
     exhaustion the best lower bound found is returned flagged inexact.
+    The search is depth first with an explicit stack, since a branch can
+    be thousands of vectors deep (2^n along the first one).
     """
     check_dimension(n)
     total = 3**n
@@ -172,41 +174,38 @@ def exact_cap(n, budget=None):
     halves = [(0, 0)]  # (high * s, low * s) of each chosen code
     best = 1
     nodes = 0
-    exhausted = False
-
-    def extend(blocked, start):
-        # bit i of `blocked` is set when code i is chosen or completes a line
-        nonlocal best, nodes, exhausted
-        if budget is not None:
-            nodes += 1
-            if nodes > budget:
-                exhausted = True
-                return
-        size = len(halves)
-        if size > best:
-            best = size
-        # codes below `start` or blocked cannot extend this branch; the
-        # bound below only tightens as i grows, so testing it at the free
-        # codes alone cuts the same branches as testing it at every code
-        free = ~blocked >> start << start
+    # a node is (blocked, start): bit i of `blocked` is set when code i is
+    # chosen or completes a line, and only codes from `start` up extend it.
+    # Canonical-first: every maximum cap can be translated to contain 0^n,
+    # which is where `halves` and the blocked mask 1 start.  `ancestors[k]`
+    # is the node that chose halves[k + 1], with its start moved past that
+    # code, to resume once the branch below it is done.
+    blocked, start = 1, 1
+    ancestors = []
+    while True:
+        nodes += 1
+        if budget is not None and nodes > budget:
+            return CapBound(best, False)
+        best = max(best, len(halves))
+        # the first free code from `start` of this node, or else of the
+        # nearest ancestor; the bound only tightens as i grows, so testing
+        # it at the free codes alone cuts the same branches as at every code
         while True:
-            low = free & -free
-            i = low.bit_length() - 1
-            if exhausted or i >= total or size + (total - i) <= best:
-                return
-            free ^= low
-            mask = blocked | low
-            vh, vl = divmod(i, s)
-            for xh, xl in halves:
-                mask |= 1 << (table[xh + vh] * s + table[xl + vl])
-            halves.append((vh * s, vl * s))
-            extend(mask, i + 1)
+            free = ~blocked >> start << start
+            i = (free & -free).bit_length() - 1
+            if i < total and len(halves) + (total - i) > best:
+                break
+            if not ancestors:
+                return CapBound(best, True)
             halves.pop()
-
-    # canonical-first: every maximum cap can be translated to contain 0^n,
-    # which is where `halves` and the blocked mask 1 start
-    extend(1, 1)
-    return CapBound(best, not exhausted)
+            blocked, start = ancestors.pop()
+        ancestors.append((blocked, i + 1))
+        blocked |= 1 << i
+        vh, vl = divmod(i, s)
+        for xh, xl in halves:
+            blocked |= 1 << (table[xh + vh] * s + table[xl + vl])
+        halves.append((vh * s, vl * s))
+        start = i + 1
 
 
 def exact_cap_enumeration(n):

@@ -4,11 +4,10 @@ is valid, kept apart from the search code whose verdicts it re-checks.
 It imports only `logic` and the standard library, so this module and
 `logic` are the code a verdict trusts, and they can be read as one unit.
 One section per engine: sat certificates and models, bpt colorings,
-cap-set files and eq proofs.  Left out, one reason each:
+cap-set files, and eq axioms, goals and proofs.  Left out, one reason each:
 - `critical_pairs_join` needs completion's `superpose` and `rewrite`;
 - evolve's re-score runs the greedy kernel: `priority.score` is the definition of fitness;
-- `bpt.encode` is an encoder: it counts in the trusted base but is not a checker;
-- the CLI's model-file reader and writer stay together in `cli`, and so does its axiom-file parser.
+- `bpt.encode` is an encoder: it counts in the trusted base but is not a checker.
 """
 
 from __future__ import annotations
@@ -19,8 +18,8 @@ import re
 from dataclasses import dataclass
 
 from .logic import (
-    _VAR_RE, apply_subst, clause_line, format_term, parse_term, replace_at, subterm_at, var_id,
-    var_name,
+    _VAR_RE, BOOLEAN_SIG, GROUP_SIG, ROBBINS_SIG, Assignment, Term, apply_subst, clause_line,
+    format_term, parse_term, replace_at, subterm_at, var_id, var_name,
 )
 
 
@@ -69,6 +68,22 @@ class Certificate:
             lines.append(frozenset(rest[:end]))
             hints.append(tuple(rest[end + 1:-1]))
         return Certificate(tuple(lines), tuple(ids), tuple(hints))
+
+
+def format_model(assignment):
+    """A total model as one DIMACS line: each variable once, signed, then 0."""
+    return clause_line(v if value else -v for v, value in assignment.values.items()) + "\n"
+
+
+def parse_model(text, num_vars):
+    """The Assignment of a model line as format_model writes it."""
+    try:
+        *lits, end = map(int, text.split())
+    except ValueError:
+        lits, end = (), None
+    if end != 0 or sorted(map(abs, lits)) != list(range(1, num_vars + 1)):
+        raise ValueError(f"model: expected each variable from 1 to {num_vars} once, then 0")
+    return Assignment({abs(lit): lit > 0 for lit in lits})
 
 
 def verify_model(cnf, assignment):
@@ -128,6 +143,11 @@ class InvalidColorError(ValueError):
 class Coloring:
     m: int
     colors: dict  # member -> 0 | 1
+
+
+def format_coloring(coloring):
+    """One `member color` line per member, in increasing order."""
+    return "".join(f"{i} {c}\n" for i, c in sorted(coloring.colors.items()))
 
 
 @functools.lru_cache(maxsize=1, typed=True)
@@ -236,6 +256,59 @@ def format_capset(vectors):
 
 
 # --- equational -----------------------------------------------------------
+@dataclass(frozen=True)
+class Equation:
+    lhs: Term
+    rhs: Term
+
+    def __str__(self):
+        return f"{format_term(self.lhs)} = {format_term(self.rhs)}"
+
+
+def parse_equation(text, signature):
+    """An equation written `lhs = rhs`, split at its first `=`."""
+    lhs, _, rhs = text.partition("=")
+    return Equation(parse_term(lhs.strip(), signature), parse_term(rhs.strip(), signature))
+
+
+_SIGNATURES = {"boolean": BOOLEAN_SIG, "robbins": ROBBINS_SIG, "group": GROUP_SIG}
+
+
+def parse_axioms(text):
+    """(axioms by id, signature) of an axiom file: an optional
+    "signature: NAME" line, then "ID: lhs = rhs" lines; `#` starts a comment.
+    An ID is one word, used once: it is the first field of a proof line.
+    One signature line at most, before every axiom, so all share it; with
+    none, the signature is boolean."""
+    signature = BOOLEAN_SIG
+    axioms = {}
+    seen_signature = False
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if line.startswith("signature:"):
+            if seen_signature or axioms:
+                raise ValueError(
+                    f"line {lineno}: signature line must come once, before every axiom")
+            seen_signature = True
+            name = line.split(":", 1)[1].strip()
+            if name not in _SIGNATURES:
+                raise ValueError(f"line {lineno}: unknown signature {name!r}")
+            signature = _SIGNATURES[name]
+            continue
+        if ":" not in line or "=" not in line:
+            raise ValueError(f"line {lineno}: expected 'ID: lhs = rhs'")
+        eq_id, _, rest = line.partition(":")
+        eq_id = eq_id.strip()
+        if eq_id.split() != [eq_id]:
+            raise ValueError(f"line {lineno}: axiom id {eq_id!r} is not one word")
+        if eq_id in axioms:
+            raise ValueError(f"line {lineno}: axiom id {eq_id!r} repeated")
+        axioms[eq_id] = parse_equation(rest, signature)
+    return axioms, signature
+
+
 @dataclass(frozen=True)
 class ProofStep:
     eq_id: str

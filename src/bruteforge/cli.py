@@ -19,8 +19,7 @@ import tempfile
 
 from . import bpt, capset, check, equational, evolve, hierarchy, priority, sat
 from .logic import (
-    App, Assignment, VerificationError, apply_subst, clause_line, format_term, parse_dimacs,
-    parse_term, var_name, write_dimacs,
+    App, VerificationError, apply_subst, format_term, parse_dimacs, var_name, write_dimacs,
 )
 
 EXIT_OK = 0
@@ -61,8 +60,7 @@ def _cmd_sat_solve(args, parser):
             raise VerificationError("model does not satisfy every clause")
         print("SATISFIABLE")
         if args.model:
-            lits = [v if value else -v for v, value in verdict.model.values.items()]
-            _atomic_write(args.model, clause_line(lits) + "\n")
+            _atomic_write(args.model, check.format_model(verdict.model))
         return EXIT_OK
     if not check.check_certificate(cnf, verdict.certificate):
         raise VerificationError("certificate does not check")
@@ -79,25 +77,12 @@ def _cmd_sat_check(args, parser):
         valid = check.check_certificate(cnf, cert)
         print(f"certificate valid: {len(cert.lines)} lines" if valid else "certificate invalid")
         return EXIT_OK if valid else EXIT_NEGATIVE
-    # a model as _cmd_sat_solve writes it: each variable once, signed, then 0
-    try:
-        *lits, end = map(int, _read(parser, args.model).split())
-    except ValueError:
-        lits, end = (), None
-    if end != 0 or sorted(map(abs, lits)) != list(range(1, cnf.num_vars + 1)):
-        raise ValueError(f"model: expected each variable from 1 to {cnf.num_vars} once, then 0")
-    valid = check.verify_model(cnf, Assignment({abs(lit): lit > 0 for lit in lits}))
+    valid = check.verify_model(cnf, check.parse_model(_read(parser, args.model), cnf.num_vars))
     print("model valid" if valid else "model invalid")
     return EXIT_OK if valid else EXIT_NEGATIVE
 
 
 # --- bpt -------------------------------------------------------------------
-
-
-def _format_coloring(coloring):
-    return "".join(
-        f"{i} {c}\n" for i, c in sorted(coloring.colors.items())
-    )
 
 
 def _cmd_bpt_encode(args, parser):
@@ -112,7 +97,7 @@ def _cmd_bpt_solve(args, parser):
     if isinstance(result, check.Coloring):
         print(f"SATISFIABLE: valid 2-coloring for m={args.m}")
         if args.coloring:
-            _atomic_write(args.coloring, _format_coloring(result))
+            _atomic_write(args.coloring, check.format_coloring(result))
         return EXIT_OK
     print(f"UNSATISFIABLE: every 2-coloring has a monochromatic triple at m={args.m}")
     if args.cert:
@@ -181,49 +166,7 @@ def _cmd_capset_evolve(args, parser):
 def _load_axioms(parser, name):
     if name in equational.AXIOM_SETS:
         return equational.AXIOM_SETS[name], equational.AXIOM_SIGNATURES[name]
-    return _parse_axiom_file(_read(parser, name), parser)
-
-
-_SIGNATURES = {
-    "boolean": equational.BOOLEAN_SIG,
-    "robbins": equational.ROBBINS_SIG,
-    "group": equational.GROUP_SIG,
-}
-
-
-def _parse_axiom_file(text, parser):
-    """Axiom file: optional "signature: NAME" line, then "ID: lhs = rhs".
-    An ID is one word, used once: it is the first field of a proof line.
-    One signature line at most, before every axiom, so all share it."""
-    signature = equational.BOOLEAN_SIG
-    axioms = {}
-    seen_signature = False
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("signature:"):
-            if seen_signature or axioms:
-                parser.error(f"line {lineno}: signature line must come once, before every axiom")
-            seen_signature = True
-            name = line.split(":", 1)[1].strip()
-            if name not in _SIGNATURES:
-                parser.error(f"line {lineno}: unknown signature {name!r}")
-            signature = _SIGNATURES[name]
-            continue
-        if ":" not in line or "=" not in line:
-            parser.error(f"line {lineno}: expected 'ID: lhs = rhs'")
-        eq_id, _, rest = line.partition(":")
-        eq_id = eq_id.strip()
-        if eq_id.split() != [eq_id]:
-            parser.error(f"line {lineno}: axiom id {eq_id!r} is not one word")
-        if eq_id in axioms:
-            parser.error(f"line {lineno}: axiom id {eq_id!r} repeated")
-        lhs, _, rhs = rest.partition("=")
-        axioms[eq_id] = equational.Equation(
-            parse_term(lhs.strip(), signature), parse_term(rhs.strip(), signature)
-        )
-    return axioms, signature
+    return check.parse_axioms(_read(parser, name))
 
 
 def _seconds(text):
@@ -240,10 +183,7 @@ def _seconds(text):
 def _parse_goal(parser, text, signature):
     if "=" not in text:
         parser.error("goal must have the form 'lhs = rhs'")
-    lhs, _, rhs = text.partition("=")
-    return equational.Equation(
-        parse_term(lhs.strip(), signature), parse_term(rhs.strip(), signature)
-    )
+    return check.parse_equation(text, signature)
 
 
 def _parse_precedence(parser, text, signature, axioms):
@@ -286,7 +226,7 @@ def _cmd_eq_prove(args, parser):
         )
         if isinstance(result, equational.WitnessResult):
             sigma = result.witness
-            instance = equational.Equation(
+            instance = check.Equation(
                 apply_subst(goal.lhs, sigma),
                 apply_subst(goal.rhs, sigma),
             )
@@ -419,7 +359,8 @@ def build_parser():
     p.set_defaults(handler=_cmd_capset_greedy)
     p = cap_sub.add_parser("exact", help="exact maximum cap size by branch and bound")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--budget", type=int, help="search-node budget")
+    p.add_argument("--budget", type=int, default=100_000,
+                   help="search-node budget (default %(default)s)")
     p.set_defaults(handler=_cmd_capset_exact)
     p = cap_sub.add_parser("evolve", help="evolve priority expressions")
     p.add_argument("--n", type=int, required=True)

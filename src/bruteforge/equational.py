@@ -20,23 +20,14 @@ from collections import deque
 from dataclasses import dataclass
 
 from .check import (  # perfbench reads these here
-    EqProof, ProofStep, apply_step, check_proof, format_proof, parse_proof,
+    EqProof, Equation, ProofStep, apply_step, check_proof, format_proof, parse_axioms, parse_proof,
 )
-from .logic import (
-    App, BOOLEAN_SIG, GROUP_SIG, ROBBINS_SIG, Term, Var, apply_subst, format_term, parse_term,
-    replace_at, term_size, term_vars,
+from .logic import (  # the CLI reads GROUP_SIG here
+    App, GROUP_SIG, ROBBINS_SIG, Term, Var, apply_subst, format_term, parse_term, replace_at,
+    term_size, term_vars,
 )
 
 FAIL = None  # mgu failure sentinel
-
-
-@dataclass(frozen=True)
-class Equation:
-    lhs: Term
-    rhs: Term
-
-    def __str__(self):
-        return f"{format_term(self.lhs)} = {format_term(self.rhs)}"
 
 
 @dataclass(frozen=True)
@@ -337,92 +328,48 @@ def critical_pairs_join(rules):
 
 # --- axiom sets ------------------------------------------------------------
 
+_SHIPPED = {name: parse_axioms(text) for name, text in {
+    "boolean": """
+B1: x v (y v z) = (x v y) v z
+B2: x v y = y v x
+B3: x v (x ^ y) = x
+B4: x ^ (y v z) = (x ^ y) v (x ^ z)
+B5: x v -x = 1
+B6: x ^ (y ^ z) = (x ^ y) ^ z
+B7: x ^ y = y ^ x
+B8: x ^ (x v z) = x
+B9: x v (y ^ z) = (x v y) ^ (x v z)
+B10: x ^ -x = 0
+""",
+    "robbins": """
+# no signature line: Def1-Def3 define 0, 1 and ^, so the set is boolean
+R1: x v (y v z) = (x v y) v z
+R2: x v y = y v x
+R3: -(-(x v y) v -(x v -y)) = x
+Def1: 0 = -(x v -x)
+Def2: 1 = x v -x
+Def3: x ^ y = -(-x v -y)
+""",
+    "group": """
+signature: group
+G1: (x * y) * z = x * (y * z)
+G2: e * x = x
+G3: i(x) * x = e
+""",
+}.items()}
+AXIOM_SETS = {name: axioms for name, (axioms, _) in _SHIPPED.items()}
+AXIOM_SIGNATURES = {name: signature for name, (_, signature) in _SHIPPED.items()}
 
-def _eqs(sig, pairs):
-    return tuple(
-        Equation(parse_term(l, sig), parse_term(r, sig)) for l, r in pairs
-    )
-
-
-BOOLEAN_AXIOMS = dict(
-    zip(
-        [f"B{i}" for i in range(1, 11)],
-        _eqs(
-            BOOLEAN_SIG,
-            [
-                ("x v (y v z)", "(x v y) v z"),
-                ("x v y", "y v x"),
-                ("x v (x ^ y)", "x"),
-                ("x ^ (y v z)", "(x ^ y) v (x ^ z)"),
-                ("x v -x", "1"),
-                ("x ^ (y ^ z)", "(x ^ y) ^ z"),
-                ("x ^ y", "y ^ x"),
-                ("x ^ (x v z)", "x"),
-                ("x v (y ^ z)", "(x v y) ^ (x v z)"),
-                ("x ^ -x", "0"),
-            ],
-        ),
-    )
-)
-
-ROBBINS_AXIOMS = dict(
-    zip(
-        ["R1", "R2", "R3"],
-        _eqs(
-            ROBBINS_SIG,
-            [
-                ("x v (y v z)", "(x v y) v z"),
-                ("x v y", "y v x"),
-                ("-(-(x v y) v -(x v -y))", "x"),
-            ],
-        ),
-    )
-)
-ROBBINS_DEFS = dict(
-    zip(
-        ["Def1", "Def2", "Def3"],
-        _eqs(
-            BOOLEAN_SIG,
-            [
-                ("0", "-(x v -x)"),
-                ("1", "x v -x"),
-                ("x ^ y", "-(-x v -y)"),
-            ],
-        ),
-    )
-)
-
-GROUP_AXIOMS = dict(
-    zip(
-        ["G1", "G2", "G3"],
-        _eqs(
-            GROUP_SIG,
-            [
-                ("(x * y) * z", "x * (y * z)"),
-                ("e * x", "x"),
-                ("i(x) * x", "e"),
-            ],
-        ),
-    )
-)
+BOOLEAN_AXIOMS = AXIOM_SETS["boolean"]
+ROBBINS_AXIOMS = {k: eq for k, eq in AXIOM_SETS["robbins"].items() if k.startswith("R")}
+ROBBINS_DEFS = {k: eq for k, eq in AXIOM_SETS["robbins"].items() if k.startswith("Def")}
+GROUP_AXIOMS = AXIOM_SETS["group"]
 
 GROUP_PRECEDENCE = {"i": 3, "*": 2, "e": 1}
 
 # McCune's ground witnesses for the Winker lemma (over the Robbins language)
 T1 = parse_term("x v x", ROBBINS_SIG)
 T2 = parse_term("-(-(x v x v x) v x)", ROBBINS_SIG)
-
-AXIOM_SETS = {
-    "boolean": BOOLEAN_AXIOMS,
-    "robbins": {**ROBBINS_AXIOMS, **ROBBINS_DEFS},
-    "group": GROUP_AXIOMS,
-}
-
-AXIOM_SIGNATURES = {
-    "boolean": BOOLEAN_SIG,
-    "robbins": BOOLEAN_SIG,
-    "group": GROUP_SIG,
-}
 
 
 # --- proof search ----------------------------------------------------------

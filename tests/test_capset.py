@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bruteforge import capset
 from bruteforge.capset import (
     CapBound,
     DimensionBudgetError,
@@ -165,6 +166,51 @@ class TestExactCap:
     def test_invalid_dimension(self):
         with pytest.raises(ValueError):
             exact_cap(0)
+
+    @staticmethod
+    def _recursive_exact_cap(n, budget=None):
+        """The recursive form of exact_cap, the reference for its stack: one
+        call per node, so a branch as deep as 2^n needs that many frames."""
+        total = 3**n
+        s, table = capset._split(n)
+        halves = [(0, 0)]
+        best, nodes, exhausted = 1, 0, False
+
+        def extend(blocked, start):
+            nonlocal best, nodes, exhausted
+            if budget is not None:
+                nodes += 1
+                if nodes > budget:
+                    exhausted = True
+                    return
+            size = len(halves)
+            best = max(best, size)
+            free = ~blocked >> start << start
+            while True:
+                low = free & -free
+                i = low.bit_length() - 1
+                if exhausted or i >= total or size + (total - i) <= best:
+                    return
+                free ^= low
+                mask = blocked | low
+                vh, vl = divmod(i, s)
+                for xh, xl in halves:
+                    mask |= 1 << (table[xh + vh] * s + table[xl + vl])
+                halves.append((vh * s, vl * s))
+                extend(mask, i + 1)
+                halves.pop()
+
+        extend(1, 1)
+        return CapBound(best, not exhausted)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_stack_search_matches_the_recursive_one(self, n):
+        # every budget up to 80 nodes, then a few larger: the bound at each
+        # cut-off traces the node order.  A branch holds at most 112 vectors
+        # (the largest cap at n = 6), inside the default recursion limit
+        budgets = [*range(81), 250, 1000, 4000] + [None] * (n <= 3)
+        for budget in budgets:
+            assert exact_cap(n, budget) == self._recursive_exact_cap(n, budget), budget
 
 
 class TestCapsetFiles:

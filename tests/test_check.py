@@ -1,14 +1,16 @@
 """The checking module stands apart: `check` imports only `logic` and the
 standard library, `logic` imports nothing of the package, and the engines'
-old names for the moved checkers are the objects `check` and `logic` define."""
+old names for the moved checkers are the objects `check` and `logic` define.
+Every text format the CLI reads or writes is in `check` too."""
 
 import ast
 import pathlib
 import sys
 
 import pytest
+from hypothesis import given, strategies as st
 
-from bruteforge import bpt, capset, check, equational, logic, sat
+from bruteforge import bpt, capset, check, cli, equational, logic, sat
 
 PACKAGE = pathlib.Path(check.__file__).parent
 
@@ -20,7 +22,7 @@ OLD_NAMES = [
     (capset, "is_cap"), (capset, "parse_capset_file"), (capset, "format_capset"),
     (equational, "EqProof"), (equational, "ProofStep"), (equational, "apply_step"),
     (equational, "apply_subst"), (equational, "check_proof"), (equational, "format_proof"),
-    (equational, "parse_proof"),
+    (equational, "parse_proof"), (equational, "Equation"),
 ]
 
 MOVED_TO_LOGIC = {"apply_subst", "subterm_at", "replace_at"}
@@ -29,7 +31,8 @@ MOVED_TO_CHECK = {
     "check_certificate", "triples", "members", "Coloring", "VALID", "DomainGapError",
     "InvalidColorError", "verify_coloring", "is_cap", "parse_capset_file", "format_capset",
     "ProofStep", "EqProof", "ProofStepError", "apply_step", "check_proof", "format_proof",
-    "parse_proof", "_POSITION_RE",
+    "parse_proof", "_POSITION_RE", "Equation", "parse_equation", "parse_axioms", "_SIGNATURES",
+    "format_model", "parse_model", "format_coloring",
 }
 
 
@@ -84,3 +87,61 @@ def test_every_moved_name_is_defined_once():
     for name in MOVED_TO_CHECK | MOVED_TO_LOGIC:
         home = "logic" if name in MOVED_TO_LOGIC else "check"
         assert [m for m, names in defined.items() if name in names] == [home], name
+
+
+def test_cli_holds_no_text_format():
+    for name in ("_parse_axiom_file", "_SIGNATURES", "_format_coloring", "parse_term",
+                 "clause_line", "Assignment"):
+        assert not hasattr(cli, name), name
+
+
+@given(st.lists(st.booleans(), max_size=40).flatmap(
+    lambda values: st.permutations(list(enumerate(values, 1)))))
+def test_model_round_trip(pairs):
+    # format_model writes variables in order whatever order the dict holds
+    model = logic.Assignment(dict(pairs))
+    text = check.format_model(model)
+    assert [abs(int(lit)) for lit in text.split()] == [*range(1, len(pairs) + 1), 0]
+    assert check.parse_model(text, len(pairs)) == model
+
+
+@pytest.mark.parametrize("text", ["1 0\n", "1 -1 2 0\n", "1 2 3 0\n", "1 2\n", "1 0 2 0\n",
+                                  "", "1 two 0\n"])
+def test_parse_model_takes_each_variable_once(text):
+    with pytest.raises(ValueError) as info:
+        check.parse_model(text, 2)
+    assert str(info.value) == "model: expected each variable from 1 to 2 once, then 0"
+
+
+def test_format_coloring_lists_members_in_order():
+    coloring = check.Coloring(5, {5: 0, 3: 1, 4: 0})
+    assert check.format_coloring(coloring) == "3 1\n4 0\n5 0\n"
+
+
+def test_parse_axioms_reads_signature_comments_and_blank_lines():
+    text = "# the free group\n\nsignature: group  # e, * and i\nG2: e * x = x\n"
+    axioms, signature = check.parse_axioms(text)
+    assert signature is logic.GROUP_SIG
+    assert axioms == {"G2": check.parse_equation("e * x = x", logic.GROUP_SIG)}
+    axioms, signature = check.parse_axioms("B: x = x\n")
+    assert list(axioms) == ["B"] and signature is logic.BOOLEAN_SIG  # no signature line
+
+
+@pytest.mark.parametrize("text, message", [
+    ("A: x v y = y v x\nA: x = x\n", "line 2: axiom id 'A' repeated"),
+    (": x v y = y v x\n", "line 1: axiom id '' is not one word"),
+    ("A B: x v y = y v x\n", "line 1: axiom id 'A B' is not one word"),
+    ("A: x v y = y v x\nsignature: group\n",
+     "line 2: signature line must come once, before every axiom"),
+    ("signature: group\nsignature: group\n",
+     "line 2: signature line must come once, before every axiom"),
+    ("signature: ring\n", "line 1: unknown signature 'ring'"),
+    ("# comment\nA x v y = y v x\n", "line 2: expected 'ID: lhs = rhs'"),
+    ("A: x v y\n", "line 1: expected 'ID: lhs = rhs'"),
+    ("signature: group\nA: x v y = y v x\n", "symbol 'v' not in signature"),
+], ids=["repeated", "empty-id", "two-word-id", "signature-after-axiom", "signature-twice",
+        "unknown-signature", "no-colon", "no-equals", "symbol-outside-signature"])
+def test_parse_axioms_errors(text, message):
+    with pytest.raises(ValueError) as info:
+        check.parse_axioms(text)
+    assert str(info.value) == message

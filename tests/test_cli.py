@@ -268,6 +268,21 @@ class TestCapset:
         assert result.returncode == 0
         assert result.stdout.strip() == "4"
 
+    def test_exact_stops_at_the_default_budget(self):
+        # n = 3 needs 39,928 nodes, inside the default of 100,000; n = 4 does not end
+        # without a budget
+        result = run_cli("capset", "exact", "--n", "3")
+        assert (result.stdout, result.returncode) == ("9\n", 0)
+        result = run_cli("capset", "exact", "--n", "4")
+        assert (result.stdout, result.stderr, result.returncode) == (
+            ">= 20 (budget exhausted)\n", "", 1)
+
+    def test_exact_deep_branch_is_no_traceback(self):
+        # the first branch at n = 10 is 2^10 vectors deep
+        result = run_cli("capset", "exact", "--n", "10", "--budget", "2000")
+        assert (result.stdout, result.stderr, result.returncode) == (
+            ">= 1032 (budget exhausted)\n", "", 1)
+
     def test_verify_cap_and_non_cap(self, tmp_path):
         good = tmp_path / "good.txt"
         good.write_text("00\n01\n10\n11\n")
@@ -452,6 +467,15 @@ class TestEq:
         assert result.returncode == 0
         assert "i(i(" in result.stdout
 
+    def test_complete_group_text_as_a_file(self, tmp_path):
+        # the shipped set is this text, and a group file needs no --precedence
+        axioms = tmp_path / "g.ax"
+        axioms.write_text("signature: group\nG1: (x * y) * z = x * (y * z)\n"
+                          "G2: e * x = x\nG3: i(x) * x = e\n")
+        result = run_cli("eq", "complete", "--axioms", str(axioms))
+        assert result.returncode == 0
+        assert result.stdout == run_cli("eq", "complete", "--axioms", "group").stdout
+
     def test_complete_unorientable(self, tmp_path):
         axioms = tmp_path / "ax.txt"
         axioms.write_text("signature: boolean\nC: x v y = y v x\n")
@@ -520,6 +544,14 @@ class TestEq:
         assert result.stderr.endswith(
             "error: line 2: signature line must come once, before every axiom\n")
         assert result.stdout == ""
+
+    def test_axiom_file_error_is_one_line(self, tmp_path):
+        # like every other malformed input file: no usage banner
+        axioms = tmp_path / "ax.txt"
+        axioms.write_text("signature: ring\n")
+        result = run_cli("eq", "complete", "--axioms", str(axioms))
+        assert (result.stderr, result.returncode) == (
+            "error: line 1: unknown signature 'ring'\n", 2)
 
     @pytest.mark.parametrize("value", ["nan", "NaN", "x"])
     def test_max_seconds_must_be_a_number(self, value):

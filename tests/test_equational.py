@@ -347,6 +347,47 @@ class TestAxiomSets:
         assert T1 == _bt("x v x", ROBBINS_SIG)
         assert T2 == _bt("-(-(x v x v x) v x)", ROBBINS_SIG)
 
+    # each shipped set in order, every equation as format_term writes it
+    SHIPPED = {
+        "boolean": [
+            "B1: x v (y v z) = (x v y) v z", "B2: x v y = y v x", "B3: x v (x ^ y) = x",
+            "B4: x ^ (y v z) = (x ^ y) v (x ^ z)", "B5: x v -x = 1",
+            "B6: x ^ (y ^ z) = (x ^ y) ^ z", "B7: x ^ y = y ^ x", "B8: x ^ (x v z) = x",
+            "B9: x v (y ^ z) = (x v y) ^ (x v z)", "B10: x ^ -x = 0",
+        ],
+        "robbins": [
+            "R1: x v (y v z) = (x v y) v z", "R2: x v y = y v x",
+            "R3: -(-(x v y) v -(x v -y)) = x",
+            "Def1: 0 = -(x v -x)", "Def2: 1 = x v -x", "Def3: x ^ y = -(-x v -y)",
+        ],
+        "group": ["G1: (x * y) * z = x * (y * z)", "G2: e * x = x", "G3: i(x) * x = e"],
+    }
+
+    def test_shipped_sets_are_pinned(self):
+        assert list(AXIOM_SETS) == list(self.SHIPPED)
+        for name, lines in self.SHIPPED.items():
+            assert [f"{k}: {format_term(eq.lhs)} = {format_term(eq.rhs)}"
+                    for k, eq in AXIOM_SETS[name].items()] == lines, name
+
+    def test_shipped_equations_parse_side_by_side(self):
+        # what each side parses to on its own; R1-R3 under the Robbins signature
+        for name, lines in self.SHIPPED.items():
+            for line in lines:
+                eq_id, _, text = line.partition(": ")
+                lhs, _, rhs = text.partition(" = ")
+                sig = ROBBINS_SIG if eq_id[0] == "R" else AXIOM_SIGNATURES[name]
+                expected = Equation(parse_term(lhs, sig), parse_term(rhs, sig))
+                assert AXIOM_SETS[name][eq_id] == expected, line
+
+    def test_shipped_signatures_and_slices(self):
+        assert AXIOM_SIGNATURES["boolean"] is BOOLEAN_SIG
+        assert AXIOM_SIGNATURES["robbins"] is BOOLEAN_SIG  # Def1-Def3 use 0, 1 and ^
+        assert AXIOM_SIGNATURES["group"] is GROUP_SIG
+        assert BOOLEAN_AXIOMS is AXIOM_SETS["boolean"]
+        assert GROUP_AXIOMS is AXIOM_SETS["group"]
+        assert list({**ROBBINS_AXIOMS, **ROBBINS_DEFS}.items()) == list(
+            AXIOM_SETS["robbins"].items())
+
 
 class TestProofChecking:
     GOAL = Equation(_bt("a v a"), _bt("a"))
