@@ -8,9 +8,9 @@ Vectors are tuples over {0,1,2} at the boundary: in files, on the command
 line and in the oracles (`check.is_cap`, `is_cap_ap`, `extends_cap`,
 `exact_cap_enumeration`).  Inside the search kernel a vector of (Z/3)^n is
 its code, the int in [0, 3^n) whose base-3 digits are the coordinates, so
-integer order is lexicographic tuple order.  A walk keeps the codes it has
-blocked: adjoining v blocks v and the third point -(x+v) of every chosen x,
-so "does v extend the cap" is one lookup.
+integer order is lexicographic tuple order.  Both walks, `greedy_cap` and
+`exact_cap`, keep a bytearray of blocked codes: adjoining v blocks v and the
+third point -(x+v) of every chosen x, so "does v extend the cap" is a lookup.
 """
 
 from __future__ import annotations
@@ -172,38 +172,38 @@ def exact_cap(n, budget=None):
     total = 3**n
     s, table = _split(n)
     halves = [(0, 0)]  # (high * s, low * s) of each chosen code
-    best = 1
-    nodes = 0
-    # a node is (blocked, start): bit i of `blocked` is set when code i is
-    # chosen or completes a line, and only codes from `start` up extend it.
-    # Canonical-first: every maximum cap can be translated to contain 0^n,
-    # which is where `halves` and the blocked mask 1 start.  `ancestors[k]`
-    # is the node that chose halves[k + 1], with its start moved past that
-    # code, to resume once the branch below it is done.
-    blocked, start = 1, 1
-    ancestors = []
+    ancestors = []  # (start to resume at, codes it blocked) of each choice after 0^n
+    best, nodes = 1, 0
+    # blocked[i] is set when code i is chosen or completes a line; a node extends
+    # by free codes from `start` up, and the cap starts as 0^n (canonical-first)
+    blocked = bytearray(total)
+    blocked[0] = start = 1
     while True:
         nodes += 1
         if budget is not None and nodes > budget:
             return CapBound(best, False)
         best = max(best, len(halves))
-        # the first free code from `start` of this node, or else of the
-        # nearest ancestor; the bound only tightens as i grows, so testing
-        # it at the free codes alone cuts the same branches as at every code
+        # the first free code from `start` here, else at the nearest ancestor:
+        # the bound only tightens as i grows, so free codes alone need testing
         while True:
-            free = ~blocked >> start << start
-            i = (free & -free).bit_length() - 1
-            if i < total and len(halves) + (total - i) > best:
+            i = blocked.find(0, start)
+            if i >= 0 and len(halves) + (total - i) > best:
                 break
             if not ancestors:
                 return CapBound(best, True)
             halves.pop()
-            blocked, start = ancestors.pop()
-        ancestors.append((blocked, i + 1))
-        blocked |= 1 << i
+            start, codes = ancestors.pop()
+            for k in codes:
+                blocked[k] = 0
+        blocked[i] = 1
+        codes = [i]
         vh, vl = divmod(i, s)
         for xh, xl in halves:
-            blocked |= 1 << (table[xh + vh] * s + table[xl + vl])
+            k = table[xh + vh] * s + table[xl + vl]
+            if not blocked[k]:
+                blocked[k] = 1
+                codes.append(k)
+        ancestors.append((i + 1, codes))
         halves.append((vh * s, vl * s))
         start = i + 1
 

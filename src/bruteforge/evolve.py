@@ -331,12 +331,12 @@ def _score_batch(exprs, n, memo, pool, cache):
     return texts, [memo[t] for t in texts]
 
 
-def _select_parents(rng, members, tournament):
+def _select_parents(rng, members):
     """Tournament selection over the generation-start snapshot."""
     chosen = []
     count = 2 if len(members) >= 2 else 1
     for _ in range(count):
-        contenders = [members[rng.randrange(len(members))] for _ in range(tournament)]
+        contenders = [members[rng.randrange(len(members))] for _ in range(TOURNAMENT)]
         chosen.append(max(contenders, key=lambda c: c.score))
     return chosen
 
@@ -393,7 +393,7 @@ def evolve(config, log_sink=None):
             for slot in range(min(BATCH, config.eval_budget - evals)):
                 slot_seed = derive_seed(config.seed, generation, slot)
                 rng = random.Random(slot_seed)
-                parents = _select_parents(rng, snapshot, TOURNAMENT)
+                parents = _select_parents(rng, snapshot)
                 try:
                     proposals.append((slot, slot_seed, generate(parents, slot_seed)))
                 except GeneratorError as exc:

@@ -203,11 +203,11 @@ class TestExactCap:
         extend(1, 1)
         return CapBound(best, not exhausted)
 
-    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("n", range(1, 9))
     def test_stack_search_matches_the_recursive_one(self, n):
         # every budget up to 80 nodes, then a few larger: the bound at each
-        # cut-off traces the node order.  A branch holds at most 112 vectors
-        # (the largest cap at n = 6), inside the default recursion limit
+        # cut-off traces the node order.  Within 4000 nodes a branch holds at
+        # most 262 vectors (n = 8), inside the default recursion limit
         budgets = [*range(81), 250, 1000, 4000] + [None] * (n <= 3)
         for budget in budgets:
             assert exact_cap(n, budget) == self._recursive_exact_cap(n, budget), budget

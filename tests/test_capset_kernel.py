@@ -1,12 +1,12 @@
 """Differential tests of the integer-coded cap-set kernel.
 
 The kernel (vector codes, blocked-code walks, column evaluation of
-priorities with and without a subtree cache, the bitmask `exact_cap`, the
-per-run score memo, and the text, size and preorder walk of expression
-nodes) is checked against slow references kept in this file: a
-tree-walking evaluator, a greedy walk over tuple vectors built on the
-tuple oracle `extends_cap`, a recursive formatter, and a walk that lists
-every node with its path from the root.
+priorities with and without a subtree cache, `exact_cap` on greedy's
+blocked bytearray, the per-run score memo, and the text, size and
+preorder walk of expression nodes) is checked against slow references
+kept in this file: a tree-walking evaluator, a greedy walk over tuple
+vectors built on the tuple oracle `extends_cap`, a recursive formatter,
+and a walk that lists every node with its path from the root.
 """
 
 import os
@@ -332,6 +332,10 @@ class TestExactCap:
             (2, 3, CapBound(3, False)),
             (4, 17, CapBound(16, False)),
             (4, 50, CapBound(18, False)),
+            # from the 3^n-bit int search that the blocked bytearray replaced
+            (10, 2000, CapBound(1032, False)),
+            (11, 3000, CapBound(2057, False)),
+            (12, 300, CapBound(300, False)),
         ],
     )
     def test_pinned_bounds(self, n, budget, bound):
