@@ -265,10 +265,11 @@ class Equation:
         return f"{format_term(self.lhs)} = {format_term(self.rhs)}"
 
 
-def parse_equation(text, signature):
-    """An equation written `lhs = rhs`, split at its first `=`."""
-    lhs, _, rhs = text.partition("=")
-    return Equation(parse_term(lhs.strip(), signature), parse_term(rhs.strip(), signature))
+def parse_equation(text, signature, start=0):
+    """The equation written `lhs = rhs` in text[start:], split at its first
+    `=`; a term error's position counts from the start of `text`."""
+    eq = start + len(text[start:].partition("=")[0])
+    return Equation(parse_term(text[:eq], signature, start), parse_term(text, signature, eq + 1))
 
 
 _SIGNATURES = {"boolean": BOOLEAN_SIG, "robbins": ROBBINS_SIG, "group": GROUP_SIG}
@@ -284,7 +285,8 @@ def parse_axioms(text):
     axioms = {}
     seen_signature = False
     for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
+        code = raw.split("#", 1)[0]
+        line = code.strip()
         if not line:
             continue
         if line.startswith("signature:"):
@@ -299,13 +301,17 @@ def parse_axioms(text):
             continue
         if ":" not in line or "=" not in line:
             raise ValueError(f"line {lineno}: expected 'ID: lhs = rhs'")
-        eq_id, _, rest = line.partition(":")
-        eq_id = eq_id.strip()
+        colon = code.index(":")
+        eq_id = code[:colon].strip()
         if eq_id.split() != [eq_id]:
             raise ValueError(f"line {lineno}: axiom id {eq_id!r} is not one word")
         if eq_id in axioms:
             raise ValueError(f"line {lineno}: axiom id {eq_id!r} repeated")
-        axioms[eq_id] = parse_equation(rest, signature)
+        try:
+            # a term error's position counts in the line as written
+            axioms[eq_id] = parse_equation(code, signature, colon + 1)
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
     return axioms, signature
 
 

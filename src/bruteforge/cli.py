@@ -29,16 +29,21 @@ EXIT_INTERNAL = 3
 
 
 def _atomic_write(path, text):
+    """Write text to a temp file beside path, then rename it to path; a
+    failure names path, never the temp file, and leaves no temp file."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".bruteforge-")
     try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".bruteforge-")
+        try:
+            with os.fdopen(fd, "w") as handle:
+                handle.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise OSError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 def _read(parser, path):
@@ -177,6 +182,17 @@ def _seconds(text):
         value = math.nan
     if math.isnan(value):
         raise argparse.ArgumentTypeError(f"invalid number of seconds: {text!r}")
+    return value
+
+
+def _budget(text):
+    """A search budget: an integer, 0 or more."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"invalid budget: {text!r} (expected an integer >= 0)")
     return value
 
 
@@ -359,7 +375,7 @@ def build_parser():
     p.set_defaults(handler=_cmd_capset_greedy)
     p = cap_sub.add_parser("exact", help="exact maximum cap size by branch and bound")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--budget", type=int, default=100_000,
+    p.add_argument("--budget", type=_budget, default=100_000,
                    help="search-node budget (default %(default)s)")
     p.set_defaults(handler=_cmd_capset_exact)
     p = cap_sub.add_parser("evolve", help="evolve priority expressions")
@@ -376,7 +392,7 @@ def build_parser():
     p = eq_sub.add_parser("prove", help="search for an equational proof")
     p.add_argument("--axioms", required=True, help="robbins | boolean | group | FILE")
     p.add_argument("--goal", required=True, help="equation 'lhs = rhs'")
-    p.add_argument("--budget", type=int, default=5000)
+    p.add_argument("--budget", type=_budget, default=5000)
     p.add_argument("--max-seconds", type=_seconds, default=None)
     p.add_argument("--exists", action="store_true",
                    help="treat goal variables as existential; enumerate witnesses")
@@ -390,7 +406,7 @@ def build_parser():
     p = eq_sub.add_parser("complete", help="Knuth-Bendix completion")
     p.add_argument("--axioms", required=True)
     p.add_argument("--precedence", help="e.g. 'i>*>e'")
-    p.add_argument("--budget", type=int, default=2000)
+    p.add_argument("--budget", type=_budget, default=2000)
     p.add_argument("--max-seconds", type=_seconds, default=None)
     p.set_defaults(handler=_cmd_eq_complete)
 

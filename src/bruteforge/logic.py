@@ -62,31 +62,43 @@ class Term:
     __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
+# Var and App write their fields through the slots' own setters, bound
+# below each class: the generated frozen __init__ pays object.__setattr__
+# per field, and every successor the provers build is a new term.
+@dataclass(frozen=True, slots=True, init=False)
 class Var(Term):
     id: int
     _hash: int = field(init=False, compare=False, repr=False)  # hashed once, not per lookup
 
-    def __post_init__(self):
-        if self.id < 0:
+    def __init__(self, id):
+        if id < 0:
             raise ValueError("variable ids are nonnegative")
-        object.__setattr__(self, "_hash", hash((self.id,)))
+        _set_var_id(self, id)
+        _set_var_hash(self, hash((id,)))
 
     def __hash__(self):
         return self._hash
 
 
-@dataclass(frozen=True, slots=True)
+_set_var_id, _set_var_hash = Var.id.__set__, Var._hash.__set__
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class App(Term):
     symbol: str
     args: tuple = ()
     _hash: int = field(init=False, compare=False, repr=False)  # hashed once, not per lookup
 
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.symbol, self.args)))
+    def __init__(self, symbol, args=()):
+        _set_symbol(self, symbol)
+        _set_args(self, args)
+        _set_app_hash(self, hash((symbol, args)))
 
     def __hash__(self):
         return self._hash
+
+
+_set_symbol, _set_args, _set_app_hash = App.symbol.__set__, App.args.__set__, App._hash.__set__
 
 
 # Signatures are symbol -> arity maps.
@@ -126,16 +138,17 @@ class Tokens:
 
     `pattern` matches optional whitespace and then one token as group 1;
     `error` is the grammar's ParseError subclass, raised with the position
-    of the token at fault.  `deeper` gives the depth of a new tree node and
-    `nested` the level inside a new bracket (the top level is 1), and both
-    reject what goes past MAX_PARSE_DEPTH, so a parser's recursion is
+    of the token at fault.  Tokens begin at `start`, and positions count
+    from the start of `text`.  `deeper` gives the depth of a new tree node
+    and `nested` the level inside a new bracket (the top level is 1), and
+    both reject what goes past MAX_PARSE_DEPTH, so a parser's recursion is
     bounded by the levels it passes down.
     """
 
-    def __init__(self, text, pattern, error):
+    def __init__(self, text, pattern, error, start=0):
         self.error = error
         self.tokens, self.starts = [], []
-        pos, end = 0, len(text.rstrip())
+        pos, end = start, len(text.rstrip())
         while pos < end:
             m = pattern.match(text, pos)
             if m is None:
@@ -191,10 +204,11 @@ class Tokens:
 _TERM_TOKEN = re.compile(r"\s*([-()^*,]|[A-Za-z_][A-Za-z_0-9]*|[0-9]+)")
 
 
-def parse_term(text, signature):
-    """Parse term text against a signature; rejects symbols outside it, and
-    trees or bracket nesting deeper than MAX_PARSE_DEPTH."""
-    tokens = Tokens(text, _TERM_TOKEN, TermSyntaxError)
+def parse_term(text, signature, start=0):
+    """Parse the term text[start:] against a signature; rejects symbols
+    outside it, and trees or bracket nesting deeper than MAX_PARSE_DEPTH.
+    A syntax error's position counts from the start of `text`."""
+    tokens = Tokens(text, _TERM_TOKEN, TermSyntaxError, start)
 
     # each parser returns (term, depth of its tree); `level` counts the
     # brackets around it, the only recursion not bounded by precedence

@@ -138,10 +138,28 @@ def test_parse_axioms_reads_signature_comments_and_blank_lines():
     ("signature: ring\n", "line 1: unknown signature 'ring'"),
     ("# comment\nA x v y = y v x\n", "line 2: expected 'ID: lhs = rhs'"),
     ("A: x v y\n", "line 1: expected 'ID: lhs = rhs'"),
-    ("signature: group\nA: x v y = y v x\n", "symbol 'v' not in signature"),
+    ("signature: group\nA: x v y = y v x\n", "line 2: symbol 'v' not in signature"),
+    ("B1: x v x = x\nB2: (x v y = x\n", "line 2: unexpected end of input (at position 11)"),
+    ("B1: x v x = x\n  B2: x = x v # x\n", "line 2: unexpected end of input (at position 14)"),
+    ("B1: x v x = x\nB2: f(x) = x\n", "line 2: symbol 'f' not in signature"),
 ], ids=["repeated", "empty-id", "two-word-id", "signature-after-axiom", "signature-twice",
-        "unknown-signature", "no-colon", "no-equals", "symbol-outside-signature"])
+        "unknown-signature", "no-colon", "no-equals", "symbol-outside-signature",
+        "term-syntax", "term-syntax-indented", "term-unknown-symbol"])
 def test_parse_axioms_errors(text, message):
     with pytest.raises(ValueError) as info:
         check.parse_axioms(text)
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("text, pos", [
+    ("x = = x", 4), ("x v = x", 4), ("(x = x", 3), ("x = (x v", 8), ("x = x y", 6),
+])
+def test_parse_equation_positions_count_in_the_whole_text(text, pos):
+    with pytest.raises(logic.TermSyntaxError) as info:
+        check.parse_equation(text, logic.BOOLEAN_SIG)
+    assert info.value.pos == pos
+
+
+def test_parse_equation_reads_from_start():
+    eq = check.parse_equation("A1: x v 0 = x", logic.BOOLEAN_SIG, 3)
+    assert eq == check.parse_equation("x v 0 = x", logic.BOOLEAN_SIG)

@@ -44,6 +44,57 @@ class TestExitCodes:
         assert _exit_code(argv) == 2
         assert "expected one argument" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("verb", [
+        ["capset", "exact", "--n", "3"],
+        ["eq", "prove", "--axioms", "boolean", "--goal", "x v x = x"],
+        ["eq", "complete", "--axioms", "group"],
+    ], ids=["capset-exact", "eq-prove", "eq-complete"])
+    @pytest.mark.parametrize("budget", ["-1", "-5", "many"])
+    def test_bad_budget_is_usage_error(self, verb, budget, capsys):
+        assert _exit_code(verb + ["--budget", budget]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.endswith(
+            f"argument --budget: invalid budget: {budget!r} (expected an integer >= 0)\n")
+
+    @pytest.mark.parametrize("verb, stdout", [
+        (["capset", "exact", "--n", "3"], ">= 1 (budget exhausted)\n"),
+        (["eq", "prove", "--axioms", "boolean", "--goal", "x v x = x"],
+         "timeout: 0 equations generated, 0 rewrites attempted\n"),
+        (["eq", "complete", "--axioms", "group"], "budget exhausted with 0 partial rules\n"),
+    ], ids=["capset-exact", "eq-prove", "eq-complete"])
+    def test_zero_budget_is_a_negative_answer(self, verb, stdout, capsys):
+        assert _exit_code(verb + ["--budget", "0"]) == 1
+        assert capsys.readouterr() == (stdout, "")
+
+
+class TestWriteFailures:
+    """An output that cannot be written is a usage error naming the path
+    given, never the temp file beside it, and leaves no temp file."""
+
+    @pytest.fixture(params=["sat-solve-cert", "eq-prove-output"])
+    def writer(self, request, tmp_path):
+        if request.param == "sat-solve-cert":
+            cnf = tmp_path / "f.cnf"
+            cnf.write_text("p cnf 1 2\n1 0\n-1 0\n")
+            return lambda path: ["sat", "solve", str(cnf), "--cert", path]
+        return lambda path: ["eq", "prove", "--axioms", "boolean", "--goal", "x v x = x",
+                             "-o", path]
+
+    def test_missing_directory(self, writer, tmp_path, capsys):
+        path = str(tmp_path / "missing" / "out.txt")
+        assert _exit_code(writer(path)) == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot write {path}: No such file or directory\n")
+
+    def test_directory_as_target(self, writer, tmp_path, capsys):
+        target = tmp_path / "taken"
+        target.mkdir()
+        assert _exit_code(writer(str(target))) == 2
+        assert capsys.readouterr().err == f"error: cannot write {target}: Is a directory\n"
+        assert not [p for p in os.listdir(tmp_path) if p.startswith(".bruteforge-")]
+        assert os.listdir(target) == []
+
 
 class TestSat:
     def test_solve_sat_writes_model(self, tmp_path):
@@ -553,6 +604,25 @@ class TestEq:
         assert (result.stderr, result.returncode) == (
             "error: line 1: unknown signature 'ring'\n", 2)
 
+    @pytest.mark.parametrize("text, message", [
+        ("B1: x v x = x\nB2: (x v y = x\n", "line 2: unexpected end of input (at position 11)"),
+        ("B1: x v x = x\nB2: f(x) = x\n", "line 2: symbol 'f' not in signature"),
+    ], ids=["syntax", "unknown-symbol"])
+    def test_axiom_file_term_error_names_its_line(self, tmp_path, capsys, text, message):
+        axioms = tmp_path / "ax.txt"
+        axioms.write_text(text)
+        assert _exit_code(["eq", "complete", "--axioms", str(axioms), "--precedence", "v"]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    @pytest.mark.parametrize("goal, message", [
+        ("x = = x", "unexpected character '=' (at position 4)"),
+        ("x v = x", "unexpected end of input (at position 4)"),
+        ("x = x v", "unexpected end of input (at position 7)"),
+    ])
+    def test_goal_error_position_counts_in_the_goal(self, capsys, goal, message):
+        assert _exit_code(["eq", "prove", "--axioms", "boolean", "--goal", goal]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
     @pytest.mark.parametrize("value", ["nan", "NaN", "x"])
     def test_max_seconds_must_be_a_number(self, value):
         # `elapsed > nan` is always False, so NaN would switch the limit off
@@ -744,6 +814,20 @@ class TestExitContractFuzz:
         # or out of range and --evals small, so each run is short and serial
         argv = ["capset", "evolve", "--n", str(n), "--seed", str(seed), "--evals", str(evals)]
         assert _exit_code(argv) in (0, 1, 2)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([
+        ["capset", "exact", "--n", "3"],
+        ["eq", "prove", "--axioms", "boolean", "--goal", "x v y = y v x"],
+        ["eq", "complete", "--axioms", "group"],
+    ]), st.integers(max_value=4))
+    def test_any_integer_budget(self, verb, budget):
+        # a negative budget is a usage error; the rest stay small, so each run is short
+        code = _exit_code(verb + [f"--budget={budget}"])
+        if budget < 0:
+            assert code == 2
+        else:
+            assert code in (0, 1)
 
     @settings(max_examples=200, deadline=None)
     @given(st.text(alphabet="ie*> x"))

@@ -1,3 +1,6 @@
+import copy
+import dataclasses
+import pickle
 import random
 
 import pytest
@@ -211,6 +214,58 @@ class TestTermHash:
         assert repr(App("v", (Var(0), App("1")))) == (
             "App(symbol='v', args=(Var(id=0), App(symbol='1', args=())))"
         )
+
+
+class TestTermInterface:
+    """Var and App write their slots in a hand-written __init__; the
+    dataclass interface around it stays the generated one."""
+
+    TERMS = [Var(0), Var(7), App("e"), App("-", (Var(2),)),
+             parse_term("x3 v -(x3 ^ 1)", BOOLEAN_SIG), parse_term("i(x * e)", GROUP_SIG)]
+
+    def test_fields_and_match_args(self):
+        assert [f.name for f in dataclasses.fields(Var)] == ["id", "_hash"]
+        assert [f.name for f in dataclasses.fields(App)] == ["symbol", "args", "_hash"]
+        assert Var.__match_args__ == ("id",)
+        assert App.__match_args__ == ("symbol", "args")
+        match parse_term("-x", BOOLEAN_SIG):
+            case App("-", (Var(vid),)):
+                assert vid == 0
+            case _:
+                pytest.fail("App(symbol, args) did not match positionally")
+
+    def test_replace_hashes_like_a_fresh_term(self):
+        t = parse_term("x v 1", BOOLEAN_SIG)
+        swapped = dataclasses.replace(t, symbol="^")
+        assert swapped == App("^", t.args) and hash(swapped) == hash(App("^", t.args))
+        moved = dataclasses.replace(Var(2), id=5)
+        assert moved == Var(5) and hash(moved) == hash(Var(5)) == hash((5,))
+
+    @pytest.mark.parametrize("t", TERMS, ids=format_term)
+    @pytest.mark.parametrize("round_trip", [
+        lambda t: pickle.loads(pickle.dumps(t)), copy.copy, copy.deepcopy,
+    ], ids=["pickle", "copy", "deepcopy"])
+    def test_round_trips_keep_equality_and_hash(self, t, round_trip):
+        again = round_trip(t)
+        assert again == t and hash(again) == hash(t) and repr(again) == repr(t)
+
+    def test_keyword_construction(self):
+        assert App(symbol="e") == App("e", ()) and App(symbol="e").args == ()
+        assert App(symbol="-", args=(Var(0),)) == App("-", (Var(0),))
+        assert Var(id=4) == Var(4) and hash(Var(id=4)) == hash((4,))
+
+    @pytest.mark.parametrize("build", [lambda: Var(-1), lambda: Var(id=-1)],
+                             ids=["positional", "keyword"])
+    def test_negative_variable_id_is_rejected(self, build):
+        with pytest.raises(ValueError, match="^variable ids are nonnegative$"):
+            build()
+
+    @given(st.sampled_from([BOOLEAN_SIG, ROBBINS_SIG, GROUP_SIG]).flatmap(
+        lambda sig: st.tuples(st.just(sig), _terms(sig))))
+    def test_built_terms_equal_parsed_terms(self, sig_and_term):
+        sig, t = sig_and_term
+        parsed = parse_term(format_term(t), sig)
+        assert parsed == t and hash(parsed) == hash(t) and repr(parsed) == repr(t)
 
 
 class TestClauses:
