@@ -393,17 +393,20 @@ def format_proof(proof):
 _POSITION_RE = re.compile(r"-?[0-9]+(\.-?[0-9]+)*")
 
 
+# the four fields of a proof line: id, position, substitution, direction
+_PROOF_LINE = re.compile(r"\s*(\S+)\s+(\S+)\s+(.*\S)\s+(\S+)\s*")
+
+
 def parse_proof(text, signature):
     steps = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        parts = line.split()
-        if len(parts) < 4:
+        fields = _PROOF_LINE.fullmatch(raw)
+        if fields is None:
             raise ProofStepError(f"line {lineno}: expected 4 fields")
-        eq_id, pos_text, direction = parts[0], parts[1], parts[-1]
-        sub_text = " ".join(parts[2:-1])
+        eq_id, pos_text, sub_text, direction = fields.groups()
         if direction not in ("lr", "rl"):
             raise ProofStepError(f"line {lineno}: bad direction {direction!r}")
         if pos_text == "-":
@@ -414,11 +417,17 @@ def parse_proof(text, signature):
             raise ProofStepError(f"line {lineno}: bad position {pos_text!r}")
         subst = {}
         if sub_text != "-":
+            end = fields.start(3) - 1
             for binding in sub_text.split(";"):
                 name, _, term_text = binding.partition("=")
+                end += 1 + len(binding)
                 name = name.strip()
                 if not _VAR_RE.match(name):
                     raise ProofStepError(f"line {lineno}: bad variable name {name!r}")
-                subst[var_id(name)] = parse_term(term_text, signature)
+                try:
+                    # a term error's position counts in the line as written
+                    subst[var_id(name)] = parse_term(raw[:end], signature, end - len(term_text))
+                except ValueError as exc:
+                    raise ProofStepError(f"line {lineno}: {exc}") from None
         steps.append(ProofStep(eq_id, pos, subst, direction))
     return EqProof(tuple(steps))

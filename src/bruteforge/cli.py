@@ -3,10 +3,11 @@
 Exit codes: 0 success; 1 negative answer (unsatisfiable where a model was
 sought, proof search timeout, not-a-cap, an artifact that does not check);
 2 usage error, a missing or malformed input file among them; 3 internal
-self-check failed (a bug, not an input fault).  All output files
-are written atomically (temp file + rename).  Machine logs are JSON lines;
-human summaries go to standard output.  Settings come from flags only;
-`capset evolve` picks its worker pool from n (see `evolve.POOL_MIN_N`).
+self-check failed (a bug, not an input fault).  All output files are
+written atomically (temp file + rename), before the verdict is printed.
+Machine logs are JSON lines; human summaries go to standard output.
+Settings come from flags only; `capset evolve` picks its worker pool from
+n (see `evolve.POOL_MIN_N`).
 """
 
 from __future__ import annotations
@@ -63,15 +64,15 @@ def _cmd_sat_solve(args, parser):
     if verdict.satisfiable:
         if not check.verify_model(cnf, verdict.model):
             raise VerificationError("model does not satisfy every clause")
-        print("SATISFIABLE")
         if args.model:
             _atomic_write(args.model, check.format_model(verdict.model))
+        print("SATISFIABLE")
         return EXIT_OK
     if not check.check_certificate(cnf, verdict.certificate):
         raise VerificationError("certificate does not check")
-    print("UNSATISFIABLE")
     if args.cert:
         _atomic_write(args.cert, verdict.certificate.to_text())
+    print("UNSATISFIABLE")
     return EXIT_NEGATIVE
 
 
@@ -100,22 +101,22 @@ def _cmd_bpt_encode(args, parser):
 def _cmd_bpt_solve(args, parser):
     result = bpt.solve(args.m)
     if isinstance(result, check.Coloring):
-        print(f"SATISFIABLE: valid 2-coloring for m={args.m}")
         if args.coloring:
             _atomic_write(args.coloring, check.format_coloring(result))
+        print(f"SATISFIABLE: valid 2-coloring for m={args.m}")
         return EXIT_OK
-    print(f"UNSATISFIABLE: every 2-coloring has a monochromatic triple at m={args.m}")
     if args.cert:
         _atomic_write(args.cert, result.to_text())
+    print(f"UNSATISFIABLE: every 2-coloring has a monochromatic triple at m={args.m}")
     return EXIT_NEGATIVE
 
 
 def _cmd_bpt_scan(args, parser):
     result = bpt.find_threshold(args.max)
     if isinstance(result, bpt.Threshold):
-        print(f"threshold: first unsatisfiable m = {result.m}")
         if args.cert:
             _atomic_write(args.cert, result.certificate.to_text())
+        print(f"threshold: first unsatisfiable m = {result.m}")
         return EXIT_OK
     print(f"all satisfiable up to m = {result.m}")
     return EXIT_NEGATIVE
@@ -138,11 +139,12 @@ def _cmd_capset_greedy(args, parser):
     chosen = priority.greedy(expr, args.n)
     if not check.is_cap(chosen):
         raise VerificationError("greedy set is not a cap")
-    print(f"greedy cap size {len(chosen)} for n={args.n}")
+    text = check.format_capset(chosen)
     if args.output:
-        _atomic_write(args.output, check.format_capset(chosen))
-    else:
-        sys.stdout.write(check.format_capset(chosen))
+        _atomic_write(args.output, text)
+    print(f"greedy cap size {len(chosen)} for n={args.n}")
+    if not args.output:
+        sys.stdout.write(text)
     return EXIT_OK
 
 
@@ -251,9 +253,9 @@ def _cmd_eq_prove(args, parser):
                 f"{var_name(v)} := {format_term(t)}"
                 for v, t in sorted(sigma.items())
             )
-            print(f"witness found: {witness or '(trivial)'}")
             if args.output:
                 _atomic_write(args.output, check.format_proof(result.proof))
+            print(f"witness found: {witness or '(trivial)'}")
             return EXIT_OK
     else:
         result = equational.prove(
@@ -261,11 +263,12 @@ def _cmd_eq_prove(args, parser):
         )
         if isinstance(result, check.EqProof):
             _check_proof(result, axioms, goal)
-            print(f"proof found: {len(result.steps)} steps")
+            text = check.format_proof(result)
             if args.output:
-                _atomic_write(args.output, check.format_proof(result))
-            else:
-                sys.stdout.write(check.format_proof(result))
+                _atomic_write(args.output, text)
+            print(f"proof found: {len(result.steps)} steps")
+            if not args.output:
+                sys.stdout.write(text)
             return EXIT_OK
     print(
         "timeout: "

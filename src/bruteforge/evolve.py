@@ -14,11 +14,13 @@ one a batch of proposals, and each is scored, added to the population
 and logged by the same code.  Per-candidate seeds are derived from (run
 seed, generation, slot), and parents are drawn from the population
 snapshot at the start of the generation, so serial and worker-pool runs
-produce identical logs.  Within a run each distinct expression text is
-scored once, and on the serial path a subtree's column is computed once
-while the run's bounded `ColumnCache` holds it.  Mutation and crossover
-pick a node by its preorder index, drawn below the tree's `size`, and
-walk down to it along one path.
+produce identical logs; the population is trimmed to its best members
+when that snapshot is taken, once per generation.  Within a run each
+distinct expression text is scored once, and on the serial path a
+subtree's column is computed, and a root column ranked, once while the
+run's bounded `ColumnCache` holds it.  Mutation and crossover pick a node
+by its preorder index, drawn below the tree's `size`, and walk down to it
+along one path.
 
 A run's settings are the four fields of EvolveConfig (n, seed, budget
 and generator command).  Population size, batch, tournament size and
@@ -79,13 +81,15 @@ class Population:
     def add(self, candidate):
         self.candidates.append((self._arrivals, candidate))
         self._arrivals += 1
-        if len(self.candidates) > CAPACITY:
-            # keep the best CAPACITY members; earliest arrival wins ties,
-            # so the best-score member is never evicted
-            self.candidates.sort(key=lambda ac: (-ac[1].score, ac[0]))
-            del self.candidates[CAPACITY:]
 
     def members(self):
+        """The members, trimmed here to the best CAPACITY once more arrived:
+        the top CAPACITY under a total order, as a trim per add would keep."""
+        if len(self.candidates) > CAPACITY:
+            # earliest arrival wins ties, so the best-score member is never
+            # evicted
+            self.candidates.sort(key=lambda ac: (-ac[1].score, ac[0]))
+            del self.candidates[CAPACITY:]
         return [c for _, c in self.candidates]
 
 
@@ -336,7 +340,7 @@ def _select_parents(rng, members):
     chosen = []
     count = 2 if len(members) >= 2 else 1
     for _ in range(count):
-        contenders = [members[rng.randrange(len(members))] for _ in range(TOURNAMENT)]
+        contenders = [rng.choice(members) for _ in range(TOURNAMENT)]
         chosen.append(max(contenders, key=lambda c: c.score))
     return chosen
 

@@ -10,15 +10,20 @@ An expression is a tree of `Const`, `Dim`, `Index` and `BinOp` nodes.
 `BinOp.op` is one of `+ - * % min max`, each a column operation in
 `_COLUMN_OPS`; `min` and `max` are written in call form, `min(a, b)`.
 Each node carries its `text` (as `format_expr` writes it) and its node
-count `size`, both built from its children's when it is.
+count `size`, both built from its children's when it is.  Nodes are frozen
+slotted dataclasses; a pickled node holds its fields only, and unpickling
+derives text and size again.
 
 Text and tuple vectors are the boundary: `parse_expr` reads an expression,
 `eval_priority` takes a tuple, `greedy` returns a set of tuples.  Inside,
 one recursive pass evaluates each subtree over the digit columns of all 3^n
 vector codes at once, and the greedy walk runs on those int codes (see
 `capset`).  With an optional `ColumnCache`, the pass looks a subtree's
-column up by its text before it evaluates the subtree's children.  The parser
-rejects trees and bracket nesting deeper than `logic.MAX_PARSE_DEPTH`.
+column up by its text before it evaluates the subtree's children, and
+`score` looks the root column up before it ranks the codes: expressions of
+different texts with equal columns, such as `v[0]` and `v[0] + 0`, rank
+and walk once.  The parser rejects trees and bracket nesting deeper than
+`logic.MAX_PARSE_DEPTH`.
 
 Expression grammar:
 
@@ -33,7 +38,7 @@ from __future__ import annotations
 
 import operator
 import re
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass, fields
 from itertools import repeat
 
 from .capset import check_dimension, code_vector, digit_columns, greedy_cap
@@ -53,51 +58,76 @@ class Expr:
     """A node.  `text` and `size` are set once, when it is built, and are
     not dataclass fields: not arguments, and not compared, hashed or shown."""
 
-    __slots__ = ()
-    text: str
-    size: int
+    __slots__ = ("text", "size")
 
-    def _derive(self, text, size):
-        object.__setattr__(self, "text", text)
-        object.__setattr__(self, "size", size)
+    def __reduce__(self):
+        # rebuilt through __init__, which derives text and size again: the
+        # slots dataclass __getstate__ would drop them
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
 
-@dataclass(frozen=True)
+# Each node writes its fields, text and size through the slots' own
+# setters, bound below the classes: the generated frozen __init__ pays
+# object.__setattr__ per field, and every mutation builds new nodes.
+@dataclass(frozen=True, slots=True, init=False)
 class Const(Expr):
     value: int
 
-    def __post_init__(self):
-        self._derive(str(self.value) if self.value >= 0 else f"({self.value})", 1)
+    def __init__(self, value):
+        _set_value(self, value)
+        _set_text(self, str(value) if value >= 0 else f"({value})")
+        _set_size(self, 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Dim(Expr):
     """The dimension n of the run."""
 
-    def __post_init__(self):
-        self._derive("n", 1)
+    def __init__(self):
+        _set_text(self, "n")
+        _set_size(self, 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Index(Expr):
     """v[e]: digit of the vector at index e mod n."""
 
     index: Expr
 
-    def __post_init__(self):
-        self._derive(f"v[{self.index.text}]", 1 + self.index.size)
+    def __init__(self, index):
+        _set_index(self, index)
+        _set_text(self, f"v[{index.text}]")
+        _set_size(self, 1 + index.size)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class BinOp(Expr):
     op: str  # + - * % min max
     left: Expr
     right: Expr
 
-    def __post_init__(self):
-        a, b = self.left.text, self.right.text
-        text = f"{self.op}({a}, {b})" if self.op in ("min", "max") else f"({a} {self.op} {b})"
-        self._derive(text, 1 + self.left.size + self.right.size)
+    def __init__(self, op, left, right):
+        _set_op(self, op)
+        _set_left(self, left)
+        _set_right(self, right)
+        a, b = left.text, right.text
+        _set_text(self, f"{op}({a}, {b})" if op in ("min", "max") else f"({a} {op} {b})")
+        _set_size(self, 1 + left.size + right.size)
+
+
+_set_text, _set_size, _set_value, _set_index = (
+    Expr.text.__set__, Expr.size.__set__, Const.value.__set__, Index.index.__set__)
+_set_op, _set_left, _set_right = BinOp.op.__set__, BinOp.left.__set__, BinOp.right.__set__
+
+
+def _read_only(self, name, *value):
+    raise FrozenInstanceError(f"cannot assign to or delete {name!r}")
+
+
+# the frozen __setattr__ of a slots dataclass raises TypeError, not
+# FrozenInstanceError, for a name that is not a field, such as text
+for _cls in (Const, Dim, Index, BinOp):
+    _cls.__setattr__ = _cls.__delattr__ = _read_only
 
 
 def _wrapping(fn):
@@ -126,26 +156,29 @@ _COLUMN_OPS = {
 }
 
 
-# the most cells (3^n per column) a ColumnCache holds, about 10 bytes each.
+# the most cells (3^n per entry) a ColumnCache holds, about 10 bytes each.
 # Serial evolve(EvolveConfig(n=6, seed=0, eval_budget=3000)) computes 29,873
-# columns uncached, 15,126 at this bound and 13,437 unbounded, and peaks at
-# 45 MB RSS against 25 MB uncached and 124 MB unbounded.
+# columns uncached, 15,171 at this bound and 13,437 unbounded, ranks 2,809,
+# 1,313 and 1,065 root columns, and peaks at 44 MB RSS against 22 MB
+# uncached and 129 MB unbounded.
 CACHE_CELLS = 1 << 21
 
 
 class ColumnCache(dict):
-    """Subtree text -> its column over all 3^n codes, for one n; a column
-    that would take it past CACHE_CELLS cells clears it first."""
+    """For one n: subtree text -> its column over all 3^n codes, and a root
+    column, as a tuple, -> the size of its greedy cap.  Each entry counts
+    as 3^n cells; one that would take it past CACHE_CELLS clears it first."""
 
     def __init__(self, n):
         super().__init__()
         self.n = n
 
-    def store(self, text, column):
-        if (len(self) + 1) * len(column) > CACHE_CELLS:
+    def store(self, key, value):
+        cells = 3**self.n
+        if (len(self) + 1) * cells > CACHE_CELLS:
             self.clear()
-        if len(column) <= CACHE_CELLS:
-            self[text] = column
+        if cells <= CACHE_CELLS:
+            self[key] = value
 
 
 def _evaluate(e, n, cols, cache):
@@ -269,11 +302,14 @@ def parse_expr(text):
     return out
 
 
-def _greedy_codes(expr, n, cache):
+def _priorities(expr, n, cache):
     check_dimension(n)
     if cache is not None and cache.n != n:
         raise ValueError(f"cache for dimension {cache.n} used at dimension {n}")
-    keys = _evaluate(expr, n, digit_columns(n), cache)
+    return _evaluate(expr, n, digit_columns(n), cache)
+
+
+def _greedy_codes(keys, n):
     # the sort is stable under reverse=True, so equal priorities keep
     # ascending code order: (priority descending, lexicographic ascending)
     ranking = (range(3**n) if isinstance(keys, int)
@@ -283,10 +319,19 @@ def _greedy_codes(expr, n, cache):
 
 def greedy(expr, n):
     """Greedy cap construction under the expression's ranking; deterministic."""
-    return {code_vector(code, n) for code in _greedy_codes(expr, n, None)}
+    return {code_vector(code, n) for code in _greedy_codes(_priorities(expr, n, None), n)}
 
 
 def score(expr, n, cache=None):
     """Fitness of a priority program: the size of its greedy cap set.
-    `cache`, a ColumnCache(n), keeps subtree columns from call to call."""
-    return len(_greedy_codes(expr, n, cache))
+    `cache`, a ColumnCache(n), keeps subtree columns and the cap size of
+    each root column ranked from call to call."""
+    keys = _priorities(expr, n, cache)
+    if cache is None or isinstance(keys, int):
+        return len(_greedy_codes(keys, n))
+    column = tuple(keys)
+    size = cache.get(column)
+    if size is None:
+        size = len(_greedy_codes(keys, n))
+        cache.store(column, size)
+    return size

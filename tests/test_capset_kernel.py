@@ -12,6 +12,7 @@ and a walk that lists every node with its path from the root.
 import os
 import pickle
 import random
+from dataclasses import FrozenInstanceError, fields, replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -245,6 +246,34 @@ class TestExprNodes:
         assert [n.text for _, n in reference_subtrees(copy)] == \
             [n.text for _, n in reference_subtrees(expr)]
 
+    @settings(max_examples=100, deadline=None)
+    @given(_exprs())
+    def test_pickles_hold_fields_not_texts(self, expr):
+        # text and size are derived again when a node is rebuilt
+        data = pickle.dumps(expr)
+        for _, node in reference_subtrees(expr):
+            if isinstance(node, (Index, BinOp)):
+                assert node.text.encode() not in data
+
+    def test_nodes_are_slotted_and_frozen(self):
+        expr = parse_expr("max(v[n % 2], -3) + 1")
+        for _, node in reference_subtrees(expr):
+            assert not hasattr(node, "__dict__")
+            for name in ("text", "size", *(f.name for f in fields(node))):
+                with pytest.raises(FrozenInstanceError):
+                    setattr(node, name, getattr(node, name))
+                with pytest.raises(FrozenInstanceError):
+                    delattr(node, name)
+        assert expr.text == "(max(v[(n % 2)], (-3)) + 1)" and expr.size == 8
+
+    def test_fields_and_keyword_construction_are_unchanged(self):
+        assert [[f.name for f in fields(cls)] for cls in (Const, Dim, Index, BinOp)] == [
+            ["value"], [], ["index"], ["op", "left", "right"]]
+        assert BinOp.__match_args__ == ("op", "left", "right")
+        built = BinOp(op="-", left=Const(value=0), right=Index(index=Dim()))
+        assert built == parse_expr("-v[n]") and built.text == "(0 - v[n])"
+        assert replace(built, op="+").text == "(0 + v[n])"
+
     def test_parsed_and_built_trees_compare_and_hash_equal(self):
         built = BinOp("max", BinOp("%", Index(BinOp("*", Index(Const(1)), Const(2))), Dim()),
                       Const(-3))
@@ -350,30 +379,55 @@ class TestExactCap:
 
 
 def _sharing(exprs):
-    """exprs, then children that share subtrees with them, as evolve's do."""
+    """exprs, then children that share subtrees with them, as evolve's do,
+    and (a + 0), whose root column is a's under another text."""
     out = list(exprs)
     for a, b in zip(exprs, exprs[1:] + exprs[:1]):
-        out += [BinOp("+", a, b), Index(a), BinOp("max", BinOp("%", b, a), a)]
+        out += [BinOp("+", a, b), Index(a), BinOp("max", BinOp("%", b, a), a),
+                BinOp("+", a, Const(0))]
     return out
 
 
 class TestColumnCache:
     def _check_shared(self, exprs, n):
         """Score through one cache; each score must equal a fresh one and
-        the reference's, and the cache must stay within its bound."""
+        the reference's, the cache must stay within its bound, and a memo
+        hit (a score that runs no greedy_cap) needs a root column that was
+        ranked before.  Returns, per score, the cache's size, whether the
+        memo was hit, and whether the column had been ranked before."""
         cache = ColumnCache(n)
-        sizes = []
-        for expr in _sharing(exprs):
-            assert score(expr, n, cache) == score(expr, n) == len(reference_greedy(expr, n))
-            assert len(cache) * 3**n <= priority.CACHE_CELLS
-            sizes.append(len(cache))
-        return sizes
+        sizes, hits, seen, ranked, walks = [], [], [], set(), []
+
+        def counted_greedy_cap(ranking, n):
+            walks.append(n)
+            return greedy_cap(ranking, n)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(priority, "greedy_cap", counted_greedy_cap)
+            for expr in _sharing(exprs):
+                expected = len(reference_greedy(expr, n))
+                assert score(expr, n) == expected
+                walks.clear()
+                assert score(expr, n, cache) == expected
+                assert len(cache) * 3**n <= priority.CACHE_CELLS
+                # an expression without an Index reads no digit: no column
+                column = tuple(reference_eval(expr, v, n) for v in all_vectors(n))
+                reads = any(isinstance(node, Index) for _, node in reference_subtrees(expr))
+                sizes.append(len(cache))
+                hits.append(not walks)
+                seen.append(reads and column in ranked)
+                assert seen[-1] or not hits[-1]
+                if reads:
+                    ranked.add(column)
+        return sizes, hits, seen
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(_exprs(max_leaves=8), min_size=1, max_size=4),
            st.integers(min_value=1, max_value=4))
     def test_shared_cache_matches_fresh_and_reference(self, exprs, n):
-        self._check_shared(exprs, n)
+        # no clear at this bound: every column ranked before is a hit
+        _, hits, seen = self._check_shared(exprs, n)
+        assert hits == seen
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(_exprs(max_leaves=8), min_size=1, max_size=4),
@@ -384,9 +438,13 @@ class TestColumnCache:
             self._check_shared(exprs, n)
 
     def test_full_cache_is_cleared(self, monkeypatch):
+        # each score stores a column and then its memo entry, which fill
+        # the two entries; the repeat of the first text finds neither
         monkeypatch.setattr(priority, "CACHE_CELLS", 2 * 27)
         texts = ["v[0] + v[1]", "(v[0] + v[1]) * v[2]", "max(v[0], v[2])", "v[0] + v[1]"]
-        assert self._check_shared([parse_expr(t) for t in texts], 3)[:4] == [1, 2, 1, 2]
+        sizes, hits, seen = self._check_shared([parse_expr(t) for t in texts], 3)
+        assert (sizes[:4], hits[:4], seen[:4]) == (
+            [2, 2, 2, 2], [False] * 4, [False, False, False, True])
 
     def test_cache_serves_one_dimension(self):
         cache = ColumnCache(3)
@@ -432,17 +490,38 @@ class TestColumnCache:
         evolve(config)
         assert caches and all(cache is None for cache in caches)
 
-    def test_cli_rescores_the_best_without_the_runs_cache(self, monkeypatch, capsys):
-        # a cache that hands back wrong columns must not vouch for itself
-        def reversed_store(self, text, column):
-            self[text] = column[::-1]
-
-        monkeypatch.setattr(ColumnCache, "store", reversed_store)
-        assert cli.main(["capset", "evolve", "--n", "3", "--seed", "2", "--evals", "100"]) == 3
+    def _check_rescored(self, wrong, capsys):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ColumnCache, "store", lambda self, key, value: self.__setitem__(
+                key, wrong(key, value)))
+            assert cli.main(["capset", "evolve", "--n", "3", "--seed", "2", "--evals", "100"]) == 3
         assert "does not re-score" in capsys.readouterr().err
+
+    def test_cli_rescores_the_best_without_the_runs_cache(self, capsys):
+        # a cache that hands back wrong columns must not vouch for itself
+        self._check_rescored(lambda key, value: value[::-1] if isinstance(key, str) else value,
+                             capsys)
+
+    def test_cli_rescores_the_best_without_the_runs_memo(self, capsys):
+        # nor one that hands back wrong cap sizes for a ranked column
+        self._check_rescored(lambda key, value: value if isinstance(key, str) else value + 1,
+                             capsys)
 
 
 class TestScoreMemo:
+    def test_a_ranked_column_is_not_ranked_again(self, monkeypatch):
+        # equal root columns under different texts; only the first is ranked
+        walks = []
+        monkeypatch.setattr(priority, "greedy_cap",
+                            lambda ranking, n: walks.append(n) or greedy_cap(ranking, n))
+        first, second = parse_expr("v[0]"), parse_expr("v[0] + 0")
+        expected = score(second, 3)
+        walks.clear()
+        cache = ColumnCache(3)
+        assert score(first, 3, cache) == expected and len(walks) == 1
+        assert score(second, 3, cache) == expected and len(walks) == 1
+        assert first.text != second.text
+
     def test_memo_keeps_the_log_and_saves_calls(self, monkeypatch):
         calls = []
         real_score = evolve_mod.score

@@ -160,6 +160,32 @@ def test_parse_equation_positions_count_in_the_whole_text(text, pos):
     assert info.value.pos == pos
 
 
+@pytest.mark.parametrize("text, message", [
+    ("B1 - x=(x v 0 rl\n", "line 1: unexpected end of input (at position 13)"),
+    ("# proof\nB1 - x=f(x) rl\n", "line 2: symbol 'f' not in signature"),
+    ("B1 - - lr\n  B2\t1  y = 1; x = (0 v v) lr\n",
+     "line 2: symbol 'v' expects 2 arguments (at position 24)"),
+    ("B1 - x=0; y rl\n", "line 1: unexpected end of input (at position 11)"),
+    ("B1 - x=1; y=0 ^ ^ 1 lr\n", "line 1: symbol '^' expects 2 arguments (at position 16)"),
+], ids=["unclosed", "unknown-symbol", "second-binding-spaced", "no-equals", "second-binding"])
+def test_parse_proof_term_errors_name_their_line(text, message):
+    with pytest.raises(check.ProofStepError) as info:
+        check.parse_proof(text, logic.BOOLEAN_SIG)
+    assert str(info.value) == message
+
+
+@given(st.lists(st.sampled_from(["x", "y", "x3"]), min_size=1, max_size=3, unique=True),
+       st.sampled_from([" ", "  ", "\t"]))
+def test_parse_proof_term_error_position_is_in_the_line(names, gap):
+    # the last binding's term is cut short: the error points past it
+    bindings = f";{gap}".join(f"{name}{gap}={gap}(0 v 1)" for name in names)
+    line = f"{gap}B1{gap}1.0{gap}{bindings[:-1]}{gap}lr"
+    with pytest.raises(check.ProofStepError) as info:
+        check.parse_proof(f"B2 - - lr\n{line}\n", logic.BOOLEAN_SIG)
+    end = len(line) - len(gap) - 2
+    assert str(info.value) == f"line 2: unexpected end of input (at position {end})"
+
+
 def test_parse_equation_reads_from_start():
     eq = check.parse_equation("A1: x v 0 = x", logic.BOOLEAN_SIG, 3)
     assert eq == check.parse_equation("x v 0 = x", logic.BOOLEAN_SIG)

@@ -70,30 +70,56 @@ class TestExitCodes:
 
 class TestWriteFailures:
     """An output that cannot be written is a usage error naming the path
-    given, never the temp file beside it, and leaves no temp file."""
+    given, never the temp file beside it, and leaves no temp file.  Every
+    writing verb writes before it prints its verdict, so a failed write
+    leaves stdout empty."""
 
-    @pytest.fixture(params=["sat-solve-cert", "eq-prove-output"])
-    def writer(self, request, tmp_path):
-        if request.param == "sat-solve-cert":
-            cnf = tmp_path / "f.cnf"
-            cnf.write_text("p cnf 1 2\n1 0\n-1 0\n")
-            return lambda path: ["sat", "solve", str(cnf), "--cert", path]
-        return lambda path: ["eq", "prove", "--axioms", "boolean", "--goal", "x v x = x",
-                             "-o", path]
+    @pytest.fixture(params=["sat-solve-cert", "eq-prove-output", "sat-solve-model",
+                            "bpt-solve-coloring", "bpt-solve-cert", "bpt-scan-cert",
+                            "capset-greedy-output", "eq-prove-exists-output"])
+    def writer(self, request, tmp_path, monkeypatch):
+        unsat, sat_cnf = tmp_path / "f.cnf", tmp_path / "g.cnf"
+        unsat.write_text("p cnf 1 2\n1 0\n-1 0\n")
+        sat_cnf.write_text("p cnf 1 1\n1 0\n")
+        if request.param in ("bpt-solve-cert", "bpt-scan-cert"):
+            # the least unsatisfiable bound, 7825, takes minutes to solve
+            certificate = sat.solve(parse_dimacs(unsat.read_text())).certificate
+            monkeypatch.setattr(bpt, "solve", lambda m: certificate)
+            monkeypatch.setattr(bpt, "find_threshold", lambda m: bpt.Threshold(m, certificate))
+        argv = {
+            "sat-solve-cert": lambda path: ["sat", "solve", str(unsat), "--cert", path],
+            "eq-prove-output": lambda path: ["eq", "prove", "--axioms", "boolean",
+                                             "--goal", "x v x = x", "-o", path],
+            "sat-solve-model": lambda path: ["sat", "solve", str(sat_cnf), "--model", path],
+            "bpt-solve-coloring": lambda path: ["bpt", "solve", "20", "--coloring", path],
+            "bpt-solve-cert": lambda path: ["bpt", "solve", "7825", "--cert", path],
+            "bpt-scan-cert": lambda path: ["bpt", "scan", "--max", "7825", "--cert", path],
+            "capset-greedy-output": lambda path: ["capset", "greedy", "--n", "2",
+                                                  "--expr", "v[0]", "-o", path],
+            "eq-prove-exists-output": lambda path: ["eq", "prove", "--axioms", "boolean",
+                                                    "--goal", "x v y = 1", "--exists",
+                                                    "-o", path],
+        }[request.param]
+        return argv
 
     def test_missing_directory(self, writer, tmp_path, capsys):
         path = str(tmp_path / "missing" / "out.txt")
         assert _exit_code(writer(path)) == 2
-        assert capsys.readouterr().err == (
-            f"error: cannot write {path}: No such file or directory\n")
+        assert capsys.readouterr() == (
+            "", f"error: cannot write {path}: No such file or directory\n")
 
     def test_directory_as_target(self, writer, tmp_path, capsys):
         target = tmp_path / "taken"
         target.mkdir()
         assert _exit_code(writer(str(target))) == 2
-        assert capsys.readouterr().err == f"error: cannot write {target}: Is a directory\n"
+        assert capsys.readouterr() == ("", f"error: cannot write {target}: Is a directory\n")
         assert not [p for p in os.listdir(tmp_path) if p.startswith(".bruteforge-")]
         assert os.listdir(target) == []
+
+    def test_a_written_artifact_comes_with_its_verdict(self, writer, tmp_path, capsys):
+        path = tmp_path / "out.txt"
+        _exit_code(writer(str(path)))
+        assert path.read_text() and capsys.readouterr().out
 
 
 class TestSat:
@@ -612,6 +638,17 @@ class TestEq:
         axioms = tmp_path / "ax.txt"
         axioms.write_text(text)
         assert _exit_code(["eq", "complete", "--axioms", str(axioms), "--precedence", "v"]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    @pytest.mark.parametrize("text, message", [
+        ("B1 - x=(x v 0 rl\n", "line 1: unexpected end of input (at position 13)"),
+        ("# proof\nB1 - x=f(x) rl\n", "line 2: symbol 'f' not in signature"),
+    ], ids=["syntax", "unknown-symbol"])
+    def test_proof_file_term_error_names_its_line(self, tmp_path, capsys, text, message):
+        proof = tmp_path / "p.prf"
+        proof.write_text(text)
+        assert _exit_code(["eq", "check", str(proof), "--axioms", "boolean",
+                           "--goal", "x v x = x"]) == 2
         assert capsys.readouterr() == ("", f"error: {message}\n")
 
     @pytest.mark.parametrize("goal, message", [

@@ -1,12 +1,14 @@
 import hashlib
 import json
 import os
+import random
 import sys
 import textwrap
 import time
 from dataclasses import fields
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bruteforge import evolve as evolve_mod
 from bruteforge.check import is_cap
@@ -53,6 +55,48 @@ class TestPopulation:
         p.add(_cand("0", 4))
         p.add(_cand("1", 4))
         assert [format_expr(c.expr) for c in p.members()] == ["0"]
+
+
+class PerAddTrimPopulation(Population):
+    """The population as it was: sorted and trimmed on every add."""
+
+    def add(self, candidate):
+        super().add(candidate)
+        if len(self.candidates) > evolve_mod.CAPACITY:
+            self.candidates.sort(key=lambda ac: (-ac[1].score, ac[0]))
+            del self.candidates[evolve_mod.CAPACITY:]
+
+    def members(self):
+        return [c for _, c in self.candidates]
+
+
+class TestLazyTrim:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(st.integers(0, 6), st.none()), max_size=80),
+           st.integers(1, 6))
+    def test_members_match_a_trim_per_add(self, events, capacity):
+        # an int adds a candidate with that score; None reads the members
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(evolve_mod, "CAPACITY", capacity)
+            lazy, oracle = Population(), PerAddTrimPopulation()
+            for i, event in enumerate(events):
+                if event is None:
+                    assert lazy.members() == oracle.members()
+                else:
+                    cand = Candidate(Const(i), event)
+                    lazy.add(cand)
+                    oracle.add(cand)
+            assert lazy.members() == oracle.members()
+
+    def test_parents_are_drawn_as_before(self):
+        # rng.choice(members) draws _randbelow(len) like randrange did
+        members = [Candidate(Const(i), i % 5) for i in range(24)]
+        for seed in range(200):
+            rng, old = random.Random(seed), random.Random(seed)
+            chosen = evolve_mod._select_parents(rng, members)
+            expected = [max([members[old.randrange(24)] for _ in range(evolve_mod.TOURNAMENT)],
+                            key=lambda c: c.score) for _ in range(2)]
+            assert chosen == expected and rng.random() == old.random()
 
 
 class TestSeeds:
