@@ -35,12 +35,8 @@ import hashlib
 import json
 import os
 import random
-import select
-import shlex
-import subprocess
 import tempfile
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import repeat
 
@@ -202,6 +198,10 @@ class ExternalGenerator:
         self._start()
 
     def _start(self):
+        # subprocess, shlex and select load only in runs that start a child
+        import shlex
+        import subprocess
+
         stderr = tempfile.TemporaryFile()
         try:
             self.proc = subprocess.Popen(
@@ -230,6 +230,8 @@ class ExternalGenerator:
 
     def _read_line(self):
         """One reply line, read from the raw pipe against a deadline."""
+        import select
+
         deadline = time.monotonic() + self.timeout
         fd = self.proc.stdout.fileno()
         while b"\n" not in self._pending:
@@ -271,6 +273,8 @@ class ExternalGenerator:
         proc, self.proc = self.proc, None
         if proc is None:
             return
+        import subprocess
+
         proc.terminate()
         try:
             proc.wait(timeout=2)
@@ -312,6 +316,9 @@ SEED_EXPRS = ("0", "v[0]", "n", "v[0] + v[1]")
 # runs of evolve(EvolveConfig(n, eval_budget=300)) on a 2-core x86_64 box,
 # serial against a 2-worker pool: 0.05 / 0.16 s at n=4, 0.10 / 0.20 s at
 # n=5, 0.28 / 0.34 s at n=6, 0.91 / 0.65 s at n=7 and 2.65 / 1.80 s at n=8.
+# Re-timed in fresh processes once serial runs kept a root-column memo,
+# n=7 read 0.60 / 0.69 s; the pool's time includes its first start's
+# 20-35 ms import of multiprocessing, which no serial run loads.
 POOL_MIN_N = 7
 
 
@@ -375,6 +382,9 @@ def evolve(config, log_sink=None):
             generate = ExternalGenerator(config.generator_command, GENERATOR_TIMEOUT)
         workers = min(os.cpu_count() or 1, BATCH)
         if config.n >= POOL_MIN_N and workers > 1:
+            # loaded here: multiprocessing is 30-odd modules no other run uses
+            from concurrent.futures import ProcessPoolExecutor
+
             pool = ProcessPoolExecutor(workers)
         # subtree columns for this run; pool workers score without one
         cache = None if pool else ColumnCache(config.n)

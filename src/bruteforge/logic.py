@@ -29,7 +29,7 @@ Token patterns accept ASCII letters and digits only.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field, fields
 
 
 class ParseError(ValueError):
@@ -61,6 +61,18 @@ class Term:
 
     __slots__ = ()
 
+    def __reduce__(self):
+        # rebuilt through __init__, which hashes again: the slots dataclass
+        # __getstate__ would carry a hash of strs from another process
+        return type(self), tuple(getattr(self, f.name) for f in fields(self) if f.init)
+
+
+def read_only(self, name, *value):
+    """`__setattr__` and `__delattr__` of a frozen slotted dataclass: the
+    generated ones raise TypeError, not FrozenInstanceError, on Python 3.10
+    and 3.11, because they name the class that slots=True replaced."""
+    raise FrozenInstanceError(f"cannot assign to or delete {name!r}")
+
 
 # Var and App write their fields through the slots' own setters, bound
 # below each class: the generated frozen __init__ pays object.__setattr__
@@ -81,6 +93,7 @@ class Var(Term):
 
 
 _set_var_id, _set_var_hash = Var.id.__set__, Var._hash.__set__
+Var.__setattr__ = Var.__delattr__ = read_only
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -99,6 +112,7 @@ class App(Term):
 
 
 _set_symbol, _set_args, _set_app_hash = App.symbol.__set__, App.args.__set__, App._hash.__set__
+App.__setattr__ = App.__delattr__ = read_only
 
 
 # Signatures are symbol -> arity maps.

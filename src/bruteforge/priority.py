@@ -22,8 +22,8 @@ vector codes at once, and the greedy walk runs on those int codes (see
 column up by its text before it evaluates the subtree's children, and
 `score` looks the root column up before it ranks the codes: expressions of
 different texts with equal columns, such as `v[0]` and `v[0] + 0`, rank
-and walk once.  The parser rejects trees and bracket nesting deeper than
-`logic.MAX_PARSE_DEPTH`.
+and walk once, as do all expressions that read no digit.  The parser
+rejects trees and bracket nesting deeper than `logic.MAX_PARSE_DEPTH`.
 
 Expression grammar:
 
@@ -38,11 +38,11 @@ from __future__ import annotations
 
 import operator
 import re
-from dataclasses import FrozenInstanceError, dataclass, fields
+from dataclasses import dataclass, fields
 from itertools import repeat
 
 from .capset import check_dimension, code_vector, digit_columns, greedy_cap
-from .logic import ParseError, Tokens
+from .logic import ParseError, Tokens, read_only
 
 _U64 = 1 << 64
 _I64_MAX = (1 << 63) - 1
@@ -120,14 +120,8 @@ _set_text, _set_size, _set_value, _set_index = (
 _set_op, _set_left, _set_right = BinOp.op.__set__, BinOp.left.__set__, BinOp.right.__set__
 
 
-def _read_only(self, name, *value):
-    raise FrozenInstanceError(f"cannot assign to or delete {name!r}")
-
-
-# the frozen __setattr__ of a slots dataclass raises TypeError, not
-# FrozenInstanceError, for a name that is not a field, such as text
 for _cls in (Const, Dim, Index, BinOp):
-    _cls.__setattr__ = _cls.__delattr__ = _read_only
+    _cls.__setattr__ = _cls.__delattr__ = read_only
 
 
 def _wrapping(fn):
@@ -159,8 +153,8 @@ _COLUMN_OPS = {
 # the most cells (3^n per entry) a ColumnCache holds, about 10 bytes each.
 # Serial evolve(EvolveConfig(n=6, seed=0, eval_budget=3000)) computes 29,873
 # columns uncached, 15,171 at this bound and 13,437 unbounded, ranks 2,809,
-# 1,313 and 1,065 root columns, and peaks at 44 MB RSS against 22 MB
-# uncached and 129 MB unbounded.
+# 1,267 and 1,014 root columns, and peaks at 42 MB RSS against 22 MB
+# uncached and 127 MB unbounded.
 CACHE_CELLS = 1 << 21
 
 
@@ -327,9 +321,10 @@ def score(expr, n, cache=None):
     `cache`, a ColumnCache(n), keeps subtree columns and the cap size of
     each root column ranked from call to call."""
     keys = _priorities(expr, n, cache)
-    if cache is None or isinstance(keys, int):
+    if cache is None:
         return len(_greedy_codes(keys, n))
-    column = tuple(keys)
+    # every constant ranks range(3^n): one key, which no column equals
+    column = () if isinstance(keys, int) else tuple(keys)
     size = cache.get(column)
     if size is None:
         size = len(_greedy_codes(keys, n))

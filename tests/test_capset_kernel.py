@@ -9,6 +9,7 @@ vectors built on the tuple oracle `extends_cap`, a recursive formatter,
 and a walk that lists every node with its path from the root.
 """
 
+import concurrent.futures
 import os
 import pickle
 import random
@@ -394,7 +395,8 @@ class TestColumnCache:
         the reference's, the cache must stay within its bound, and a memo
         hit (a score that runs no greedy_cap) needs a root column that was
         ranked before.  Returns, per score, the cache's size, whether the
-        memo was hit, and whether the column had been ranked before."""
+        memo was hit, and whether the column had been ranked before.  Every
+        expression that reads no digit ranks under one key, ()."""
         cache = ColumnCache(n)
         sizes, hits, seen, ranked, walks = [], [], [], set(), []
 
@@ -415,10 +417,10 @@ class TestColumnCache:
                 reads = any(isinstance(node, Index) for _, node in reference_subtrees(expr))
                 sizes.append(len(cache))
                 hits.append(not walks)
-                seen.append(reads and column in ranked)
+                key = column if reads else ()
+                seen.append(key in ranked)
                 assert seen[-1] or not hits[-1]
-                if reads:
-                    ranked.add(column)
+                ranked.add(key)
         return sizes, hits, seen
 
     @settings(max_examples=60, deadline=None)
@@ -445,6 +447,22 @@ class TestColumnCache:
         sizes, hits, seen = self._check_shared([parse_expr(t) for t in texts], 3)
         assert (sizes[:4], hits[:4], seen[:4]) == (
             [2, 2, 2, 2], [False] * 4, [False, False, False, True])
+
+    def test_constants_are_ranked_once(self, monkeypatch):
+        walks = []
+
+        def counted_greedy_cap(ranking, n):
+            walks.append(n)
+            return greedy_cap(ranking, n)
+
+        size = len(reference_greedy(Const(0), 3))
+        monkeypatch.setattr(priority, "greedy_cap", counted_greedy_cap)
+        cache = ColumnCache(3)
+        texts = ("0", "n", "3", "n * 2 - 1")
+        assert [score(parse_expr(t), 3, cache) for t in texts] == [size] * 4
+        assert walks == [3]
+        # a column that reads a digit is keyed by its values, even if constant
+        assert score(parse_expr("v[0] * 0"), 3, cache) == size and walks == [3, 3]
 
     def test_cache_serves_one_dimension(self):
         cache = ColumnCache(3)
@@ -485,7 +503,7 @@ class TestColumnCache:
             assert all(cache is run[0] for cache in run)
         assert runs[0][0] is not runs[1][0]
         monkeypatch.setattr(evolve_mod, "POOL_MIN_N", 3)
-        monkeypatch.setattr(evolve_mod, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         evolve(config)
         assert caches and all(cache is None for cache in caches)

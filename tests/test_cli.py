@@ -8,7 +8,7 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bruteforge import bpt, check, cli, evolve, sat
+from bruteforge import bpt, check, cli, sat
 from bruteforge.logic import MAX_PARSE_DEPTH, Cnf, VerificationError, parse_dimacs, write_dimacs
 
 BIN = [sys.executable, "-m", "bruteforge.cli"]
@@ -405,7 +405,7 @@ class TestCapset:
         # gives every setting the old config file carried, as flags, and the
         # budget must still be rejected before a generator child starts
         started = []
-        monkeypatch.setattr(evolve.subprocess, "Popen", lambda *a, **k: started.append(a))
+        monkeypatch.setattr(subprocess, "Popen", lambda *a, **k: started.append(a))
         log = tmp_path / "r.jsonl"
         argv = ["capset", "evolve", "--n", "2", "--log", str(log), *flags]
         assert cli.main(argv) == 2
@@ -421,7 +421,7 @@ class TestCapset:
         # a generator command is set, so n must be rejected before any
         # child starts
         started = []
-        monkeypatch.setattr(evolve.subprocess, "Popen", lambda *a, **k: started.append(a))
+        monkeypatch.setattr(subprocess, "Popen", lambda *a, **k: started.append(a))
         argv = ["capset", "evolve", "--n", n, "--evals", "6",
                 "--generator-command", "python3 g.py"]
         assert cli.main(argv) == 2

@@ -1,7 +1,9 @@
+import concurrent.futures
 import hashlib
 import json
 import os
 import random
+import subprocess
 import sys
 import textwrap
 import time
@@ -172,7 +174,7 @@ class TestEvolveLoop:
                 pass
 
         monkeypatch.setattr(evolve_mod, "POOL_MIN_N", 3)
-        monkeypatch.setattr(evolve_mod, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         monkeypatch.setattr(evolve_mod, "BATCH", batch)
         evolve(EvolveConfig(n=n, seed=0, eval_budget=6))
@@ -367,7 +369,7 @@ class TestExternalGenerator:
             raise OSError("no worker processes")
 
         monkeypatch.setattr(evolve_mod, "ExternalGenerator", Recorded)
-        monkeypatch.setattr(evolve_mod, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         cfg = EvolveConfig(
             n=evolve_mod.POOL_MIN_N,
@@ -401,3 +403,32 @@ class TestEvolveConfig:
     def test_non_positive_eval_budget_is_rejected(self, value):
         with pytest.raises(ValueError, match="^eval_budget must be positive"):
             EvolveConfig(n=2, eval_budget=value)
+
+
+# imported by the worker pool and the generator child only, so no other
+# run pays for them
+POOL_AND_CHILD_MODULES = ("multiprocessing", "concurrent.futures.process", "subprocess")
+
+LOADED_MODULES = textwrap.dedent(
+    """
+    import importlib, pkgutil, sys
+    import bruteforge, bruteforge.cli
+    for info in pkgutil.iter_modules(bruteforge.__path__):
+        importlib.import_module(f"bruteforge.{info.name}")
+    print(*sys.modules)
+    # a name misspelt above would never be loaded; these load all three
+    from concurrent.futures import ProcessPoolExecutor
+    import subprocess
+    print(*sys.modules)
+    """
+)
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimize"])
+def test_importing_the_package_loads_no_pool_or_child_module(flags):
+    result = subprocess.run([sys.executable, *flags, "-c", LOADED_MODULES],
+                            capture_output=True, text=True, timeout=300, check=True)
+    package_loaded, control_loaded = (set(line.split()) for line in result.stdout.splitlines())
+    assert "bruteforge.equational" in package_loaded
+    assert not package_loaded & set(POOL_AND_CHILD_MODULES)
+    assert set(POOL_AND_CHILD_MODULES) <= control_loaded

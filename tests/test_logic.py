@@ -1,7 +1,10 @@
 import copy
 import dataclasses
+import os
 import pickle
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -248,6 +251,31 @@ class TestTermInterface:
     def test_round_trips_keep_equality_and_hash(self, t, round_trip):
         again = round_trip(t)
         assert again == t and hash(again) == hash(t) and repr(again) == repr(t)
+
+    @pytest.mark.parametrize("t, name", [
+        (Var(1), "id"), (Var(1), "_hash"), (Var(1), "foo"),
+        (App("-", (Var(2),)), "symbol"), (App("-", (Var(2),)), "args"),
+        (App("-", (Var(2),)), "_hash"), (App("-", (Var(2),)), "foo"),
+    ], ids=lambda x: x if isinstance(x, str) else type(x).__name__)
+    def test_setting_or_deleting_any_name_is_a_frozen_error(self, t, name):
+        # the generated methods raise TypeError for a name that is no field
+        before = repr(t), hash(t)
+        with pytest.raises(dataclasses.FrozenInstanceError, match=f"'{name}'"):
+            setattr(t, name, 1)
+        with pytest.raises(dataclasses.FrozenInstanceError, match=f"'{name}'"):
+            delattr(t, name)
+        assert (repr(t), hash(t)) == before
+
+    def test_a_term_pickled_in_another_process_hashes_here(self):
+        # an App's hash is of its symbol, a str, which hashes differently in
+        # each process; unpickling must hash again, not keep the sender's
+        script = ("import pickle, sys\nfrom bruteforge.logic import BOOLEAN_SIG, parse_term\n"
+                  "sys.stdout.buffer.write(pickle.dumps(parse_term('x3 v -(x3 ^ 1)', BOOLEAN_SIG)))")
+        sent = subprocess.run([sys.executable, "-c", script], capture_output=True, check=True,
+                              timeout=300, env={**os.environ, "PYTHONHASHSEED": "random"}).stdout
+        here = parse_term("x3 v -(x3 ^ 1)", BOOLEAN_SIG)
+        again = pickle.loads(sent)
+        assert again == here and hash(again) == hash(here) and again in {here}
 
     def test_keyword_construction(self):
         assert App(symbol="e") == App("e", ()) and App(symbol="e").args == ()
