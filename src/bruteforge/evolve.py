@@ -16,10 +16,10 @@ seed, generation, slot), and parents are drawn from the population
 snapshot at the start of the generation, so serial and worker-pool runs
 produce identical logs; the population is trimmed to its best members
 when that snapshot is taken, once per generation.  Within a run each
-distinct expression text is scored once, and on the serial path a
-subtree's column is computed, and a root column ranked, once while the
-run's bounded `ColumnCache` holds it.  Mutation and crossover pick a node
-by its preorder index, drawn below the tree's `size`, and walk down to it
+distinct expression text is scored once, and in each scoring process a
+subtree's column is computed, and a root column ranked, once while its
+bounded `ColumnCache` for the run holds it.  Mutation and crossover pick a
+node by its preorder index, drawn below the tree's `size`, and walk down to it
 along one path.
 
 A run's settings are the four fields of EvolveConfig (n, seed, budget
@@ -38,7 +38,6 @@ import random
 import tempfile
 import time
 from dataclasses import dataclass, field
-from itertools import repeat
 
 from .capset import check_dimension
 from .priority import (
@@ -72,21 +71,18 @@ class Candidate:
 @dataclass
 class Population:
     candidates: list = field(default_factory=list)
-    _arrivals: int = 0
 
     def add(self, candidate):
-        self.candidates.append((self._arrivals, candidate))
-        self._arrivals += 1
+        self.candidates.append(candidate)
 
     def members(self):
         """The members, trimmed here to the best CAPACITY once more arrived:
         the top CAPACITY under a total order, as a trim per add would keep."""
         if len(self.candidates) > CAPACITY:
-            # earliest arrival wins ties, so the best-score member is never
-            # evicted
-            self.candidates.sort(key=lambda ac: (-ac[1].score, ac[0]))
+            # stable: the earliest of equal scores stays, so the best is never evicted
+            self.candidates.sort(key=lambda c: c.score, reverse=True)
             del self.candidates[CAPACITY:]
-        return [c for _, c in self.candidates]
+        return self.candidates[:]
 
 
 def derive_seed(run_seed, generation, slot):
@@ -313,32 +309,34 @@ class EvolveConfig:
 SEED_EXPRS = ("0", "v[0]", "n", "v[0] + v[1]")
 
 # the smallest n whose batches are scored in a worker pool.  Medians of 5
-# runs of evolve(EvolveConfig(n, eval_budget=300)) on a 2-core x86_64 box,
-# serial against a 2-worker pool: 0.05 / 0.16 s at n=4, 0.10 / 0.20 s at
-# n=5, 0.28 / 0.34 s at n=6, 0.91 / 0.65 s at n=7 and 2.65 / 1.80 s at n=8.
-# Re-timed in fresh processes once serial runs kept a root-column memo,
-# n=7 read 0.60 / 0.69 s; the pool's time includes its first start's
-# 20-35 ms import of multiprocessing, which no serial run loads.
+# fresh runs of evolve(EvolveConfig(n, eval_budget=E)), 2-core x86_64, serial
+# against 2 workers, each with a ColumnCache: 1.19 / 1.36 s at n=6 and 4.17 /
+# 3.56 s at n=7 (E=2,000), 12.7 / 8.7 s at n=8 (E=1,500).
 POOL_MIN_N = 7
+_cache = None  # this process's ColumnCache for the current run
 
 
-def _score_batch(exprs, n, memo, pool, cache):
+def _start_run(n):
+    """Give this process a fresh ColumnCache(n) for the run."""
+    global _cache
+    _cache = ColumnCache(n)
+
+
+def _score(expr):
+    return score(expr, _cache.n, _cache)
+
+
+def _score_batch(exprs, memo, pool):
     """(texts, scores) of `exprs`; only texts not yet in `memo` are scored.
 
-    The memo is keyed by each expression's `text`, which its nodes carry,
-    and looked up before dispatch, so the serial path and the worker pool
-    score the same expressions and the log does not depend on the path.
-    `cache`, the run's ColumnCache on the serial path and None in the pool,
-    is passed to `score`; a column depends only on its subtree's text and
-    n, so it changes no score.
+    The memo, keyed by each expression's `text`, is looked up before
+    dispatch, so the serial path and the pool score the same expressions
+    and the log does not depend on the path; nor does the scoring
+    process's ColumnCache, as a column depends only on its subtree's text.
     """
     texts = [e.text for e in exprs]
-    fresh = {}
-    for text, expr in zip(texts, exprs):
-        if text not in memo:
-            fresh.setdefault(text, expr)
-    scores = (pool.map if pool else map)(score, fresh.values(), repeat(n), repeat(cache))
-    memo.update(zip(fresh, scores))
+    fresh = {text: expr for text, expr in zip(texts, exprs) if text not in memo}
+    memo.update(zip(fresh, (pool.map if pool else map)(_score, fresh.values())))
     return texts, [memo[t] for t in texts]
 
 
@@ -358,7 +356,7 @@ def evolve(config, log_sink=None):
     Every log record is {"generation", "slot", "seed", "expr", "score",
     "best"} or a generator_error event.  With the baseline generator,
     `propose`, the full log is byte-reproducible given the seed, serial
-    or in the pool.  The pool has min(CPU count, BATCH) workers and is
+    or in the pool.  The pool has min(usable CPUs, BATCH) workers and is
     used iff n >= POOL_MIN_N and that count is above one.
     """
     records = []
@@ -380,17 +378,17 @@ def evolve(config, log_sink=None):
     try:
         if config.generator_command:
             generate = ExternalGenerator(config.generator_command, GENERATOR_TIMEOUT)
-        workers = min(os.cpu_count() or 1, BATCH)
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        workers = min(cpus or 1, BATCH)  # usable CPUs, not installed ones
         if config.n >= POOL_MIN_N and workers > 1:
             # loaded here: multiprocessing is 30-odd modules no other run uses
             from concurrent.futures import ProcessPoolExecutor
 
-            pool = ProcessPoolExecutor(workers)
-        # subtree columns for this run; pool workers score without one
-        cache = None if pool else ColumnCache(config.n)
+            pool = ProcessPoolExecutor(workers, initializer=_start_run, initargs=(config.n,))
+        else:
+            _start_run(config.n)
         while True:
-            texts, scores = _score_batch([e for _, _, e in proposals], config.n, memo, pool,
-                                         cache)
+            texts, scores = _score_batch([e for _, _, e in proposals], memo, pool)
             for (slot, slot_seed, expr), text, sc in zip(proposals, texts, scores):
                 cand = Candidate(expr, sc)
                 population.add(cand)
@@ -417,6 +415,8 @@ def evolve(config, log_sink=None):
                     # slot, so an always-failing generator terminates
                     evals += 1
     finally:
+        global _cache
+        _cache = None
         if pool:
             pool.shutdown()
         if generate is not propose:

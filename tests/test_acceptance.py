@@ -153,7 +153,7 @@ def test_criterion_7_evolution_reproducibility(monkeypatch):
     cfg = evolve.EvolveConfig(n=3, seed=0, eval_budget=200)
     _, serial = evolve.evolve(cfg)
     monkeypatch.setattr(evolve, "POOL_MIN_N", 3)
-    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
     _, pooled = evolve.evolve(cfg)
     log_serial = "".join(evolve.record_to_json(r) + "\n" for r in serial).encode()
     log_pooled = "".join(evolve.record_to_json(r) + "\n" for r in pooled).encode()

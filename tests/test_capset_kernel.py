@@ -474,8 +474,11 @@ class TestColumnCache:
                 score(expr, n, cache)
         assert cache == kept
 
-    def test_one_cache_per_serial_run_and_none_in_the_pool(self, monkeypatch):
-        caches = []
+    def test_one_cache_per_scoring_process_and_run(self, monkeypatch):
+        # every score call of a run, serial or in a pool worker (here one
+        # that runs its initializer and scores in this process), gets that
+        # process's one ColumnCache(n), a fresh one per run
+        caches, pools = [], []
         real_score = evolve_mod.score
 
         def recording_score(expr, n, cache=None):
@@ -483,8 +486,9 @@ class TestColumnCache:
             return real_score(expr, n, cache)
 
         class InlinePool:
-            def __init__(self, max_workers):
-                pass
+            def __init__(self, max_workers, initializer, initargs):
+                pools.append(max_workers)
+                initializer(*initargs)
 
             map = staticmethod(map)
 
@@ -492,21 +496,21 @@ class TestColumnCache:
                 pass
 
         monkeypatch.setattr(evolve_mod, "score", recording_score)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         config = EvolveConfig(n=3, seed=0, eval_budget=40)
         runs = []
-        for _ in range(2):
+        for pool_min_n in (4, 4, 3, 3):  # two serial runs, then two in the pool
+            monkeypatch.setattr(evolve_mod, "POOL_MIN_N", pool_min_n)
             evolve(config)
             runs.append(caches[:])
             caches.clear()
+            assert evolve_mod._cache is None  # the run leaves no cache behind
+        assert pools == [2, 2]
         for run in runs:
             assert isinstance(run[0], ColumnCache) and run[0].n == 3
             assert all(cache is run[0] for cache in run)
-        assert runs[0][0] is not runs[1][0]
-        monkeypatch.setattr(evolve_mod, "POOL_MIN_N", 3)
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        evolve(config)
-        assert caches and all(cache is None for cache in caches)
+        assert len({id(run[0]) for run in runs}) == 4
 
     def _check_rescored(self, wrong, capsys):
         with pytest.MonkeyPatch.context() as mp:
@@ -548,8 +552,8 @@ class TestScoreMemo:
             calls.append(n)
             return real_score(expr, n, cache)
 
-        def no_memo(exprs, n, memo, pool, cache):
-            return [format_expr(e) for e in exprs], [counted_score(e, n) for e in exprs]
+        def no_memo(exprs, memo, pool):
+            return [format_expr(e) for e in exprs], [counted_score(e, config.n) for e in exprs]
 
         config = EvolveConfig(n=3, seed=0, eval_budget=300)
         monkeypatch.setattr(evolve_mod, "score", counted_score)

@@ -34,6 +34,44 @@ def _cand(expr_text, sc):
     return Candidate(parse_expr(expr_text), sc)
 
 
+def _set_usable_cpus(monkeypatch, count, installed=None):
+    """Give this process `count` usable CPUs of `installed`; a None count
+    stands for a platform with no affinity call, where the CPU count is
+    `installed`."""
+    if count is None:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)),
+                            raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: installed)
+
+
+@pytest.fixture
+def inline_pool(monkeypatch):
+    """ProcessPoolExecutor replaced by a pool that runs its initializer and
+    scores in this process; the list of each pool's worker count."""
+    built = []
+
+    class InlinePool:
+        def __init__(self, max_workers, initializer, initargs):
+            built.append(max_workers)
+            initializer(*initargs)
+
+        map = staticmethod(map)
+
+        def shutdown(self):
+            pass
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    return built
+
+
+def _usable_cpu_count():
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 class TestPopulation:
     def test_capacity_enforced(self, monkeypatch):
         monkeypatch.setattr(evolve_mod, "CAPACITY", 2)
@@ -59,11 +97,17 @@ class TestPopulation:
         assert [format_expr(c.expr) for c in p.members()] == ["0"]
 
 
-class PerAddTrimPopulation(Population):
-    """The population as it was: sorted and trimmed on every add."""
+class PerAddTrimPopulation:
+    """The population as it was: sorted and trimmed on every add, ties
+    broken by an arrival counter."""
+
+    def __init__(self):
+        self.candidates = []
+        self._arrivals = 0
 
     def add(self, candidate):
-        super().add(candidate)
+        self.candidates.append((self._arrivals, candidate))
+        self._arrivals += 1
         if len(self.candidates) > evolve_mod.CAPACITY:
             self.candidates.sort(key=lambda ac: (-ac[1].score, ac[0]))
             del self.candidates[evolve_mod.CAPACITY:]
@@ -148,37 +192,38 @@ class TestEvolveLoop:
         # serial, then in a 2-worker pool
         _, serial = evolve(EvolveConfig(n=2, seed=3, eval_budget=60))
         monkeypatch.setattr(evolve_mod, "POOL_MIN_N", 2)
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        _set_usable_cpus(monkeypatch, 2)
         _, pooled = evolve(EvolveConfig(n=2, seed=3, eval_budget=60))
         assert [record_to_json(a) for a in serial] == [record_to_json(b) for b in pooled]
 
     @pytest.mark.parametrize("n, cpus, batch, workers", [
         (2, 4, 10, None),  # n below POOL_MIN_N
-        (3, 1, 10, None),  # one CPU
-        (3, None, 10, None),  # CPU count unknown
+        (3, 1, 10, None),  # one usable CPU
+        (3, None, 10, None),  # no affinity call, and the CPU count unknown
         (3, 4, 1, None),  # one proposal per generation
         (3, 4, 10, 4),
         (4, 4, 3, 3),
     ])
-    def test_pool_iff_n_reaches_threshold_and_several_workers(self, monkeypatch, n, cpus,
-                                                              batch, workers):
-        built = []
-
-        class InlinePool:
-            def __init__(self, max_workers):
-                built.append(max_workers)
-
-            map = staticmethod(map)
-
-            def shutdown(self):
-                pass
-
+    def test_pool_iff_n_reaches_threshold_and_several_workers(self, monkeypatch, inline_pool,
+                                                              n, cpus, batch, workers):
         monkeypatch.setattr(evolve_mod, "POOL_MIN_N", 3)
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        _set_usable_cpus(monkeypatch, cpus)
         monkeypatch.setattr(evolve_mod, "BATCH", batch)
         evolve(EvolveConfig(n=n, seed=0, eval_budget=6))
-        assert built == ([] if workers is None else [workers])
+        assert inline_pool == ([] if workers is None else [workers])
+
+    @pytest.mark.parametrize("usable, installed, workers", [
+        (1, 4, None),  # pinned to one core of four, as under `taskset -c 0`
+        (2, 8, 2),
+        (None, 1, None),  # no affinity call: the CPU count decides
+        (None, 3, 3),
+    ])
+    def test_workers_count_usable_cpus_not_installed_ones(self, monkeypatch, inline_pool,
+                                                          usable, installed, workers):
+        monkeypatch.setattr(evolve_mod, "POOL_MIN_N", 3)
+        _set_usable_cpus(monkeypatch, usable, installed)
+        evolve(EvolveConfig(n=3, seed=0, eval_budget=6))
+        assert inline_pool == ([] if workers is None else [workers])
 
     def test_eval_budget_respected(self):
         _, records = evolve(EvolveConfig(n=2, seed=0, eval_budget=17))
@@ -198,6 +243,31 @@ class TestEvolveLoop:
         _, records = evolve(EvolveConfig(n=n, seed=seed, eval_budget=budget))
         log = "".join(record_to_json(r) + "\n" for r in records)
         assert hashlib.sha256(log.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("pooled", [False, True], ids=["serial", "pool"])
+    def test_n8_log_digest_is_pinned_on_both_paths(self, monkeypatch, pooled):
+        # n = 8 is where FunSearch's cap-set record is; the digest is of a
+        # log written before pool workers kept a ColumnCache, and a real
+        # 2-worker pool must write it byte for byte
+        built = []
+
+        class Recorded(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, max_workers, **kwargs):
+                super().__init__(max_workers, **kwargs)
+                built.append(max_workers)
+
+        if pooled:
+            if _usable_cpu_count() < 2:
+                pytest.skip("a 2-worker pool needs 2 usable CPUs")
+            _set_usable_cpus(monkeypatch, 2)
+        else:
+            monkeypatch.setattr(evolve_mod, "POOL_MIN_N", 9)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorded)
+        _, records = evolve(EvolveConfig(8, seed=0, eval_budget=200))
+        log = "".join(record_to_json(r) + "\n" for r in records)
+        assert hashlib.sha256(log.encode()).hexdigest() == (
+            "0eb005c05d09cada280ffa17508e3f8bd9ab437bd40fe86147531329d6ab2076")
+        assert built == ([2] if pooled else [])
 
     def test_golden_log_replays(self):
         with open(os.path.join(DATA, "evolve_n3_seed0.jsonl")) as handle:
@@ -365,12 +435,13 @@ class TestExternalGenerator:
                 super().__init__(*args)
                 made.append(self)
 
-        def no_pool(max_workers):
+        def no_pool(max_workers, initializer, initargs):
+            initializer(*initargs)
             raise OSError("no worker processes")
 
         monkeypatch.setattr(evolve_mod, "ExternalGenerator", Recorded)
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        _set_usable_cpus(monkeypatch, 2)
         cfg = EvolveConfig(
             n=evolve_mod.POOL_MIN_N,
             generator_command=self._command(tmp_path, ECHO_GENERATOR, "echo.py"),
@@ -379,6 +450,7 @@ class TestExternalGenerator:
             evolve(cfg)
         [gen] = made
         assert gen.proc is None  # close() ran
+        assert evolve_mod._cache is None  # and the run's cache was dropped
 
     def test_evolve_logs_and_skips_generator_errors(self, tmp_path, monkeypatch):
         monkeypatch.setattr(evolve_mod, "BATCH", 2)
