@@ -100,15 +100,17 @@ def check_certificate(cnf, cert):
     its hints spell out, and the last line is empty.  Line i (from 1) has id
     len(cnf.clauses) + i, and `false` starts as its literals: each hint's
     clause minus `false` must be empty, which accepts the line, or one literal
-    not already true, whose negation joins `false`.  Independent of _Core."""
-    if not cert.lines or cert.lines[-1]:
-        return False
+    not already true, whose negation joins `false`.  Independent of _Core.
+    A literal out of range is malformed, not invalid, wherever its line sits."""
     n = cnf.num_vars
-    db = list(map(frozenset, cnf.clauses))  # clause id k is db[k - 1]
-    for i, (k, line, hints) in enumerate(zip(cert.ids, cert.lines, cert.hints, strict=True), 1):
+    for i, line in enumerate(cert.lines, 1):
         for lit in line:
             if lit == 0 or abs(lit) > n:
                 raise MalformedCertificateError(f"bad literal {lit} in certificate clause {i}")
+    if not cert.lines or cert.lines[-1]:
+        return False
+    db = list(map(frozenset, cnf.clauses))  # clause id k is db[k - 1]
+    for k, line, hints in zip(cert.ids, cert.lines, cert.hints, strict=True):
         if k != len(db) + 1:
             return False
         false = set(line)
@@ -268,7 +270,9 @@ class Equation:
 def parse_equation(text, signature, start=0):
     """The equation written `lhs = rhs` in text[start:], split at its first
     `=`; a term error's position counts from the start of `text`."""
-    eq = start + len(text[start:].partition("=")[0])
+    eq = text.find("=", start)
+    if eq < 0:
+        raise ValueError("equation must have the form 'lhs = rhs'")
     return Equation(parse_term(text[:eq], signature, start), parse_term(text, signature, eq + 1))
 
 

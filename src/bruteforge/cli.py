@@ -2,9 +2,10 @@
 
 Exit codes: 0 success; 1 negative answer (unsatisfiable where a model was
 sought, proof search timeout, not-a-cap, an artifact that does not check);
-2 usage error, a missing or malformed input file among them; 3 internal
-self-check failed (a bug, not an input fault).  All output files are
-written atomically (temp file + rename), before the verdict is printed.
+2 usage error, a missing or malformed input file among them, which prints
+one `error: ...` line once the arguments parse; 3 internal self-check
+failed (a bug, not an input fault).  All output files are written
+atomically (temp file + rename), before the verdict is printed.
 Machine logs are JSON lines; human summaries go to standard output.
 Settings come from flags only; `capset evolve` picks its worker pool from
 n (see `evolve.POOL_MIN_N`).
@@ -47,19 +48,20 @@ def _atomic_write(path, text):
         raise OSError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
-def _read(parser, path):
-    """The text of the file at path; a missing file is a usage error."""
-    if not os.path.isfile(path):
-        parser.error(f"no such file: {path}")
-    with open(path) as handle:
-        return handle.read()
+def _read(path):
+    """The text of the file at path; a failure names path, as `_atomic_write` does."""
+    try:
+        with open(path) as handle:
+            return handle.read()
+    except OSError as exc:
+        raise OSError(f"cannot read {path}: {exc.strerror or exc}") from None
 
 
 # --- sat -------------------------------------------------------------------
 
 
-def _cmd_sat_solve(args, parser):
-    cnf = parse_dimacs(_read(parser, args.cnf))
+def _cmd_sat_solve(args):
+    cnf = parse_dimacs(_read(args.cnf))
     verdict = sat.solve(cnf)
     if verdict.satisfiable:
         if not check.verify_model(cnf, verdict.model):
@@ -76,14 +78,14 @@ def _cmd_sat_solve(args, parser):
     return EXIT_NEGATIVE
 
 
-def _cmd_sat_check(args, parser):
-    cnf = parse_dimacs(_read(parser, args.cnf))
+def _cmd_sat_check(args):
+    cnf = parse_dimacs(_read(args.cnf))
     if args.cert is not None:
-        cert = check.Certificate.from_text(_read(parser, args.cert))
+        cert = check.Certificate.from_text(_read(args.cert))
         valid = check.check_certificate(cnf, cert)
         print(f"certificate valid: {len(cert.lines)} lines" if valid else "certificate invalid")
         return EXIT_OK if valid else EXIT_NEGATIVE
-    valid = check.verify_model(cnf, check.parse_model(_read(parser, args.model), cnf.num_vars))
+    valid = check.verify_model(cnf, check.parse_model(_read(args.model), cnf.num_vars))
     print("model valid" if valid else "model invalid")
     return EXIT_OK if valid else EXIT_NEGATIVE
 
@@ -91,14 +93,14 @@ def _cmd_sat_check(args, parser):
 # --- bpt -------------------------------------------------------------------
 
 
-def _cmd_bpt_encode(args, parser):
+def _cmd_bpt_encode(args):
     cnf, _ = bpt.encode(args.m)
     _atomic_write(args.output, write_dimacs(cnf))
     print(f"wrote {args.output}: {cnf.num_vars} variables, {len(cnf.clauses)} clauses")
     return EXIT_OK
 
 
-def _cmd_bpt_solve(args, parser):
+def _cmd_bpt_solve(args):
     result = bpt.solve(args.m)
     if isinstance(result, check.Coloring):
         if args.coloring:
@@ -111,7 +113,7 @@ def _cmd_bpt_solve(args, parser):
     return EXIT_NEGATIVE
 
 
-def _cmd_bpt_scan(args, parser):
+def _cmd_bpt_scan(args):
     result = bpt.find_threshold(args.max)
     if isinstance(result, bpt.Threshold):
         if args.cert:
@@ -125,8 +127,8 @@ def _cmd_bpt_scan(args, parser):
 # --- capset ----------------------------------------------------------------
 
 
-def _cmd_capset_verify(args, parser):
-    vectors = check.parse_capset_file(_read(parser, args.file))
+def _cmd_capset_verify(args):
+    vectors = check.parse_capset_file(_read(args.file))
     if check.is_cap(vectors):
         print(f"cap: {len(vectors)} vectors")
         return EXIT_OK
@@ -134,7 +136,7 @@ def _cmd_capset_verify(args, parser):
     return EXIT_NEGATIVE
 
 
-def _cmd_capset_greedy(args, parser):
+def _cmd_capset_greedy(args):
     expr = priority.parse_expr(args.expr)
     chosen = priority.greedy(expr, args.n)
     if not check.is_cap(chosen):
@@ -148,13 +150,13 @@ def _cmd_capset_greedy(args, parser):
     return EXIT_OK
 
 
-def _cmd_capset_exact(args, parser):
+def _cmd_capset_exact(args):
     bound = capset.exact_cap(args.n, budget=args.budget)
     print(bound.size if bound.exact else f">= {bound.size} (budget exhausted)")
     return EXIT_OK if bound.exact else EXIT_NEGATIVE
 
 
-def _cmd_capset_evolve(args, parser):
+def _cmd_capset_evolve(args):
     config = evolve.EvolveConfig(args.n, args.seed, args.evals, args.generator_command)
     best, records = evolve.evolve(config)
     if priority.score(best.expr, config.n) != best.score:
@@ -170,10 +172,10 @@ def _cmd_capset_evolve(args, parser):
 # --- eq --------------------------------------------------------------------
 
 
-def _load_axioms(parser, name):
+def _load_axioms(name):
     if name in equational.AXIOM_SETS:
         return equational.AXIOM_SETS[name], equational.AXIOM_SIGNATURES[name]
-    return check.parse_axioms(_read(parser, name))
+    return check.parse_axioms(_read(name))
 
 
 def _seconds(text):
@@ -198,33 +200,27 @@ def _budget(text):
     return value
 
 
-def _parse_goal(parser, text, signature):
-    if "=" not in text:
-        parser.error("goal must have the form 'lhs = rhs'")
-    return check.parse_equation(text, signature)
-
-
-def _parse_precedence(parser, text, signature, axioms):
+def _parse_precedence(text, signature, axioms):
     """Rank map from "f > g > ..."; it must rank every symbol of the axioms
     once, since the path order compares any two of them."""
     if text is None:
         if signature is equational.GROUP_SIG:
             return equational.GROUP_PRECEDENCE
-        parser.error("--precedence is required for this axiom set")
+        raise ValueError("--precedence is required for this axiom set")
     symbols = [s.strip() for s in text.split(">")]
     for s in symbols:
         if s not in signature:
-            parser.error(f"precedence symbol {s!r} not in signature")
+            raise ValueError(f"precedence symbol {s!r} not in signature")
         if symbols.count(s) > 1:
-            parser.error(f"precedence symbol {s!r} repeated")
+            raise ValueError(f"precedence symbol {s!r} repeated")
     used = {
         sub.symbol
         for eq in axioms for side in (eq.lhs, eq.rhs)
         for _, sub in equational.positions(side) if isinstance(sub, App)
     }
-    missing = sorted(used - set(symbols))
+    missing = ", ".join(map(repr, sorted(used - set(symbols))))
     if missing:
-        parser.error(f"precedence misses symbol(s) {', '.join(map(repr, missing))} of the axioms")
+        raise ValueError(f"precedence misses symbol(s) {missing} of the axioms")
     return {s: len(symbols) - i for i, s in enumerate(symbols)}
 
 
@@ -234,9 +230,9 @@ def _check_proof(proof, axioms, goal):
         raise VerificationError("proof does not replay: " + "; ".join(diagnostics))
 
 
-def _cmd_eq_prove(args, parser):
-    axioms, signature = _load_axioms(parser, args.axioms)
-    goal = _parse_goal(parser, args.goal, signature)
+def _cmd_eq_prove(args):
+    axioms, signature = _load_axioms(args.axioms)
+    goal = check.parse_equation(args.goal, signature)
     if args.exists:
         result = equational.prove_exists(
             goal, axioms, signature, max_candidates=args.budget,
@@ -278,10 +274,10 @@ def _cmd_eq_prove(args, parser):
     return EXIT_NEGATIVE
 
 
-def _cmd_eq_check(args, parser):
-    text = _read(parser, args.proof)
-    axioms, signature = _load_axioms(parser, args.axioms)
-    goal = _parse_goal(parser, args.goal, signature)
+def _cmd_eq_check(args):
+    text = _read(args.proof)
+    axioms, signature = _load_axioms(args.axioms)
+    goal = check.parse_equation(args.goal, signature)
     proof = check.parse_proof(text, signature)
     diagnostics = []
     if check.check_proof(proof, axioms, goal, diagnostics):
@@ -293,10 +289,10 @@ def _cmd_eq_check(args, parser):
     return EXIT_NEGATIVE
 
 
-def _cmd_eq_complete(args, parser):
-    axioms, signature = _load_axioms(parser, args.axioms)
+def _cmd_eq_complete(args):
+    axioms, signature = _load_axioms(args.axioms)
     axioms = list(axioms.values())
-    precedence = _parse_precedence(parser, args.precedence, signature, axioms)
+    precedence = _parse_precedence(args.precedence, signature, axioms)
     try:
         rules = equational.kb_complete(axioms, precedence, budget=args.budget,
                                        max_seconds=args.max_seconds)
@@ -319,8 +315,8 @@ def _cmd_eq_complete(args, parser):
 # --- classify --------------------------------------------------------------
 
 
-def _cmd_classify(args, parser):
-    formula = hierarchy.parse_formula(_read(parser, args.file).strip())
+def _cmd_classify(args):
+    formula = hierarchy.parse_formula(_read(args.file).strip())
     print(hierarchy.classify(formula))
     return EXIT_OK
 
@@ -428,7 +424,7 @@ def main(argv=None):
         if isinstance(value, list):
             parser.error(f"argument --{name.replace('_', '-')}: expected one argument")
     try:
-        return args.handler(args, parser)
+        return args.handler(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -25,9 +25,52 @@ def run_cli(*args, env=None):
 
 class TestExitCodes:
     def test_missing_file_is_usage_error(self, tmp_path):
-        result = run_cli("eq", "check", str(tmp_path / "missing.prf"),
-                         "--axioms", "boolean", "--goal", "x v x = x")
-        assert result.returncode == 2
+        path = tmp_path / "missing.prf"
+        result = run_cli("eq", "check", str(path), "--axioms", "boolean", "--goal", "x v x = x")
+        assert (result.returncode, result.stderr) == (
+            2, f"error: cannot read {path}: No such file or directory\n")
+
+    @pytest.mark.parametrize("argv, message", [
+        (["eq", "prove", "--axioms", "boolean", "--goal", "x v y"],
+         "equation must have the form 'lhs = rhs'"),
+        (["eq", "complete", "--axioms", "boolean"],
+         "--precedence is required for this axiom set"),
+        (["eq", "complete", "--axioms", "group", "--precedence", "i>*>e>q"],
+         "precedence symbol 'q' not in signature"),
+        (["eq", "complete", "--axioms", "group", "--precedence", "i>*>e>i"],
+         "precedence symbol 'i' repeated"),
+        (["eq", "complete", "--axioms", "group", "--precedence", "i>*"],
+         "precedence misses symbol(s) 'e' of the axioms"),
+    ], ids=["goal", "precedence-required", "precedence-unknown", "precedence-repeated",
+            "precedence-partial"])
+    def test_fault_after_parsing_returns_one_error_line(self, capsys, argv, message):
+        # main returns 2 for it, raising nothing, and prints no usage banner
+        assert cli.main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["sat", "solve", "{}"],
+        ["sat", "check", "{f}", "--cert", "{}"],
+        ["sat", "check", "{f}", "--model", "{}"],
+        ["capset", "verify", "{}"],
+        ["eq", "prove", "--axioms", "{}", "--goal", "x = x"],
+        ["eq", "check", "{}", "--axioms", "boolean", "--goal", "x = x"],
+        ["classify", "{}"],
+    ], ids=["sat-solve", "sat-check-cert", "sat-check-model", "capset-verify",
+            "eq-prove-axioms", "eq-check", "classify"])
+    @pytest.mark.parametrize("kind, reason", [
+        ("missing", "No such file or directory"), ("directory", "Is a directory"),
+    ])
+    def test_unreadable_input_returns_one_error_line(self, tmp_path, capsys, argv, kind,
+                                                     reason):
+        cnf = tmp_path / "f.cnf"
+        cnf.write_text("p cnf 1 1\n1 0\n")
+        path = tmp_path / kind
+        if kind == "directory":
+            path.mkdir()
+        argv = [a.format(path, f=cnf) for a in argv]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: cannot read {path}: {reason}\n")
 
     def test_unknown_subcommand(self):
         assert run_cli("frobnicate").returncode == 2
@@ -64,7 +107,7 @@ class TestExitCodes:
         (["eq", "complete", "--axioms", "group"], "budget exhausted with 0 partial rules\n"),
     ], ids=["capset-exact", "eq-prove", "eq-complete"])
     def test_zero_budget_is_a_negative_answer(self, verb, stdout, capsys):
-        assert _exit_code(verb + ["--budget", "0"]) == 1
+        assert cli.main(verb + ["--budget", "0"]) == 1
         assert capsys.readouterr() == (stdout, "")
 
 
@@ -104,21 +147,21 @@ class TestWriteFailures:
 
     def test_missing_directory(self, writer, tmp_path, capsys):
         path = str(tmp_path / "missing" / "out.txt")
-        assert _exit_code(writer(path)) == 2
+        assert cli.main(writer(path)) == 2
         assert capsys.readouterr() == (
             "", f"error: cannot write {path}: No such file or directory\n")
 
     def test_directory_as_target(self, writer, tmp_path, capsys):
         target = tmp_path / "taken"
         target.mkdir()
-        assert _exit_code(writer(str(target))) == 2
+        assert cli.main(writer(str(target))) == 2
         assert capsys.readouterr() == ("", f"error: cannot write {target}: Is a directory\n")
         assert not [p for p in os.listdir(tmp_path) if p.startswith(".bruteforge-")]
         assert os.listdir(target) == []
 
     def test_a_written_artifact_comes_with_its_verdict(self, writer, tmp_path, capsys):
         path = tmp_path / "out.txt"
-        _exit_code(writer(str(path)))
+        cli.main(writer(str(path)))
         assert path.read_text() and capsys.readouterr().out
 
 
@@ -208,7 +251,8 @@ class TestSat:
         cnf = tmp_path / "f.cnf"
         cnf.write_text("p cnf 1 1\n1 0\n")
         for flag in ("--cert", "--model"):
-            assert _exit_code(["sat", "check", str(cnf), flag, str(tmp_path / "nothing")]) == 2
+            assert cli.main(["sat", "check", str(cnf), flag, str(tmp_path / "nothing")]) == 2
+        # an artifact flag is required: argparse rejects the argv itself
         assert _exit_code(["sat", "check", str(cnf)]) == 2
 
     @pytest.mark.parametrize("text", ["p cnf -1 0\n", "p cnf -5 1\n0\n"])
@@ -637,7 +681,7 @@ class TestEq:
     def test_axiom_file_term_error_names_its_line(self, tmp_path, capsys, text, message):
         axioms = tmp_path / "ax.txt"
         axioms.write_text(text)
-        assert _exit_code(["eq", "complete", "--axioms", str(axioms), "--precedence", "v"]) == 2
+        assert cli.main(["eq", "complete", "--axioms", str(axioms), "--precedence", "v"]) == 2
         assert capsys.readouterr() == ("", f"error: {message}\n")
 
     @pytest.mark.parametrize("text, message", [
@@ -647,8 +691,8 @@ class TestEq:
     def test_proof_file_term_error_names_its_line(self, tmp_path, capsys, text, message):
         proof = tmp_path / "p.prf"
         proof.write_text(text)
-        assert _exit_code(["eq", "check", str(proof), "--axioms", "boolean",
-                           "--goal", "x v x = x"]) == 2
+        assert cli.main(["eq", "check", str(proof), "--axioms", "boolean",
+                         "--goal", "x v x = x"]) == 2
         assert capsys.readouterr() == ("", f"error: {message}\n")
 
     @pytest.mark.parametrize("goal, message", [
@@ -657,7 +701,7 @@ class TestEq:
         ("x = x v", "unexpected end of input (at position 7)"),
     ])
     def test_goal_error_position_counts_in_the_goal(self, capsys, goal, message):
-        assert _exit_code(["eq", "prove", "--axioms", "boolean", "--goal", goal]) == 2
+        assert cli.main(["eq", "prove", "--axioms", "boolean", "--goal", goal]) == 2
         assert capsys.readouterr() == ("", f"error: {message}\n")
 
     @pytest.mark.parametrize("value", ["nan", "NaN", "x"])
@@ -696,8 +740,7 @@ class TestEq:
     ], ids=["group-missing", "boolean-missing", "repeated"])
     def test_complete_rejects_partial_precedence(self, axioms, precedence, message):
         result = run_cli("eq", "complete", "--axioms", axioms, "--precedence", precedence)
-        assert result.returncode == 2
-        assert result.stderr.endswith(f"error: {message}\n")
+        assert (result.returncode, result.stderr) == (2, f"error: {message}\n")
 
     def test_goal_variable_with_leading_zero(self):
         result = run_cli("eq", "prove", "--axioms", "boolean", "--goal", "x01 v x1 = x1")
@@ -774,6 +817,8 @@ class TestDepthLimit:
 
 
 def _exit_code(argv):
+    """main's exit code for an argv that argparse itself may reject: only
+    then does a usage error leave main as SystemExit."""
     try:
         return cli.main(argv)
     except SystemExit as exc:
@@ -833,7 +878,8 @@ _EXPR_PIECES = ["n", "v", "[", "]", "0", "1", "2", "7", "-", "+", "*", "%", "(",
 
 
 class TestExitContractFuzz:
-    """Arbitrary input exits 0, 1 or 2 and raises nothing else."""
+    """Arbitrary input exits 0, 1 or 2 and raises nothing else.  Where
+    argparse accepts every argv drawn, main itself must return the code."""
 
     @settings(max_examples=200, deadline=None)
     @given(st.text() | st.lists(st.sampled_from(_FORMULA_PIECES)).map("".join))
@@ -842,7 +888,7 @@ class TestExitContractFuzz:
             path = os.path.join(directory, "f.txt")
             with open(path, "w", encoding="utf-8") as handle:
                 handle.write(text)
-            assert _exit_code(["classify", path]) in (0, 1, 2)
+            assert cli.main(["classify", path]) in (0, 1, 2)
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(-3, 4) | st.integers(13), st.integers(), st.integers(-3, 12))
@@ -850,7 +896,7 @@ class TestExitContractFuzz:
         # no generator command, so no child process starts; n stays small
         # or out of range and --evals small, so each run is short and serial
         argv = ["capset", "evolve", "--n", str(n), "--seed", str(seed), "--evals", str(evals)]
-        assert _exit_code(argv) in (0, 1, 2)
+        assert cli.main(argv) in (0, 1, 2)
 
     @settings(max_examples=60, deadline=None)
     @given(st.sampled_from([
@@ -870,7 +916,7 @@ class TestExitContractFuzz:
     @given(st.text(alphabet="ie*> x"))
     def test_complete_arbitrary_precedence(self, text):
         argv = ["eq", "complete", "--axioms", "group", "--precedence", text]
-        assert _exit_code(argv) in (0, 1, 2)
+        assert cli.main(argv) in (0, 1, 2)
 
     @settings(max_examples=200, deadline=None)
     @given(st.text() | st.lists(_DIMACS_LINES, max_size=12).map("".join))
@@ -879,7 +925,7 @@ class TestExitContractFuzz:
             path = os.path.join(directory, "f.cnf")
             with open(path, "w", encoding="utf-8") as handle:
                 handle.write(text)
-            assert _exit_code(["sat", "solve", path]) in (0, 1, 2)
+            assert cli.main(["sat", "solve", path]) in (0, 1, 2)
 
     @settings(max_examples=200, deadline=None)
     @given(st.text() | st.lists(_CERT_LINES, max_size=8).map("".join),
@@ -891,24 +937,24 @@ class TestExitContractFuzz:
                 handle.write("p cnf 2 4\n1 2 0\n1 -2 0\n-1 2 0\n-1 -2 0\n")
             with open(path, "w", encoding="utf-8") as handle:
                 handle.write(text)
-            assert _exit_code(["sat", "check", cnf, flag, path]) in (0, 1, 2)
+            assert cli.main(["sat", "check", cnf, flag, path]) in (0, 1, 2)
 
     @settings(deadline=None)
     @given(st.integers(-5, 60))
     def test_bpt_solve_any_bound(self, m):
-        assert _exit_code(["bpt", "solve", str(m)]) in (0, 1, 2)
+        assert cli.main(["bpt", "solve", str(m)]) in (0, 1, 2)
 
     @settings(deadline=None)
     @given(st.integers(-5, 60))
     def test_bpt_encode_any_bound(self, m):
         with tempfile.TemporaryDirectory() as directory:
             path = os.path.join(directory, "b.cnf")
-            assert _exit_code(["bpt", "encode", str(m), "-o", path]) in (0, 1, 2)
+            assert cli.main(["bpt", "encode", str(m), "-o", path]) in (0, 1, 2)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(-5, 60))
     def test_bpt_scan_any_bounds(self, max_m):
-        assert _exit_code(["bpt", "scan", "--max", str(max_m)]) in (0, 1, 2)
+        assert cli.main(["bpt", "scan", "--max", str(max_m)]) in (0, 1, 2)
 
     @settings(max_examples=200, deadline=None)
     @given(st.text() | st.lists(_CAPSET_LINES, max_size=12).map("".join))
@@ -917,7 +963,7 @@ class TestExitContractFuzz:
             path = os.path.join(directory, "c.txt")
             with open(path, "w", encoding="utf-8") as handle:
                 handle.write(text)
-            assert _exit_code(["capset", "verify", path]) in (0, 1, 2)
+            assert cli.main(["capset", "verify", path]) in (0, 1, 2)
 
     @settings(max_examples=200, deadline=None)
     @given(st.text() | st.lists(_PROOF_LINES, max_size=6).map("".join))
@@ -927,7 +973,7 @@ class TestExitContractFuzz:
             with open(path, "w", encoding="utf-8") as handle:
                 handle.write(text)
             argv = ["eq", "check", path, "--axioms", "boolean", "--goal", "x v x = x"]
-            assert _exit_code(argv) in (0, 1, 2)
+            assert cli.main(argv) in (0, 1, 2)
 
     @settings(max_examples=200, deadline=None)
     @given(st.text() | st.lists(st.sampled_from(_TERM_PIECES)).map("".join))
@@ -945,11 +991,11 @@ class TestExitContractFuzz:
                 handle.write(text)
             proof = os.path.join(directory, "p.prf")
             goal = "--goal=x v y = y v x"
-            code = _exit_code(["eq", "prove", "--axioms", axioms, goal, "--budget", "3",
-                               "-o", proof])
+            code = cli.main(["eq", "prove", "--axioms", axioms, goal, "--budget", "3",
+                             "-o", proof])
             assert code in (0, 1, 2)
             if code == 0:
-                assert _exit_code(["eq", "check", proof, "--axioms", axioms, goal]) == 0
+                assert cli.main(["eq", "check", proof, "--axioms", axioms, goal]) == 0
 
     @settings(max_examples=200, deadline=None)
     @given(st.text() | st.lists(st.sampled_from(_EXPR_PIECES)).map("".join))

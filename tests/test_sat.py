@@ -190,6 +190,18 @@ class TestCertificates:
                            match="^bad literal 5 in certificate clause 2$"):
             check_certificate(Cnf.of([[1]], 1), cert)
 
+    @pytest.mark.parametrize("text, clause", [
+        ("3 5 0 1 0\n", 1),
+        ("3 1 0 9 0\n4 5 0 1 0\n5 0 3 4 0\n", 2),
+    ], ids=["in-a-last-line-not-empty", "after-an-invalid-line"])
+    def test_bad_literal_is_malformed_wherever_it_sits(self, text, clause):
+        # every literal is range-checked before any line is judged, so a
+        # certificate that names no variable of the CNF is never merely invalid
+        cert = Certificate.from_text(text)
+        with pytest.raises(MalformedCertificateError,
+                           match=f"^bad literal 5 in certificate clause {clause}$"):
+            check_certificate(Cnf.of([[1], [-1]], 1), cert)
+
 
 class TestTruthTableOracle:
     def test_known_small_cases(self):

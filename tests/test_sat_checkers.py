@@ -39,14 +39,15 @@ def _loop_verify_model(cnf, assignment):
 
 
 def _loop_check_certificate(cnf, cert):
-    if not cert.lines or cert.lines[-1]:
-        return False
     n = cnf.num_vars
-    db = list(cnf.clauses)  # clause id k is db[k - 1]
-    for i, (k, line, hints) in enumerate(zip(cert.ids, cert.lines, cert.hints, strict=True), 1):
+    for i, line in enumerate(cert.lines, 1):
         for lit in line:
             if lit == 0 or abs(lit) > n:
                 raise MalformedCertificateError(f"bad literal {lit} in certificate clause {i}")
+    if not cert.lines or cert.lines[-1]:
+        return False
+    db = list(cnf.clauses)  # clause id k is db[k - 1]
+    for k, line, hints in zip(cert.ids, cert.lines, cert.hints, strict=True):
         if k != len(db) + 1:
             return False
         true = {-lit for lit in line}
