@@ -2,10 +2,10 @@
 
 Exit codes: 0 success; 1 negative answer (unsatisfiable where a model was
 sought, proof search timeout, not-a-cap, an artifact that does not check);
-2 usage error, a missing or malformed input file among them, which prints
-one `error: ...` line once the arguments parse; 3 internal self-check
-failed (a bug, not an input fault).  All output files are written
-atomically (temp file + rename), before the verdict is printed.
+2 usage error, a missing or malformed input file or a device among them,
+which prints one `error: ...` line once the arguments parse; 3 internal
+self-check failed (a bug, not an input fault).  All output files are
+written atomically (temp file + rename), before the verdict is printed.
 Machine logs are JSON lines; human summaries go to standard output.
 Settings come from flags only; `capset evolve` picks its worker pool from
 n (see `evolve.POOL_MIN_N`).
@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import stat
 import sys
 import tempfile
 
@@ -32,12 +33,16 @@ EXIT_INTERNAL = 3
 
 def _atomic_write(path, text):
     """Write text to a temp file beside path, then rename it to path; a
-    failure names path, never the temp file, and leaves no temp file."""
+    failure names path, never the temp file, and leaves no temp file.  The
+    file gets the mode a plain open would create, 0o666 less the umask."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
+    umask = os.umask(0)
+    os.umask(umask)
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".bruteforge-")
         try:
             with os.fdopen(fd, "w") as handle:
+                os.fchmod(fd, 0o666 & ~umask)  # mkstemp creates it 0o600
                 handle.write(text)
             os.replace(tmp, path)
         except BaseException:
@@ -49,9 +54,13 @@ def _atomic_write(path, text):
 
 
 def _read(path):
-    """The text of the file at path; a failure names path, as `_atomic_write` does."""
+    """The text of the file at path; a failure names path, as `_atomic_write`
+    does.  A device is refused: /dev/zero would be read until memory ran out."""
     try:
         with open(path) as handle:
+            mode = os.fstat(handle.fileno()).st_mode
+            if stat.S_ISCHR(mode) or stat.S_ISBLK(mode):
+                raise OSError("not a regular file")
             return handle.read()
     except OSError as exc:
         raise OSError(f"cannot read {path}: {exc.strerror or exc}") from None

@@ -392,7 +392,6 @@ class _Node:
     term: Term
     parent: object
     step: tuple | None
-    size: int
     taken: bool = False
 
 
@@ -624,9 +623,9 @@ def prove(goal, axioms, max_expansions=5000, max_seconds=None):
     owner = {}  # term -> (side, node) of the frontier that reached it
     frontiers = []  # per side: nodes in generation order, heap on (size, generation)
     for side, term in enumerate((goal.lhs, goal.rhs)):
-        root = _Node(term, None, None, term_size(term))
+        root = _Node(term, None, None)
         owner[term] = (side, root)
-        frontiers.append((deque([root]), [(root.size, 0, root)]))
+        frontiers.append((deque([root]), [(term_size(term), 0, root)]))
     untaken, ticks = [1, 1], [0, 0]
     # `generated` numbers the generations of both heaps: ties still go by insertion
     generated = rewrites = expansions = 0
@@ -656,7 +655,7 @@ def prove(goal, axioms, max_expansions=5000, max_seconds=None):
             hit = owner.get(new_term)
             if hit is None:
                 generated += 1
-                child = _Node(new_term, node, step, new_size)
+                child = _Node(new_term, node, step)
                 owner[new_term] = (side, child)
                 by_age.append(child)
                 heapq.heappush(by_weight, (new_size, generated, child))

@@ -15,12 +15,12 @@ and logged by the same code.  Per-candidate seeds are derived from (run
 seed, generation, slot), and parents are drawn from the population
 snapshot at the start of the generation, so serial and worker-pool runs
 produce identical logs; the population is trimmed to its best members
-when that snapshot is taken, once per generation.  Within a run each
-distinct expression text is scored once, and in each scoring process a
-subtree's column is computed, and a root column ranked, once while its
-bounded `ColumnCache` for the run holds it.  Mutation and crossover pick a
-node by its preorder index, drawn below the tree's `size`, and walk down to it
-along one path.
+when that snapshot is taken, once per generation.  Each scoring process
+keeps one bounded `ColumnCache` for the run, its only memo: while the cache
+holds them, a subtree's column is computed, and a root column ranked, once,
+so a repeated expression is answered by its text and its column.  Mutation
+and crossover pick a node by its preorder index, drawn below the tree's
+`size`, and walk down to it along one path.
 
 A run's settings are the four fields of EvolveConfig (n, seed, budget
 and generator command).  Population size, batch, tournament size and
@@ -326,20 +326,6 @@ def _score(expr):
     return score(expr, _cache.n, _cache)
 
 
-def _score_batch(exprs, memo, pool):
-    """(texts, scores) of `exprs`; only texts not yet in `memo` are scored.
-
-    The memo, keyed by each expression's `text`, is looked up before
-    dispatch, so the serial path and the pool score the same expressions
-    and the log does not depend on the path; nor does the scoring
-    process's ColumnCache, as a column depends only on its subtree's text.
-    """
-    texts = [e.text for e in exprs]
-    fresh = {text: expr for text, expr in zip(texts, exprs) if text not in memo}
-    memo.update(zip(fresh, (pool.map if pool else map)(_score, fresh.values())))
-    return texts, [memo[t] for t in texts]
-
-
 def _select_parents(rng, members):
     """Tournament selection over the generation-start snapshot."""
     chosen = []
@@ -368,9 +354,7 @@ def evolve(config, log_sink=None):
 
     generate = propose
     pool = None
-    memo = {}  # score by formatted expression text, for this run only
     population = Population()
-    evals = 0
     best = None
     generation = 0
     seed_texts = SEED_EXPRS[: config.eval_budget]
@@ -388,21 +372,20 @@ def evolve(config, log_sink=None):
         else:
             _start_run(config.n)
         while True:
-            texts, scores = _score_batch([e for _, _, e in proposals], memo, pool)
-            for (slot, slot_seed, expr), text, sc in zip(proposals, texts, scores):
+            scores = (pool.map if pool else map)(_score, [e for _, _, e in proposals])
+            for (slot, slot_seed, expr), sc in zip(proposals, scores):
                 cand = Candidate(expr, sc)
                 population.add(cand)
-                evals += 1
                 if best is None or sc > best.score:
                     best = cand
                 emit({"generation": generation, "slot": slot, "seed": slot_seed,
-                      "expr": text, "score": sc, "best": best.score})
-            if evals >= config.eval_budget:
+                      "expr": expr.text, "score": sc, "best": best.score})
+            if len(records) >= config.eval_budget:
                 break
             generation += 1
             snapshot = population.members()
             proposals = []
-            for slot in range(min(BATCH, config.eval_budget - evals)):
+            for slot in range(min(BATCH, config.eval_budget - len(records))):
                 slot_seed = derive_seed(config.seed, generation, slot)
                 rng = random.Random(slot_seed)
                 parents = _select_parents(rng, snapshot)
@@ -411,9 +394,8 @@ def evolve(config, log_sink=None):
                 except GeneratorError as exc:
                     emit({"generation": generation, "slot": slot, "seed": slot_seed,
                           "event": "generator_error", "detail": str(exc)})
-                    # a failed proposal still consumes its evaluation
-                    # slot, so an always-failing generator terminates
-                    evals += 1
+                    # the record consumes the proposal's evaluation slot,
+                    # so an always-failing generator terminates
     finally:
         global _cache
         _cache = None

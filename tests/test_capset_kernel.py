@@ -2,11 +2,12 @@
 
 The kernel (vector codes, blocked-code walks, column evaluation of
 priorities with and without a subtree cache, `exact_cap` on greedy's
-blocked bytearray, the per-run score memo, and the text, size and
-preorder walk of expression nodes) is checked against slow references
-kept in this file: a tree-walking evaluator, a greedy walk over tuple
-vectors built on the tuple oracle `extends_cap`, a recursive formatter,
-and a walk that lists every node with its path from the root.
+blocked bytearray, the run's ColumnCache as evolve's one memo, and the
+text, size and preorder walk of expression nodes) is checked against
+slow references kept in this file: a tree-walking evaluator, a greedy
+walk over tuple vectors built on the tuple oracle `extends_cap`, a
+recursive formatter, and a walk that lists every node with its path from
+the root.
 """
 
 import concurrent.futures
@@ -96,6 +97,14 @@ def reference_greedy(expr, n):
         if extends_cap(chosen, v):
             chosen.add(v)
     return chosen
+
+
+def reference_root_key(expr, n):
+    """The key a score ranks expr's root column under: the column over all
+    vectors, or () for every expression that reads no digit."""
+    if not any(isinstance(node, Index) for _, node in reference_subtrees(expr)):
+        return ()
+    return tuple(reference_eval(expr, v, n) for v in all_vectors(n))
 
 
 def reference_format(e):
@@ -412,12 +421,9 @@ class TestColumnCache:
                 walks.clear()
                 assert score(expr, n, cache) == expected
                 assert len(cache) * 3**n <= priority.CACHE_CELLS
-                # an expression without an Index reads no digit: no column
-                column = tuple(reference_eval(expr, v, n) for v in all_vectors(n))
-                reads = any(isinstance(node, Index) for _, node in reference_subtrees(expr))
                 sizes.append(len(cache))
                 hits.append(not walks)
-                key = column if reads else ()
+                key = reference_root_key(expr, n)
                 seen.append(key in ranked)
                 assert seen[-1] or not hits[-1]
                 ranked.add(key)
@@ -544,26 +550,17 @@ class TestScoreMemo:
         assert score(second, 3, cache) == expected and len(walks) == 1
         assert first.text != second.text
 
-    def test_memo_keeps_the_log_and_saves_calls(self, monkeypatch):
-        calls = []
-        real_score = evolve_mod.score
-
-        def counted_score(expr, n, cache=None):
-            calls.append(n)
-            return real_score(expr, n, cache)
-
-        def no_memo(exprs, memo, pool):
-            return [format_expr(e) for e in exprs], [counted_score(e, config.n) for e in exprs]
-
-        config = EvolveConfig(n=3, seed=0, eval_budget=300)
-        monkeypatch.setattr(evolve_mod, "score", counted_score)
-        _, records = evolve(config)
-        memo_calls = len(calls)
-        memo_log = "".join(record_to_json(r) + "\n" for r in records)
-
-        calls.clear()
-        monkeypatch.setattr(evolve_mod, "_score_batch", no_memo)
-        _, records = evolve(config)
-        assert "".join(record_to_json(r) + "\n" for r in records) == memo_log
-        assert len(calls) == 300
-        assert memo_calls == len({r["expr"] for r in records}) < 300
+    def test_a_repeated_text_is_not_walked_again(self, monkeypatch):
+        # the run's ColumnCache is its one memo, and at n = 3 it never
+        # clears: each root key ranked is walked once, however many texts
+        # and repeats share it, and the log is the golden one
+        walks = []
+        monkeypatch.setattr(priority, "greedy_cap",
+                            lambda ranking, n: walks.append(n) or greedy_cap(ranking, n))
+        _, records = evolve(EvolveConfig(n=3, seed=0, eval_budget=300))
+        with open(os.path.join(os.path.dirname(__file__), "data", "evolve_n3_seed0.jsonl")) as f:
+            golden = [next(f) for _ in records]
+        assert [record_to_json(r) + "\n" for r in records] == golden
+        texts = {r["expr"] for r in records}
+        keys = {reference_root_key(parse_expr(t), 3) for t in texts}
+        assert len(walks) == len(keys) < len(texts) < len(records)

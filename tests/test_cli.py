@@ -1,6 +1,8 @@
 import json
 import os
 import random
+import resource
+import stat
 import subprocess
 import sys
 import tempfile
@@ -71,6 +73,22 @@ class TestExitCodes:
         argv = [a.format(path, f=cnf) for a in argv]
         assert cli.main(argv) == 2
         assert capsys.readouterr() == ("", f"error: cannot read {path}: {reason}\n")
+
+    def test_a_device_is_refused(self):
+        # /dev/zero never ends; under this address-space limit a read of it
+        # ends in MemoryError at once, not in the refusal, and a pipe still reads
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        def classify(path, stdin=None):
+            return subprocess.run(BIN + ["classify", path], input=stdin, capture_output=True,
+                                  text=True, timeout=60, preexec_fn=limit)
+
+        result = classify("/dev/zero")
+        assert (result.returncode, result.stdout, result.stderr) == (
+            2, "", "error: cannot read /dev/zero: not a regular file\n")
+        result = classify("/dev/stdin", "all m . even(m) -> ex p < m . prime(p)\n")
+        assert (result.returncode, result.stdout) == (0, "Pi(1)\n")
 
     def test_unknown_subcommand(self):
         assert run_cli("frobnicate").returncode == 2
@@ -158,6 +176,21 @@ class TestWriteFailures:
         assert capsys.readouterr() == ("", f"error: cannot write {target}: Is a directory\n")
         assert not [p for p in os.listdir(tmp_path) if p.startswith(".bruteforge-")]
         assert os.listdir(target) == []
+
+    def test_an_artifact_gets_the_mode_the_umask_leaves(self, writer, tmp_path):
+        # 0o666 less the umask, as a plain open would create it; a replaced
+        # file gets it too, not the temp file's 0o600
+        fresh, replaced = tmp_path / "fresh.txt", tmp_path / "replaced.txt"
+        replaced.write_text("old\n")
+        umask = os.umask(0o022)
+        try:
+            os.chmod(replaced, 0o644)
+            for path in (fresh, replaced):
+                cli.main(writer(str(path)))
+        finally:
+            os.umask(umask)
+        assert replaced.read_text() != "old\n"
+        assert [stat.S_IMODE(p.stat().st_mode) for p in (fresh, replaced)] == [0o644, 0o644]
 
     def test_a_written_artifact_comes_with_its_verdict(self, writer, tmp_path, capsys):
         path = tmp_path / "out.txt"
