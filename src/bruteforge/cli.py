@@ -3,7 +3,8 @@
 Exit codes: 0 success; 1 negative answer (unsatisfiable where a model was
 sought, proof search timeout, not-a-cap, an artifact that does not check);
 2 usage error, a missing or malformed input file or a device among them,
-which prints one `error: ...` line once the arguments parse; 3 internal
+or an input nested too deeply to process, which prints one `error: ...`
+line once the arguments parse; 3 internal
 self-check failed (a bug, not an input fault).  All output files are
 written atomically (temp file + rename), before the verdict is printed.
 Machine logs are JSON lines; human summaries go to standard output.
@@ -19,6 +20,7 @@ import os
 import stat
 import sys
 import tempfile
+import time
 
 from . import bpt, capset, check, equational, evolve, hierarchy, priority, sat
 from .logic import (
@@ -187,15 +189,16 @@ def _load_axioms(name):
     return check.parse_axioms(_read(name))
 
 
-def _seconds(text):
-    """A time limit: any float but NaN, which no elapsed time exceeds."""
+def _deadline(text):
+    """The time.monotonic() instant `text` seconds after the arguments
+    parse: any float but NaN, which no clock reaches."""
     try:
         value = float(text)
     except ValueError:
         value = math.nan
     if math.isnan(value):
         raise argparse.ArgumentTypeError(f"invalid number of seconds: {text!r}")
-    return value
+    return time.monotonic() + value
 
 
 def _budget(text):
@@ -243,10 +246,8 @@ def _cmd_eq_prove(args):
     axioms, signature = _load_axioms(args.axioms)
     goal = check.parse_equation(args.goal, signature)
     if args.exists:
-        result = equational.prove_exists(
-            goal, axioms, signature, max_candidates=args.budget,
-            max_seconds=args.max_seconds,
-        )
+        result = equational.prove_exists(goal, axioms, signature, max_candidates=args.budget,
+                                         deadline=args.deadline)
         if isinstance(result, equational.WitnessResult):
             sigma = result.witness
             instance = check.Equation(
@@ -263,9 +264,7 @@ def _cmd_eq_prove(args):
             print(f"witness found: {witness or '(trivial)'}")
             return EXIT_OK
     else:
-        result = equational.prove(
-            goal, axioms, max_expansions=args.budget, max_seconds=args.max_seconds
-        )
+        result = equational.prove(goal, axioms, max_expansions=args.budget, deadline=args.deadline)
         if isinstance(result, check.EqProof):
             _check_proof(result, axioms, goal)
             text = check.format_proof(result)
@@ -304,18 +303,15 @@ def _cmd_eq_complete(args):
     precedence = _parse_precedence(args.precedence, signature, axioms)
     try:
         rules = equational.kb_complete(axioms, precedence, budget=args.budget,
-                                       max_seconds=args.max_seconds)
+                                       deadline=args.deadline)
+        if not equational.critical_pairs_join(rules):
+            raise VerificationError("a critical pair of the completed rules does not join")
     except equational.OrientationError as exc:
         print(f"orientation failure: {exc.equation}")
         return EXIT_NEGATIVE
-    except equational.CompletionTimeout as exc:
-        print(f"time limit reached with {len(exc.partial_rules)} partial rules")
-        return EXIT_NEGATIVE
     except equational.CompletionBudgetExhausted as exc:
-        print(f"budget exhausted with {len(exc.partial_rules)} partial rules")
+        print(f"{exc} with {len(exc.partial_rules)} partial rules")
         return EXIT_NEGATIVE
-    if not equational.critical_pairs_join(rules):
-        raise VerificationError("a critical pair of the completed rules does not join")
     for rule in rules:
         print(rule)
     return EXIT_OK
@@ -401,7 +397,7 @@ def build_parser():
     p.add_argument("--axioms", required=True, help="robbins | boolean | group | FILE")
     p.add_argument("--goal", required=True, help="equation 'lhs = rhs'")
     p.add_argument("--budget", type=_budget, default=5000)
-    p.add_argument("--max-seconds", type=_seconds, default=None)
+    p.add_argument("--max-seconds", type=_deadline, dest="deadline")
     p.add_argument("--exists", action="store_true",
                    help="treat goal variables as existential; enumerate witnesses")
     p.add_argument("-o", "--output", help="write the proof file here")
@@ -415,7 +411,7 @@ def build_parser():
     p.add_argument("--axioms", required=True)
     p.add_argument("--precedence", help="e.g. 'i>*>e'")
     p.add_argument("--budget", type=_budget, default=2000)
-    p.add_argument("--max-seconds", type=_seconds, default=None)
+    p.add_argument("--max-seconds", type=_deadline, dest="deadline")
     p.set_defaults(handler=_cmd_eq_complete)
 
     p = sub.add_parser("classify", help="quantifier-alternation class of a formula file")
@@ -441,6 +437,10 @@ def main(argv=None):
         # an input that declares more than fits in memory, such as
         # "p cnf 99999999999 1", is a usage error, not a crash
         print("error: out of memory for this input", file=sys.stderr)
+        return EXIT_USAGE
+    except RecursionError:
+        # a term or proof that nests past the recursion limit as it is processed
+        print("error: input nested too deeply to process", file=sys.stderr)
         return EXIT_USAGE
     except VerificationError as exc:
         print(f"error: verification failed: {exc}", file=sys.stderr)

@@ -50,17 +50,12 @@ class OrientationError(ValueError):
 
 
 class CompletionBudgetExhausted(RuntimeError):
-    message = "completion budget exhausted"
+    """Completion gave up: the message says what ran out, partial_rules
+    holds the rules made so far."""
 
-    def __init__(self, partial_rules):
-        super().__init__(self.message)
+    def __init__(self, what, partial_rules):
+        super().__init__(what)
         self.partial_rules = partial_rules
-
-
-class CompletionTimeout(CompletionBudgetExhausted):
-    """kb_complete's time limit ran out; carries the partial rules."""
-
-    message = "completion time limit reached"
 
 
 # --- substitutions and unification ----------------------------------------
@@ -178,15 +173,17 @@ def rewrite_at_root(t, rules):
     return None
 
 
-# a tripwire against mis-oriented rule sets, which need not terminate
+# a tripwire against mis-oriented rule sets, which need not terminate, and
+# against LPO-oriented ones whose normal forms are out of reach
 MAX_REWRITE_STEPS = 100000
 
 
 def rewrite(t, rules):
     """Normal form under leftmost-innermost rewriting.
 
-    Terminates for LPO-oriented rule sets; more than MAX_REWRITE_STEPS
-    steps raise RuntimeError.
+    Terminates for LPO-oriented rule sets, though not always soon; more
+    than MAX_REWRITE_STEPS steps raise CompletionBudgetExhausted with the
+    message "rewrite step bound exceeded" and the rules as its partial rules.
     """
     steps = 0
 
@@ -202,7 +199,7 @@ def rewrite(t, rules):
                 return u
             steps += 1
             if steps > MAX_REWRITE_STEPS:
-                raise RuntimeError("rewrite step bound exceeded; rules not terminating?")
+                raise CompletionBudgetExhausted("rewrite step bound exceeded", list(rules))
             u = hit
 
     return norm(t)
@@ -254,13 +251,14 @@ def orient(eq, precedence):
     raise OrientationError(eq)
 
 
-def kb_complete(axioms, precedence, budget=2000, max_seconds=None):
+def kb_complete(axioms, precedence, budget=2000, deadline=None):
     """Knuth-Bendix completion; returns a locally confluent, terminating
     rule list or raises OrientationError / CompletionBudgetExhausted.
 
-    `budget` counts picks.  With `max_seconds` set, the clock is read
-    before each pick, and once that many seconds have passed it raises
-    CompletionTimeout, a CompletionBudgetExhausted, so 0 makes no pick.
+    `budget` counts picks, and the clock is read before each pick against
+    `deadline`, a time.monotonic() instant or None, so one already past
+    makes no pick.  The give-up says "budget exhausted", "time limit
+    reached" or, from rewrite, "rewrite step bound exceeded".
 
     Standard loop with interreduction: new rules collapse existing rules
     (reducible left-hand sides go back to the pending queue) and compose
@@ -275,16 +273,15 @@ def kb_complete(axioms, precedence, budget=2000, max_seconds=None):
         for e in eqs:
             heapq.heappush(pending, (term_size(e.lhs) + term_size(e.rhs), next(arrivals), e))
 
-    deadline = None if max_seconds is None else time.monotonic() + max_seconds
     push(axioms)
     rules = []
     steps = 0
     while pending:
         steps += 1
         if steps > budget:
-            raise CompletionBudgetExhausted(list(rules))
+            raise CompletionBudgetExhausted("budget exhausted", list(rules))
         if deadline is not None and time.monotonic() >= deadline:
-            raise CompletionTimeout(list(rules))
+            raise CompletionBudgetExhausted("time limit reached", list(rules))
         eq = heapq.heappop(pending)[2]
         lhs = rewrite(eq.lhs, rules)
         rhs = rewrite(eq.rhs, rules)
@@ -586,16 +583,18 @@ def _steps_back(node):
         node = node.parent
 
 
-def prove(goal, axioms, max_expansions=5000, max_seconds=None):
+def prove(goal, axioms, max_expansions=5000, deadline=None):
     """Budgeted bidirectional proof search by fair generate-and-test.
 
     Two frontiers grow by equational steps, from goal.lhs and from goal.rhs.
     They expand in turns, lhs first, and when one is empty the other goes
-    on alone; `max_expansions` and `max_seconds` count both.  A step may
-    fill up to MAX_EXTRA_VARS variables of its new side from the
-    GROUND_POOL_SIZE smallest subterms of the goal, and no term larger than
-    the goal's larger side plus SIZE_MARGIN is kept.  Each side dovetails by
-    age and by weight (term size): out of every AGE_WEIGHT_RATIO + 1 of its
+    on alone; `max_expansions` counts both.  Before each expansion the
+    clock is read against `deadline`, a time.monotonic() instant or None,
+    so one already past expands nothing.  A step may fill up to
+    MAX_EXTRA_VARS variables of its new side from the GROUND_POOL_SIZE
+    smallest subterms of the goal, and no term larger than the goal's
+    larger side plus SIZE_MARGIN is kept.  Each side dovetails by age and
+    by weight (term size): out of every AGE_WEIGHT_RATIO + 1 of its
     selections, one is its oldest frontier node and the rest are its
     smallest, oldest first among equals.  A frontier is kept twice, in
     generation order and in a heap on (size, generation), so each selection
@@ -618,7 +617,6 @@ def prove(goal, axioms, max_expansions=5000, max_seconds=None):
         return EqProof(())
     orientations = _orientations(axioms, _ground_pool(goal))
     max_size = max(term_size(goal.lhs), term_size(goal.rhs)) + SIZE_MARGIN
-    start = time.monotonic()
 
     owner = {}  # term -> (side, node) of the frontier that reached it
     frontiers = []  # per side: nodes in generation order, heap on (size, generation)
@@ -636,7 +634,7 @@ def prove(goal, axioms, max_expansions=5000, max_seconds=None):
             side = 1 - side
         expansions += 1
         if (not untaken[side] or expansions > max_expansions
-                or max_seconds is not None and time.monotonic() - start > max_seconds):
+                or deadline is not None and time.monotonic() >= deadline):
             return Timeout(generated, rewrites)
         by_age, by_weight = frontiers[side]
         ticks[side] += 1
@@ -751,24 +749,45 @@ def _two_is_a_model(goal, axioms, signature):
                and _holds_in_two(eq) for eq in axioms.values())
 
 
+def _index_tuples(n, k):
+    """Every k-tuple over range(n), by sum, then lexicographically; for
+    k = 1 that is range(n) itself, and k = 0 gives the one empty tuple."""
+
+    def with_sum(total, width):
+        if width == 0:
+            if total == 0:
+                yield ()
+            return
+        # the other width - 1 entries add up to at most (width - 1) * (n - 1)
+        for first in range(max(0, total - (width - 1) * (n - 1)), min(total, n - 1) + 1):
+            for rest in with_sum(total - first, width - 1):
+                yield (first, *rest)
+
+    for total in range(k * (n - 1) + 1):
+        yield from with_sum(total, k)
+
+
 EXISTS_EXPANSIONS = 300  # prove's max_expansions for each witness candidate
 EXISTS_TERM_SIZE = 7  # largest witness term prove_exists builds
 
 
-def prove_exists(goal, axioms, signature, max_candidates=200, max_seconds=None):
+def prove_exists(goal, axioms, signature, max_candidates=200, deadline=None):
     """Treat the goal's variables as existential: enumerate witness terms in
     size-lexicographic order and try to prove each ground instance.
 
     Witness terms have size at most EXISTS_TERM_SIZE and may share one
     fresh variable (witnesses need not be ground), and each instance gets
-    EXISTS_EXPANSIONS expansions of prove.  At most `max_candidates`
-    instances are tried, serially in enumeration order, and the first one
-    proved wins.  The first `max_candidates` assignments use only the first
-    `max_candidates` terms, so terms are built one size at a time until
-    there are that many.  A goal without variables is its own one
-    instance, with the empty witness; it builds no terms, and it is tried
-    under the same rules, so not at all when `max_candidates` is below 1 or
-    no time is left.
+    EXISTS_EXPANSIONS expansions of prove.  An assignment is a tuple of
+    term indices, one per goal variable in sorted order, and the tuples go
+    by their sum, then lexicographically (see _index_tuples), so no
+    variable stays at the first term while another runs through the rest.
+    At most `max_candidates` instances are tried, serially in that order,
+    and the first one proved wins.  The first `max_candidates` assignments
+    use only the first `max_candidates` terms, so terms are built one size
+    at a time until there are that many.  A goal without variables is its
+    own one instance, with the empty witness; it builds no terms, and it is
+    tried under the same rules, so not at all when `max_candidates` is
+    below 1 or the deadline has passed.
 
     When the two-element structure _TWO is a model of the axioms (see
     _two_is_a_model), an instance false in it under some assignment of its
@@ -777,15 +796,10 @@ def prove_exists(goal, axioms, signature, max_candidates=200, max_seconds=None):
     `max_candidates`.  Witnesses and proofs are those prove would find
     without the skip.
 
-    `max_seconds` bounds the whole call: each prove gets the time left, and
-    no candidate starts after it runs out.  Returns WitnessResult or
-    Timeout with the counters of the prove calls made.
+    `deadline`, a time.monotonic() instant or None, bounds the whole call:
+    each prove gets it, and no candidate starts once it has passed.  Returns
+    WitnessResult or Timeout with the counters of the prove calls made.
     """
-    deadline = None if max_seconds is None else time.monotonic() + max_seconds
-
-    def time_left():
-        return None if deadline is None else deadline - time.monotonic()
-
     use_model = _two_is_a_model(goal, axioms, signature)
     gvars = sorted(term_vars(goal.lhs) | term_vars(goal.rhs))
     fresh = Var(max([*gvars, *(max_var(e.lhs) for e in axioms.values())], default=-1) + 1)
@@ -798,17 +812,14 @@ def prove_exists(goal, axioms, signature, max_candidates=200, max_seconds=None):
         if len(terms) >= budget:
             break
     generated = rewrites = 0
-    candidates = itertools.product(terms[:budget], repeat=len(gvars))
-    for assignment in itertools.islice(candidates, budget):
-        sigma = dict(zip(gvars, assignment))
+    for indices in itertools.islice(_index_tuples(min(len(terms), budget), len(gvars)), budget):
+        sigma = {v: terms[i] for v, i in zip(gvars, indices)}
         instance = Equation(apply_subst(goal.lhs, sigma), apply_subst(goal.rhs, sigma))
         if use_model and not _holds_in_two(instance):
             continue
-        remaining = time_left()
-        if remaining is not None and remaining <= 0:
+        if deadline is not None and time.monotonic() >= deadline:
             break
-        result = prove(instance, axioms, max_expansions=EXISTS_EXPANSIONS,
-                       max_seconds=remaining)
+        result = prove(instance, axioms, max_expansions=EXISTS_EXPANSIONS, deadline=deadline)
         if isinstance(result, EqProof):
             return WitnessResult(sigma, result)
         generated += result.equations_generated

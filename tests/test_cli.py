@@ -765,6 +765,22 @@ class TestEq:
             assert result.stdout.startswith("time limit reached with ")
             assert result.stdout.endswith(" partial rules\n")
 
+    def test_complete_rewrite_step_bound_is_a_give_up(self, tmp_path, capsys):
+        # the oriented rules terminate, but normalising the 18-deep i(...)
+        # takes more than MAX_REWRITE_STEPS steps
+        axioms = tmp_path / "ax.txt"
+        axioms.write_text("signature: group\nR1: i(x * y) = i(x) * i(y)\nR2: i(e) = e * e\n"
+                          f"A: {'i(' * 18}e{')' * 18} = e\n")
+        assert cli.main(["eq", "complete", "--axioms", str(axioms),
+                         "--precedence", "i > * > e"]) == 1
+        assert capsys.readouterr() == ("rewrite step bound exceeded with 2 partial rules\n", "")
+
+    def test_prove_exists_varies_every_variable(self, capsys):
+        # only x := 1 proves it, so the candidates must not all fix x := 0
+        assert cli.main(["eq", "prove", "--axioms", "boolean", "--goal", "x ^ -y = 1 v -1",
+                         "--exists"]) == 0
+        assert capsys.readouterr() == ("witness found: x := 1, y := 0\n", "")
+
 
     @pytest.mark.parametrize("axioms, precedence, message", [
         ("group", "i>*", "precedence misses symbol(s) 'e' of the axioms"),
@@ -827,6 +843,26 @@ class TestDepthLimit:
                              ids=["negation", "brackets", "negation-5000"])
     def test_eq_goal_beyond_the_limit(self, goal):
         self._usage_error(run_cli("eq", "prove", "--axioms", "boolean", "--goal", goal))
+
+    def test_eq_check_of_a_deep_proof_is_usage_error(self, tmp_path, capsys):
+        # each line rewrites one level deeper than the last; at 400 lines
+        # the replay ends in "proof invalid", at 1,200 past the recursion limit
+        proof = tmp_path / "p.prf"
+        proof.write_text("".join(f"B3 {'.'.join(['0'] * i) or '-'} x=x; y=x rl\n"
+                                 for i in range(1200)))
+        assert cli.main(["eq", "check", str(proof), "--axioms", "boolean",
+                         "--goal", "x = x"]) == 2
+        assert capsys.readouterr() == ("", "error: input nested too deeply to process\n")
+
+    def test_eq_complete_of_a_deep_rewrite_is_usage_error(self, tmp_path, capsys):
+        # the axioms parse (190 < MAX_PARSE_DEPTH), but R turns each i( into three
+        # nested products, and normalising those recurses past the limit
+        axioms = tmp_path / "ax.txt"
+        axioms.write_text("signature: group\nR: i(x) = ((x * e) * e) * e\n"
+                          f"A: {'i(' * 190}e{')' * 190} = e\n")
+        assert cli.main(["eq", "complete", "--axioms", str(axioms),
+                         "--precedence", "i > * > e"]) == 2
+        assert capsys.readouterr() == ("", "error: input nested too deeply to process\n")
 
     @pytest.mark.parametrize("text, label", [("~" * (MAX_PARSE_DEPTH - 1) + "A", "Delta0"),
                                              ("all x . " * (MAX_PARSE_DEPTH - 1) + "A(x)",

@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import hashlib
 import itertools
+import math
 import random
 import time
 from collections import deque
@@ -37,7 +38,6 @@ from bruteforge.equational import (
     AXIOM_SIGNATURES,
     BOOLEAN_AXIOMS,
     CompletionBudgetExhausted,
-    CompletionTimeout,
     Equation,
     FAIL,
     GROUP_AXIOMS,
@@ -108,6 +108,14 @@ def _model_off(monkeypatch):
     """Make prove_exists treat the two-element model as unusable, so that
     every candidate reaches prove."""
     monkeypatch.setattr(equational, "_two_is_a_model", lambda *args: False)
+
+
+def _pairs_by_index_sum(terms, count=200):
+    """The first `count` pairs of terms in prove_exists' order for two
+    variables, by the sum of their indices in terms, then by the first
+    index; written apart from equational._index_tuples."""
+    indices = ((i, total - i) for total in itertools.count() for i in range(total + 1))
+    return [(terms[i], terms[j]) for i, j in itertools.islice(indices, count)]
 
 
 class TestUnification:
@@ -295,31 +303,44 @@ class TestCompletion:
         with pytest.raises(CompletionBudgetExhausted) as err:
             kb_complete(list(GROUP_AXIOMS.values()), GROUP_PRECEDENCE, budget=2)
         assert isinstance(err.value.partial_rules, list)
+        assert str(err.value) == "budget exhausted"
 
     def test_time_limit_stops_a_diverging_completion(self):
         # associativity plus left inverse alone spends about a minute before
         # the default budget of 2000 picks runs out
         start = time.monotonic()
-        with pytest.raises(CompletionTimeout) as err:
+        with pytest.raises(CompletionBudgetExhausted) as err:
             kb_complete([GROUP_AXIOMS["G1"], GROUP_AXIOMS["G3"]], GROUP_PRECEDENCE,
-                        max_seconds=0.5)
+                        deadline=start + 0.5)
         assert time.monotonic() - start < 2
-        assert isinstance(err.value, CompletionBudgetExhausted)
         assert err.value.partial_rules
-        assert str(err.value) == "completion time limit reached"
+        assert str(err.value) == "time limit reached"
 
     def test_zero_time_limit_makes_no_pick(self, monkeypatch):
         normalised = []
         monkeypatch.setattr(equational, "rewrite", lambda t, rules: normalised.append(t) or t)
-        with pytest.raises(CompletionTimeout) as err:
-            kb_complete(list(GROUP_AXIOMS.values()), GROUP_PRECEDENCE, max_seconds=0)
+        with pytest.raises(CompletionBudgetExhausted) as err:
+            kb_complete(list(GROUP_AXIOMS.values()), GROUP_PRECEDENCE,
+                        deadline=time.monotonic())
+        assert str(err.value) == "time limit reached"
         assert err.value.partial_rules == []
         assert normalised == []
 
     def test_time_limit_changes_no_completed_system(self):
         axioms = list(GROUP_AXIOMS.values())
-        assert (kb_complete(axioms, GROUP_PRECEDENCE, max_seconds=60)
+        assert (kb_complete(axioms, GROUP_PRECEDENCE, deadline=time.monotonic() + 60)
                 == kb_complete(axioms, GROUP_PRECEDENCE))
+
+    def test_rewrite_step_bound_gives_up_like_the_budget(self, monkeypatch):
+        # the rule terminates, but each i takes one step: four are too many
+        monkeypatch.setattr(equational, "MAX_REWRITE_STEPS", 3)
+        rules = [RewriteRule(_bt("i(x)", GROUP_SIG), _bt("x * x", GROUP_SIG))]
+        assert rewrite(_bt("i(i(i(e)))", GROUP_SIG), rules) == _bt(
+            "((e * e) * (e * e)) * ((e * e) * (e * e))", GROUP_SIG)
+        with pytest.raises(CompletionBudgetExhausted) as err:
+            rewrite(_bt("i(i(i(i(e))))", GROUP_SIG), rules)
+        assert str(err.value) == "rewrite step bound exceeded"
+        assert err.value.partial_rules == rules
 
     def test_group_completion_is_pinned(self):
         # SHA-256 of the rule text `eq complete --axioms group` prints, less
@@ -512,6 +533,17 @@ class TestProve:
         result = prove(goal, ROBBINS_AXIOMS, max_expansions=500)
         assert isinstance(result, Timeout)
 
+    def test_deadline_already_past_expands_nothing(self):
+        goal = Equation(_bt("x v x", BOOLEAN_SIG), Var(0))
+        assert prove(goal, BOOLEAN_AXIOMS, deadline=time.monotonic()) == Timeout(0, 0)
+        assert isinstance(prove(goal, BOOLEAN_AXIOMS), EqProof)
+
+    def test_future_deadline_changes_no_outcome(self):
+        deadline = time.monotonic() + 600
+        for goal in _golden_goals("boolean"):
+            assert (prove(goal, BOOLEAN_AXIOMS, max_expansions=30, deadline=deadline)
+                    == prove(goal, BOOLEAN_AXIOMS, max_expansions=30)), str(goal)
+
 
 class TestProveExists:
     def test_absorption_witness_found(self):
@@ -522,6 +554,27 @@ class TestProveExists:
             apply_subst(goal.lhs, result.witness), apply_subst(goal.rhs, result.witness)
         )
         assert check_proof(result.proof, BOOLEAN_AXIOMS, instance)
+
+    def test_two_variables_take_turns(self):
+        # x ^ -y = 1 v -1 needs x := 1, so the candidates must not all fix
+        # x := 0 while y runs through the terms
+        goal = Equation(_bt("x ^ -y", BOOLEAN_SIG), _bt("1 v -1", BOOLEAN_SIG))
+        result = prove_exists(goal, BOOLEAN_AXIOMS, BOOLEAN_SIG)
+        assert result.witness == {0: App("1"), 1: App("0")}
+
+    @pytest.mark.parametrize("n, k", [(0, 0), (0, 2), (1, 3), (4, 0), (4, 1), (4, 2), (3, 3)])
+    def test_index_tuples_go_by_sum_then_lexicographically(self, n, k):
+        # sorted is stable, so each sum keeps product's lexicographic order
+        assert list(equational._index_tuples(n, k)) == sorted(
+            itertools.product(range(n), repeat=k), key=sum)
+
+    def test_future_deadline_changes_no_witness(self):
+        for text in ("x v y = 1", "x ^ -y = 1 v -1", "x v y = -x"):
+            lhs, _, rhs = text.partition("=")
+            goal = Equation(_bt(lhs, BOOLEAN_SIG), _bt(rhs, BOOLEAN_SIG))
+            assert (prove_exists(goal, BOOLEAN_AXIOMS, BOOLEAN_SIG, max_candidates=20,
+                                 deadline=time.monotonic() + 600)
+                    == prove_exists(goal, BOOLEAN_AXIOMS, BOOLEAN_SIG, max_candidates=20)), text
 
     def test_exhaustion_times_out(self, monkeypatch):
         monkeypatch.setattr(equational, "EXISTS_EXPANSIONS", 5)
@@ -538,13 +591,13 @@ class TestProveExists:
     @staticmethod
     def _record_prove(monkeypatch, passes=lambda instance: False, limits=None):
         """Replace prove by a stub that logs each instance it is given, and
-        each max_seconds into `limits`."""
+        each deadline into `limits`."""
         tried = []
 
-        def fake_prove(goal, axioms, max_expansions, max_seconds=None):
+        def fake_prove(goal, axioms, max_expansions, deadline=None):
             tried.append(goal)
             if limits is not None:
-                limits.append(max_seconds)
+                limits.append(deadline)
             return EqProof(()) if passes(goal) else Timeout(1, 2)
 
         monkeypatch.setattr(equational, "prove", fake_prove)
@@ -558,14 +611,12 @@ class TestProveExists:
         goal = Equation(_bt("x v y", BOOLEAN_SIG), Var(0))
         result = prove_exists(goal, BOOLEAN_AXIOMS, BOOLEAN_SIG, max_candidates=200)
         terms = enumerate_ground_terms(BOOLEAN_SIG, 7, variables=(Var(3),))
-        expected = next(
-            (a, b) for a, b in itertools.product(terms, repeat=2) if term_size(b) == 2
-        )
-        assert (result.witness[0], result.witness[1]) == expected
-        assert len(tried) == terms.index(expected[1]) + 1
-        assert [g.lhs.args for g in tried] == list(
-            itertools.islice(itertools.product(terms, repeat=2), len(tried))
-        )
+        pairs = _pairs_by_index_sum(terms)
+        expected = next((a, b) for a, b in pairs if term_size(b) == 2)
+        # (0, -0): index sum 3, after the six pairs of sums 0 to 2
+        assert (result.witness[0], result.witness[1]) == expected == (App("0"), _bt("-0"))
+        assert len(tried) == pairs.index(expected) + 1 == 7
+        assert [g.lhs.args for g in tried] == pairs[:len(tried)]
 
     def test_first_passing_witness_with_the_model(self, monkeypatch):
         # the same, but prove sees only the instances true in {0, 1}: the
@@ -574,7 +625,7 @@ class TestProveExists:
         goal = Equation(_bt("x v y", BOOLEAN_SIG), Var(0))
         result = prove_exists(goal, BOOLEAN_AXIOMS, BOOLEAN_SIG, max_candidates=200)
         terms = enumerate_ground_terms(BOOLEAN_SIG, 7, variables=(Var(3),))
-        true_pairs = [(a, b) for a, b in itertools.islice(itertools.product(terms, repeat=2), 200)
+        true_pairs = [(a, b) for a, b in _pairs_by_index_sum(terms)[:200]
                       if _true_in_two(Equation(App("v", (a, b)), a))]
         expected = next((a, b) for a, b in true_pairs if term_size(b) == 2)
         assert (result.witness[0], result.witness[1]) == expected == (App("0"), _bt("-1"))
@@ -592,10 +643,12 @@ class TestProveExists:
         tried = self._record_prove(monkeypatch)
         goal = Equation(_bt("x v y", BOOLEAN_SIG), Var(0))
         result = prove_exists(goal, BOOLEAN_AXIOMS, BOOLEAN_SIG, max_candidates=7)
-        # the first 7 candidates fix x := 0; only y := 0, -1 and --0 make
-        # 0 v y = 0 true
-        assert [g.lhs.args[1] for g in tried] == [App("0"), _bt("-1"), _bt("--0")]
-        assert result == Timeout(3, 6)
+        # of the first 7 candidates, (0, 0), (1, 0), (1, 1) and (x3, 0) make
+        # x v y = x true; (0, 1), (0, x3) and (0, -0) do not
+        assert [g.lhs.args for g in tried] == [
+            (App("0"), App("0")), (App("1"), App("0")), (App("1"), App("1")),
+            (Var(3), App("0"))]
+        assert result == Timeout(4, 8)
 
     def test_finite_term_stream_exhausts_before_the_budget(self, monkeypatch):
         _model_off(monkeypatch)
@@ -655,18 +708,18 @@ class TestProveExists:
     def test_zero_time_limit_tries_nothing(self, monkeypatch):
         tried = self._record_prove(monkeypatch)
         goal = Equation(_bt("x v y", BOOLEAN_SIG), Var(0))
-        result = prove_exists(goal, BOOLEAN_AXIOMS, BOOLEAN_SIG, max_seconds=0)
+        result = prove_exists(goal, BOOLEAN_AXIOMS, BOOLEAN_SIG, deadline=time.monotonic())
         assert tried == []
         assert result == Timeout(0, 0)
 
-    def test_each_prove_gets_the_time_left(self, monkeypatch):
+    def test_each_prove_gets_the_deadline(self, monkeypatch):
         limits = []
         self._record_prove(monkeypatch, limits=limits)
         goal = Equation(_bt("x v y", BOOLEAN_SIG), Var(0))
-        prove_exists(goal, BOOLEAN_AXIOMS, BOOLEAN_SIG, max_candidates=20, max_seconds=60)
+        deadline = time.monotonic() + 60
+        prove_exists(goal, BOOLEAN_AXIOMS, BOOLEAN_SIG, max_candidates=20, deadline=deadline)
         assert len(limits) > 1
-        assert all(0 < t <= 60 for t in limits)
-        assert limits == sorted(limits, reverse=True)
+        assert set(limits) == {deadline}
         limits.clear()
         prove_exists(goal, BOOLEAN_AXIOMS, BOOLEAN_SIG, max_candidates=20)
         assert limits and set(limits) == {None}
@@ -693,7 +746,8 @@ class TestProveExists:
         assert built == []
 
     @pytest.mark.parametrize("limit", [{"max_candidates": 0}, {"max_candidates": -1},
-                                       {"max_seconds": 0}], ids=["zero", "negative", "no-time"])
+                                       {"deadline": -math.inf}],
+                             ids=["zero", "negative", "no-time"])
     def test_ground_goal_obeys_the_budget_and_the_time_limit(self, monkeypatch, limit):
         # the one candidate of a goal without variables counts like any other
         tried = self._record_prove(monkeypatch)
@@ -920,13 +974,13 @@ class TestProveGolden:
     }
     EXISTS_GOALS = ("x v y = x", "x ^ y = x", "x v y = 1", "x ^ y = 0", "x v y = -x")
     # the reference finds four witnesses, and times out after five candidates
-    # of the last goal
-    EXISTS_DIGEST = "eca26b3952925fe62be09621190c569664197bce2f7fb1208cbfd6daa7cbb1a8"
+    # of the last goal (6,982 equations, 8,522 rewrites)
+    EXISTS_DIGEST = "6dd609aec321ea9908820e3ee31574e58848a5c66255d011aa52fd5f95f70d36"
     # prove finds all five: x := 0, y := 1 for the last goal
     BIDIRECTIONAL_EXISTS_DIGEST = "0ea7a83d2c80e21e04d407ac72f1d587e1e24db84cac3aa92697ba2e179ce334"
     # the reference with the two-element model: the same four witnesses,
-    # and smaller counters for the last goal
-    EXISTS_MODEL_DIGEST = "a5b4e490fce1c5f9d29eb8ee3630db58684824ac31a16eedcba8bbdd222b8815"
+    # and smaller counters for the last goal (1,770 and 2,051)
+    EXISTS_MODEL_DIGEST = "1a3fd593a032e7e1033a56c2a70598fe2116e3c50fe35d811708bebcb3dac8ae"
 
     @pytest.mark.parametrize("name", ["boolean", "group", "robbins"])
     @pytest.mark.parametrize("budget", BUDGETS)
@@ -945,7 +999,7 @@ class TestProveGolden:
 
     @staticmethod
     def _reference_prove(monkeypatch):
-        def reference_prove(goal, axioms, max_expansions, max_seconds=None):
+        def reference_prove(goal, axioms, max_expansions, deadline=None):
             return _list_scan_prove(goal, axioms, max_expansions, [])
 
         monkeypatch.setattr(equational, "prove", reference_prove)
@@ -1099,7 +1153,7 @@ def _min_scan_complete(axioms, precedence, budget=2000):
     while pending:
         steps += 1
         if steps > budget:
-            raise CompletionBudgetExhausted(list(rules))
+            raise CompletionBudgetExhausted("budget exhausted", list(rules))
         eq = min(pending, key=lambda e: term_size(e.lhs) + term_size(e.rhs))
         pending.remove(eq)
         lhs = rewrite(eq.lhs, rules)
