@@ -17,9 +17,9 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 
 from .check import format_capset, is_cap, parse_capset_file  # perfbench reads these here
+from .stats import BudgetExhausted
 
 
 class DimensionBudgetError(ValueError):
@@ -153,18 +153,13 @@ def binary_cap(n):
     return set(itertools.product((0, 1), repeat=n))
 
 
-@dataclass(frozen=True)
-class CapBound:
-    size: int
-    exact: bool
-
-
 def exact_cap(n, budget=None):
     """Maximum cap-set size by branch-and-bound over lex-ordered vectors.
 
     Translation symmetry lets us assume the zero vector is in some maximum
-    cap (canonical-first pruning).  `budget` bounds search nodes; on
-    exhaustion the best lower bound found is returned flagged inexact.
+    cap (canonical-first pruning).  Returns the maximum size.  `budget`
+    bounds search nodes; past it, BudgetExhausted says ">= best (budget
+    exhausted)" and carries the best size found, a lower bound.
     The search is depth first with an explicit stack, since a branch can
     be thousands of vectors deep (2^n along the first one).
     """
@@ -181,7 +176,7 @@ def exact_cap(n, budget=None):
     while True:
         nodes += 1
         if budget is not None and nodes > budget:
-            return CapBound(best, False)
+            raise BudgetExhausted(f">= {best} (budget exhausted)", best)
         best = max(best, len(halves))
         # the first free code from `start` here, else at the nearest ancestor:
         # the bound only tightens as i grows, so free codes alone need testing
@@ -190,7 +185,7 @@ def exact_cap(n, budget=None):
             if i >= 0 and len(halves) + (total - i) > best:
                 break
             if not ancestors:
-                return CapBound(best, True)
+                return best
             halves.pop()
             start, codes = ancestors.pop()
             for k in codes:

@@ -1,15 +1,15 @@
 """Single command-line entry point.
 
 Exit codes: 0 success; 1 negative answer (unsatisfiable where a model was
-sought, proof search timeout, not-a-cap, an artifact that does not check);
-2 usage error, a missing or malformed input file or a device among them,
-or an input nested too deeply to process, which prints one `error: ...`
-line once the arguments parse; 3 internal
-self-check failed (a bug, not an input fault).  All output files are
-written atomically (temp file + rename), before the verdict is printed.
-Machine logs are JSON lines; human summaries go to standard output.
-Settings come from flags only; `capset evolve` picks its worker pool from
-n (see `evolve.POOL_MIN_N`).
+sought, not-a-cap, an artifact that does not check) or a search that gave
+up, whose `stats.BudgetExhausted` line main() prints on stdout; 2 usage
+error, a missing or malformed input file or a device among them, or an
+input nested too deeply to process, which prints one `error: ...` line
+once the arguments parse; 3 internal self-check failed (a bug, not an
+input fault).  All output files are written atomically (temp file +
+rename), before the verdict is printed.  Machine logs are JSON lines;
+human summaries go to standard output.  Settings come from flags only;
+`capset evolve` picks its worker pool from n (see `evolve.POOL_MIN_N`).
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import sys
 import tempfile
 import time
 
-from . import bpt, capset, check, equational, evolve, hierarchy, priority, sat
+from . import bpt, capset, check, equational, evolve, hierarchy, priority, sat, stats
 from .logic import (
     App, VerificationError, apply_subst, format_term, parse_dimacs, var_name, write_dimacs,
 )
@@ -162,9 +162,8 @@ def _cmd_capset_greedy(args):
 
 
 def _cmd_capset_exact(args):
-    bound = capset.exact_cap(args.n, budget=args.budget)
-    print(bound.size if bound.exact else f">= {bound.size} (budget exhausted)")
-    return EXIT_OK if bound.exact else EXIT_NEGATIVE
+    print(capset.exact_cap(args.n, budget=args.budget))
+    return EXIT_OK
 
 
 def _cmd_capset_evolve(args):
@@ -274,12 +273,11 @@ def _cmd_eq_prove(args):
             if not args.output:
                 sys.stdout.write(text)
             return EXIT_OK
-    print(
+    raise stats.BudgetExhausted(
         "timeout: "
         f"{result.equations_generated} equations generated, "
         f"{result.rewrites_attempted} rewrites attempted"
     )
-    return EXIT_NEGATIVE
 
 
 def _cmd_eq_check(args):
@@ -304,14 +302,11 @@ def _cmd_eq_complete(args):
     try:
         rules = equational.kb_complete(axioms, precedence, budget=args.budget,
                                        deadline=args.deadline)
-        if not equational.critical_pairs_join(rules):
-            raise VerificationError("a critical pair of the completed rules does not join")
     except equational.OrientationError as exc:
         print(f"orientation failure: {exc.equation}")
         return EXIT_NEGATIVE
-    except equational.CompletionBudgetExhausted as exc:
-        print(f"{exc} with {len(exc.partial_rules)} partial rules")
-        return EXIT_NEGATIVE
+    if not equational.critical_pairs_join(rules):
+        raise VerificationError("a critical pair of the completed rules does not join")
     for rule in rules:
         print(rule)
     return EXIT_OK
@@ -422,6 +417,7 @@ def build_parser():
 
 
 def main(argv=None):
+    """Run one verb; each give-up and each fault ends here as one line."""
     parser = build_parser()
     args = parser.parse_args(argv)
     for name, value in vars(args).items():
@@ -430,6 +426,9 @@ def main(argv=None):
             parser.error(f"argument --{name.replace('_', '-')}: expected one argument")
     try:
         return args.handler(args)
+    except stats.BudgetExhausted as exc:
+        print(exc)
+        return EXIT_NEGATIVE
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -26,6 +26,7 @@ from .logic import (  # the CLI reads GROUP_SIG here
     App, GROUP_SIG, ROBBINS_SIG, Term, Var, apply_subst, format_term, parse_term, replace_at,
     term_size, term_vars,
 )
+from .stats import BudgetExhausted
 
 FAIL = None  # mgu failure sentinel
 
@@ -49,13 +50,9 @@ class OrientationError(ValueError):
         self.equation = equation
 
 
-class CompletionBudgetExhausted(RuntimeError):
-    """Completion gave up: the message says what ran out, partial_rules
-    holds the rules made so far."""
-
-    def __init__(self, what, partial_rules):
-        super().__init__(what)
-        self.partial_rules = partial_rules
+def _give_up(what, rules):
+    """Completion's give-up: what ran out, with the rules made so far."""
+    return BudgetExhausted(f"{what} with {len(rules)} partial rules", list(rules))
 
 
 # --- substitutions and unification ----------------------------------------
@@ -178,12 +175,14 @@ def rewrite_at_root(t, rules):
 MAX_REWRITE_STEPS = 100000
 
 
-def rewrite(t, rules):
+def rewrite(t, rules, deadline=None):
     """Normal form under leftmost-innermost rewriting.
 
-    Terminates for LPO-oriented rule sets, though not always soon; more
-    than MAX_REWRITE_STEPS steps raise CompletionBudgetExhausted with the
-    message "rewrite step bound exceeded" and the rules as its partial rules.
+    Terminates for LPO-oriented rule sets, though not always soon.  Each
+    step is checked against MAX_REWRITE_STEPS and against `deadline`, a
+    time.monotonic() instant or None: past either, BudgetExhausted says
+    "rewrite step bound exceeded" or "time limit reached", "with N partial
+    rules", and carries the rules.
     """
     steps = 0
 
@@ -199,7 +198,9 @@ def rewrite(t, rules):
                 return u
             steps += 1
             if steps > MAX_REWRITE_STEPS:
-                raise CompletionBudgetExhausted("rewrite step bound exceeded", list(rules))
+                raise _give_up("rewrite step bound exceeded", rules)
+            if deadline is not None and time.monotonic() >= deadline:
+                raise _give_up("time limit reached", rules)
             u = hit
 
     return norm(t)
@@ -253,12 +254,13 @@ def orient(eq, precedence):
 
 def kb_complete(axioms, precedence, budget=2000, deadline=None):
     """Knuth-Bendix completion; returns a locally confluent, terminating
-    rule list or raises OrientationError / CompletionBudgetExhausted.
+    rule list or raises OrientationError or BudgetExhausted.
 
-    `budget` counts picks, and the clock is read before each pick against
-    `deadline`, a time.monotonic() instant or None, so one already past
-    makes no pick.  The give-up says "budget exhausted", "time limit
-    reached" or, from rewrite, "rewrite step bound exceeded".
+    `budget` counts picks, and the clock is read against `deadline`, a
+    time.monotonic() instant or None, before each pick and in rewrite, so
+    one already past makes no pick.  The give-up says "budget exhausted",
+    "time limit reached" or "rewrite step bound exceeded", "with N partial
+    rules", and carries the rules made so far.
 
     Standard loop with interreduction: new rules collapse existing rules
     (reducible left-hand sides go back to the pending queue) and compose
@@ -279,12 +281,12 @@ def kb_complete(axioms, precedence, budget=2000, deadline=None):
     while pending:
         steps += 1
         if steps > budget:
-            raise CompletionBudgetExhausted("budget exhausted", list(rules))
+            raise _give_up("budget exhausted", rules)
         if deadline is not None and time.monotonic() >= deadline:
-            raise CompletionBudgetExhausted("time limit reached", list(rules))
+            raise _give_up("time limit reached", rules)
         eq = heapq.heappop(pending)[2]
-        lhs = rewrite(eq.lhs, rules)
-        rhs = rewrite(eq.rhs, rules)
+        lhs = rewrite(eq.lhs, rules, deadline)
+        rhs = rewrite(eq.rhs, rules, deadline)
         if lhs == rhs:
             continue
         new_rule = orient(Equation(lhs, rhs), precedence)
@@ -298,7 +300,7 @@ def kb_complete(axioms, precedence, budget=2000, deadline=None):
         rules = kept
         # compose: normalize right-hand sides with the new rule included
         rules.append(new_rule)
-        rules = [RewriteRule(r.lhs, rewrite(r.rhs, rules)) for r in rules]
+        rules = [RewriteRule(r.lhs, rewrite(r.rhs, rules, deadline)) for r in rules]
         for r in rules:
             if r == new_rule:
                 continue
@@ -797,8 +799,9 @@ def prove_exists(goal, axioms, signature, max_candidates=200, deadline=None):
     without the skip.
 
     `deadline`, a time.monotonic() instant or None, bounds the whole call:
-    each prove gets it, and no candidate starts once it has passed.  Returns
-    WitnessResult or Timeout with the counters of the prove calls made.
+    each prove gets it, and once it has passed no larger size of terms is
+    built and no candidate starts.  Returns WitnessResult or Timeout with
+    the counters of the prove calls made.
     """
     use_model = _two_is_a_model(goal, axioms, signature)
     gvars = sorted(term_vars(goal.lhs) | term_vars(goal.rhs))
@@ -809,7 +812,7 @@ def prove_exists(goal, axioms, signature, max_candidates=200, deadline=None):
     # which product(..., repeat=0) yields without any term
     for size_class in _size_classes(signature, EXISTS_TERM_SIZE, (fresh,)) if gvars else ():
         terms += size_class
-        if len(terms) >= budget:
+        if len(terms) >= budget or deadline is not None and time.monotonic() >= deadline:
             break
     generated = rewrites = 0
     for indices in itertools.islice(_index_tuples(min(len(terms), budget), len(gvars)), budget):

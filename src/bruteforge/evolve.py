@@ -304,6 +304,8 @@ class EvolveConfig:
         check_dimension(self.n)
         if self.eval_budget < 1:
             raise ValueError(f"eval_budget must be positive, got {self.eval_budget}")
+        if self.generator_command is not None and not self.generator_command.strip():
+            raise ValueError("generator command is empty")
 
 
 SEED_EXPRS = ("0", "v[0]", "n", "v[0] + v[1]")

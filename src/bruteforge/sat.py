@@ -25,13 +25,10 @@ from dataclasses import dataclass
 
 from .check import Certificate, check_certificate, verify_model  # perfbench reads these here
 from .logic import Assignment
+from .stats import BudgetExhausted  # perfbench reads it here
 
 CONFLICT = "conflict"
 STABLE = "stable"
-
-
-class BudgetExhausted(RuntimeError):
-    """Raised when an optional step limit is configured and hit."""
 
 
 class PivotAbsentError(ValueError):

@@ -103,10 +103,11 @@ def test_criterion_5_capset_oracle():
     n <= 2; dual cap definitions agree on 10,000 random sets per n <= 5."""
     assert capset.exact_cap_enumeration(1) == 2
     assert capset.exact_cap_enumeration(2) == 4
-    assert capset.exact_cap(1) == capset.CapBound(2, True)
-    assert capset.exact_cap(2) == capset.CapBound(4, True)
+    # exact_cap returns only an exact maximum; a give-up raises
+    assert capset.exact_cap(1) == 2
+    assert capset.exact_cap(2) == 4
     start = time.monotonic()
-    assert capset.exact_cap(3) == capset.CapBound(9, True)
+    assert capset.exact_cap(3) == 9
     n3_elapsed = time.monotonic() - start
     assert n3_elapsed < 60.0
     rng = random.Random(99)

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from bruteforge import capset
 from bruteforge.capset import (
-    CapBound,
     DimensionBudgetError,
     all_vectors,
     binary_cap,
@@ -19,6 +18,7 @@ from bruteforge.capset import (
     vec_sub,
 )
 from bruteforge.check import format_capset, is_cap, parse_capset_file
+from bruteforge.stats import BudgetExhausted
 
 
 class TestVectors:
@@ -146,22 +146,32 @@ class TestBinaryCap:
             binary_cap(0)
 
 
+def cap_bound(n, budget=None):
+    """(size, exact) from exact_cap: the maximum it returns, or the lower
+    bound its give-up carries."""
+    try:
+        return exact_cap(n, budget), True
+    except BudgetExhausted as exc:
+        return exc.partial, False
+
+
 class TestExactCap:
     def test_tiny_dimensions_cross_checked(self):
         assert exact_cap_enumeration(1) == 2
         assert exact_cap_enumeration(2) == 4
-        assert exact_cap(1) == CapBound(2, True)
-        assert exact_cap(2) == CapBound(4, True)
+        assert cap_bound(1) == (2, True)
+        assert cap_bound(2) == (4, True)
 
     def test_bounds_sandwich(self):
         for n in (1, 2):
-            size = exact_cap(n).size
+            size = exact_cap(n)
             assert 2**n <= size <= 3**n
 
     def test_budget_exhaustion_reports_lower_bound(self):
-        bound = exact_cap(3, budget=10)
-        assert not bound.exact
-        assert 1 <= bound.size <= 9
+        with pytest.raises(BudgetExhausted) as err:
+            exact_cap(3, budget=10)
+        assert 1 <= err.value.partial <= 9
+        assert str(err.value) == f">= {err.value.partial} (budget exhausted)"
 
     def test_invalid_dimension(self):
         with pytest.raises(ValueError):
@@ -201,7 +211,7 @@ class TestExactCap:
                 halves.pop()
 
         extend(1, 1)
-        return CapBound(best, not exhausted)
+        return best, not exhausted
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_stack_search_matches_the_recursive_one(self, n):
@@ -210,7 +220,7 @@ class TestExactCap:
         # most 262 vectors (n = 8), inside the default recursion limit
         budgets = [*range(81), 250, 1000, 4000] + [None] * (n <= 3)
         for budget in budgets:
-            assert exact_cap(n, budget) == self._recursive_exact_cap(n, budget), budget
+            assert cap_bound(n, budget) == self._recursive_exact_cap(n, budget), budget
 
 
 class TestCapsetFiles:

@@ -21,7 +21,6 @@ from hypothesis import given, settings, strategies as st
 
 from bruteforge import capset, cli, evolve as evolve_mod, priority
 from bruteforge.capset import (
-    CapBound,
     all_vectors,
     code_vector,
     exact_cap,
@@ -44,6 +43,7 @@ from bruteforge.priority import (
     parse_expr,
     score,
 )
+from bruteforge.stats import BudgetExhausted
 
 _U64 = 1 << 64
 _I64_MAX = (1 << 63) - 1
@@ -354,38 +354,48 @@ class TestGreedy:
         assert greedy(expr, n) == reference_greedy(expr, n)
 
 
+def cap_bound(n, budget=None):
+    """(size, exact) from exact_cap: the maximum it returns, or the lower
+    bound its give-up carries."""
+    try:
+        return exact_cap(n, budget=budget), True
+    except BudgetExhausted as exc:
+        assert str(exc) == f">= {exc.partial} (budget exhausted)"
+        return exc.partial, False
+
+
 class TestExactCap:
-    # CapBounds of the tuple-based branch and bound this kernel replaced
+    # (size, exact) of the tuple-based branch and bound this kernel replaced
     @pytest.mark.parametrize(
         "n, budget, bound",
         [
-            (1, None, CapBound(2, True)),
-            (2, None, CapBound(4, True)),
-            (3, None, CapBound(9, True)),
-            (3, 10, CapBound(8, False)),
-            (3, 500, CapBound(9, False)),
-            (4, 2000, CapBound(18, False)),
-            (3, 0, CapBound(1, False)),
-            (3, 17, CapBound(8, False)),
-            (3, 18, CapBound(9, False)),
-            (2, 3, CapBound(3, False)),
-            (4, 17, CapBound(16, False)),
-            (4, 50, CapBound(18, False)),
+            (1, None, (2, True)),
+            (2, None, (4, True)),
+            (3, None, (9, True)),
+            (3, 10, (8, False)),
+            (3, 500, (9, False)),
+            (4, 2000, (18, False)),
+            (3, 0, (1, False)),
+            (3, 17, (8, False)),
+            (3, 18, (9, False)),
+            (2, 3, (3, False)),
+            (4, 17, (16, False)),
+            (4, 50, (18, False)),
             # from the 3^n-bit int search that the blocked bytearray replaced
-            (10, 2000, CapBound(1032, False)),
-            (11, 3000, CapBound(2057, False)),
-            (12, 300, CapBound(300, False)),
+            (10, 2000, (1032, False)),
+            (11, 3000, (2057, False)),
+            (12, 300, (300, False)),
         ],
     )
     def test_pinned_bounds(self, n, budget, bound):
-        assert exact_cap(n, budget=budget) == bound
+        assert cap_bound(n, budget) == bound
 
     def test_node_count_is_unchanged(self):
         # the full searches visit 34 and 39,928 nodes
-        assert exact_cap(2, budget=33) == CapBound(4, False)
-        assert exact_cap(2, budget=34) == CapBound(4, True)
-        assert exact_cap(3, budget=39927) == CapBound(9, False)
-        assert exact_cap(3, budget=39928) == CapBound(9, True)
+        assert cap_bound(2, 33) == (4, False)
+        assert cap_bound(2, 34) == (4, True)
+        assert cap_bound(3, 39927) == (9, False)
+        assert cap_bound(3, 39928) == (9, True)
 
 
 def _sharing(exprs):

@@ -505,6 +505,16 @@ class TestCapset:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert started == []
 
+    @pytest.mark.parametrize("command", ["", "   "], ids=["empty", "blank"])
+    def test_evolve_blank_generator_command_is_usage_error(self, capsys, monkeypatch, command):
+        # "" ran the baseline generator and "   " gave Popen an empty argv
+        started = []
+        monkeypatch.setattr(subprocess, "Popen", lambda *a, **k: started.append(a))
+        argv = ["capset", "evolve", "--n", "3", "--evals", "6", "--generator-command", command]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr() == ("", "error: generator command is empty\n")
+        assert started == []
+
     def test_evolve_generator_command_selects_external(self, tmp_path):
         child = tmp_path / "broken.py"
         child.write_text("import sys\nfor line in sys.stdin:\n    print('no', flush=True)\n")
@@ -765,15 +775,26 @@ class TestEq:
             assert result.stdout.startswith("time limit reached with ")
             assert result.stdout.endswith(" partial rules\n")
 
+    # the oriented rules terminate, but normalising the 18-deep i(...)
+    # takes more than MAX_REWRITE_STEPS steps
+    TRIPWIRE = ("signature: group\nR1: i(x * y) = i(x) * i(y)\nR2: i(e) = e * e\n"
+                f"A: {'i(' * 18}e{')' * 18} = e\n")
+
     def test_complete_rewrite_step_bound_is_a_give_up(self, tmp_path, capsys):
-        # the oriented rules terminate, but normalising the 18-deep i(...)
-        # takes more than MAX_REWRITE_STEPS steps
         axioms = tmp_path / "ax.txt"
-        axioms.write_text("signature: group\nR1: i(x * y) = i(x) * i(y)\nR2: i(e) = e * e\n"
-                          f"A: {'i(' * 18}e{')' * 18} = e\n")
+        axioms.write_text(self.TRIPWIRE)
         assert cli.main(["eq", "complete", "--axioms", str(axioms),
                          "--precedence", "i > * > e"]) == 1
         assert capsys.readouterr() == ("rewrite step bound exceeded with 2 partial rules\n", "")
+
+    def test_complete_time_limit_stops_a_long_normalisation(self, tmp_path, capsys):
+        # rewrite reads the deadline at each step, so the run stops at the
+        # limit, not after MAX_REWRITE_STEPS steps
+        axioms = tmp_path / "ax.txt"
+        axioms.write_text(self.TRIPWIRE)
+        assert cli.main(["eq", "complete", "--axioms", str(axioms),
+                         "--precedence", "i > * > e", "--max-seconds", "0.3"]) == 1
+        assert capsys.readouterr() == ("time limit reached with 2 partial rules\n", "")
 
     def test_prove_exists_varies_every_variable(self, capsys):
         # only x := 1 proves it, so the candidates must not all fix x := 0

@@ -37,7 +37,6 @@ from bruteforge.equational import (
     AXIOM_SETS,
     AXIOM_SIGNATURES,
     BOOLEAN_AXIOMS,
-    CompletionBudgetExhausted,
     Equation,
     FAIL,
     GROUP_AXIOMS,
@@ -62,6 +61,7 @@ from bruteforge.equational import (
     rewrite,
     superpose,
 )
+from bruteforge.stats import BudgetExhausted
 
 
 def with_constants(signature, *names):
@@ -300,30 +300,31 @@ class TestCompletion:
         assert err.value.equation is not None
 
     def test_budget_exhaustion_returns_partial_state(self):
-        with pytest.raises(CompletionBudgetExhausted) as err:
+        with pytest.raises(BudgetExhausted) as err:
             kb_complete(list(GROUP_AXIOMS.values()), GROUP_PRECEDENCE, budget=2)
-        assert isinstance(err.value.partial_rules, list)
-        assert str(err.value) == "budget exhausted"
+        assert isinstance(err.value.partial, list)
+        assert str(err.value) == f"budget exhausted with {len(err.value.partial)} partial rules"
 
     def test_time_limit_stops_a_diverging_completion(self):
         # associativity plus left inverse alone spends about a minute before
         # the default budget of 2000 picks runs out
         start = time.monotonic()
-        with pytest.raises(CompletionBudgetExhausted) as err:
+        with pytest.raises(BudgetExhausted) as err:
             kb_complete([GROUP_AXIOMS["G1"], GROUP_AXIOMS["G3"]], GROUP_PRECEDENCE,
                         deadline=start + 0.5)
         assert time.monotonic() - start < 2
-        assert err.value.partial_rules
-        assert str(err.value) == "time limit reached"
+        assert err.value.partial
+        assert str(err.value) == f"time limit reached with {len(err.value.partial)} partial rules"
 
     def test_zero_time_limit_makes_no_pick(self, monkeypatch):
         normalised = []
-        monkeypatch.setattr(equational, "rewrite", lambda t, rules: normalised.append(t) or t)
-        with pytest.raises(CompletionBudgetExhausted) as err:
+        monkeypatch.setattr(equational, "rewrite",
+                            lambda t, rules, deadline: normalised.append(t) or t)
+        with pytest.raises(BudgetExhausted) as err:
             kb_complete(list(GROUP_AXIOMS.values()), GROUP_PRECEDENCE,
                         deadline=time.monotonic())
-        assert str(err.value) == "time limit reached"
-        assert err.value.partial_rules == []
+        assert str(err.value) == "time limit reached with 0 partial rules"
+        assert err.value.partial == []
         assert normalised == []
 
     def test_time_limit_changes_no_completed_system(self):
@@ -337,10 +338,33 @@ class TestCompletion:
         rules = [RewriteRule(_bt("i(x)", GROUP_SIG), _bt("x * x", GROUP_SIG))]
         assert rewrite(_bt("i(i(i(e)))", GROUP_SIG), rules) == _bt(
             "((e * e) * (e * e)) * ((e * e) * (e * e))", GROUP_SIG)
-        with pytest.raises(CompletionBudgetExhausted) as err:
+        with pytest.raises(BudgetExhausted) as err:
             rewrite(_bt("i(i(i(i(e))))", GROUP_SIG), rules)
-        assert str(err.value) == "rewrite step bound exceeded"
-        assert err.value.partial_rules == rules
+        assert str(err.value) == "rewrite step bound exceeded with 1 partial rules"
+        assert err.value.partial == rules
+
+    def test_rewrite_reads_the_deadline_at_each_step(self):
+        rules = [RewriteRule(_bt("i(x)", GROUP_SIG), _bt("x * x", GROUP_SIG))]
+        term = _bt("i(i(e))", GROUP_SIG)
+        assert rewrite(term, rules, time.monotonic() + 60) == rewrite(term, rules)
+        assert rewrite(_bt("e * e", GROUP_SIG), rules, -math.inf) == _bt("e * e", GROUP_SIG)
+        with pytest.raises(BudgetExhausted) as err:
+            rewrite(term, rules, -math.inf)
+        assert str(err.value) == "time limit reached with 1 partial rules"
+        assert err.value.partial == rules
+
+    def test_time_limit_stops_a_long_normalisation(self):
+        # the 18-deep i(...) normalises past MAX_REWRITE_STEPS steps, which
+        # take seconds; the deadline must stop it inside one rewrite
+        g = functools.partial(_bt, sig=GROUP_SIG)
+        axioms = [Equation(g("i(x * y)"), g("i(x) * i(y)")), Equation(g("i(e)"), g("e * e")),
+                  Equation(g("i(" * 18 + "e" + ")" * 18), g("e"))]
+        start = time.monotonic()
+        with pytest.raises(BudgetExhausted) as err:
+            kb_complete(axioms, {"i": 3, "*": 2, "e": 1}, deadline=start + 0.2)
+        assert time.monotonic() - start < 1
+        assert str(err.value) == "time limit reached with 2 partial rules"
+        assert len(err.value.partial) == 2
 
     def test_group_completion_is_pinned(self):
         # SHA-256 of the rule text `eq complete --axioms group` prints, less
@@ -724,8 +748,9 @@ class TestProveExists:
         prove_exists(goal, BOOLEAN_AXIOMS, BOOLEAN_SIG, max_candidates=20)
         assert limits and set(limits) == {None}
 
-    def test_builds_only_the_sizes_it_can_try(self, monkeypatch):
-        self._record_prove(monkeypatch)
+    @staticmethod
+    def _record_sizes(monkeypatch):
+        """Record the length of each size class prove_exists takes."""
         built = []
         size_classes = equational._size_classes
 
@@ -735,6 +760,11 @@ class TestProveExists:
                 yield terms
 
         monkeypatch.setattr(equational, "_size_classes", recording)
+        return built
+
+    def test_builds_only_the_sizes_it_can_try(self, monkeypatch):
+        self._record_prove(monkeypatch)
+        built = self._record_sizes(monkeypatch)
         goal = Equation(_bt("x v y", BOOLEAN_SIG), Var(0))
         prove_exists(goal, BOOLEAN_AXIOMS, BOOLEAN_SIG, max_candidates=5)
         # size 1: 0, 1 and the fresh variable; size 2: their negations
@@ -744,6 +774,22 @@ class TestProveExists:
         ground = Equation(_bt("0 v 1", BOOLEAN_SIG), App("1"))
         prove_exists(ground, BOOLEAN_AXIOMS, BOOLEAN_SIG, max_candidates=5)
         assert built == []
+
+    def test_past_deadline_builds_no_larger_size(self, monkeypatch):
+        # 5000 candidates take all seven sizes (8,427 terms) when time allows
+        tried = self._record_prove(monkeypatch)
+        built = self._record_sizes(monkeypatch)
+        goal = Equation(_bt("x v y", BOOLEAN_SIG), Var(0))
+        result = prove_exists(goal, BOOLEAN_AXIOMS, BOOLEAN_SIG, max_candidates=5000,
+                              deadline=-math.inf)
+        assert (result, tried, built) == (Timeout(0, 0), [], [3])
+        built.clear()
+        prove_exists(goal, BOOLEAN_AXIOMS, BOOLEAN_SIG, max_candidates=5000)
+        unlimited = list(built)
+        built.clear()
+        prove_exists(goal, BOOLEAN_AXIOMS, BOOLEAN_SIG, max_candidates=5000,
+                     deadline=time.monotonic() + 600)
+        assert built == unlimited == [3, 3, 21, 57, 327, 1263, 6753]
 
     @pytest.mark.parametrize("limit", [{"max_candidates": 0}, {"max_candidates": -1},
                                        {"deadline": -math.inf}],
@@ -1153,7 +1199,7 @@ def _min_scan_complete(axioms, precedence, budget=2000):
     while pending:
         steps += 1
         if steps > budget:
-            raise CompletionBudgetExhausted("budget exhausted", list(rules))
+            raise BudgetExhausted(f"budget exhausted with {len(rules)} partial rules", list(rules))
         eq = min(pending, key=lambda e: term_size(e.lhs) + term_size(e.rhs))
         pending.remove(eq)
         lhs = rewrite(eq.lhs, rules)
@@ -1244,8 +1290,8 @@ def _completion_outcome(complete, axioms, budget):
     """The rule list, or the exception type with what it carries."""
     try:
         return complete(axioms, GROUP_PRECEDENCE, budget)
-    except CompletionBudgetExhausted as exc:
-        return CompletionBudgetExhausted, exc.partial_rules
+    except BudgetExhausted as exc:
+        return BudgetExhausted, str(exc), exc.partial
     except OrientationError as exc:
         return OrientationError, exc.equation
 
@@ -1324,7 +1370,7 @@ class TestFastPathsAgreeWithReferences:
             expected = _completion_outcome(_min_scan_complete, axioms, 25)
             assert _completion_outcome(kb_complete, axioms, 25) == expected, axioms
             seen.add(expected[0] if isinstance(expected, tuple) else list)
-        assert seen == {list, CompletionBudgetExhausted, OrientationError}
+        assert seen == {list, BudgetExhausted, OrientationError}
 
     def test_compiled_matcher(self):
         g = functools.partial(_bt, sig=GROUP_SIG)

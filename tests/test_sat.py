@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bruteforge import sat
+from bruteforge import sat, stats
 from bruteforge.check import (
     Certificate,
     MalformedCertificateError,
@@ -126,6 +126,10 @@ class TestSolve:
         cnf = _random_cnf(rng, max_vars=8, max_clauses=4)
         with pytest.raises(BudgetExhausted):
             solve(cnf, step_limit=1)
+
+    def test_budget_exhausted_is_the_one_give_up(self):
+        # perfbench catches sat.BudgetExhausted; every engine raises this class
+        assert sat.BudgetExhausted is stats.BudgetExhausted
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(min_value=0, max_value=10**9))
